@@ -9,7 +9,8 @@ report alone.  Exit codes:
         simulate/compare passed)
     1   clean falsification run with no witness, or a failed
         comparison/simulation gate
-    2   internal verification failure (a certificate did not verify)
+    2   verification failure (a certificate did not verify, or a ledger
+        is malformed, incomplete, or of another format_version)
     64  usage error (bad flags, unparseable candidate, invalid fraction)
     66  input file unreadable
 
@@ -106,8 +107,10 @@ def _load_ledger(path: str) -> ConstraintLedger:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
-    body = payload.get("result", payload)
-    return ConstraintLedger.from_json(body.get("ledger", body))
+    for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
+        if isinstance(payload, dict):
+            payload = payload.get(key, payload)
+    return ConstraintLedger.from_json(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,14 +277,18 @@ def _cmd_compare(args) -> int:
         raise _UsageError(f"candidate does not parse: {exc}")
     if args.grid < 2:
         raise _UsageError("--grid must be >= 2")
-    ledger = _load_ledger(args.ledger)
-    report = continuity_extension_check(candidate, ledger, args.grid)
     config = {
         "candidate": args.candidate,
         "ledger": args.ledger,
         "grid": args.grid,
         "tolerance": args.tolerance,
     }
+    try:
+        ledger = _load_ledger(args.ledger)
+    except CertificateError as exc:
+        _emit("compare", config, {"passed": False, "error": str(exc)}, args.output)
+        return EXIT_VERIFICATION
+    report = continuity_extension_check(candidate, ledger, args.grid)
     passed = (
         report["max_rational_residual"] <= args.tolerance
         and report["max_grid_deviation_from_born"] <= args.tolerance

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import CertificateError, ParameterError
-from .hilbert import OrthonormalBasis, StateVector, orthonormality_defect
+from .hilbert import OrthonormalBasis, StateVector
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,10 +37,6 @@ class SymmetricState:
     theta: float
     state: StateVector
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
 
 @dataclass(frozen=True)
 class PartialDftBasis:
@@ -49,10 +46,6 @@ class PartialDftBasis:
     base: OrthonormalBasis
     K: int
     vectors: OrthonormalBasis
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
 
 def symmetric_state(base: OrthonormalBasis, theta: float) -> SymmetricState:
@@ -77,13 +70,18 @@ def dft_block(k: int) -> np.ndarray:
     return np.exp(-1j * TWO_PI * (l * j) / k) / math.sqrt(k)
 
 
-def partial_dft_basis(base: OrthonormalBasis, K: int) -> PartialDftBasis:
-    """Mix the first K base vectors by the DFT block, keep the rest."""
+def partial_dft_basis(
+    base: OrthonormalBasis, K: int, block: Optional[np.ndarray] = None
+) -> PartialDftBasis:
+    """Mix the first K base vectors by the DFT block, keep the rest.
+
+    ``block`` is ``dft_block(K)``, for a caller that already holds it.
+    """
     n = base.dim
     if not 1 <= K < n:
         raise ParameterError(f"require 1 <= K < N, got K={K}, N={n}")
     rows = np.array(base.matrix)
-    rows[:K] = dft_block(K) @ base.matrix[:K]
+    rows[:K] = (dft_block(K) if block is None else block) @ base.matrix[:K]
     return PartialDftBasis(base=base, K=K, vectors=OrthonormalBasis(rows))
 
 
@@ -124,27 +122,3 @@ def overlap_contract_error(
     expected[1:K] = 0.0
     expected[K:] = phase / math.sqrt(n)
     return float(np.max(np.abs(overlaps - expected)))
-
-
-def construction_certificate(
-    base: OrthonormalBasis, K: int, theta: float
-) -> dict:
-    """Numeric evidence that the construction obeys its contracts.
-
-    Returns the Gram defect of the partial-DFT basis and the max error of
-    the overlaps against the three-block contract, together with the
-    objects themselves for embedding in reports.
-    """
-    psi = symmetric_state(base, theta)
-    tilde = partial_dft_basis(base, K)
-    overlaps = overlap_with_symmetric(tilde, psi)
-    return {
-        "K": K,
-        "N": base.dim,
-        "theta": psi.theta,
-        "defect": orthonormality_defect(tilde.vectors),
-        "overlap_error": overlap_contract_error(overlaps, K, base.dim, psi.theta),
-        "symmetric_state": psi,
-        "tilde": tilde,
-        "overlaps": overlaps,
-    }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -25,6 +25,8 @@ import numpy as np
 
 from .axioms import CandidateDistribution, _safe_eval
 from .construction import (
+    TWO_PI,
+    dft_block,
     overlap_contract_error,
     overlap_with_symmetric,
     partial_dft_basis,
@@ -44,6 +46,9 @@ from .hilbert import (
 DEFECT_TOLERANCE = 1e-10
 OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
+# Version 2 changed the summation order of the certificate numbers, and
+# with it their float bits and digests; version 1 ledgers must be re-derived.
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,10 @@ class RationalConstraint:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _base_for(n: int, rotate: bool, seed: int) -> tuple[OrthonormalBasis, str, Optional[int]]:
-    if not rotate:
-        return standard_basis(n), "standard", None
-    sub = int(np.random.SeedSequence([seed, n]).generate_state(1)[0])
-    return rotate_basis(haar_unitary(n, sub), standard_basis(n)), "haar", sub
+def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
+    if kind == "standard":
+        return standard_basis(n)
+    return rotate_basis(haar_unitary(n, int(sub)), standard_basis(n))
 
 
 def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) -> dict:
@@ -127,7 +131,7 @@ def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) ->
             "state": psi.state,
             "overlaps": overlap_with_symmetric(tilde, psi),
         }
-    phase = np.exp(1j * (theta % (2.0 * math.pi)))
+    phase = np.exp(1j * (theta % TWO_PI))
     state = StateVector(phase * base.matrix[0])
     return {
         "kind": "single_vector",
@@ -137,43 +141,82 @@ def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) ->
     }
 
 
-def _certificates(base: OrthonormalBasis, k: int, n: int, thetas) -> tuple[dict, ...]:
-    """Verification numbers for one (K, N) over a list of thetas.
+class CertificateKernel:
+    """Derives constraints, sharing certificate work across one ledger's entries.
 
-    The partial-DFT basis (and its Gram defect) does not depend on theta,
-    so it is built once; only the overlap contract is re-checked per theta.
+    In the standard basis the partial-DFT basis is exactly blockdiag(F_K, I),
+    F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with the
+    symmetric state are c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N)
+    as the contract asks.  So only F_K's defect and conj(F_K) 1_K are kept,
+    per K.  Other bases take the full N x N path with F_K kept per K; each is
+    rebuilt when (N, kind, seed) changes, so callers group entries by N.
     """
-    certs = []
-    if k < n:
-        tilde = partial_dft_basis(base, k)
-        defect = orthonormality_defect(tilde.vectors)
-        for theta in thetas:
-            psi = symmetric_state(base, theta)
-            overlaps = overlap_with_symmetric(tilde, psi)
-            error = overlap_contract_error(overlaps, k, n, psi.theta)
-            certs.append(
-                {"kind": "partial_dft", "theta": psi.theta, "defect": defect,
-                 "overlap_error": error}
-            )
-    else:
-        for theta in thetas:
-            theta = float(theta) % (2.0 * math.pi)
-            phase = np.exp(1j * theta)
-            state = StateVector(phase * base.matrix[0])
-            overlaps = base.matrix.conj() @ state.amplitudes
-            expected = np.zeros(n, dtype=np.complex128)
-            expected[0] = phase
-            error = float(np.max(np.abs(overlaps - expected)))
-            certs.append(
-                {"kind": "single_vector", "theta": theta, "defect": 0.0,
-                 "overlap_error": error}
-            )
-    for cert in certs:
-        cert["passed"] = (
-            cert["defect"] <= DEFECT_TOLERANCE
-            and cert["overlap_error"] <= OVERLAP_TOLERANCE
+
+    def __init__(self):
+        self._standard: dict[int, tuple[float, np.ndarray]] = {}
+        self._blocks: dict[int, np.ndarray] = {}
+        self._base: tuple = (None, None)  # ((N, kind, seed), base)
+
+    def derive(
+        self, k: int, n: int, thetas: Iterable[float], kind: str = "standard",
+        sub: Optional[int] = None,
+    ) -> RationalConstraint:
+        """P(e^{i theta} sqrt(K/N)) = K/N, certified at each theta."""
+        if n < 1 or k < 1 or k > n:
+            raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
+        thetas = tuple(float(t) for t in thetas)
+        # exact arithmetic mirror of the certificate: the normalization sum has
+        # one term at sqrt(K/N) and N-K tail terms each worth 1/N
+        value = Fraction(1) - (n - k) * Fraction(1, n) if k < n else Fraction(1)
+        assert value == Fraction(k, n)
+        return RationalConstraint(
+            K=k, N=n, modulus_squared=Fraction(k, n), asserted_value=value,
+            theta_samples=thetas, certificates=self._certificates(k, n, thetas, kind, sub),
+            proof_trace=_trace(k, n), base_kind=kind, base_seed=sub,
         )
-    return tuple(certs)
+
+    def _certificates(self, k: int, n: int, thetas, kind: str, sub) -> tuple[dict, ...]:
+        thetas = [t % TWO_PI for t in thetas]
+        defect = 0.0
+        if kind == "standard" and k < n:
+            if k not in self._standard:
+                block = dft_block(k)
+                self._standard[k] = (orthonormality_defect(block), block.conj().sum(axis=1))
+            defect, row_sums = self._standard[k]
+            phase = np.exp(1j * np.array(thetas))
+            overlaps = np.outer(phase / math.sqrt(n), row_sums)
+            overlaps[:, 0] -= phase * math.sqrt(k / n)
+            errors = np.max(np.abs(overlaps), axis=1).tolist()
+        else:
+            if self._base[0] != (n, kind, sub):
+                self._base = ((n, kind, sub), _rebuild_base(n, kind, sub))
+            base = self._base[1]
+            if k == n:
+                errors = [
+                    overlap_contract_error(certificate_objects(base, n, n, t)["overlaps"], n, n, t)
+                    for t in thetas
+                ]
+            else:
+                if k not in self._blocks:
+                    self._blocks[k] = dft_block(k)
+                tilde = partial_dft_basis(base, k, self._blocks[k])
+                defect = orthonormality_defect(tilde.vectors)
+                errors = [
+                    overlap_contract_error(
+                        overlap_with_symmetric(tilde, symmetric_state(base, t)), k, n, t
+                    )
+                    for t in thetas
+                ]
+        return tuple(
+            {
+                "kind": "single_vector" if k == n else "partial_dft",
+                "theta": theta,
+                "defect": defect,
+                "overlap_error": error,
+                "passed": defect <= DEFECT_TOLERANCE and error <= OVERLAP_TOLERANCE,
+            }
+            for theta, error in zip(thetas, errors)
+        )
 
 
 def _trace(k: int, n: int) -> tuple[str, ...]:
@@ -195,37 +238,6 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
     return tuple(steps)
 
 
-def _derive(
-    k: int,
-    n: int,
-    thetas: Iterable[float],
-    base: Optional[OrthonormalBasis] = None,
-    base_kind: str = "standard",
-    base_seed: Optional[int] = None,
-) -> RationalConstraint:
-    if n < 1 or k < 1 or k > n:
-        raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
-    if base is None:
-        base = standard_basis(n)
-    thetas = tuple(float(t) for t in thetas)
-    certificates = _certificates(base, k, n, thetas)
-    # exact arithmetic mirror of the certificate: the normalization sum has
-    # one term at sqrt(K/N) and N-K tail terms each worth 1/N
-    value = Fraction(1) - (n - k) * Fraction(1, n) if k < n else Fraction(1)
-    assert value == Fraction(k, n)
-    return RationalConstraint(
-        K=k,
-        N=n,
-        modulus_squared=Fraction(k, n),
-        asserted_value=value,
-        theta_samples=thetas,
-        certificates=certificates,
-        proof_trace=_trace(k, n),
-        base_kind=base_kind,
-        base_seed=base_seed,
-    )
-
-
 def derive_p_zero() -> RationalConstraint:
     """The constraint P(0) = 0 from orthogonality consistency."""
     base = standard_basis(2)
@@ -238,33 +250,22 @@ def derive_p_zero() -> RationalConstraint:
         "passed": abs(overlap) <= OVERLAP_TOLERANCE,
     }
     return RationalConstraint(
-        K=0,
-        N=1,
-        modulus_squared=Fraction(0),
-        asserted_value=Fraction(0),
-        theta_samples=(0.0,),
-        certificates=(cert,),
-        proof_trace=(
+        K=0, N=1, modulus_squared=Fraction(0), asserted_value=Fraction(0),
+        theta_samples=(0.0,), certificates=(cert,), proof_trace=(
             "orthogonal states embed in a common orthonormal basis",
             "consistency on that basis forces P(0) = 0",
         ),
     )
 
 
-def derive_uniform(n: int, theta: float, base: Optional[OrthonormalBasis] = None) -> RationalConstraint:
+def derive_uniform(n: int, theta: float) -> RationalConstraint:
     """P(e^{i theta}/sqrt(N)) = 1/N from the symmetric state."""
-    if n < 1:
-        raise ParameterError(f"N must be >= 1, got {n}")
-    if n == 1:
-        return _derive(1, 1, [theta], base)
-    return _derive(1, n, [theta], base)
+    return CertificateKernel().derive(1, n, [theta])
 
 
-def derive_rational(
-    k: int, n: int, theta: float, base: Optional[OrthonormalBasis] = None
-) -> RationalConstraint:
+def derive_rational(k: int, n: int, theta: float) -> RationalConstraint:
     """P(e^{i theta} sqrt(K/N)) = K/N with a verified basis certificate."""
-    return _derive(k, n, [theta], base)
+    return CertificateKernel().derive(k, n, [theta])
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,7 @@ class ConstraintLedger:
 
     def to_json(self, full_certificates: bool = False) -> dict:
         return {
+            "format_version": FORMAT_VERSION,
             "n_max": self.n_max,
             "seed": self.seed,
             "rotate_bases": self.rotate_bases,
@@ -303,44 +305,69 @@ class ConstraintLedger:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "ConstraintLedger":
-        """Rebuild a ledger from its serialized form.
+    def from_json(cls, payload) -> "ConstraintLedger":
+        """Rebuild a ledger from its serialized form; raise CertificateError
+        on any fault.
 
-        Constraints are re-derived from the stored (K, N, theta) data, then
-        checked against the stored digests; any mismatch raises
-        CertificateError.
+        Exact checks come first: format version, field types, and entries
+        exactly {0} and each reduced K/N with N <= n_max, asserting K/N.
+        Then every constraint is re-derived and checked against its digest.
         """
-        entries: dict[Fraction, RationalConstraint] = {}
-        for raw in payload["entries"]:
-            k, n = int(raw["K"]), int(raw["N"])
-            if k == 0:
-                constraint = derive_p_zero()
-            else:
-                kind = raw.get("base_kind", "standard")
-                sub = raw.get("base_seed")
-                base = _rebuild_base(n, kind, sub)
-                constraint = _derive(k, n, raw["theta_samples"], base, kind, sub)
-            if constraint.certificate_digest() != raw["certificate_digest"]:
-                raise CertificateError(
-                    f"certificate digest mismatch at K={k}, N={n}"
-                )
-            stored = Fraction(*map(int, raw["value"]["fraction"].split("/")))
-            if stored != constraint.asserted_value:
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != FORMAT_VERSION:
+            raise CertificateError(
+                f"ledger format_version is {version!r:.20}, not {FORMAT_VERSION}; re-run derive"
+            )
+        n_max = _field(payload, "n_max", int, "ledger")
+        seed = _field(payload, "seed", int, "ledger")
+        rotate_bases = _field(payload, "rotate_bases", bool, "ledger")
+        theta_base = _thetas(payload, "theta_base", "ledger")
+        stored: dict[tuple[int, int], tuple] = {}
+        for index, raw in enumerate(_field(payload, "entries", list, "ledger")):
+            where = f"ledger entry {index}"
+            k, n = _field(raw, "K", int, where), _field(raw, "N", int, where)
+            if (n, k) in stored or not (
+                (k, n) == (0, 1) or 1 <= k <= n <= n_max and math.gcd(k, n) == 1
+            ):
+                raise CertificateError(f"{where}: {k}/{n} is a repeat or not a reduced K/N")
+            if _field(raw, "value", dict, where).get("fraction") != f"{k}/{n}":
                 raise CertificateError(f"asserted value mismatch at K={k}, N={n}")
+            thetas = _thetas(raw, "theta_samples", where)
+            kind, sub = raw.get("base_kind", "standard"), raw.get("base_seed")
+            if not thetas or not (
+                (kind == "standard" and sub is None)
+                or (kind == "haar" and type(sub) is int and sub >= 0)
+            ):
+                raise CertificateError(f"{where}: no theta samples, or a bad base_kind/base_seed")
+            stored[n, k] = (thetas, kind, sub, raw.get("certificate_digest"))
+        # n_max > len(stored) is already incomplete; testing it first bounds the count
+        if n_max < 1 or n_max > len(stored) or len(stored) != 1 + sum(
+            math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1)
+        ):
+            raise CertificateError(f"ledger holds {len(stored)} entries, not all of n_max={n_max}")
+        kernel = CertificateKernel()
+        entries: dict[Fraction, RationalConstraint] = {}
+        for (n, k), (thetas, kind, sub, digest) in sorted(stored.items()):
+            constraint = derive_p_zero() if k == 0 else kernel.derive(k, n, thetas, kind, sub)
+            if constraint.certificate_digest() != digest:
+                raise CertificateError(f"certificate digest mismatch at K={k}, N={n}")
             entries[constraint.modulus_squared] = constraint
-        return cls(
-            n_max=int(payload["n_max"]),
-            seed=int(payload["seed"]),
-            rotate_bases=bool(payload["rotate_bases"]),
-            theta_base=tuple(payload["theta_base"]),
-            entries=entries,
-        )
+        return cls(n_max, seed, rotate_bases, theta_base, entries)
 
 
-def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
-    if kind == "standard":
-        return standard_basis(n)
-    return rotate_basis(haar_unitary(n, int(sub)), standard_basis(n))
+def _field(raw, key: str, kind: type, where: str):
+    """raw[key], which must exist and be of the given JSON type."""
+    value = raw.get(key) if isinstance(raw, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise CertificateError(f"{where}: {key} is missing or not of type {kind.__name__}")
+    return value
+
+
+def _thetas(raw, key: str, where: str) -> tuple[float, ...]:
+    values = _field(raw, key, list, where)
+    if not all(type(t) in (int, float) and abs(t) < 1e308 for t in values):  # finite
+        raise CertificateError(f"{where}: {key} must hold finite numbers only")
+    return tuple(float(t) for t in values)
 
 
 def build_ledger(
@@ -361,8 +388,10 @@ def build_ledger(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     thetas = tuple(DEFAULT_THETAS if theta_samples is None else map(float, theta_samples))
     entries: dict[Fraction, RationalConstraint] = {Fraction(0): derive_p_zero()}
+    kernel = CertificateKernel()
+    kind = "haar" if rotate_bases else "standard"
     for n in range(1, n_max + 1):
-        base, kind, sub = _base_for(n, rotate_bases, seed)
+        sub = int(np.random.SeedSequence([seed, n]).generate_state(1)[0]) if rotate_bases else None
         for k in range(1, n + 1):
             fraction = Fraction(k, n)
             if math.gcd(k, n) == 1:
@@ -370,7 +399,7 @@ def build_ledger(
                 extra = float(
                     np.random.default_rng(extra_seed).uniform(0.0, 2.0 * math.pi)
                 )
-                constraint = _derive(k, n, thetas + (extra,), base, kind, sub)
+                constraint = kernel.derive(k, n, thetas + (extra,), kind, sub)
                 if not constraint.verified:
                     bad = next(c for c in constraint.certificates if not c["passed"])
                     raise CertificateError(
@@ -459,9 +488,3 @@ def continuity_extension_check(
         "grid_size": grid_size,
     }
 
-
-def corrupt_entry(ledger: ConstraintLedger, fraction: Fraction, value: Fraction) -> ConstraintLedger:
-    """Fault-injection helper: return a copy with one asserted value replaced."""
-    entries = dict(ledger.entries)
-    entries[fraction] = replace(entries[fraction], asserted_value=value)
-    return replace(ledger, entries=entries)

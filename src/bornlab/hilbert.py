@@ -86,20 +86,24 @@ class StateVector:
 
 
 class OrthonormalBasis:
-    """N mutually orthonormal StateVectors, stored as rows of a matrix."""
+    """N mutually orthonormal StateVectors, stored as rows of a matrix.
 
-    __slots__ = ("matrix",)
+    ``defect`` is the Gram defect measured when the basis was validated.
+    """
+
+    __slots__ = ("matrix", "defect")
 
     def __init__(self, matrix, ortho_tolerance: float = ORTHO_TOLERANCE):
         arr = _complex_array(matrix, 2)
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"basis matrix must be square, got {arr.shape}")
-        defect = float(np.max(np.abs(arr.conj() @ arr.T - np.eye(n))))
+        defect = _gram_defect(arr)
         if defect > ortho_tolerance:
             raise ValueError(f"basis is not orthonormal: Gram defect {defect:.3e}")
         arr.setflags(write=False)
         self.matrix = arr
+        self.defect = defect
 
     @property
     def dim(self) -> int:
@@ -205,18 +209,23 @@ def orthonormality_defect(candidate) -> float:
     """max_ij |<v_i|v_j> - delta_ij| for a square collection of vectors.
 
     Diagnostic: accepts an OrthonormalBasis, a list of StateVectors, or a
-    raw matrix with vectors as rows, orthonormal or not.
+    raw matrix with vectors as rows, orthonormal or not.  A basis reports
+    the defect its constructor measured.
     """
     if isinstance(candidate, OrthonormalBasis):
-        m = candidate.matrix
-    elif isinstance(candidate, (list, tuple)):
+        return candidate.defect
+    if isinstance(candidate, (list, tuple)):
         m = np.vstack([v.amplitudes if isinstance(v, StateVector) else v for v in candidate])
     else:
         m = np.asarray(candidate, dtype=np.complex128)
     n, k = m.shape
     if n != k:
         raise DimensionError(f"need N vectors of dimension N, got {n} of dim {k}")
-    return float(np.max(np.abs(m.conj() @ m.T - np.eye(n))))
+    return _gram_defect(m)
+
+
+def _gram_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m.conj() @ m.T - np.eye(m.shape[0]))))
 
 
 def random_state(n: int, seed: int) -> StateVector:

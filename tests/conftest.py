@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,3 +70,10 @@ def schema_validator(name: str) -> jsonschema.Draft202012Validator:
     )
     target = json.loads((SCHEMA_DIR / name).read_text())
     return jsonschema.Draft202012Validator(target, registry=registry)
+
+
+def corrupt_entry(ledger, fraction: Fraction, value: Fraction):
+    """Fault-injection helper: return a copy with one asserted value replaced."""
+    entries = dict(ledger.entries)
+    entries[fraction] = replace(entries[fraction], asserted_value=value)
+    return replace(ledger, entries=entries)

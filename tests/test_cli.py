@@ -69,6 +69,100 @@ class TestCertify:
         assert main(["certify", str(tmp_path / "nope.json")]) == 66
 
 
+def _drop(key):
+    def mutate(ledger):
+        del ledger["entries"][1][key]
+    return mutate
+
+
+def _set(index, key, value):
+    def mutate(ledger):
+        ledger["entries"][index][key] = value
+    return mutate
+
+
+def _unreduce(ledger):
+    entry = next(e for e in ledger["entries"] if (e["K"], e["N"]) == (1, 2))
+    entry.update(K=2, N=4, value={"fraction": "2/4", "decimal": "0.5"})
+
+
+# Each turns a fresh n_max = 4 ledger into one that certify must reject
+# with exit 2 and a JSON report, never a traceback.
+MALFORMED_LEDGERS = {
+    "empty-object": lambda ledger: ledger.clear(),
+    "entries-not-a-list": lambda ledger: ledger.update(entries=5),
+    "no-format-version": lambda ledger: ledger.pop("format_version"),
+    "format-version-1": lambda ledger: ledger.update(format_version=1),
+    "format-version-string": lambda ledger: ledger.update(format_version="2"),
+    "entry-missing-theta": _drop("theta_samples"),
+    "entry-missing-value": _drop("value"),
+    "entry-missing-K": _drop("K"),
+    "entry-not-an-object": lambda ledger: ledger["entries"].__setitem__(2, [1, 2]),
+    "float-K": _set(2, "K", 1.5),
+    "string-N": _set(2, "N", "3"),
+    "non-finite-theta": _set(2, "theta_samples", [1e400]),
+    "huge-integer-theta": _set(2, "theta_samples", [10**400]),
+    "string-theta": _set(2, "theta_samples", ["1.0"]),
+    "negative-base-seed": lambda ledger: [
+        e.update(base_kind="haar", base_seed=-1) for e in ledger["entries"]
+    ],
+    "no-theta": _set(2, "theta_samples", []),
+    "unknown-base-kind": _set(2, "base_kind", "sobol"),
+    "truncated-to-3": lambda ledger: ledger.update(entries=ledger["entries"][:3]),
+    "duplicate-entry": lambda ledger: ledger["entries"].append(ledger["entries"][2]),
+    "unreduced-entry": _unreduce,
+    "n-max-raised": lambda ledger: ledger.update(n_max=5),
+    "n-max-zero": lambda ledger: ledger.update(n_max=0, entries=ledger["entries"][:1]),
+}
+
+
+def run_on_file(tmp_path, capsys, doc, *argv):
+    """Run a subcommand on doc written to a file; return (exit code, stdout
+    JSON) after checking that stderr carries no traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main([*argv, str(path)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, json.loads(out)
+
+
+class TestMalformedLedger:
+    @pytest.fixture()
+    def ledger_doc(self, tmp_path):
+        run(tmp_path, "derive", "--n-max", "4", name="ledger.json")
+        return json.loads((tmp_path / "ledger.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+    def test_certify_exits_2_with_json(self, tmp_path, capsys, ledger_doc, case):
+        MALFORMED_LEDGERS[case](ledger_doc["result"]["ledger"])
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
+        assert code == 2
+        assert payload["result"]["verified"] is False
+        schema_validator("certify.schema.json").validate(payload)
+
+    def test_old_format_asks_for_rederive(self, tmp_path, capsys, ledger_doc):
+        del ledger_doc["result"]["ledger"]["format_version"]
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
+        assert code == 2
+        assert "re-run derive" in payload["result"]["error"]
+
+    @pytest.mark.parametrize(
+        "doc", [{}, {"entries": 5}, [], 5, {"result": 5}, {"result": {"ledger": []}}]
+    )
+    def test_non_object_payloads(self, tmp_path, capsys, doc):
+        assert run_on_file(tmp_path, capsys, doc, "certify")[0] == 2
+
+    def test_compare_exits_2_with_json(self, tmp_path, capsys, ledger_doc):
+        ledger = ledger_doc["result"]["ledger"]
+        ledger["entries"] = ledger["entries"][:3]
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
+        assert code == 2
+        assert payload["result"]["passed"] is False
+        schema_validator("compare.schema.json").validate(payload)
+
+
 class TestFalsify:
     def test_abs_candidate(self, tmp_path):
         code, payload = run(tmp_path, "falsify", "-p", "r", "--n-range", "2..8")

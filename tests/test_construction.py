@@ -15,7 +15,7 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.construction import overlap_contract_error
+from bornlab.construction import dft_block, overlap_contract_error
 from bornlab.hilbert import rotate_basis
 
 
@@ -181,3 +181,29 @@ def test_basis_covariance():
     psi_std = symmetric_state(standard_basis(n), theta)
     psi_back = u.matrix.conj().T @ psi_rot.state.amplitudes
     assert np.max(np.abs(psi_back - psi_std.state.amplitudes)) <= 1e-11
+
+
+def test_standard_partial_dft_basis_is_blockdiag_of_dft_block():
+    # the premise of the certificate kernel's standard-basis path
+    for n in range(2, 25):
+        for k in range(1, n):
+            expected = np.eye(n, dtype=np.complex128)
+            expected[:k, :k] = dft_block(k)
+            tilde = partial_dft_basis(standard_basis(n), k)
+            assert np.array_equal(tilde.vectors.matrix, expected), (k, n)
+
+
+def test_kernel_certificates_match_full_construction(ledger64):
+    for c in ledger64.constraints():
+        if c.K == 0 or c.K == c.N:
+            continue
+        base = standard_basis(c.N)
+        tilde = partial_dft_basis(base, c.K)
+        defect = orthonormality_defect(tilde.vectors)
+        for cert in c.certificates:
+            psi = symmetric_state(base, cert["theta"])
+            error = overlap_contract_error(
+                overlap_with_symmetric(tilde, psi), c.K, c.N, cert["theta"]
+            )
+            assert abs(cert["defect"] - defect) <= 1e-15
+            assert abs(cert["overlap_error"] - error) <= 1e-15

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -16,9 +18,9 @@ from bornlab import (
     derive_uniform,
     verify_ledger,
 )
-from bornlab.derivation import DEFAULT_THETAS, corrupt_entry
+from bornlab.derivation import DEFAULT_THETAS
 
-from conftest import make_ledger_locked_candidate
+from conftest import corrupt_entry, make_ledger_locked_candidate
 
 
 def totient_sum(n_max: int) -> int:
@@ -167,6 +169,23 @@ class TestSerialization:
         entry["value"]["fraction"] = "2/5"
         with pytest.raises(CertificateError):
             ConstraintLedger.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (lambda: build_ledger(64),
+             "239a173797f1706be4998015b670ca189bf344d1e0f0ea3f230f2dd3b8cc7f0b"),
+            (lambda: build_ledger(16, rotate_bases=True, seed=3),
+             "9ae2c403396cbaacfd717276d06029e3d5e60d27e50875dd8a9d0c81727735a7"),
+        ],
+    )
+    def test_ledger_bits_pinned(self, make, digest):
+        # Stored certificate digests hash these float bits, so a change to
+        # either pin must bump derivation.FORMAT_VERSION: ledgers written
+        # before it would no longer certify.  The bits come from numpy's exp
+        # and the BLAS matrix products, so a different BLAS build may move them.
+        blob = json.dumps(make().to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_full_certificates_embed_bases(self, ledger8):
         payload = ledger8.to_json(full_certificates=True)
