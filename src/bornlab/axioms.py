@@ -45,16 +45,27 @@ class Axiom(Enum):
 
 @dataclass(frozen=True)
 class CandidateDistribution:
-    """A named real-valued function of the overlap z, |z| <= 1 + 1e-9."""
+    """A named real-valued function of the overlap z, |z| <= 1 + 1e-9.
+
+    ``array_fn``, when given, evaluates the candidate over a whole array of
+    overlaps with the conventions of :func:`evaluate`.
+    """
 
     name: str
     fn: Callable[[complex], float] = field(compare=False)
+    array_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __call__(self, z: complex) -> float:
         z = complex(z)
         if abs(z) > 1.0 + DOMAIN_SLACK:
-            raise DomainError(f"|z| = {abs(z)!r} is outside the closed unit disk")
+            raise _domain_error(abs(z))
         return float(self.fn(z))
+
+
+def _domain_error(modulus: float) -> DomainError:
+    return DomainError(f"|z| = {modulus!r} is outside the closed unit disk")
 
 
 def born_candidate() -> CandidateDistribution:
@@ -64,7 +75,9 @@ def born_candidate() -> CandidateDistribution:
 def candidate_from_expression(source: str, name: Optional[str] = None) -> CandidateDistribution:
     """Compile a DSL expression into a candidate distribution."""
     tree = dsl.parse_candidate(source)
-    return CandidateDistribution(name or source, lambda z: dsl.eval_expr(tree, z))
+    return CandidateDistribution(
+        name or source, lambda z: dsl.eval_expr(tree, z), dsl.compile_expr(tree)
+    )
 
 
 def _safe_eval(p: CandidateDistribution, z: complex):
@@ -78,6 +91,38 @@ def _safe_eval(p: CandidateDistribution, z: complex):
     if not math.isfinite(value):
         return math.inf, f"non-finite output {value!r}"
     return float(value), None
+
+
+def evaluate(p: CandidateDistribution, zs) -> np.ndarray:
+    """p at every overlap in zs: floats, inf wherever _safe_eval gives inf.
+
+    Every residual in the package goes through here.  Candidates with an
+    ``array_fn`` (all DSL candidates) evaluate the whole array at once;
+    plain Python candidates loop over it on the scalar path.  Raises
+    DomainError if any |z| > 1 + 1e-9.
+    """
+    zs = np.asarray(zs, dtype=np.complex128)
+    moduli = np.hypot(zs.real, zs.imag)
+    outside = moduli > 1.0 + DOMAIN_SLACK
+    if outside.any():
+        raise _domain_error(float(moduli[outside][0]))
+    if p.array_fn is not None:
+        return p.array_fn(zs)
+    values = [_safe_eval(p, z)[0] for z in zs.ravel()]
+    return np.array(values, dtype=np.float64).reshape(zs.shape)
+
+
+def _worst_index(residuals: np.ndarray) -> Optional[int]:
+    """Flat index of the first largest residual; None if all are 0 or none exist."""
+    if residuals.size == 0:
+        return None
+    index = int(np.argmax(residuals))
+    return index if residuals.flat[index] > 0.0 else None
+
+
+def _reason(p: CandidateDistribution, z: complex, value: float) -> Optional[str]:
+    """Why p(z) is undefined, re-evaluated on the scalar path; None if value is finite."""
+    return None if math.isfinite(value) else _safe_eval(p, z)[1]
 
 
 @dataclass(frozen=True)
@@ -107,39 +152,35 @@ def check_well_defined(
     tolerance: float = 1e-9,
 ) -> AxiomReport:
     """Residual = max distance of p(z) from [0, 1] over the samples."""
-    worst = {"candidate": p.name}
-    max_residual = 0.0
-    for z in sample_overlaps:
-        value, reason = _safe_eval(p, z)
-        if reason is not None:
-            residual = math.inf
-        else:
-            residual = max(0.0, value - 1.0, -value)
-        if residual > max_residual:
-            max_residual = residual
-            worst = {
-                "candidate": p.name,
-                "z": complex_to_pair(z),
-                "value": None if reason else value,
-                "reason": reason,
-            }
-    return AxiomReport(Axiom.WELL_DEFINED, max_residual, worst, tolerance)
+    zs = np.array(list(sample_overlaps), dtype=np.complex128)
+    values = evaluate(p, zs)
+    residuals = np.maximum(0.0, np.maximum(values - 1.0, -values))
+    index = _worst_index(residuals)
+    if index is None:
+        return AxiomReport(Axiom.WELL_DEFINED, 0.0, {"candidate": p.name}, tolerance)
+    value = float(values[index])
+    reason = _reason(p, zs[index], value)
+    worst = {
+        "candidate": p.name,
+        "z": complex_to_pair(zs[index]),
+        "value": None if reason else value,
+        "reason": reason,
+    }
+    return AxiomReport(Axiom.WELL_DEFINED, float(residuals[index]), worst, tolerance)
 
 
-def check_normalization(
-    p: CandidateDistribution, basis: OrthonormalBasis, state: StateVector
-) -> float:
-    """|sum_i p(<v_i|psi>) - 1| for one (basis, state) pair."""
-    if basis.dim != state.dim:
-        raise DimensionError(f"dimension mismatch: {basis.dim} vs {state.dim}")
-    overlaps = basis.matrix.conj() @ state.amplitudes
-    total = 0.0
-    for z in overlaps:
-        value, reason = _safe_eval(p, z)
-        if reason is not None:
-            return math.inf
-        total += value
-    return abs(total - 1.0)
+def check_normalization(p: CandidateDistribution, basis, state) -> float:
+    """|sum_i p(<v_i|psi>) - 1| for one (basis, state) pair.
+
+    basis and state may also be given as raw arrays (basis vectors as
+    rows, amplitudes), so that a probe can be scored before it is
+    validated.
+    """
+    matrix = basis.matrix if isinstance(basis, OrthonormalBasis) else basis
+    amplitudes = state.amplitudes if isinstance(state, StateVector) else state
+    if matrix.shape[0] != amplitudes.shape[0]:
+        raise DimensionError(f"dimension mismatch: {matrix.shape[0]} vs {amplitudes.shape[0]}")
+    return abs(float(evaluate(p, matrix.conj() @ amplitudes).sum()) - 1.0)
 
 
 def check_orthogonality_axiom(
@@ -150,24 +191,20 @@ def check_orthogonality_axiom(
     In particular enforces p(0) = 0 and p(1) = 1.
     """
     gram = basis.matrix.conj() @ basis.matrix.T
-    max_residual = 0.0
-    worst = {"candidate": p.name}
-    n = basis.dim
-    for i in range(n):
-        for j in range(n):
-            value, reason = _safe_eval(p, gram[i, j])
-            target = 1.0 if i == j else 0.0
-            residual = math.inf if reason is not None else abs(value - target)
-            if residual > max_residual:
-                max_residual = residual
-                worst = {
-                    "candidate": p.name,
-                    "i": i + 1,
-                    "j": j + 1,
-                    "overlap": complex_to_pair(gram[i, j]),
-                    "reason": reason,
-                }
-    return AxiomReport(Axiom.ORTHOGONALITY, max_residual, worst, tolerance)
+    values = evaluate(p, gram)
+    residuals = np.abs(values - np.eye(basis.dim))
+    index = _worst_index(residuals)
+    if index is None:
+        return AxiomReport(Axiom.ORTHOGONALITY, 0.0, {"candidate": p.name}, tolerance)
+    i, j = divmod(index, basis.dim)
+    worst = {
+        "candidate": p.name,
+        "i": i + 1,
+        "j": j + 1,
+        "overlap": complex_to_pair(gram[i, j]),
+        "reason": _reason(p, gram[i, j], float(values[i, j])),
+    }
+    return AxiomReport(Axiom.ORTHOGONALITY, float(residuals[i, j]), worst, tolerance)
 
 
 def pair_form(p: CandidateDistribution) -> Callable[[StateVector, StateVector], float]:
@@ -231,20 +268,20 @@ def check_n_independence(
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    by_fraction: dict[Fraction, list[tuple[int, float]]] = {}
+    fractions, overlaps = [], []
     for n in dims:
         base = standard_basis(n)
         for k in range(1, n + 1):
             if k < n:
                 psi = symmetric_state(base, theta)
                 tilde = partial_dft_basis(base, k)
-                z = complex(overlap_with_symmetric(tilde, psi)[0])
+                overlaps.append(overlap_with_symmetric(tilde, psi)[0])
             else:
-                z = complex(np.exp(1j * theta))
-            value, reason = _safe_eval(p, z)
-            if reason is not None:
-                value = math.inf
-            by_fraction.setdefault(Fraction(k, n), []).append((n, value))
+                overlaps.append(np.exp(1j * theta))
+            fractions.append((Fraction(k, n), n))
+    by_fraction: dict[Fraction, list[tuple[int, float]]] = {}
+    for (frac, n), value in zip(fractions, evaluate(p, overlaps).tolist()):
+        by_fraction.setdefault(frac, []).append((n, value))
     max_residual = 0.0
     worst = {"candidate": p.name, "overlap_only": True}
     for frac, entries in by_fraction.items():
@@ -279,9 +316,9 @@ def normalization_report(
     for n in sorted(set(dims)):
         for t in range(trials):
             sub = int(np.random.SeedSequence([seed, n, t]).generate_state(1)[0])
-            basis = OrthonormalBasis(haar_unitary(n, sub).matrix)
+            basis = haar_unitary(n, sub)
             state = random_state(n, sub + 1)
-            residual = check_normalization(p, basis, state)
+            residual = check_normalization(p, basis.matrix, state)
             if residual > max_residual:
                 max_residual = residual
                 worst = {

@@ -11,16 +11,20 @@ report alone.  Exit codes:
         comparison/simulation gate
     2   verification failure (a certificate did not verify, or a ledger
         is malformed, incomplete, or of another format_version)
-    64  usage error (bad flags, unparseable candidate, invalid fraction)
+    64  usage error (bad flags or BORN_SEED, unparseable candidate,
+        invalid fraction, a parameter out of its range)
     66  input file unreadable
 
-The environment variable BORN_SEED overrides the default seed.
+The environment variable BORN_SEED overrides the default seed.  Output
+is strict JSON: a non-finite number is written as the string "inf",
+"-inf" or "nan".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -56,7 +60,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("BORN_SEED", "0"))
+    raw = os.environ.get("BORN_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(f"BORN_SEED must be an integer, got {raw!r}")
+
+
+def _finite_json(value):
+    """value with each non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
 
 
 def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
@@ -68,7 +87,11 @@ def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
         "config": config,
         "result": result,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    options = {"indent": 2, "sort_keys": True, "allow_nan": False}
+    try:
+        text = json.dumps(payload, **options)
+    except ValueError:  # a non-finite float; rare, so only then walk the payload
+        text = json.dumps(_finite_json(payload), **options)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -254,10 +277,7 @@ def _cmd_simulate(args) -> int:
         "seed": seed,
         "format": args.format,
     }
-    try:
-        report = simulate_fractions(probs, args.samples, seed)
-    except ParameterError as exc:
-        raise _UsageError(str(exc))
+    report = simulate_fractions(probs, args.samples, seed)
     if args.format == "csv":
         text = report.to_csv()
         if args.output:
@@ -312,7 +332,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except _UsageError as exc:
+    except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

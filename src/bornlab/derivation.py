@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .axioms import CandidateDistribution, _safe_eval
+from .axioms import CandidateDistribution, _worst_index, evaluate
 from .construction import (
     TWO_PI,
     dft_block,
@@ -457,34 +457,28 @@ def continuity_extension_check(
     """
     if grid_size < 2:
         raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
-    max_rational = 0.0
-    worst_rational = None
+    probes, zs, targets = [], [], []
     for c in ledger.constraints():
-        target = float(c.asserted_value)
         modulus = math.sqrt(float(c.modulus_squared))
         for theta in c.theta_samples:
-            z = modulus * complex(math.cos(theta), math.sin(theta))
-            value, reason = _safe_eval(p, z)
-            residual = math.inf if reason is not None else abs(value - target)
-            if residual > max_rational:
-                max_rational = residual
-                worst_rational = {"K": c.K, "N": c.N, "theta": theta}
-    max_grid = 0.0
-    worst_grid = None
-    for modulus in np.linspace(0.0, 1.0, grid_size):
-        for theta in ledger.theta_base:
-            z = float(modulus) * complex(math.cos(theta), math.sin(theta))
-            value, reason = _safe_eval(p, z)
-            deviation = math.inf if reason is not None else abs(value - abs(z) ** 2)
-            if deviation > max_grid:
-                max_grid = deviation
-                worst_grid = {"modulus": float(modulus), "theta": float(theta)}
+            probes.append({"K": c.K, "N": c.N, "theta": theta})
+            zs.append(modulus * complex(math.cos(theta), math.sin(theta)))
+            targets.append(float(c.asserted_value))
+    rational = np.abs(evaluate(p, zs) - np.array(targets))
+    r = _worst_index(rational)
+    moduli = np.linspace(0.0, 1.0, grid_size)
+    thetas = np.array(ledger.theta_base, dtype=np.float64)
+    grid_zs = np.outer(moduli, [complex(math.cos(t), math.sin(t)) for t in thetas])
+    grid = np.abs(evaluate(p, grid_zs) - np.hypot(grid_zs.real, grid_zs.imag) ** 2)
+    g = _worst_index(grid)
     return {
         "candidate": p.name,
-        "max_rational_residual": max_rational,
-        "worst_rational": worst_rational,
-        "max_grid_deviation_from_born": max_grid,
-        "worst_grid": worst_grid,
+        "max_rational_residual": 0.0 if r is None else float(rational[r]),
+        "worst_rational": None if r is None else probes[r],
+        "max_grid_deviation_from_born": 0.0 if g is None else float(grid.flat[g]),
+        "worst_grid": None if g is None else {
+            "modulus": float(moduli[g // len(thetas)]),
+            "theta": float(thetas[g % len(thetas)]),
+        },
         "grid_size": grid_size,
     }
-

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .errors import EvalError, ParseError, UnknownNameError
 
@@ -241,7 +243,7 @@ def _apply_func(name: str, x: float) -> float:
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise EvalError("zero raised to a negative power")
-    if a < 0.0 and b != int(b):
+    if a < 0.0 and (math.isinf(b) or b != int(b)):
         # real-valued candidates only: no complex excursions
         raise EvalError(f"negative base {a!r} with non-integer exponent {b!r}")
     try:
@@ -295,6 +297,131 @@ def _eval(e: Expr, env: dict) -> float:
     raise EvalError(f"malformed expression node {e!r}")
 
 
+# --- vectorised evaluation -------------------------------------------------
+#
+# A compiled node maps (z, bad) to the node's values at every overlap in
+# the array z.  It ORs into the boolean array ``bad`` each position where
+# the scalar evaluator above raises (EvalError, or a math domain error such
+# as sin(inf)), so both paths leave the same overlaps undefined.
+
+_VARIABLES = {
+    # np.hypot matches abs(complex) bit for bit; np.abs does not
+    "r": lambda z: np.hypot(z.real, z.imag),
+    "phi": lambda z: np.where(z == 0, 0.0, np.arctan2(z.imag, z.real)),
+    "re": lambda z: z.real,
+    "im": lambda z: z.imag,
+}
+
+
+def _array_sqrt(x, bad):
+    bad |= x < 0.0
+    return np.sqrt(x)
+
+
+def _array_periodic(func):
+    def apply(x, bad):
+        bad |= np.isinf(x)
+        return func(x)
+
+    return apply
+
+
+def _array_exp(x, bad):
+    values = np.exp(x)
+    _flag_overflow(values, bad, x)
+    return values
+
+
+def _flag_overflow(values, bad, *args):
+    """Flag an inf that came from finite arguments (math raises OverflowError)."""
+    overflow = np.isinf(values)
+    if overflow.any():  # rare: test the cheap guard first
+        for arg in args:
+            overflow = overflow & np.isfinite(arg)
+        bad |= overflow
+
+
+def _array_ln(x, bad):
+    bad |= x <= 0.0
+    return np.log(x)
+
+
+_ARRAY_FUNCS = {
+    "abs": lambda x, bad: np.abs(x),
+    "sqrt": _array_sqrt,
+    "sin": _array_periodic(np.sin),
+    "cos": _array_periodic(np.cos),
+    "exp": _array_exp,
+    "ln": _array_ln,
+}
+
+
+def _array_divide(a, b, bad):
+    bad |= b == 0.0
+    return np.divide(a, b)
+
+
+def _array_pow(a, b, bad):
+    nonpositive = a <= 0.0
+    if nonpositive.any():  # rare: test the cheap guard first
+        zero_to_negative = (a == 0.0) & (b < 0.0)
+        non_integer = np.isinf(b) | (b != np.floor(b))
+        bad |= nonpositive & (zero_to_negative | (a < 0.0) & non_integer)
+    values = np.power(a, b)
+    _flag_overflow(values, bad, a, b)
+    return values
+
+
+_ARRAY_OPS = {
+    "+": lambda a, b, bad: np.add(a, b),
+    "-": lambda a, b, bad: np.subtract(a, b),
+    "*": lambda a, b, bad: np.multiply(a, b),
+    "/": _array_divide,
+    "^": _array_pow,
+}
+
+
+def compile_expr(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile an expression once into a function of an array of overlaps.
+
+    The function returns eval_expr's value at every overlap as float64,
+    with inf wherever eval_expr raises or gives a non-finite value.
+    Values may differ from eval_expr's in the last bits, where numpy's
+    transcendental functions round differently from math's.
+    """
+    node = _compile(e)
+
+    def evaluate(zs) -> np.ndarray:
+        z = np.asarray(zs, dtype=np.complex128)
+        bad = np.zeros(z.shape, dtype=bool)
+        values = np.empty(z.shape)
+        with np.errstate(all="ignore"):
+            values[...] = node(z, bad)
+        values[bad | ~np.isfinite(values)] = math.inf
+        return values
+
+    return evaluate
+
+
+def _compile(e: Expr):
+    if isinstance(e, (Lit, Const)):
+        value = np.float64(e.value if isinstance(e, Lit) else CONSTANTS[e.name])
+        return lambda z, bad: value
+    if isinstance(e, Var):
+        variable = _VARIABLES[e.name]
+        return lambda z, bad: variable(z)
+    if isinstance(e, Neg):
+        arg = _compile(e.arg)
+        return lambda z, bad: np.negative(arg(z, bad))
+    if isinstance(e, Call):
+        func, arg = _ARRAY_FUNCS[e.func], _compile(e.arg)
+        return lambda z, bad: func(arg(z, bad), bad)
+    if isinstance(e, Bin):
+        op, left, right = _ARRAY_OPS[e.op], _compile(e.left), _compile(e.right)
+        return lambda z, bad: op(left(z, bad), right(z, bad), bad)
+    raise EvalError(f"malformed expression node {e!r}")
+
+
 # --- pretty printing -------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -308,6 +435,8 @@ def pretty(e: Expr) -> str:
 def _pretty(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Lit):
         v = e.value
+        if math.isinf(v):  # a literal past the float range, such as 1e310
+            return "1e999"
         return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
     if isinstance(e, (Var, Const)):
         return e.name

@@ -20,13 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
-from .axioms import Axiom, CandidateDistribution, _safe_eval, check_normalization
-from .derivation import ConstraintLedger, certificate_objects
+from .axioms import (
+    Axiom,
+    CandidateDistribution,
+    check_normalization,
+    check_orthogonality_axiom,
+)
+from .derivation import ConstraintLedger, _rebuild_base, certificate_objects
 from .errors import ParameterError
 from .hilbert import (
     OrthonormalBasis,
@@ -35,6 +39,14 @@ from .hilbert import (
     random_state,
     standard_basis,
 )
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  scipy.linalg loads on the first call, which only
+    the optimizer phase makes, so no other command pays its import."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 class ConstructionTag(Enum):
@@ -86,6 +98,10 @@ class FalsifierConfig:
             raise ParameterError("trial and step counts must be >= 0")
         if not self.n_range or min(self.n_range) < 1:
             raise ParameterError("n_range must contain dimensions >= 1")
+        for name in ("step_scale", "violation_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,41 +130,46 @@ def replay_witness(w: Witness, p: Optional[CandidateDistribution] = None) -> flo
     if p is None:
         raise ParameterError("witness carries no candidate; pass one explicitly")
     if w.axiom is Axiom.ORTHOGONALITY:
-        gram = w.basis.matrix.conj() @ w.basis.matrix.T
-        residual = 0.0
-        for i in range(w.dimension):
-            for j in range(w.dimension):
-                value, reason = _safe_eval(p, gram[i, j])
-                target = 1.0 if i == j else 0.0
-                term = math.inf if reason else abs(value - target)
-                residual = max(residual, term)
-        return residual
+        return check_orthogonality_axiom(p, w.basis).max_residual
     return check_normalization(p, w.basis, w.state)
 
 
-def _normalization_residual(p, basis_matrix: np.ndarray, state: np.ndarray) -> float:
-    total = 0.0
-    for z in basis_matrix.conj() @ state:
-        value, reason = _safe_eval(p, z)
-        if reason is not None:
-            return math.inf
-        total += value
-    return abs(total - 1.0)
+def _ledger_probes(p, ledger, dims, seed: int) -> Iterator[Witness]:
+    """A would-be witness for every certificate of each K > 0 entry with N
+    in dims, in (N, K, theta) order.
+
+    Each base is rebuilt as the ledger built it (standard or Haar-rotated),
+    so the probes are the ledger's own certificates.
+    """
+    key = base = None
+    for c in ledger.constraints():
+        if c.K == 0 or c.N not in dims:
+            continue
+        if key != (c.N, c.base_kind, c.base_seed):
+            key = (c.N, c.base_kind, c.base_seed)
+            base = _rebuild_base(*key)
+        for theta in c.theta_samples:
+            objs = certificate_objects(base, c.K, c.N, theta)
+            yield Witness(
+                candidate_name=p.name,
+                axiom=Axiom.NORMALIZATION,
+                dimension=c.N,
+                state=objs["state"],
+                basis=objs["basis"],
+                residual=check_normalization(p, objs["basis"], objs["state"]),
+                seed_chain=(seed, 1, c.N, c.K),
+                construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
+                candidate=p,
+            )
 
 
 def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
-    probes = 0
-    dims = set(cfg.n_range)
     # P(0) = 0 and P(1) = 1 first: the two fixed points every candidate
-    # must hit, checked on the standard basis at the smallest dimension
-    n0 = min(dims)
-    basis = standard_basis(max(n0, 2))
-    residual = 0.0
-    for z, target in ((0.0, 0.0), (1.0, 1.0)):
-        value, reason = _safe_eval(p, z)
-        probes += 1
-        term = math.inf if reason else abs(value - target)
-        residual = max(residual, term)
+    # must hit, which are the only overlaps in the Gram matrix of the
+    # standard basis at the smallest dimension
+    basis = standard_basis(max(min(cfg.n_range), 2))
+    probes = 2
+    residual = check_orthogonality_axiom(p, basis).max_residual
     if residual >= cfg.violation_threshold:
         return (
             Witness(
@@ -160,33 +181,14 @@ def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
                 residual=residual,
                 seed_chain=(cfg.seed, 1),
                 construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
+                candidate=p,
             ),
             probes,
         )
-    for c in ledger.constraints():
-        if c.K == 0 or c.N not in dims:
-            continue
-        base = standard_basis(c.N)
-        for theta in c.theta_samples:
-            objs = certificate_objects(base, c.K, c.N, theta)
-            probes += 1
-            residual = _normalization_residual(
-                p, objs["basis"].matrix, objs["state"].amplitudes
-            )
-            if residual >= cfg.violation_threshold:
-                return (
-                    Witness(
-                        candidate_name=p.name,
-                        axiom=Axiom.NORMALIZATION,
-                        dimension=c.N,
-                        state=objs["state"],
-                        basis=objs["basis"],
-                        residual=residual,
-                        seed_chain=(cfg.seed, 1, c.N, c.K),
-                        construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
-                    ),
-                    probes,
-                )
+    for witness in _ledger_probes(p, ledger, set(cfg.n_range), cfg.seed):
+        probes += 1
+        if witness.residual >= cfg.violation_threshold:
+            return witness, probes
     return None, probes
 
 
@@ -195,10 +197,10 @@ def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
     for n in sorted(set(cfg.n_range)):
         for t in range(cfg.random_trials):
             sub = int(np.random.SeedSequence([cfg.seed, 2, n, t]).generate_state(1)[0])
-            basis = OrthonormalBasis(haar_unitary(n, sub).matrix)
+            u = haar_unitary(n, sub).matrix  # validated once, as a unitary
             state = random_state(n, sub + 1)
             probes += 1
-            residual = _normalization_residual(p, basis.matrix, state.amplitudes)
+            residual = check_normalization(p, u, state)
             if residual >= cfg.violation_threshold:
                 return (
                     Witness(
@@ -206,10 +208,11 @@ def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
                         axiom=Axiom.NORMALIZATION,
                         dimension=n,
                         state=state,
-                        basis=basis,
+                        basis=OrthonormalBasis(u),
                         residual=residual,
                         seed_chain=(cfg.seed, 2, n, t, sub),
                         construction_tag=ConstructionTag.RANDOM_BASIS,
+                        candidate=p,
                     ),
                     probes,
                 )
@@ -224,15 +227,15 @@ def _random_skew_hermitian(n: int, rng) -> np.ndarray:
 def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     """Maximize the normalization residual over the unitary group.
 
-    Returns (best_basis_matrix, best_residual, residual_trace).  The step
-    scale halves after 20 consecutive rejections and the search stops
-    once it drops below 1e-6; the recorded best residual is
+    Returns (best_basis_matrix, state, best_residual, residual_trace).
+    The step scale halves after 20 consecutive rejections and the search
+    stops once it drops below 1e-6; the recorded best residual is
     non-decreasing by construction.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, n]))
     state = random_state(n, int(rng.integers(2**63)))
     u = haar_unitary(n, int(rng.integers(2**63))).matrix
-    best = _normalization_residual(p, u, state.amplitudes)
+    best = check_normalization(p, u, state)
     trace = [best]
     scale = step_scale
     rejections = 0
@@ -240,7 +243,7 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
         if scale < 1e-6:
             break
         candidate_u = u @ expm(scale * _random_skew_hermitian(n, rng))
-        residual = _normalization_residual(p, candidate_u, state.amplitudes)
+        residual = check_normalization(p, candidate_u, state)
         if residual > best:
             u, best = candidate_u, residual
             rejections = 0
@@ -273,6 +276,7 @@ def _optimizer_phase(p, cfg) -> tuple[Optional[Witness], int, dict]:
                     residual=best,
                     seed_chain=(cfg.seed, 3, n),
                     construction_tag=ConstructionTag.OPTIMIZED_BASIS,
+                    candidate=p,
                 ),
                 probes,
                 traces,
@@ -290,29 +294,11 @@ def falsify(
         )
     witness, ledger_probes = _ledger_phase(p, cfg, ledger)
     probes = {"ledger": ledger_probes, "random": 0, "optimizer": 0}
-    if witness is not None:
-        return FalsifyResult(_attach(witness, p), probes)
-    witness, random_probes = _random_phase(p, cfg)
-    probes["random"] = random_probes
-    if witness is not None:
-        return FalsifyResult(_attach(witness, p), probes)
-    witness, opt_probes, _ = _optimizer_phase(p, cfg)
-    probes["optimizer"] = opt_probes
-    return FalsifyResult(_attach(witness, p) if witness else None, probes)
-
-
-def _attach(w: Witness, p: CandidateDistribution) -> Witness:
-    return Witness(
-        candidate_name=w.candidate_name,
-        axiom=w.axiom,
-        dimension=w.dimension,
-        state=w.state,
-        basis=w.basis,
-        residual=w.residual,
-        seed_chain=w.seed_chain,
-        construction_tag=w.construction_tag,
-        candidate=p,
-    )
+    if witness is None:
+        witness, probes["random"] = _random_phase(p, cfg)
+    if witness is None:
+        witness, probes["optimizer"], _ = _optimizer_phase(p, cfg)
+    return FalsifyResult(witness, probes)
 
 
 def shrink_witness(w: Witness, ledger: ConstraintLedger, cfg: FalsifierConfig) -> Witness:
@@ -328,30 +314,12 @@ def shrink_witness(w: Witness, ledger: ConstraintLedger, cfg: FalsifierConfig) -
         raise ParameterError("witness carries no candidate; cannot shrink")
     if w.axiom is Axiom.ORTHOGONALITY:
         return w  # already minimal: a single basis pair
-    for c in ledger.constraints():
-        if c.K == 0 or c.N > w.dimension:
-            continue
-        base = standard_basis(c.N)
-        for theta in c.theta_samples:
-            objs = certificate_objects(base, c.K, c.N, theta)
-            residual = _normalization_residual(
-                p, objs["basis"].matrix, objs["state"].amplitudes
-            )
-            if residual >= cfg.violation_threshold:
-                if (
-                    c.N == w.dimension
-                    and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
-                ):
-                    return w
-                return Witness(
-                    candidate_name=w.candidate_name,
-                    axiom=Axiom.NORMALIZATION,
-                    dimension=c.N,
-                    state=objs["state"],
-                    basis=objs["basis"],
-                    residual=residual,
-                    seed_chain=(cfg.seed, 1, c.N, c.K),
-                    construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
-                    candidate=p,
-                )
+    for probe in _ledger_probes(p, ledger, range(1, w.dimension + 1), cfg.seed):
+        if probe.residual >= cfg.violation_threshold:
+            if (
+                probe.dimension == w.dimension
+                and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
+            ):
+                return w
+            return probe
     return w

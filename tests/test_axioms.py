@@ -9,6 +9,7 @@ from bornlab import (
     DimensionError,
     DomainError,
     born_candidate,
+    candidate_from_expression,
     check_n_independence,
     check_normalization,
     check_orthogonality_axiom,
@@ -20,7 +21,7 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.axioms import pair_form
+from bornlab.axioms import evaluate, pair_form
 from bornlab.hilbert import OrthonormalBasis
 
 
@@ -130,6 +131,39 @@ class TestNIndependence:
         # modulus 1/2 arises as K/N = 1/4 in both N=4 and N=8 pipelines
         report = check_n_independence(born_candidate(), {4, 8}, seed=3)
         assert report.max_residual <= 1e-12
+
+
+class TestEvaluate:
+    def test_scalar_and_compiled_paths(self):
+        zs = np.array([[0.0, 0.5], [0.6 + 0.8j, -0.3j]])
+        compiled = evaluate(candidate_from_expression("r^2"), zs)
+        scalar = evaluate(born_candidate(), zs)
+        assert compiled.shape == scalar.shape == (2, 2)
+        assert np.allclose(compiled, scalar, rtol=0, atol=1e-15)
+
+    def test_undefined_values_are_inf(self):
+        values = evaluate(candidate_from_expression("ln(r)"), [0.0, 0.5])
+        assert values[0] == math.inf and values[1] == math.log(0.5)
+        assert evaluate(cand("nan", lambda z: float("nan")), [0.5])[0] == math.inf
+        assert evaluate(cand("z", lambda z: z), [0.5j])[0] == math.inf
+
+    @pytest.mark.parametrize("p", [born_candidate(), candidate_from_expression("r^2")])
+    def test_outside_disk_raises(self, p):
+        with pytest.raises(DomainError, match=r"\|z\| = 1\.5 is outside"):
+            evaluate(p, [0.5, 1.5, 2.0])
+
+    def test_reason_comes_from_the_scalar_path(self):
+        report = check_well_defined(candidate_from_expression("ln(r)"), [0.5, 0.0])
+        assert report.max_residual == math.inf
+        assert report.worst_case == {
+            "candidate": "ln(r)",
+            "z": [0.0, 0.0],
+            "value": None,
+            "reason": "evaluation error: ln of non-positive value 0.0",
+        }
+        ortho = check_orthogonality_axiom(candidate_from_expression("1/r"), standard_basis(2))
+        assert (ortho.worst_case["i"], ortho.worst_case["j"]) == (1, 2)
+        assert ortho.worst_case["reason"] == "evaluation error: division by zero"
 
 
 class TestDomain:

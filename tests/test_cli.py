@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bornlab
 from bornlab.cli import main
 
 from conftest import schema_validator
@@ -13,6 +17,15 @@ def run(tmp_path, *argv, name="out.json"):
     code = main(list(argv) + ["-o", str(out)])
     payload = json.loads(out.read_text()) if out.exists() else None
     return code, payload
+
+
+def strict_json(text):
+    """Parse text as RFC 8259 JSON: a bare Infinity or NaN is an error."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def strip_timestamp(payload):
@@ -190,6 +203,64 @@ class TestFalsify:
         code, _ = run(tmp_path, "falsify", "-p", "r", "--n-range", "zap")
         assert code == 64
 
+    def test_undefined_candidate_writes_strict_json(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = main(["falsify", "-p", "ln(r)", "--n-range", "2..3", "-o", str(out)])
+        payload = strict_json(out.read_text())
+        assert code == 0
+        assert payload["result"]["witness"]["residual"] == "inf"
+        schema_validator("falsify.schema.json").validate(payload)
+
+
+# Each must exit 64 with a one-line usage error on stderr.
+BAD_FALSIFY_PARAMETERS = {
+    "threshold-zero": ["--threshold", "0"],
+    "threshold-negative": ["--threshold", "-1e-6"],
+    "threshold-inf": ["--threshold", "inf"],
+    "threshold-nan": ["--threshold", "nan"],
+    "trials-negative": ["--trials", "-1"],
+    "optimizer-steps-negative": ["--optimizer-steps", "-1"],
+    "step-scale-nan": ["--step-scale", "nan"],
+    "step-scale-zero": ["--step-scale", "0"],
+    "step-scale-negative": ["--step-scale", "-0.1"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_FALSIFY_PARAMETERS))
+    def test_falsify_parameter(self, tmp_path, capsys, case):
+        argv = ["falsify", "-p", "r^2", "--n-range", "2..3", *BAD_FALSIFY_PARAMETERS[case]]
+        assert main(argv + ["-o", str(tmp_path / "out.json")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+    def test_non_integer_born_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BORN_SEED", "abc")
+        assert main(["falsify", "-p", "r", "--n-range", "2..3"]) == 64
+        out, err = capsys.readouterr()
+        assert err == "usage error: BORN_SEED must be an integer, got 'abc'\n"
+        assert out == ""
+
+
+def test_no_scipy_import_outside_optimizer_and_simulate():
+    # scipy.linalg loads for the optimizer phase and scipy.special for
+    # simulate's chi-square threshold; nothing else may pull scipy in
+    script = (
+        "import os, sys\n"
+        "import bornlab.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "bornlab.cli.main(['falsify', '-p', 'r', '--n-range', '2..4', '-o', os.devnull])\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(len(loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(bornlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0"
+
 
 class TestSimulate:
     def test_two_thirds(self, tmp_path):
@@ -239,6 +310,15 @@ class TestCompare:
         assert code == 0
         assert payload["result"]["max_rational_residual"] <= 1e-12
         assert payload["result"]["max_grid_deviation_from_born"] <= 1e-12
+        schema_validator("compare.schema.json").validate(payload)
+
+    def test_undefined_candidate_writes_strict_json(self, tmp_path, ledger_file):
+        out = tmp_path / "c.json"
+        code = main(["compare", "-p", "ln(r)", ledger_file, "-o", str(out)])
+        payload = strict_json(out.read_text())
+        assert code == 1
+        assert payload["result"]["max_rational_residual"] == "inf"
+        assert payload["result"]["max_grid_deviation_from_born"] == "inf"
         schema_validator("compare.schema.json").validate(payload)
 
     def test_abs_candidate_fails(self, tmp_path, ledger_file):

@@ -2,16 +2,23 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab.axioms import CandidateDistribution, evaluate
 from bornlab.dsl import (
+    CONSTANTS,
+    FUNCTIONS,
+    VARIABLES,
     Bin,
     Call,
+    Const,
     Lit,
     Neg,
     Var,
+    compile_expr,
     eval_expr,
     parse_candidate,
     pretty,
@@ -132,6 +139,7 @@ FIXTURE_EXPRESSIONS = [
     "r^-1 + 2",
     "cos(phi)*exp(0 - r)",
     "1.5e-3 + pi/4",
+    "1e310 - r",
 ]
 
 
@@ -167,3 +175,86 @@ def test_fuzz_structured(source):
         eval_expr(tree, 0.3 + 0.2j)
     except EvalError:
         pass
+
+
+class TestCompiled:
+    @pytest.mark.parametrize(
+        "source, z",
+        [
+            ("1/r", 0.0),
+            ("ln(r)", 0.0),
+            ("sqrt(re)", -0.5),
+            ("r^(0-1)", 0.0),
+            ("(0-2)^0.5", 0.1),
+            ("(0-1)^1e999", 0.1),
+            ("exp(1000*r)", 1.0),
+            ("10^(400*r)", 1.0),
+            ("sin(1e999*r)", 0.5),
+            ("1e999*r", 0.5),
+        ],
+    )
+    def test_undefined_is_inf(self, source, z):
+        tree = parse_candidate(source)
+        assert compile_expr(tree)([z, 0.5 + 0.5j])[0] == math.inf
+        scalar = CandidateDistribution(source, lambda z: eval_expr(tree, z))
+        assert evaluate(scalar, [z])[0] == math.inf
+
+    def test_constant_expression_fills_the_shape(self):
+        values = compile_expr(parse_candidate("pi/4"))(np.zeros((2, 3)))
+        assert values.shape == (2, 3)
+        assert (values == math.pi / 4).all()
+
+    def test_phi_at_zero_and_negative_zero(self):
+        values = compile_expr(parse_candidate("phi"))([0j, complex(-0.0, -0.0), -1 + 0j])
+        assert values.tolist() == [0.0, 0.0, math.pi]
+
+    def test_r_is_bit_identical_to_abs(self):
+        rng = np.random.default_rng(4)
+        zs = rng.uniform(-0.7, 0.7, 1000) + 1j * rng.uniform(-0.7, 0.7, 1000)
+        r = compile_expr(parse_candidate("r"))(zs)
+        assert r.tolist() == [abs(complex(z)) for z in zs]
+
+    def test_input_array_not_written(self):
+        zs = np.array([0.0, 0.5 + 0j])
+        compile_expr(parse_candidate("1/re"))(zs)
+        assert zs.tolist() == [0.0, 0.5]
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([Var(v) for v in VARIABLES] + [Const(c) for c in CONSTANTS]),
+    st.builds(Lit, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e300])),
+    st.builds(Lit, st.floats(-10.0, 10.0)),
+)
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+    ),
+    max_leaves=6,
+)
+_OVERLAPS = st.lists(
+    st.one_of(
+        st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -0.5j]),
+        st.builds(
+            lambda r, a: r * complex(math.cos(a), math.sin(a)),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 2 * math.pi),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_EXPRESSIONS, _OVERLAPS)
+def test_compiled_agrees_with_scalar_path(tree, zs):
+    # the two paths of axioms.evaluate: the same undefined overlaps, and
+    # values equal up to the last bits of numpy's vs math's functions
+    scalar = evaluate(CandidateDistribution("t", lambda z: eval_expr(tree, z)), zs)
+    compiled = evaluate(CandidateDistribution("t", None, compile_expr(tree)), zs)
+    assert np.isinf(compiled).tolist() == np.isinf(scalar).tolist()
+    defined = np.isfinite(scalar)
+    assert np.allclose(compiled[defined], scalar[defined], rtol=1e-9, atol=1e-9)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bornlab import (
@@ -9,11 +10,13 @@ from bornlab import (
     FalsifierConfig,
     ParameterError,
     born_candidate,
+    build_ledger,
     candidate_from_expression,
     falsify,
     replay_witness,
     shrink_witness,
 )
+from bornlab.derivation import _rebuild_base, certificate_objects
 from bornlab.falsifier import hill_climb
 
 from conftest import make_wrong_above_denominator
@@ -63,6 +66,33 @@ class TestLedgerPhase:
         result = falsify(candidate_from_expression("r^2.1"), quick_cfg(), ledger8)
         assert result.witness is not None
         assert result.witness.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
+
+
+class TestRotatedLedger:
+    def test_witness_comes_from_the_rotated_base(self):
+        ledger = build_ledger(8, rotate_bases=True, seed=3)
+        w = falsify(candidate_from_expression("r"), quick_cfg(), ledger).witness
+        assert w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
+        assert (w.dimension, w.seed_chain) == (2, (0, 1, 2, 1))
+        c = ledger.lookup(0.5)
+        assert c.base_kind == "haar"
+        objs = certificate_objects(_rebuild_base(2, "haar", c.base_seed), 1, 2, c.theta_samples[0])
+        assert w.state == objs["state"]
+        assert w.basis == objs["basis"]
+        standard = certificate_objects(_rebuild_base(2, "standard", None), 1, 2, 0.0)
+        assert not np.allclose(w.basis.matrix, standard["basis"].matrix)
+        assert abs(replay_witness(w) - w.residual) <= 1e-12
+
+    def test_shrink_uses_the_rotated_base(self):
+        ledger = build_ledger(8, rotate_bases=True, seed=3)
+        cfg = quick_cfg(n_range=(8,))
+        w = falsify(candidate_from_expression("r"), cfg, ledger).witness
+        shrunk = shrink_witness(w, ledger, cfg)
+        assert shrunk.dimension == 2
+        c = ledger.lookup(0.5)
+        objs = certificate_objects(_rebuild_base(2, "haar", c.base_seed), 1, 2, c.theta_samples[0])
+        assert shrunk.basis == objs["basis"]
+        assert abs(replay_witness(shrunk) - shrunk.residual) <= 1e-12
 
 
 class TestCleanRun:
@@ -146,6 +176,12 @@ class TestConfigValidation:
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):
             FalsifierConfig(n_range=())
+
+    @pytest.mark.parametrize("field", ["step_scale", "violation_threshold"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_and_threshold_finite_positive(self, field, value):
+        with pytest.raises(ParameterError):
+            FalsifierConfig(**{field: value})
 
     def test_range_beyond_ledger_rejected(self, ledger8):
         with pytest.raises(ParameterError):

@@ -14,6 +14,7 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
+from bornlab.montecarlo import BLOCK_SIZE, sample_counts_from_probabilities
 
 
 class TestSampleOutcomes:
@@ -54,6 +55,40 @@ class TestSampleOutcomes:
             sample_outcomes(standard_basis(2).vector(0), standard_basis(2), 0, 0)
 
 
+def lookup_counts(probabilities, n_samples, seed):
+    """Per-draw inverse-CDF lookup, block by block: the sampler's reference."""
+    cdf = np.cumsum(probabilities)
+    cdf[-1] = 1.0
+    counts = np.zeros(len(probabilities), dtype=np.int64)
+    for block in range((n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
+        draws = np.random.default_rng(np.random.SeedSequence([seed, block])).random(size)
+        cells = np.searchsorted(cdf, draws, side="right")
+        counts += np.bincount(cells, minlength=len(probabilities))
+    return counts
+
+
+class TestSortAndCount:
+    @pytest.mark.parametrize("k", [1, 2, 8, 1024])
+    def test_counts_equal_per_draw_lookup(self, k):
+        rng = np.random.default_rng(k)
+        weights = rng.random(k)
+        weights[rng.random(k) < 0.25] = 0.0  # zero-probability cells, runs of them too
+        weights[0] = weights[0] or 1.0
+        probabilities = weights / weights.sum()
+        n_samples = 2 * BLOCK_SIZE + 1234
+        counts = sample_counts_from_probabilities(probabilities, n_samples, seed=k)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, lookup_counts(probabilities, n_samples, k))
+        assert not counts[probabilities == 0.0].any()
+
+    def test_leading_and_trailing_zero_cells(self):
+        probabilities = np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
+        counts = sample_counts_from_probabilities(probabilities, 100_000, 3)
+        assert np.array_equal(counts, lookup_counts(probabilities, 100_000, 3))
+        assert counts.sum() == 100_000
+
+
 class TestFrequentistReport:
     def test_fabricated_exact_counts(self):
         report = frequentist_report([250, 750], [Fraction(1, 4), Fraction(3, 4)], 1000)
@@ -73,6 +108,12 @@ class TestFrequentistReport:
     def test_counts_must_sum_to_n(self):
         with pytest.raises(ParameterError):
             frequentist_report([1, 2], [Fraction(1, 2), Fraction(1, 2)], 4)
+
+    def test_threshold_is_the_chi2_percentile(self):
+        # chdtri(dof, 1 - q) stands in for scipy.stats.chi2.ppf(q, dof)
+        report = frequentist_report([250, 250, 500], [Fraction(1, 4)] * 2 + [Fraction(1, 2)], 1000)
+        assert report.degrees_of_freedom == 2
+        assert report.chi_square_threshold == pytest.approx(-2 * math.log(1e-4), rel=1e-12)
 
     def test_single_cell_trivial(self):
         report = frequentist_report([100], [Fraction(1)], 100)
