@@ -11,8 +11,10 @@ report alone.  Exit codes:
         comparison/simulation gate
     2   verification failure (a certificate did not verify, or a ledger
         is malformed, incomplete, or of another format_version)
-    64  usage error (bad flags or BORN_SEED, unparseable candidate,
-        invalid fraction, a parameter out of its range)
+    64  usage error (bad flags, a seed that is not an integer >= 0,
+        unparseable candidate, invalid fraction, a parameter out of its
+        range, a non-finite --theta, a size past its bound: --n-max or
+        an --n-range dimension above 512, --grid above 2^20)
     66  input file unreadable
 
 The environment variable BORN_SEED overrides the default seed.  Output
@@ -49,6 +51,10 @@ EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 
+# bounds on the sizes a user controls, checked before anything is allocated
+MAX_DIMENSION = 512  # derive --n-max, falsify --n-range
+MAX_GRID = 1 << 20  # compare --grid
+
 
 class _UsageError(Exception):
     pass
@@ -59,12 +65,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A seed: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is negative")
+    return seed
+
+
 def _default_seed() -> int:
     raw = os.environ.get("BORN_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise _UsageError(f"BORN_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise _UsageError(f"BORN_SEED must be >= 0, got {seed}")
+    return seed
 
 
 def _finite_json(value):
@@ -99,6 +119,16 @@ def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
         print(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         num, den = text.split("/")
@@ -113,18 +143,22 @@ def _parse_fraction(text: str) -> Fraction:
 def _parse_range(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
-            lo, hi = map(int, text.split(".."))
-            dims = tuple(range(lo, hi + 1))
+            low, high = map(int, text.split(".."))
+            dims = range(low, high + 1)  # lazy, so a huge range is refused before it is built
         else:
             dims = tuple(int(x) for x in text.split(","))
+            low, high = min(dims), max(dims)
     except ValueError:
         raise _UsageError(f"invalid dimension range {text!r}, expected A..B or a list")
-    if not dims or min(dims) < 1:
-        raise _UsageError(f"dimension range {text!r} must cover dimensions >= 1")
-    return dims
+    if not dims or low < 1 or high > MAX_DIMENSION:
+        raise _UsageError(
+            f"dimension range {text!r} must cover dimensions in 1..{MAX_DIMENSION}"
+        )
+    return tuple(dims)
 
 
-def _load_ledger(path: str) -> ConstraintLedger:
+def _read_ledger(path: str):
+    """The ledger payload of a derive report (or of a bare ledger) on disk."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -133,7 +167,7 @@ def _load_ledger(path: str) -> ConstraintLedger:
     for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
         if isinstance(payload, dict):
             payload = payload.get(key, payload)
-    return ConstraintLedger.from_json(payload)
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     derive = sub.add_parser("derive", help="Build and verify the constraint ledger")
     derive.add_argument("--n-max", type=int, default=64)
-    derive.add_argument("--theta", type=float, action="append", default=None)
+    derive.add_argument("--theta", type=_finite_float, action="append", default=None)
     derive.add_argument("--rotate-bases", action="store_true")
     derive.add_argument("--full-certificates", action="store_true")
-    derive.add_argument("--seed", type=int, default=None)
+    derive.add_argument("--seed", type=_seed, default=None)
     derive.add_argument("-o", "--output", default=None)
 
     certify = sub.add_parser("certify", help="Re-verify a serialized ledger")
@@ -159,15 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     fals.add_argument("--optimizer-steps", type=int, default=200)
     fals.add_argument("--step-scale", type=float, default=0.1)
     fals.add_argument("--threshold", type=float, default=1e-6)
-    fals.add_argument("--theta", type=float, action="append", default=None)
-    fals.add_argument("--seed", type=int, default=None)
+    fals.add_argument("--theta", type=_finite_float, action="append", default=None)
+    fals.add_argument("--seed", type=_seed, default=None)
     fals.add_argument("-o", "--output", default=None)
 
     sim = sub.add_parser("simulate", help="Frequentist check of Born weights")
     sim.add_argument("--fraction", default=None, help="K/N; simulates (K/N, 1-K/N)")
     sim.add_argument("--probs", default=None, help="comma-separated exact fractions")
     sim.add_argument("--samples", type=int, default=1_000_000)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_seed, default=None)
     sim.add_argument("--format", choices=("json", "csv"), default="json")
     sim.add_argument("-o", "--output", default=None)
 
@@ -181,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_derive(args) -> int:
-    if args.n_max < 1:
-        raise _UsageError(f"--n-max must be >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= MAX_DIMENSION:
+        raise _UsageError(f"--n-max must lie in 1..{MAX_DIMENSION}, got {args.n_max}")
     seed = args.seed if args.seed is not None else _default_seed()
     config = {
         "n_max": args.n_max,
@@ -211,7 +245,7 @@ def _cmd_derive(args) -> int:
 def _cmd_certify(args) -> int:
     config = {"ledger": args.ledger}
     try:
-        ledger = _load_ledger(args.ledger)
+        ledger = ConstraintLedger.from_json(_read_ledger(args.ledger))
     except CertificateError as exc:
         _emit("certify", config, {"verified": False, "error": str(exc)}, args.output)
         return EXIT_VERIFICATION
@@ -295,8 +329,8 @@ def _cmd_compare(args) -> int:
         candidate = candidate_from_expression(args.candidate)
     except ParseError as exc:
         raise _UsageError(f"candidate does not parse: {exc}")
-    if args.grid < 2:
-        raise _UsageError("--grid must be >= 2")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise _UsageError(f"--grid must lie in 2..{MAX_GRID}, got {args.grid}")
     config = {
         "candidate": args.candidate,
         "ledger": args.ledger,
@@ -304,7 +338,8 @@ def _cmd_compare(args) -> int:
         "tolerance": args.tolerance,
     }
     try:
-        ledger = _load_ledger(args.ledger)
+        # exact values only: the probes read no certificate, so none is re-derived
+        ledger = ConstraintLedger.load(_read_ledger(args.ledger))
     except CertificateError as exc:
         _emit("compare", config, {"passed": False, "error": str(exc)}, args.output)
         return EXIT_VERIFICATION

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -72,7 +72,8 @@ class RationalConstraint:
 
     @property
     def verified(self) -> bool:
-        return all(c["passed"] for c in self.certificates)
+        """True when certificates exist and all passed; a loaded constraint has none."""
+        return bool(self.certificates) and all(c["passed"] for c in self.certificates)
 
     def to_json(self, full_certificates: bool = False) -> dict:
         certs = [dict(c) for c in self.certificates]
@@ -141,82 +142,113 @@ def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) ->
     }
 
 
+# (K, N, theta samples, base_kind, base_seed): one constraint to derive
+Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
+
+
 class CertificateKernel:
     """Derives constraints, sharing certificate work across one ledger's entries.
 
     In the standard basis the partial-DFT basis is exactly blockdiag(F_K, I),
     F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with the
     symmetric state are c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N)
-    as the contract asks.  So only F_K's defect and conj(F_K) 1_K are kept,
-    per K.  Other bases take the full N x N path with F_K kept per K; each is
-    rebuilt when (N, kind, seed) changes, so callers group entries by N.
+    as the contract asks.  So all standard entries that share K are
+    certified in one array pass over F_K's defect and conj(F_K) 1_K.  Other
+    bases take the full N x N path with F_K kept per K; each is rebuilt
+    when (N, kind, seed) changes, so callers group those entries by N.
     """
 
     def __init__(self):
-        self._standard: dict[int, tuple[float, np.ndarray]] = {}
         self._blocks: dict[int, np.ndarray] = {}
         self._base: tuple = (None, None)  # ((N, kind, seed), base)
 
-    def derive(
-        self, k: int, n: int, thetas: Iterable[float], kind: str = "standard",
-        sub: Optional[int] = None,
-    ) -> RationalConstraint:
-        """P(e^{i theta} sqrt(K/N)) = K/N, certified at each theta."""
-        if n < 1 or k < 1 or k > n:
-            raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
-        thetas = tuple(float(t) for t in thetas)
-        # exact arithmetic mirror of the certificate: the normalization sum has
-        # one term at sqrt(K/N) and N-K tail terms each worth 1/N
-        value = Fraction(1) - (n - k) * Fraction(1, n) if k < n else Fraction(1)
-        assert value == Fraction(k, n)
-        return RationalConstraint(
-            K=k, N=n, modulus_squared=Fraction(k, n), asserted_value=value,
-            theta_samples=thetas, certificates=self._certificates(k, n, thetas, kind, sub),
-            proof_trace=_trace(k, n), base_kind=kind, base_seed=sub,
-        )
-
-    def _certificates(self, k: int, n: int, thetas, kind: str, sub) -> tuple[dict, ...]:
-        thetas = [t % TWO_PI for t in thetas]
-        defect = 0.0
-        if kind == "standard" and k < n:
-            if k not in self._standard:
-                block = dft_block(k)
-                self._standard[k] = (orthonormality_defect(block), block.conj().sum(axis=1))
-            defect, row_sums = self._standard[k]
-            phase = np.exp(1j * np.array(thetas))
-            overlaps = np.outer(phase / math.sqrt(n), row_sums)
-            overlaps[:, 0] -= phase * math.sqrt(k / n)
-            errors = np.max(np.abs(overlaps), axis=1).tolist()
-        else:
-            if self._base[0] != (n, kind, sub):
-                self._base = ((n, kind, sub), _rebuild_base(n, kind, sub))
-            base = self._base[1]
-            if k == n:
-                errors = [
-                    overlap_contract_error(certificate_objects(base, n, n, t)["overlaps"], n, n, t)
-                    for t in thetas
-                ]
+    def derive(self, specs: Iterable[Spec]) -> list[RationalConstraint]:
+        """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified at each
+        of its thetas; one constraint per spec, in order."""
+        specs = [(k, n, tuple(float(t) for t in thetas), kind, sub)
+                 for k, n, thetas, kind, sub in specs]
+        certificates: list = [None] * len(specs)
+        by_k: dict[int, list[int]] = {}
+        for i, (k, n, thetas, kind, sub) in enumerate(specs):
+            if n < 1 or k < 1 or k > n:
+                raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
+            if kind == "standard" and k < n:
+                by_k.setdefault(k, []).append(i)
             else:
-                if k not in self._blocks:
-                    self._blocks[k] = dft_block(k)
-                tilde = partial_dft_basis(base, k, self._blocks[k])
-                defect = orthonormality_defect(tilde.vectors)
-                errors = [
-                    overlap_contract_error(
-                        overlap_with_symmetric(tilde, symmetric_state(base, t)), k, n, t
-                    )
-                    for t in thetas
-                ]
-        return tuple(
-            {
-                "kind": "single_vector" if k == n else "partial_dft",
-                "theta": theta,
-                "defect": defect,
-                "overlap_error": error,
-                "passed": defect <= DEFECT_TOLERANCE and error <= OVERLAP_TOLERANCE,
-            }
-            for theta, error in zip(thetas, errors)
-        )
+                certificates[i] = self._full_certificates(k, n, thetas, kind, sub)
+        for k, indices in by_k.items():
+            rows = self._standard_certificates(k, [specs[i][1:3] for i in indices])
+            for i, certs in zip(indices, rows):
+                certificates[i] = certs
+        constraints = []
+        for (k, n, thetas, kind, sub), certs in zip(specs, certificates):
+            # exact arithmetic mirror of the certificate: the normalization sum
+            # has one term at sqrt(K/N) and N-K tail terms each worth 1/N
+            value = Fraction(1) - (n - k) * Fraction(1, n) if k < n else Fraction(1)
+            assert value == Fraction(k, n)
+            constraints.append(RationalConstraint(
+                K=k, N=n, modulus_squared=Fraction(k, n), asserted_value=value,
+                theta_samples=thetas, certificates=certs, proof_trace=_trace(k, n),
+                base_kind=kind, base_seed=sub,
+            ))
+        return constraints
+
+    def _standard_certificates(self, k: int, entries: list) -> list:
+        """Certificates of the standard-basis entries (N, thetas) that share K.
+
+        Each (entry, theta) pair is one row, so entries may hold different
+        numbers of thetas; row for row this is the same arithmetic as one
+        entry at a time, and so the same bits.
+        """
+        block = dft_block(k)  # one pass per K, so not kept in the block cache
+        defect, row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
+        thetas = [[t % TWO_PI for t in ts] for _, ts in entries]
+        ns = np.repeat([n for n, _ in entries], [len(ts) for ts in thetas])
+        phase = np.exp(1j * np.array([t for ts in thetas for t in ts]))
+        overlaps = np.outer(phase / np.sqrt(ns), row_sums)
+        overlaps[:, 0] -= phase * np.sqrt(k / ns)
+        errors = iter(np.max(np.abs(overlaps), axis=1).tolist())
+        return [
+            _certificate_dicts(k, n, ts, defect, [next(errors) for _ in ts])
+            for (n, _), ts in zip(entries, thetas)
+        ]
+
+    def _full_certificates(self, k: int, n: int, thetas, kind: str, sub) -> tuple[dict, ...]:
+        thetas = [t % TWO_PI for t in thetas]
+        if self._base[0] != (n, kind, sub):
+            self._base = ((n, kind, sub), _rebuild_base(n, kind, sub))
+        base = self._base[1]
+        if k == n:
+            defect = 0.0
+            errors = [
+                overlap_contract_error(certificate_objects(base, n, n, t)["overlaps"], n, n, t)
+                for t in thetas
+            ]
+        else:
+            if k not in self._blocks:
+                self._blocks[k] = dft_block(k)
+            tilde = partial_dft_basis(base, k, self._blocks[k])
+            defect = orthonormality_defect(tilde.vectors)
+            errors = [
+                overlap_contract_error(
+                    overlap_with_symmetric(tilde, symmetric_state(base, t)), k, n, t
+                )
+                for t in thetas
+            ]
+        return _certificate_dicts(k, n, thetas, defect, errors)
+
+
+def _certificate_dicts(k: int, n: int, thetas, defect: float, errors) -> tuple[dict, ...]:
+    return tuple(
+        {
+            "kind": "single_vector" if k == n else "partial_dft",
+            "theta": theta,
+            "defect": defect,
+            "overlap_error": error,
+            "passed": defect <= DEFECT_TOLERANCE and error <= OVERLAP_TOLERANCE,
+        }
+        for theta, error in zip(thetas, errors)
+    )
 
 
 def _trace(k: int, n: int) -> tuple[str, ...]:
@@ -260,12 +292,12 @@ def derive_p_zero() -> RationalConstraint:
 
 def derive_uniform(n: int, theta: float) -> RationalConstraint:
     """P(e^{i theta}/sqrt(N)) = 1/N from the symmetric state."""
-    return CertificateKernel().derive(1, n, [theta])
+    return derive_rational(1, n, theta)
 
 
 def derive_rational(k: int, n: int, theta: float) -> RationalConstraint:
     """P(e^{i theta} sqrt(K/N)) = K/N with a verified basis certificate."""
-    return CertificateKernel().derive(k, n, [theta])
+    return CertificateKernel().derive([(k, n, (theta,), "standard", None)])[0]
 
 
 @dataclass(frozen=True)
@@ -305,13 +337,14 @@ class ConstraintLedger:
         }
 
     @classmethod
-    def from_json(cls, payload) -> "ConstraintLedger":
-        """Rebuild a ledger from its serialized form; raise CertificateError
-        on any fault.
+    def load(cls, payload) -> "ConstraintLedger":
+        """Read a serialized ledger with exact checks only; raise
+        CertificateError on any fault.
 
-        Exact checks come first: format version, field types, and entries
-        exactly {0} and each reduced K/N with N <= n_max, asserting K/N.
-        Then every constraint is re-derived and checked against its digest.
+        Checks the format version and field types, and that the entries are
+        exactly {0} and each reduced K/N with N <= n_max, each asserting K/N.
+        Certificates are not re-derived, so the constraints carry none and
+        none of them is ``verified``; use ``from_json`` for that.
         """
         version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != FORMAT_VERSION:
@@ -322,13 +355,13 @@ class ConstraintLedger:
         seed = _field(payload, "seed", int, "ledger")
         rotate_bases = _field(payload, "rotate_bases", bool, "ledger")
         theta_base = _thetas(payload, "theta_base", "ledger")
-        stored: dict[tuple[int, int], tuple] = {}
+        entries: dict[Fraction, RationalConstraint] = {}
         for index, raw in enumerate(_field(payload, "entries", list, "ledger")):
             where = f"ledger entry {index}"
             k, n = _field(raw, "K", int, where), _field(raw, "N", int, where)
-            if (n, k) in stored or not (
-                (k, n) == (0, 1) or 1 <= k <= n <= n_max and math.gcd(k, n) == 1
-            ):
+            reduced = (k, n) == (0, 1) or 1 <= k <= n <= n_max and math.gcd(k, n) == 1
+            value = Fraction(k, n) if reduced else None
+            if value is None or value in entries:
                 raise CertificateError(f"{where}: {k}/{n} is a repeat or not a reduced K/N")
             if _field(raw, "value", dict, where).get("fraction") != f"{k}/{n}":
                 raise CertificateError(f"asserted value mismatch at K={k}, N={n}")
@@ -339,20 +372,33 @@ class ConstraintLedger:
                 or (kind == "haar" and type(sub) is int and sub >= 0)
             ):
                 raise CertificateError(f"{where}: no theta samples, or a bad base_kind/base_seed")
-            stored[n, k] = (thetas, kind, sub, raw.get("certificate_digest"))
-        # n_max > len(stored) is already incomplete; testing it first bounds the count
-        if n_max < 1 or n_max > len(stored) or len(stored) != 1 + sum(
+            entries[value] = RationalConstraint(
+                K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
+                certificates=(), proof_trace=(), base_kind=kind, base_seed=sub,
+            )
+        # n_max > len(entries) is already incomplete; testing it first bounds the count
+        if n_max < 1 or n_max > len(entries) or len(entries) != 1 + sum(
             math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1)
         ):
-            raise CertificateError(f"ledger holds {len(stored)} entries, not all of n_max={n_max}")
-        kernel = CertificateKernel()
-        entries: dict[Fraction, RationalConstraint] = {}
-        for (n, k), (thetas, kind, sub, digest) in sorted(stored.items()):
-            constraint = derive_p_zero() if k == 0 else kernel.derive(k, n, thetas, kind, sub)
-            if constraint.certificate_digest() != digest:
-                raise CertificateError(f"certificate digest mismatch at K={k}, N={n}")
-            entries[constraint.modulus_squared] = constraint
+            raise CertificateError(f"ledger holds {len(entries)} entries, not all of n_max={n_max}")
         return cls(n_max, seed, rotate_bases, theta_base, entries)
+
+    @classmethod
+    def from_json(cls, payload) -> "ConstraintLedger":
+        """``load``, then re-derive every constraint and check it against its
+        stored digest; raise CertificateError on any fault."""
+        ledger = cls.load(payload)
+        digests = {(e["K"], e["N"]): e.get("certificate_digest") for e in payload["entries"]}
+        loaded = ledger.constraints()  # (N, K) order: P(0) first, Haar bases grouped by N
+        derived = [derive_p_zero()] + CertificateKernel().derive(
+            (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed) for c in loaded[1:]
+        )
+        for constraint in derived:
+            if constraint.certificate_digest() != digests[constraint.K, constraint.N]:
+                raise CertificateError(
+                    f"certificate digest mismatch at K={constraint.K}, N={constraint.N}"
+                )
+        return replace(ledger, entries={c.modulus_squared: c for c in derived})
 
 
 def _field(raw, key: str, kind: type, where: str):
@@ -365,9 +411,17 @@ def _field(raw, key: str, kind: type, where: str):
 
 def _thetas(raw, key: str, where: str) -> tuple[float, ...]:
     values = _field(raw, key, list, where)
-    if not all(type(t) in (int, float) and abs(t) < 1e308 for t in values):  # finite
+    if not all(type(t) in (int, float) and _finite(t) for t in values):
         raise CertificateError(f"{where}: {key} must hold finite numbers only")
     return tuple(float(t) for t in values)
+
+
+def _finite(t) -> bool:
+    """t is finite as a float; an int past the float range is not."""
+    try:
+        return math.isfinite(t)
+    except OverflowError:
+        return False
 
 
 def build_ledger(
@@ -387,27 +441,31 @@ def build_ledger(
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     thetas = tuple(DEFAULT_THETAS if theta_samples is None else map(float, theta_samples))
-    entries: dict[Fraction, RationalConstraint] = {Fraction(0): derive_p_zero()}
-    kernel = CertificateKernel()
     kind = "haar" if rotate_bases else "standard"
+    specs = []
     for n in range(1, n_max + 1):
         sub = int(np.random.SeedSequence([seed, n]).generate_state(1)[0]) if rotate_bases else None
         for k in range(1, n + 1):
-            fraction = Fraction(k, n)
             if math.gcd(k, n) == 1:
                 extra_seed = np.random.SeedSequence([seed, n, k])
                 extra = float(
                     np.random.default_rng(extra_seed).uniform(0.0, 2.0 * math.pi)
                 )
-                constraint = kernel.derive(k, n, thetas + (extra,), kind, sub)
-                if not constraint.verified:
-                    bad = next(c for c in constraint.certificates if not c["passed"])
-                    raise CertificateError(
-                        f"certificate failed at K={k}, N={n}, theta={bad['theta']!r}"
-                    )
-                entries[fraction] = constraint
-            else:
+                specs.append((k, n, thetas + (extra,), kind, sub))
+    entries: dict[Fraction, RationalConstraint] = {Fraction(0): derive_p_zero()}
+    for constraint in CertificateKernel().derive(specs):
+        if not constraint.verified:
+            bad = next(c for c in constraint.certificates if not c["passed"])
+            raise CertificateError(
+                f"certificate failed at K={constraint.K}, N={constraint.N}, "
+                f"theta={bad['theta']!r}"
+            )
+        entries[constraint.modulus_squared] = constraint
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            if math.gcd(k, n) != 1:
                 # duplicate fraction: same exact-arithmetic chain, no new basis
+                fraction = Fraction(k, n)
                 value = Fraction(1) - (n - k) * Fraction(1, n)
                 if value != entries[fraction].asserted_value:
                     raise CertificateError(
@@ -431,9 +489,15 @@ def compare_to_born(ledger: ConstraintLedger) -> Fraction:
 
 
 def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
-    """Re-check every certificate; returns the failing (K, N, theta) triples."""
+    """Re-check every certificate; returns the failing (K, N, theta) triples.
+
+    A constraint without certificates (one from ``ConstraintLedger.load``)
+    fails at each of its theta samples: nothing about it was checked.
+    """
     failures = []
     for c in ledger.entries.values():
+        if not c.certificates:
+            failures.extend((c.K, c.N, theta) for theta in c.theta_samples)
         for cert in c.certificates:
             if not cert["passed"]:
                 failures.append((c.K, c.N, cert["theta"]))

@@ -224,10 +224,10 @@ def _apply_func(name: str, x: float) -> float:
         if x < 0.0:
             raise EvalError(f"sqrt of negative value {x!r}")
         return math.sqrt(x)
-    if name == "sin":
-        return math.sin(x)
-    if name == "cos":
-        return math.cos(x)
+    if name in ("sin", "cos"):
+        if math.isinf(x):
+            raise EvalError(f"{name} of {x!r}")
+        return math.sin(x) if name == "sin" else math.cos(x)
     if name == "exp":
         try:
             return math.exp(x)
@@ -243,7 +243,7 @@ def _apply_func(name: str, x: float) -> float:
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise EvalError("zero raised to a negative power")
-    if a < 0.0 and (math.isinf(b) or b != int(b)):
+    if a < 0.0 and not (math.isfinite(b) and b == int(b)):
         # real-valued candidates only: no complex excursions
         raise EvalError(f"negative base {a!r} with non-integer exponent {b!r}")
     try:

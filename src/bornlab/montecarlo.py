@@ -82,13 +82,15 @@ def sample_counts_from_probabilities(
     cdf[-1] = 1.0  # absorb rounding slack into the final cell
     counts = np.zeros(len(probabilities), dtype=np.int64)
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    buffer = np.empty(min(BLOCK_SIZE, n_samples))  # one buffer, drawn into and sorted in place
     for block in range(n_blocks):
-        size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
+        draws = buffer[: min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)]
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+        rng.random(out=draws)
+        draws.sort()
         # #{draws < cdf[i]} - #{draws < cdf[i-1]}: the same counts as looking
         # each draw up in the cdf, at a cost that does not grow with the cells
-        below = np.searchsorted(np.sort(rng.random(size)), cdf, side="left")
-        counts += np.diff(below, prepend=0)
+        counts += np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)
     return counts
 
 

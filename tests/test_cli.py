@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bornlab
 from bornlab.cli import main
@@ -80,6 +85,15 @@ class TestCertify:
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.json")]) == 66
+
+    def test_huge_finite_theta_certifies(self, tmp_path):
+        # a finite theta near the float limit is a valid sample, in and out
+        code, _ = run(tmp_path, "derive", "--n-max", "3", "--theta", "1e308",
+                      name="ledger.json")
+        assert code == 0
+        code, payload = run(tmp_path, "certify", str(tmp_path / "ledger.json"))
+        assert code == 0
+        assert payload["result"]["verified"]
 
 
 def _drop(key):
@@ -167,6 +181,27 @@ class TestMalformedLedger:
     def test_non_object_payloads(self, tmp_path, capsys, doc):
         assert run_on_file(tmp_path, capsys, doc, "certify")[0] == 2
 
+    def test_tampered_digest_fails_certify_not_compare(self, tmp_path, capsys, ledger_doc):
+        # compare reads the exact values only, so a digest it never checks
+        # cannot fail it; certify re-derives and must
+        ledger_doc["result"]["ledger"]["entries"][2]["certificate_digest"] = "f" * 64
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
+        assert code == 2
+        assert "digest mismatch" in payload["result"]["error"]
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
+        assert code == 0
+        assert payload["result"]["passed"] is True
+        assert payload["result"]["max_rational_residual"] <= 1e-12
+        schema_validator("compare.schema.json").validate(payload)
+
+    def test_truncated_fails_certify_and_compare(self, tmp_path, capsys, ledger_doc):
+        ledger = ledger_doc["result"]["ledger"]
+        ledger["entries"] = ledger["entries"][:-1]
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert code == 2
+            assert "entries" in payload["result"]["error"]
+
     def test_compare_exits_2_with_json(self, tmp_path, capsys, ledger_doc):
         ledger = ledger_doc["result"]["ledger"]
         ledger["entries"] = ledger["entries"][:3]
@@ -223,6 +258,26 @@ BAD_FALSIFY_PARAMETERS = {
     "step-scale-nan": ["--step-scale", "nan"],
     "step-scale-zero": ["--step-scale", "0"],
     "step-scale-negative": ["--step-scale", "-0.1"],
+    "theta-inf": ["--theta", "inf"],
+    "theta-nan": ["--theta", "nan"],
+    "theta-overflow": ["--theta", "1e999"],
+    "n-range-above-bound": ["--n-range", "2..513"],
+    "n-range-huge": ["--n-range", "2..100000000"],
+    "n-range-list-above-bound": ["--n-range", "2,600"],
+}
+
+# Each must exit 64 with a one-line usage error on stderr.
+BAD_VALUES = {
+    "derive-theta-nan": ["derive", "--n-max", "3", "--theta", "nan"],
+    "derive-theta-inf": ["derive", "--n-max", "3", "--theta", "0", "--theta", "-inf"],
+    "derive-theta-text": ["derive", "--n-max", "3", "--theta", "pi"],
+    "derive-n-max-above-bound": ["derive", "--n-max", "513"],
+    "derive-n-max-huge": ["derive", "--n-max", "100000000"],
+    "compare-grid-above-bound": ["compare", "-p", "r^2", "LEDGER", "--grid", "1048577"],
+    "compare-grid-huge": ["compare", "-p", "r^2", "LEDGER", "--grid", "100000000"],
+    "derive-seed-negative": ["derive", "--n-max", "2", "--seed", "-3"],
+    "falsify-seed-negative": ["falsify", "-p", "r", "--n-range", "2..3", "--seed", "-1"],
+    "simulate-seed-negative": ["simulate", "--fraction", "1/2", "--seed", "-1"],
 }
 
 
@@ -235,11 +290,42 @@ class TestUsageErrors:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_refused_at_once(self, tmp_path, capsys, case):
+        run(tmp_path, "derive", "--n-max", "3", name="ledger.json")
+        argv = [str(tmp_path / "ledger.json") if a == "LEDGER" else a
+                for a in BAD_VALUES[case]]
+        start = time.perf_counter()
+        assert main(argv + ["-o", str(tmp_path / "out.json")]) == 64
+        assert time.perf_counter() - start < 2.0  # refused before any work
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_sizes_at_bound_accepted(self, tmp_path):
+        from bornlab.cli import MAX_DIMENSION, MAX_GRID, _parse_range
+
+        assert (MAX_DIMENSION, MAX_GRID) == (512, 1 << 20)
+        assert _parse_range(f"{MAX_DIMENSION - 1}..{MAX_DIMENSION}") == (511, 512)
+        run(tmp_path, "derive", "--n-max", "3", name="ledger.json")
+        code, payload = run(tmp_path, "compare", "-p", "r^2", str(tmp_path / "ledger.json"),
+                            "--grid", str(MAX_GRID))
+        assert code == 0
+        assert payload["result"]["grid_size"] == MAX_GRID
+
     def test_non_integer_born_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BORN_SEED", "abc")
         assert main(["falsify", "-p", "r", "--n-range", "2..3"]) == 64
         out, err = capsys.readouterr()
         assert err == "usage error: BORN_SEED must be an integer, got 'abc'\n"
+        assert out == ""
+
+    def test_negative_born_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("BORN_SEED", "-4")
+        assert main(["derive", "--n-max", "2"]) == 64
+        out, err = capsys.readouterr()
+        assert err == "usage error: BORN_SEED must be >= 0, got -4\n"
         assert out == ""
 
 
@@ -360,3 +446,120 @@ def test_born_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BORN_SEED", "123")
     _, payload = run(tmp_path, "falsify", "-p", "r", "--n-range", "2..3")
     assert payload["config"]["seed"] == 123
+
+
+# --- the exit-code contract as a whole -------------------------------------
+#
+# argv is drawn from the flag grammar: each subcommand with a random subset
+# of its flags, each flag taking a valid, out-of-range or malformed value,
+# and ledgers drawn from the malformed table above.  The first value of
+# each list is valid and drawn about half the time, so that runs get past
+# the usage checks.  Sizes stay tiny.
+
+_THETAS = ["0", "1.5", "-7", "1e308", "nan", "inf", "-inf", "1e999", "pi"]
+_CANDIDATES = ["r^2", "r", "r^2 + 0.05", "ln(r)", "1/r", "sin(1e999)",
+               "(0-1)^(1e999-1e999)", "r^", "", "foo(r)"]
+_SEEDS = ["0", "7", "-3", "x"]
+
+
+def _value(draw, values):
+    return draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
+
+
+def _flags(draw, grammar):
+    argv = []
+    for flag, values in grammar.items():
+        if draw(st.booleans()):
+            argv += [flag, _value(draw, values)] if values else [flag]
+    return argv
+
+
+@st.composite
+def _cli_argv(draw, ledgers):
+    command = draw(st.sampled_from(
+        ["derive", "certify", "falsify", "simulate", "compare", "bogus", None]))
+    if command is None:
+        return []
+    argv = [command]
+    if command == "derive":
+        argv += _flags(draw, {
+            "--n-max": ["3", "-1", "0", "1", "513", "x"],
+            "--theta": _THETAS,
+            "--rotate-bases": None,
+            "--full-certificates": None,
+            "--seed": _SEEDS,
+        })
+        if "--n-max" not in argv:  # the default, 64, is not tiny
+            argv += ["--n-max", "2"]
+    elif command == "certify":
+        argv.append(_value(draw, ledgers))
+    elif command == "falsify":
+        argv += ["-p", _value(draw, _CANDIDATES)]
+        argv += ["--trials", _value(draw, ["2", "0", "-1"])]
+        argv += ["--optimizer-steps", _value(draw, ["3", "0", "-1"])]
+        argv += _flags(draw, {
+            "--n-range": ["2..3", "2", "2,3", "3..2", "0..2", "2..513",
+                          "2..100000000", "a..b", "1"],
+            "--step-scale": ["0.1", "0", "nan", "inf"],
+            "--threshold": ["1e-6", "0", "-1", "nan", "inf"],
+            "--theta": _THETAS,
+            "--seed": _SEEDS,
+        })
+        if "--n-range" not in argv:
+            argv += ["--n-range", "2..3"]
+    elif command == "simulate":
+        argv += _flags(draw, {
+            "--fraction": ["2/3", "1/1", "0/1", "3/2", "1/0", "x"],
+            "--probs": ["1/4,3/4", "1/2,1/2,0", "1/2", "x", "1/0,1"],
+            "--samples": ["1000", "1", "0", "-5", "x"],
+            "--seed": _SEEDS,
+            "--format": ["json", "csv", "xml"],
+        })
+        if "--samples" not in argv:
+            argv += ["--samples", "100"]
+    elif command == "compare":
+        argv += ["-p", _value(draw, _CANDIDATES), _value(draw, ledgers)]
+        argv += _flags(draw, {
+            "--grid": ["16", "2", "1", "0", "1048577", "100000000", "x"],
+            "--tolerance": ["1e-9", "0", "-1", "nan", "inf"],
+        })
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "-o"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_ledgers(tmp_path_factory):
+    """Ledger paths: a valid one, each malformed case, a tampered digest,
+    non-JSON text, a non-object and a missing file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    run(root, "derive", "--n-max", "3", name="valid.json")
+    doc = json.loads((root / "valid.json").read_text())
+    cases = dict(MALFORMED_LEDGERS, **{
+        "tampered-digest": _set(2, "certificate_digest", "f" * 64),
+    })
+    paths = [str(root / "valid.json"), str(root / "missing.json")]
+    for name, mutate in cases.items():
+        case = json.loads(json.dumps(doc))
+        mutate(case["result"]["ledger"])
+        (root / f"{name}.json").write_text(json.dumps(case))
+        paths.append(str(root / f"{name}.json"))
+    (root / "text.json").write_text("not json {")
+    (root / "list.json").write_text("[1, 2]")
+    return paths + [str(root / "text.json"), str(root / "list.json")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_fuzz(fuzz_ledgers, data):
+    argv = data.draw(_cli_argv(fuzz_ledgers), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 64, 66)
+    assert "Traceback" not in err.getvalue()
+    if code in (64, 66):
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    elif "csv" not in argv:
+        strict_json(out.getvalue())

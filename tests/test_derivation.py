@@ -18,7 +18,7 @@ from bornlab import (
     derive_uniform,
     verify_ledger,
 )
-from bornlab.derivation import DEFAULT_THETAS
+from bornlab.derivation import DEFAULT_THETAS, CertificateKernel
 
 from conftest import corrupt_entry, make_ledger_locked_candidate
 
@@ -201,6 +201,55 @@ class TestSerialization:
             for e in ledger10.to_json()["entries"]
         ]
         assert values == sorted(values)
+
+
+class TestLoad:
+    def test_loaded_constraints_are_not_verified(self, ledger10):
+        loaded = ConstraintLedger.load(ledger10.to_json())
+        assert loaded.fractions() == ledger10.fractions()
+        for c in loaded.constraints():
+            assert c.certificates == ()
+            assert not c.verified
+        assert not loaded.verified
+
+    def test_loaded_ledger_fails_verify_ledger(self, ledger10):
+        # nothing was checked, so nothing may read as verified
+        loaded = ConstraintLedger.load(ledger10.to_json())
+        failures = verify_ledger(loaded)
+        assert len(failures) == sum(len(c.theta_samples) for c in loaded.constraints())
+
+    def test_loaded_values_match_derived(self, ledger10):
+        loaded = ConstraintLedger.load(ledger10.to_json())
+        assert loaded.theta_base == ledger10.theta_base
+        for f in ledger10.fractions():
+            a, b = loaded.lookup(f), ledger10.lookup(f)
+            assert (a.K, a.N, a.asserted_value, a.theta_samples) == (
+                b.K, b.N, b.asserted_value, b.theta_samples
+            )
+            assert (a.base_kind, a.base_seed) == (b.base_kind, b.base_seed)
+
+
+class TestKernel:
+    SPECS = [
+        (1, 2, (0.0,), "standard", None),
+        (1, 3, (0.5, 1.5, 7.0), "standard", None),
+        (2, 3, (), "standard", None),
+        (2, 5, (-1.0, 3.0), "standard", None),
+        (1, 1, (0.2, 0.4), "standard", None),
+        (2, 7, (0.3,), "haar", 11),
+        (3, 7, (0.3, 4.0, 5.0), "haar", 11),
+        (1, 2, (1.0, 2.0), "standard", None),
+    ]
+
+    def test_batch_matches_one_entry_at_a_time(self):
+        # ragged theta lists, shared K, mixed kinds: each row of the per-K
+        # pass must give the bits of that entry derived alone
+        batch = CertificateKernel().derive(self.SPECS)
+        alone = [CertificateKernel().derive([spec])[0] for spec in self.SPECS]
+        assert [c.certificates for c in batch] == [c.certificates for c in alone]
+        assert [(c.K, c.N, c.theta_samples) for c in batch] == [
+            (k, n, thetas) for k, n, thetas, _, _ in self.SPECS
+        ]
 
 
 class TestContinuityExtension:

@@ -118,6 +118,15 @@ class TestEvaluation:
         with pytest.raises(EvalError):
             eval_expr(parse_candidate("r^(0-1)"), 0.0)
 
+    @pytest.mark.parametrize("source", ["sin(1e999)", "cos(0-1e999)", "sin(1e999*r)"])
+    def test_periodic_of_infinity(self, source):
+        with pytest.raises(EvalError):
+            eval_expr(parse_candidate(source), 0.5)
+
+    def test_negative_base_nan_exponent(self):
+        with pytest.raises(EvalError):
+            eval_expr(parse_candidate("(0-1)^(1e999-1e999)"), 0.1)
+
     def test_purity_bit_identical(self):
         tree = parse_candidate("r^2 + 0.1*sin(phi) - exp(im)/3")
         z = 0.21 + 0.43j
@@ -190,6 +199,9 @@ class TestCompiled:
             ("exp(1000*r)", 1.0),
             ("10^(400*r)", 1.0),
             ("sin(1e999*r)", 0.5),
+            ("sin(1e999)", 0.5),
+            ("cos(0-1e999)", 0.5),
+            ("(0-1)^(1e999-1e999)", 0.1),
             ("1e999*r", 0.5),
         ],
     )
@@ -198,6 +210,23 @@ class TestCompiled:
         assert compile_expr(tree)([z, 0.5 + 0.5j])[0] == math.inf
         scalar = CandidateDistribution(source, lambda z: eval_expr(tree, z))
         assert evaluate(scalar, [z])[0] == math.inf
+
+    @pytest.mark.parametrize(
+        "source", ["sin(1e999)", "cos(0-1e999)", "sin(1e999*r)", "(0-1)^(1e999-1e999)",
+                   "(0-1)^(1e999*r - 1e999*r)", "(re - 1)^(ln(r) - ln(r))"],
+    )
+    def test_same_overlaps_undefined_as_eval_error(self, source):
+        # the scalar path raises EvalError (no other error) or gives a
+        # non-finite value exactly where the compiled path gives inf
+        zs = [0j, 0.5 + 0j, 0.3 + 0.4j, -1j, -0.6 + 0j]
+        tree = parse_candidate(source)
+        undefined = []
+        for z in zs:
+            try:
+                undefined.append(not math.isfinite(eval_expr(tree, z)))
+            except EvalError:
+                undefined.append(True)
+        assert np.isinf(compile_expr(tree)(zs)).tolist() == undefined
 
     def test_constant_expression_fills_the_shape(self):
         values = compile_expr(parse_candidate("pi/4"))(np.zeros((2, 3)))
