@@ -169,18 +169,23 @@ def check_well_defined(
     return AxiomReport(Axiom.WELL_DEFINED, float(residuals[index]), worst, tolerance)
 
 
-def check_normalization(p: CandidateDistribution, basis, state) -> float:
-    """|sum_i p(<v_i|psi>) - 1| for one (basis, state) pair.
+def check_normalization(p: CandidateDistribution, basis, state):
+    """|sum_i p(<v_i|psi>) - 1| for one (basis, state) pair, as a float; or
+    one residual per entry of a stack, as an array.
 
-    basis and state may also be given as raw arrays (basis vectors as
-    rows, amplitudes), so that a probe can be scored before it is
-    validated.
+    basis and state may also be given as raw arrays, so that a probe can be
+    scored before it is validated: a basis as an (..., n, n) stack of
+    matrices with the basis vectors as rows, a state as n amplitudes or an
+    (..., n) stack of them; the two stacks broadcast.  Entry for entry a
+    stack gives the same bits as one call per pair.
     """
-    matrix = basis.matrix if isinstance(basis, OrthonormalBasis) else basis
-    amplitudes = state.amplitudes if isinstance(state, StateVector) else state
-    if matrix.shape[0] != amplitudes.shape[0]:
-        raise DimensionError(f"dimension mismatch: {matrix.shape[0]} vs {amplitudes.shape[0]}")
-    return abs(float(evaluate(p, matrix.conj() @ amplitudes).sum()) - 1.0)
+    matrix = basis.matrix if isinstance(basis, OrthonormalBasis) else np.asarray(basis)
+    amplitudes = state.amplitudes if isinstance(state, StateVector) else np.asarray(state)
+    if matrix.shape[-1] != amplitudes.shape[-1]:
+        raise DimensionError(f"dimension mismatch: {matrix.shape[-1]} vs {amplitudes.shape[-1]}")
+    overlaps = (matrix.conj() @ amplitudes[..., None])[..., 0]
+    residuals = np.abs(evaluate(p, overlaps).sum(axis=-1) - 1.0)
+    return float(residuals) if residuals.ndim == 0 else residuals
 
 
 def check_orthogonality_axiom(

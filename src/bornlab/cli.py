@@ -14,7 +14,9 @@ report alone.  Exit codes:
     64  usage error (bad flags, a seed that is not an integer >= 0,
         unparseable candidate, invalid fraction, a parameter out of its
         range, a non-finite --theta, a size past its bound: --n-max or
-        an --n-range dimension above 512, --grid above 2^20)
+        an --n-range dimension above 512, --grid above 2^20, --trials or
+        --optimizer-steps above 10^6, --samples above 10^12), or an
+        output path that cannot be written
     66  input file unreadable
 
 The environment variable BORN_SEED overrides the default seed.  Output
@@ -39,6 +41,7 @@ from .derivation import (
     build_ledger,
     compare_to_born,
     continuity_extension_check,
+    uncertified_ledger,
     verify_ledger,
 )
 from .errors import CertificateError, ParameterError, ParseError
@@ -54,6 +57,8 @@ EXIT_NOINPUT = 66
 # bounds on the sizes a user controls, checked before anything is allocated
 MAX_DIMENSION = 512  # derive --n-max, falsify --n-range
 MAX_GRID = 1 << 20  # compare --grid
+MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
+MAX_SAMPLES = 10**12  # simulate --samples
 
 
 class _UsageError(Exception):
@@ -112,11 +117,19 @@ def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
         text = json.dumps(payload, **options)
     except ValueError:  # a non-finite float; rare, so only then walk the payload
         text = json.dumps(_finite_json(payload), **options)
-    if path:
+    _write(path, text + "\n")
+
+
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout if there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output {path!r}: {exc.strerror or exc}")
 
 
 def _finite_float(text: str) -> float:
@@ -265,6 +278,9 @@ def _cmd_falsify(args) -> int:
     except ParseError as exc:
         raise _UsageError(f"candidate does not parse: {exc}")
     n_range = _parse_range(args.n_range)
+    for flag, value in (("--trials", args.trials), ("--optimizer-steps", args.optimizer_steps)):
+        if not 0 <= value <= MAX_STEPS:
+            raise _UsageError(f"{flag} must lie in 0..{MAX_STEPS}, got {value}")
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = FalsifierConfig(
         n_range=n_range,
@@ -274,7 +290,8 @@ def _cmd_falsify(args) -> int:
         violation_threshold=args.threshold,
         seed=seed,
     )
-    ledger = build_ledger(max(n_range), args.theta, rotate_bases=False, seed=seed)
+    # the probes rebuild their bases from (K, N, theta), so no certificate is derived
+    ledger = uncertified_ledger(max(n_range), args.theta, rotate_bases=False, seed=seed)
     outcome = falsify(candidate, cfg, ledger)
     config = {
         "candidate": args.candidate,
@@ -293,8 +310,8 @@ def _cmd_falsify(args) -> int:
 def _cmd_simulate(args) -> int:
     if (args.fraction is None) == (args.probs is None):
         raise _UsageError("give exactly one of --fraction or --probs")
-    if args.samples < 1:
-        raise _UsageError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise _UsageError(f"--samples must lie in 1..{MAX_SAMPLES}, got {args.samples}")
     if args.fraction is not None:
         frac = _parse_fraction(args.fraction)
         probs = [frac] if frac == 1 else [frac, 1 - frac]
@@ -313,12 +330,7 @@ def _cmd_simulate(args) -> int:
     }
     report = simulate_fractions(probs, args.samples, seed)
     if args.format == "csv":
-        text = report.to_csv()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args.output, report.to_csv())
     else:
         _emit("simulate", config, report.to_json(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL

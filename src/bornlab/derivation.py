@@ -79,11 +79,11 @@ class RationalConstraint:
         certs = [dict(c) for c in self.certificates]
         if full_certificates and self.K > 0:
             base = _rebuild_base(self.N, self.base_kind, self.base_seed)
-            for c in certs:
-                objs = certificate_objects(base, self.K, self.N, c["theta"])
-                c["basis"] = objs["basis"].to_json()
-                c["state"] = objs["state"].to_json()
-                c["overlaps"] = vector_to_pairs(objs["overlaps"])
+            basis, states = certificate_probe(base, self.K, self.N, [c["theta"] for c in certs])
+            for c, state in zip(certs, states):
+                c["basis"] = basis.to_json()
+                c["state"] = state.to_json()
+                c["overlaps"] = vector_to_pairs(basis.matrix.conj() @ state.amplitudes)
         entry = {
             "K": self.K,
             "N": self.N,
@@ -117,28 +117,32 @@ def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
     return rotate_basis(haar_unitary(n, int(sub)), standard_basis(n))
 
 
+def certificate_probe(
+    base: OrthonormalBasis, k: int, n: int, thetas
+) -> tuple[OrthonormalBasis, list[StateVector]]:
+    """The basis behind an entry's certificates, built once, and the state
+    behind each of its thetas.
+
+    For K < N the partial-DFT basis and the symmetric states; for K = N the
+    base itself and its first vector, phased by e^{i theta}.
+    """
+    if k < n:
+        return partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state for t in thetas]
+    return base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0]) for t in thetas]
+
+
 def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) -> dict:
     """The concrete state, basis, and overlaps behind one certificate.
 
     Rebuilt on demand (certificates stored in constraints keep only the
     verification numbers, so ledgers stay small in memory).
     """
-    if k < n:
-        psi = symmetric_state(base, theta)
-        tilde = partial_dft_basis(base, k)
-        return {
-            "kind": "partial_dft",
-            "basis": tilde.vectors,
-            "state": psi.state,
-            "overlaps": overlap_with_symmetric(tilde, psi),
-        }
-    phase = np.exp(1j * (theta % TWO_PI))
-    state = StateVector(phase * base.matrix[0])
+    basis, (state,) = certificate_probe(base, k, n, [theta])
     return {
-        "kind": "single_vector",
-        "basis": base,
+        "kind": "partial_dft" if k < n else "single_vector",
+        "basis": basis,
         "state": state,
-        "overlaps": base.matrix.conj() @ state.amplitudes,
+        "overlaps": basis.matrix.conj() @ state.amplitudes,
     }
 
 
@@ -372,10 +376,7 @@ class ConstraintLedger:
                 or (kind == "haar" and type(sub) is int and sub >= 0)
             ):
                 raise CertificateError(f"{where}: no theta samples, or a bad base_kind/base_seed")
-            entries[value] = RationalConstraint(
-                K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
-                certificates=(), proof_trace=(), base_kind=kind, base_seed=sub,
-            )
+            entries[value] = _uncertified(k, n, thetas, kind, sub)
         # n_max > len(entries) is already incomplete; testing it first bounds the count
         if n_max < 1 or n_max > len(entries) or len(entries) != 1 + sum(
             math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1)
@@ -401,6 +402,15 @@ class ConstraintLedger:
         return replace(ledger, entries={c.modulus_squared: c for c in derived})
 
 
+def _uncertified(k: int, n: int, thetas, kind: str, sub) -> RationalConstraint:
+    """P(e^{i theta} sqrt(K/N)) = K/N with its exact value only: no certificate."""
+    value = Fraction(k, n)
+    return RationalConstraint(
+        K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
+        certificates=(), proof_trace=(), base_kind=kind, base_seed=sub,
+    )
+
+
 def _field(raw, key: str, kind: type, where: str):
     """raw[key], which must exist and be of the given JSON type."""
     value = raw.get(key) if isinstance(raw, dict) else None
@@ -424,19 +434,17 @@ def _finite(t) -> bool:
         return False
 
 
-def build_ledger(
+def ledger_specs(
     n_max: int,
     theta_samples: Optional[Iterable[float]] = None,
     rotate_bases: bool = False,
     seed: int = 0,
-) -> ConstraintLedger:
-    """Derive every constraint P(e^{i theta} sqrt(K/N)) = K/N, N <= n_max.
+) -> tuple[tuple[float, ...], list[Spec]]:
+    """The theta base and the spec of every reduced K/N with N <= n_max, in
+    (N, K) order: the entries of a ledger, before any certificate.
 
-    Each reduced fraction gets certificates at the base theta samples plus
-    one seeded-random theta.  Unreduced representations (2/4, 3/6, ...)
-    are cross-checked for equal asserted values via the same exact
-    arithmetic; a disagreement would indicate an internal inconsistency
-    and raises CertificateError.
+    Each entry is probed at the base theta samples plus one seeded-random
+    theta; with rotate_bases, each N gets a seeded Haar-rotated base.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
@@ -452,6 +460,24 @@ def build_ledger(
                     np.random.default_rng(extra_seed).uniform(0.0, 2.0 * math.pi)
                 )
                 specs.append((k, n, thetas + (extra,), kind, sub))
+    return thetas, specs
+
+
+def build_ledger(
+    n_max: int,
+    theta_samples: Optional[Iterable[float]] = None,
+    rotate_bases: bool = False,
+    seed: int = 0,
+) -> ConstraintLedger:
+    """Derive every constraint P(e^{i theta} sqrt(K/N)) = K/N, N <= n_max.
+
+    Each reduced fraction (see :func:`ledger_specs`) gets certificates at
+    its theta samples.  Unreduced representations (2/4, 3/6, ...)
+    are cross-checked for equal asserted values via the same exact
+    arithmetic; a disagreement would indicate an internal inconsistency
+    and raises CertificateError.
+    """
+    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
     entries: dict[Fraction, RationalConstraint] = {Fraction(0): derive_p_zero()}
     for constraint in CertificateKernel().derive(specs):
         if not constraint.verified:
@@ -479,6 +505,24 @@ def build_ledger(
         theta_base=thetas,
         entries=entries,
     )
+
+
+def uncertified_ledger(
+    n_max: int,
+    theta_samples: Optional[Iterable[float]] = None,
+    rotate_bases: bool = False,
+    seed: int = 0,
+) -> ConstraintLedger:
+    """The entries ``build_ledger`` derives, with exact values only.
+
+    Like the constraints of ``ConstraintLedger.load``, none carries a
+    certificate, so none is ``verified``; probes that rebuild their bases
+    from (K, N, theta, base_kind, base_seed) need nothing more.
+    """
+    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
+    entries = {Fraction(0): _uncertified(0, 1, (0.0,), "standard", None)}
+    entries.update((Fraction(spec[0], spec[1]), _uncertified(*spec)) for spec in specs)
+    return ConstraintLedger(n_max, seed, rotate_bases, thetas, entries)
 
 
 def compare_to_born(ledger: ConstraintLedger) -> Fraction:

@@ -11,8 +11,12 @@ Three phases, cheapest and most interpretable first:
    perturbing U by exp(eps * A) with A random skew-Hermitian, keeping
    perturbations that increase the normalization residual.
 
-Identical (candidate, config, ledger) inputs produce identical outcomes,
-witness bit patterns included.
+Each phase scores its probes in stacks through one
+``check_normalization`` call: an entry's thetas, a chunk of random
+trials, a window of climbing steps.  A stack gives the same bits as
+scoring its probes one at a time, and a phase stops at the same first
+violating probe, so identical (candidate, config, ledger) inputs produce
+identical outcomes, witness bit patterns included.
 """
 
 from __future__ import annotations
@@ -30,15 +34,19 @@ from .axioms import (
     check_normalization,
     check_orthogonality_axiom,
 )
-from .derivation import ConstraintLedger, _rebuild_base, certificate_objects
+from .derivation import ConstraintLedger, _rebuild_base, certificate_probe
 from .errors import ParameterError
 from .hilbert import (
     OrthonormalBasis,
     StateVector,
+    haar_unitaries,
     haar_unitary,
     random_state,
     standard_basis,
 )
+
+RANDOM_CHUNK = 20  # random trials drawn, validated and scored as one stack
+STEP_WINDOW = 20  # rejections in a row after which the step scale halves
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -139,7 +147,8 @@ def _ledger_probes(p, ledger, dims, seed: int) -> Iterator[Witness]:
     in dims, in (N, K, theta) order.
 
     Each base is rebuilt as the ledger built it (standard or Haar-rotated),
-    so the probes are the ledger's own certificates.
+    so the probes are the ledger's own certificates.  An entry's basis is
+    built once, and all of its thetas are scored in one call.
     """
     key = base = None
     for c in ledger.constraints():
@@ -148,15 +157,16 @@ def _ledger_probes(p, ledger, dims, seed: int) -> Iterator[Witness]:
         if key != (c.N, c.base_kind, c.base_seed):
             key = (c.N, c.base_kind, c.base_seed)
             base = _rebuild_base(*key)
-        for theta in c.theta_samples:
-            objs = certificate_objects(base, c.K, c.N, theta)
+        basis, states = certificate_probe(base, c.K, c.N, c.theta_samples)
+        residuals = check_normalization(p, basis, np.array([s.amplitudes for s in states]))
+        for state, residual in zip(states, residuals.tolist()):
             yield Witness(
                 candidate_name=p.name,
                 axiom=Axiom.NORMALIZATION,
                 dimension=c.N,
-                state=objs["state"],
-                basis=objs["basis"],
-                residual=check_normalization(p, objs["basis"], objs["state"]),
+                state=state,
+                basis=basis,
+                residual=residual,
                 seed_chain=(seed, 1, c.N, c.K),
                 construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
                 candidate=p,
@@ -193,44 +203,61 @@ def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
 
 
 def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
+    """Haar-random probes, trial t of dimension n seeded from (seed, 2, n, t).
+
+    Trials are drawn seed by seed, then QR-factorized, checked unitary and
+    scored RANDOM_CHUNK at a time; the first violating trial is the witness.
+    """
     probes = 0
     for n in sorted(set(cfg.n_range)):
-        for t in range(cfg.random_trials):
-            sub = int(np.random.SeedSequence([cfg.seed, 2, n, t]).generate_state(1)[0])
-            u = haar_unitary(n, sub).matrix  # validated once, as a unitary
-            state = random_state(n, sub + 1)
-            probes += 1
-            residual = check_normalization(p, u, state)
-            if residual >= cfg.violation_threshold:
-                return (
-                    Witness(
-                        candidate_name=p.name,
-                        axiom=Axiom.NORMALIZATION,
-                        dimension=n,
-                        state=state,
-                        basis=OrthonormalBasis(u),
-                        residual=residual,
-                        seed_chain=(cfg.seed, 2, n, t, sub),
-                        construction_tag=ConstructionTag.RANDOM_BASIS,
-                        candidate=p,
-                    ),
-                    probes,
-                )
+        for start in range(0, cfg.random_trials, RANDOM_CHUNK):
+            trials = range(start, min(start + RANDOM_CHUNK, cfg.random_trials))
+            subs = [
+                int(np.random.SeedSequence([cfg.seed, 2, n, t]).generate_state(1)[0])
+                for t in trials
+            ]
+            unitaries = haar_unitaries(n, subs)  # each validated as a unitary
+            states = [random_state(n, sub + 1) for sub in subs]
+            residuals = check_normalization(
+                p, unitaries, np.array([s.amplitudes for s in states])
+            )
+            hits = np.flatnonzero(residuals >= cfg.violation_threshold)
+            if hits.size == 0:
+                probes += len(trials)
+                continue
+            i = int(hits[0])
+            return (
+                Witness(
+                    candidate_name=p.name,
+                    axiom=Axiom.NORMALIZATION,
+                    dimension=n,
+                    state=states[i],
+                    basis=OrthonormalBasis(unitaries[i]),
+                    residual=float(residuals[i]),
+                    seed_chain=(cfg.seed, 2, n, trials[i], subs[i]),
+                    construction_tag=ConstructionTag.RANDOM_BASIS,
+                    candidate=p,
+                ),
+                probes + i + 1,
+            )
     return None, probes
-
-
-def _random_skew_hermitian(n: int, rng) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a - a.conj().T) / 2.0
 
 
 def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     """Maximize the normalization residual over the unitary group.
 
     Returns (best_basis_matrix, state, best_residual, residual_trace).
-    The step scale halves after 20 consecutive rejections and the search
-    stops once it drops below 1e-6; the recorded best residual is
-    non-decreasing by construction.
+    Each step perturbs U by exp(scale * A), A random skew-Hermitian, and
+    keeps the move if it raises the residual.  The step scale halves after
+    STEP_WINDOW consecutive rejections and the search stops once it drops
+    below 1e-6; the recorded best residual is non-decreasing by construction.
+
+    So after r rejections the next STEP_WINDOW - r steps share one scale
+    whatever is accepted.  Those steps form a window: their perturbations
+    are drawn and exponentiated as one stack and scored from the current U,
+    and after an accept the rest of the window is re-scored from the new U.
+    Step for step this is the arithmetic of one perturbation at a time, so
+    the result is the same, bit for bit.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, n]))
     state = random_state(n, int(rng.integers(2**63)))
@@ -239,21 +266,46 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     trace = [best]
     scale = step_scale
     rejections = 0
-    for _ in range(steps):
-        if scale < 1e-6:
-            break
-        candidate_u = u @ expm(scale * _random_skew_hermitian(n, rng))
-        residual = check_normalization(p, candidate_u, state)
-        if residual > best:
-            u, best = candidate_u, residual
-            rejections = 0
-        else:
-            rejections += 1
-            if rejections >= 20:
-                scale /= 2.0
+    while len(trace) <= steps and scale >= 1e-6:
+        window = min(STEP_WINDOW - rejections, steps + 1 - len(trace))
+        moves = _perturbations(rng, window, n, scale)
+        tried = 0
+        while tried < window:
+            candidates = u @ moves[tried:]
+            residuals = check_normalization(p, candidates, state)
+            gains = np.flatnonzero(residuals > best)
+            rejected = int(gains[0]) if gains.size else window - tried
+            trace += [best] * rejected
+            tried += rejected
+            if gains.size:
+                u, best = candidates[rejected].copy(), float(residuals[rejected])
+                trace.append(best)
+                tried += 1
                 rejections = 0
-        trace.append(best)
+            else:
+                rejections += rejected
+            del candidates  # before the next product, so only one stack is alive
+        if rejections == STEP_WINDOW:
+            scale /= 2.0
+            rejections = 0
     return u, state, best, trace
+
+
+def _perturbations(rng, m: int, n: int, scale: float) -> np.ndarray:
+    """exp(scale * A) for m random skew-Hermitian A, as an (m, n, n) stack.
+
+    One draw of m * 2 n^2 normals is the stream of m draws of two n x n
+    blocks (real parts, then imaginary parts); scipy's expm runs the same
+    Pade routine on each matrix of a stack.
+    """
+    normals = rng.standard_normal((m, 2, n, n))
+    a = 1j * normals[:, 1]
+    a += normals[:, 0]
+    del normals
+    a -= a.conj().swapaxes(-1, -2)
+    a /= 2.0
+    a *= scale
+    return expm(a)
 
 
 def _optimizer_phase(p, cfg) -> tuple[Optional[Witness], int, dict]:

@@ -146,9 +146,7 @@ class UnitaryMatrix:
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"unitary must be square, got {arr.shape}")
-        defect = float(np.max(np.abs(arr.conj().T @ arr - np.eye(n))))
-        if defect > ortho_tolerance:
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
+        _check_unitary(arr, ortho_tolerance)
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -174,21 +172,51 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
-    """Draw a Haar-uniform unitary, deterministically for a fixed seed.
+def _check_unitary(stack: np.ndarray, ortho_tolerance: float = ORTHO_TOLERANCE) -> None:
+    """Raise ValueError unless every matrix of a (..., n, n) stack is finite
+    and unitary: max_ij |(U^H U - I)_ij| <= ortho_tolerance for each U."""
+    if not np.isfinite(stack).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    gram -= np.eye(stack.shape[-1])
+    defect = float(np.abs(gram).max())
+    if defect > ortho_tolerance:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
 
-    QR-factorizes a matrix of iid standard complex Gaussians and fixes
-    the phases of diag(R) to make the decomposition unique, which makes
-    the Q factor exactly Haar-distributed.
+
+def haar_unitaries(n: int, seeds) -> np.ndarray:
+    """Haar-uniform unitaries, one per seed, as a read-only (len(seeds), n, n) stack.
+
+    Each seed draws a matrix of iid standard complex Gaussians from its own
+    generator.  The stack is QR-factorized at once and the phases of diag(R)
+    are fixed to make each decomposition unique, which makes each Q factor
+    exactly Haar-distributed; every Q is checked to be unitary.  Entry i is
+    bit for bit the unitary that seeds[i] alone gives.
     """
     if n < 1:
         raise DimensionError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    normals = np.empty((len(seeds), 2, n, n))
+    for i, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=normals[i])
+    # (re + 1j * im) / sqrt(2), updated in place to keep one stack alive
+    z = 1j * normals[:, 1]
+    z += normals[:, 0]
+    del normals
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
+    del z
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
+    del r, d
+    _check_unitary(q)
+    q.setflags(write=False)
+    return q
+
+
+def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
+    """Draw a Haar-uniform unitary, deterministically for a fixed seed: the
+    stack-of-one case of :func:`haar_unitaries`."""
+    return UnitaryMatrix(haar_unitaries(n, [seed])[0])
 
 
 def apply_unitary(u: UnitaryMatrix, v: StateVector) -> StateVector:

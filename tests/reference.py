@@ -1,0 +1,93 @@
+"""Per-probe reference forms of the falsifier's stacked paths.
+
+Each function here scores, samples or climbs one probe at a time.  The
+guard tests require the package's stacked paths to give the same results,
+bit for bit.
+"""
+
+import numpy as np
+from scipy.linalg import expm
+
+from bornlab import OrthonormalBasis, random_state
+from bornlab.axioms import evaluate
+
+
+def haar(n: int, seed: int) -> np.ndarray:
+    """One Haar unitary: two n x n normal draws, one QR, diag(R) phases fixed."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def normalization(p, matrix: np.ndarray, amplitudes: np.ndarray) -> float:
+    """|sum_i p(<v_i|psi>) - 1| for one pair: a matrix-vector product and a 1-d sum."""
+    return abs(float(evaluate(p, matrix.conj() @ amplitudes).sum()) - 1.0)
+
+
+def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
+    """The climber one step at a time: draw, exponentiate, score, keep if better."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3, n]))
+    state = random_state(n, int(rng.integers(2**63)))
+    u = haar(n, int(rng.integers(2**63)))
+    best = normalization(p, u, state.amplitudes)
+    trace = [best]
+    scale = step_scale
+    rejections = 0
+    for _ in range(steps):
+        if scale < 1e-6:
+            break
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        candidate_u = u @ expm(scale * ((a - a.conj().T) / 2.0))
+        residual = normalization(p, candidate_u, state.amplitudes)
+        if residual > best:
+            u, best = candidate_u, residual
+            rejections = 0
+        else:
+            rejections += 1
+            if rejections >= 20:
+                scale /= 2.0
+                rejections = 0
+        trace.append(best)
+    return u, state, best, trace
+
+
+def random_phase(p, cfg):
+    """(witness JSON or None, probes) of the random phase, one trial at a time."""
+    probes = 0
+    for n in sorted(set(cfg.n_range)):
+        for t in range(cfg.random_trials):
+            sub = int(np.random.SeedSequence([cfg.seed, 2, n, t]).generate_state(1)[0])
+            u = haar(n, sub)
+            state = random_state(n, sub + 1)
+            probes += 1
+            residual = normalization(p, u, state.amplitudes)
+            if residual >= cfg.violation_threshold:
+                return _witness(p, n, state, u, residual, (cfg.seed, 2, n, t, sub),
+                                "RandomBasis"), probes
+    return None, probes
+
+
+def optimizer_phase(p, cfg):
+    """(witness JSON or None, probes) of the optimizer phase, one step at a time."""
+    probes = 0
+    for n in sorted(set(cfg.n_range)):
+        u, state, best, trace = hill_climb(p, n, cfg.optimizer_steps, cfg.step_scale, cfg.seed)
+        probes += len(trace)
+        if best >= cfg.violation_threshold:
+            return _witness(p, n, state, u, best, (cfg.seed, 3, n), "OptimizedBasis"), probes
+    return None, probes
+
+
+def _witness(p, n, state, u, residual, seed_chain, tag) -> dict:
+    return {
+        "candidate": p.name,
+        "axiom": "normalization",
+        "dimension": n,
+        "state": state.to_json(),
+        "basis": OrthonormalBasis(u).to_json(),
+        "residual": residual,
+        "seed_chain": list(seed_chain),
+        "construction_tag": tag,
+    }

@@ -22,7 +22,9 @@ from bornlab import (
     symmetric_state,
 )
 from bornlab.axioms import evaluate, pair_form
-from bornlab.hilbert import OrthonormalBasis
+from bornlab.hilbert import OrthonormalBasis, haar_unitaries
+
+import reference
 
 
 def cand(name, fn):
@@ -84,6 +86,28 @@ class TestNormalization:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             check_normalization(born_candidate(), standard_basis(2), random_state(3, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
+    @pytest.mark.parametrize("p", [
+        candidate_from_expression("r^2.5 + 0.01*sin(phi)"),
+        cand("python r^2.5", lambda z: abs(z) ** 2.5),
+    ], ids=["dsl", "python"])
+    def test_stack_is_bit_identical_to_one_pair_at_a_time(self, n, p):
+        seeds = range(9)
+        bases = haar_unitaries(n, [s + 100 for s in seeds])
+        states = np.array([random_state(n, s).amplitudes for s in seeds])
+        each = [reference.normalization(p, u, v) for u, v in zip(bases, states)]
+        assert check_normalization(p, bases, states).tolist() == each
+        one_basis = [reference.normalization(p, bases[0], v) for v in states]
+        assert check_normalization(p, bases[0], states).tolist() == one_basis
+        one_state = [reference.normalization(p, u, states[0]) for u in bases]
+        assert check_normalization(p, bases, states[0]).tolist() == one_state
+        single = check_normalization(p, OrthonormalBasis(bases[1]), random_state(n, 1))
+        assert type(single) is float and single == each[1]
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            check_normalization(born_candidate(), haar_unitaries(3, [1, 2]), np.ones((2, 4)))
 
 
 class TestOrthogonality:

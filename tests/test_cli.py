@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bornlab
+from bornlab import FalsifierConfig, build_ledger, candidate_from_expression, derivation, falsify
 from bornlab.cli import main
 
 from conftest import schema_validator
@@ -247,6 +248,24 @@ class TestFalsify:
         schema_validator("falsify.schema.json").validate(payload)
 
 
+    @pytest.mark.parametrize("candidate", ["r^2", "r^2*(1 + 0.1*sin(phi))"])
+    def test_same_result_without_deriving_a_certificate(self, tmp_path, monkeypatch, candidate):
+        cfg = FalsifierConfig(n_range=(2, 3, 4, 5), random_trials=3, optimizer_steps=5, seed=4)
+        ledger = build_ledger(5, [0.5, 4.0], seed=4)
+        want = falsify(candidate_from_expression(candidate), cfg, ledger).to_json()
+
+        def refuse(*args):
+            raise AssertionError("falsify derived a certificate")
+
+        monkeypatch.setattr(derivation.CertificateKernel, "derive", refuse)
+        monkeypatch.setattr(derivation, "derive_p_zero", refuse)
+        code, payload = run(tmp_path, "falsify", "-p", candidate, "--n-range", "2..5",
+                            "--trials", "3", "--optimizer-steps", "5", "--theta", "0.5",
+                            "--theta", "4.0", "--seed", "4")
+        assert code == (0 if want["falsified"] else 1)
+        assert payload["result"] == want
+
+
 # Each must exit 64 with a one-line usage error on stderr.
 BAD_FALSIFY_PARAMETERS = {
     "threshold-zero": ["--threshold", "0"],
@@ -264,6 +283,9 @@ BAD_FALSIFY_PARAMETERS = {
     "n-range-above-bound": ["--n-range", "2..513"],
     "n-range-huge": ["--n-range", "2..100000000"],
     "n-range-list-above-bound": ["--n-range", "2,600"],
+    "trials-above-bound": ["--trials", "1000001"],
+    "optimizer-steps-above-bound": ["--optimizer-steps", "1000001"],
+    "trials-huge": ["--trials", str(10**18)],
 }
 
 # Each must exit 64 with a one-line usage error on stderr.
@@ -278,6 +300,9 @@ BAD_VALUES = {
     "derive-seed-negative": ["derive", "--n-max", "2", "--seed", "-3"],
     "falsify-seed-negative": ["falsify", "-p", "r", "--n-range", "2..3", "--seed", "-1"],
     "simulate-seed-negative": ["simulate", "--fraction", "1/2", "--seed", "-1"],
+    "simulate-samples-above-bound": ["simulate", "--fraction", "1/2", "--samples",
+                                     "1000000000001"],
+    "simulate-samples-huge": ["simulate", "--probs", "1/2,1/2", "--samples", str(10**30)],
 }
 
 
@@ -304,9 +329,10 @@ class TestUsageErrors:
         assert not (tmp_path / "out.json").exists()
 
     def test_sizes_at_bound_accepted(self, tmp_path):
-        from bornlab.cli import MAX_DIMENSION, MAX_GRID, _parse_range
+        from bornlab.cli import MAX_DIMENSION, MAX_GRID, MAX_SAMPLES, MAX_STEPS, _parse_range
 
         assert (MAX_DIMENSION, MAX_GRID) == (512, 1 << 20)
+        assert (MAX_STEPS, MAX_SAMPLES) == (10**6, 10**12)
         assert _parse_range(f"{MAX_DIMENSION - 1}..{MAX_DIMENSION}") == (511, 512)
         run(tmp_path, "derive", "--n-max", "3", name="ledger.json")
         code, payload = run(tmp_path, "compare", "-p", "r^2", str(tmp_path / "ledger.json"),
@@ -327,6 +353,28 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert err == "usage error: BORN_SEED must be >= 0, got -4\n"
         assert out == ""
+
+
+# Each names a command that gets as far as writing its output; an output
+# path that cannot be written must exit 64 with one line on stderr.
+UNWRITABLE_OUTPUT = {
+    "derive": ["derive", "--n-max", "1"],
+    "simulate-json": ["simulate", "--fraction", "1/2", "--samples", "100"],
+    "simulate-csv": ["simulate", "--fraction", "1/2", "--samples", "100", "--format", "csv"],
+    "falsify": ["falsify", "-p", "r", "--n-range", "2"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUT))
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    def test_usage_error(self, tmp_path, capsys, case, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+        assert main(UNWRITABLE_OUTPUT[case] + ["-o", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: cannot write output ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 def test_no_scipy_import_outside_optimizer_and_simulate():
@@ -495,8 +543,8 @@ def _cli_argv(draw, ledgers):
         argv.append(_value(draw, ledgers))
     elif command == "falsify":
         argv += ["-p", _value(draw, _CANDIDATES)]
-        argv += ["--trials", _value(draw, ["2", "0", "-1"])]
-        argv += ["--optimizer-steps", _value(draw, ["3", "0", "-1"])]
+        argv += ["--trials", _value(draw, ["2", "0", "-1", "1000001"])]
+        argv += ["--optimizer-steps", _value(draw, ["3", "0", "-1", "1000001"])]
         argv += _flags(draw, {
             "--n-range": ["2..3", "2", "2,3", "3..2", "0..2", "2..513",
                           "2..100000000", "a..b", "1"],
@@ -511,7 +559,7 @@ def _cli_argv(draw, ledgers):
         argv += _flags(draw, {
             "--fraction": ["2/3", "1/1", "0/1", "3/2", "1/0", "x"],
             "--probs": ["1/4,3/4", "1/2,1/2,0", "1/2", "x", "1/0,1"],
-            "--samples": ["1000", "1", "0", "-5", "x"],
+            "--samples": ["1000", "1", "0", "-5", "x", "1000000000001"],
             "--seed": _SEEDS,
             "--format": ["json", "csv", "xml"],
         })
@@ -524,7 +572,10 @@ def _cli_argv(draw, ledgers):
             "--tolerance": ["1e-9", "0", "-1", "nan", "inf"],
         })
     if draw(st.integers(0, 7)) == 0:
-        argv.append(draw(st.sampled_from(["--bogus", "-o"])))
+        # an unknown flag, -o without its value, or -o to a path that cannot be written
+        root = os.path.dirname(ledgers[0])
+        argv += draw(st.sampled_from(
+            [["--bogus"], ["-o"], ["-o", root], ["-o", os.path.join(root, "missing", "x.json")]]))
     return argv
 
 

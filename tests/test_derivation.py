@@ -18,7 +18,7 @@ from bornlab import (
     derive_uniform,
     verify_ledger,
 )
-from bornlab.derivation import DEFAULT_THETAS, CertificateKernel
+from bornlab.derivation import DEFAULT_THETAS, CertificateKernel, uncertified_ledger
 
 from conftest import corrupt_entry, make_ledger_locked_candidate
 
@@ -135,6 +135,26 @@ class TestBuildLedger:
         ledger = build_ledger(5, rotate_bases=True, seed=7)
         assert ledger.verified
         assert ledger.lookup(Fraction(2, 5)).base_kind == "haar"
+
+
+class TestUncertifiedLedger:
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"theta_samples": [0.5, 2.0], "seed": 4}, {"rotate_bases": True, "seed": 3},
+    ])
+    def test_build_ledger_entries_without_certificates(self, kwargs):
+        built, bare = build_ledger(7, **kwargs), uncertified_ledger(7, **kwargs)
+        fields = ("n_max", "seed", "rotate_bases", "theta_base")
+        assert [getattr(bare, f) for f in fields] == [getattr(built, f) for f in fields]
+        assert bare.entries.keys() == built.entries.keys()
+        for fraction, c in built.entries.items():
+            u = bare.entries[fraction]
+            same = ("K", "N", "asserted_value", "theta_samples", "base_kind", "base_seed")
+            assert [getattr(u, f) for f in same] == [getattr(c, f) for f in same]
+            assert u.certificates == () and not u.verified
+
+    def test_n_max_0_rejected(self):
+        with pytest.raises(ParameterError):
+            uncertified_ledger(0)
 
 
 class TestCompareToBorn:

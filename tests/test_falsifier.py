@@ -17,9 +17,10 @@ from bornlab import (
     shrink_witness,
 )
 from bornlab.derivation import _rebuild_base, certificate_objects
-from bornlab.falsifier import hill_climb
+from bornlab.falsifier import _ledger_probes, hill_climb
 
-from conftest import make_wrong_above_denominator
+import reference
+from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
 
 
 def quick_cfg(**overrides):
@@ -166,6 +167,101 @@ class TestOptimizer:
             candidate_from_expression("r"), 3, steps=100, step_scale=0.2, seed=1
         )
         assert best >= 1e-3
+
+
+def band_candidate() -> CandidateDistribution:
+    """|z|^2, except 0.1 higher for |z|^2 in (0.96, 0.97): no K/N with N <= 8
+    lies there, so it passes the ledger phase and only a random draw that
+    lands in the band catches it."""
+
+    def fn(z: complex) -> float:
+        mod_sq = abs(z) ** 2
+        return mod_sq + (0.1 if 0.96 < mod_sq < 0.97 else 0.0)
+
+    return CandidateDistribution("band", fn)
+
+
+class TestStackedPhasesMatchPerProbe:
+    """Each stacked phase against its one-probe-at-a-time form in reference.py."""
+
+    @pytest.mark.parametrize("expr, n, seed, step_scale, steps", [
+        ("r", 3, 1, 0.2, 300),  # accepts often, so windows restart mid-way
+        ("r^2", 32, 7, 0.1, 400),
+        ("r^2.5", 4, 3, 0.1, 137),
+        ("r^2*(1 + 0.1*sin(phi))", 5, 0, 0.5, 250),
+        ("r^2", 1, 2, 0.1, 45),
+        ("r", 2, 4, 0.1, 0),
+    ])
+    def test_hill_climb(self, expr, n, seed, step_scale, steps):
+        p = candidate_from_expression(expr)
+        u, state, best, trace = hill_climb(p, n, steps, step_scale, seed)
+        ref_u, ref_state, ref_best, ref_trace = reference.hill_climb(
+            p, n, steps, step_scale, seed)
+        assert u.tobytes() == ref_u.tobytes()
+        assert state == ref_state
+        assert (best, trace) == (ref_best, ref_trace)
+
+    def test_hill_climb_restarts_windows_after_accepts(self):
+        _, _, _, trace = hill_climb(candidate_from_expression("r"), 3, 300, 0.2, 1)
+        accepts = [i for i, (a, b) in enumerate(zip(trace, trace[1:])) if b > a]
+        assert len(accepts) >= 10
+        # back-to-back accepts: the rest of a window was re-scored from a new U
+        assert any(b == a + 1 for a, b in zip(accepts, accepts[1:]))
+
+    def test_hill_climb_python_candidate(self):
+        p = band_candidate()
+        ours = hill_climb(p, 2, 200, 0.3, 5)
+        ref = reference.hill_climb(p, 2, 200, 0.3, 5)
+        assert ours[0].tobytes() == ref[0].tobytes()
+        assert ours[1:] == ref[1:]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_random_witness_after_trial_zero(self, ledger8, seed):
+        cfg = quick_cfg(n_range=(2, 3), random_trials=200, optimizer_steps=0, seed=seed)
+        result = falsify(band_candidate(), cfg, ledger8)
+        want, probes = reference.random_phase(band_candidate(), cfg)
+        assert result.witness.construction_tag is ConstructionTag.RANDOM_BASIS
+        assert result.witness.to_json() == want
+        assert result.probes["random"] == probes
+        assert result.witness.seed_chain[3] > 0
+
+    def test_random_witness_of_the_ledger_locked_candidate(self, ledger8):
+        p = make_ledger_locked_candidate(8)
+        cfg = quick_cfg(n_range=(2, 3), random_trials=50, optimizer_steps=0)
+        result = falsify(p, cfg, ledger8)
+        want, probes = reference.random_phase(p, cfg)
+        assert result.witness.to_json() == want
+        assert result.probes["random"] == probes
+
+    def test_optimizer_witness(self, ledger8):
+        p = make_ledger_locked_candidate(8)
+        cfg = quick_cfg(n_range=(2, 3), random_trials=0, optimizer_steps=500, seed=1)
+        result = falsify(p, cfg, ledger8)
+        want, probes = reference.optimizer_phase(p, cfg)
+        assert result.witness.construction_tag is ConstructionTag.OPTIMIZED_BASIS
+        assert result.witness.to_json() == want
+        assert result.probes["optimizer"] == probes
+
+    def test_clean_run_probe_counts(self, ledger8):
+        cfg = quick_cfg(n_range=(2, 3, 5, 8), random_trials=45, optimizer_steps=130)
+        result = falsify(born_candidate(), cfg, ledger8)
+        assert result.witness is None
+        assert result.probes["random"] == reference.random_phase(born_candidate(), cfg)[1]
+        assert result.probes["optimizer"] == reference.optimizer_phase(born_candidate(), cfg)[1]
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_ledger_probes_are_the_certificates(self, rotate):
+        ledger = build_ledger(6, rotate_bases=rotate, seed=3)
+        p = candidate_from_expression("r^2.2")
+        probes = iter(_ledger_probes(p, ledger, range(1, 7), 0))
+        for c in ledger.constraints()[1:]:
+            base = _rebuild_base(c.N, c.base_kind, c.base_seed)
+            for theta in c.theta_samples:
+                probe, objs = next(probes), certificate_objects(base, c.K, c.N, theta)
+                assert (probe.state, probe.basis) == (objs["state"], objs["basis"])
+                assert probe.residual == reference.normalization(
+                    p, objs["basis"].matrix, objs["state"].amplitudes)
+        assert next(probes, None) is None
 
 
 class TestConfigValidation:

@@ -18,6 +18,9 @@ from bornlab import (
     standard_basis,
 )
 from bornlab.construction import partial_dft_basis
+from bornlab.hilbert import _check_unitary, haar_unitaries
+
+import reference
 
 
 def e(i, n):
@@ -90,6 +93,31 @@ class TestHaarUnitary:
     def test_orthonormality_defect_up_to_256(self, n):
         u = haar_unitary(n, 42)
         assert orthonormality_defect(OrthonormalBasis(u.matrix)) <= 1e-10
+
+
+class TestHaarStack:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
+    def test_each_entry_is_the_single_seed_draw_bit_for_bit(self, n):
+        seeds = [3, 0, 2**63 - 1, 12345, 7]
+        stack = haar_unitaries(n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for seed, u in zip(seeds, stack):
+            assert u.tobytes() == reference.haar(n, seed).tobytes()
+            assert haar_unitary(n, seed).matrix.tobytes() == u.tobytes()
+
+    def test_stack_is_read_only(self):
+        with pytest.raises(ValueError):
+            haar_unitaries(3, [1, 2])[0, 0, 0] = 0.0
+
+    def test_check_names_the_worst_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        _check_unitary(stack)
+        stack[2, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(stack)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _check_unitary(stack)
 
 
 class TestApplyUnitary:
