@@ -21,7 +21,6 @@ from .axioms import (
 from .construction import (
     PartialDftBasis,
     SymmetricState,
-    geometric_series_overlap,
     overlap_with_symmetric,
     partial_dft_basis,
     symmetric_state,
@@ -33,8 +32,6 @@ from .derivation import (
     compare_to_born,
     continuity_extension_check,
     derive_p_zero,
-    derive_rational,
-    derive_uniform,
     verify_ledger,
 )
 from .errors import (
@@ -60,7 +57,6 @@ from .hilbert import (
     OrthonormalBasis,
     StateVector,
     UnitaryMatrix,
-    apply_unitary,
     haar_unitary,
     inner_product,
     orthonormality_defect,

@@ -13,10 +13,12 @@ report alone.  Exit codes:
         is malformed, incomplete, or of another format_version)
     64  usage error (bad flags, a seed that is not an integer >= 0,
         unparseable candidate, invalid fraction, a parameter out of its
-        range, a non-finite --theta, a size past its bound: --n-max or
-        an --n-range dimension above 512, --grid above 2^20, --trials or
-        --optimizer-steps above 10^6, --samples above 10^12), or an
-        output path that cannot be written
+        range, a non-finite --theta, a --threshold or --tolerance that is
+        not finite or lies below 1e-12, a --step-scale above 10, a size
+        past its bound: --n-max or an --n-range dimension above 512,
+        --n-max above 16 with --full-certificates, --grid above 2^20,
+        --trials or --optimizer-steps above 10^6, --samples above 10^12),
+        or an output path that cannot be written
     66  input file unreadable
 
 The environment variable BORN_SEED overrides the default seed.  Output
@@ -59,6 +61,10 @@ MAX_DIMENSION = 512  # derive --n-max, falsify --n-range
 MAX_GRID = 1 << 20  # compare --grid
 MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
 MAX_SAMPLES = 10**12  # simulate --samples
+MAX_FULL_CERTIFICATES_N = 16  # derive --n-max with --full-certificates: N x N bases inline
+# floor of falsify --threshold and compare --tolerance: residuals of the
+# Born rule itself reach about 1e-14 from float rounding at N = 512
+MIN_TOLERANCE = 1e-12
 
 
 class _UsageError(Exception):
@@ -142,6 +148,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < MIN_TOLERANCE:
+        raise argparse.ArgumentTypeError(f"{text!r} is below the floor {MIN_TOLERANCE}")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         num, den = text.split("/")
@@ -205,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     fals.add_argument("--trials", type=int, default=50)
     fals.add_argument("--optimizer-steps", type=int, default=200)
     fals.add_argument("--step-scale", type=float, default=0.1)
-    fals.add_argument("--threshold", type=float, default=1e-6)
+    fals.add_argument("--threshold", type=_tolerance, default=1e-6)
     fals.add_argument("--theta", type=_finite_float, action="append", default=None)
     fals.add_argument("--seed", type=_seed, default=None)
     fals.add_argument("-o", "--output", default=None)
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("-p", "--candidate", required=True)
     comp.add_argument("ledger")
     comp.add_argument("--grid", type=int, default=256)
-    comp.add_argument("--tolerance", type=float, default=1e-9)
+    comp.add_argument("--tolerance", type=_tolerance, default=1e-9)
     comp.add_argument("-o", "--output", default=None)
     return parser
 
@@ -230,6 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_derive(args) -> int:
     if not 1 <= args.n_max <= MAX_DIMENSION:
         raise _UsageError(f"--n-max must lie in 1..{MAX_DIMENSION}, got {args.n_max}")
+    if args.full_certificates and args.n_max > MAX_FULL_CERTIFICATES_N:
+        raise _UsageError(
+            f"--full-certificates needs --n-max <= {MAX_FULL_CERTIFICATES_N}, got {args.n_max}"
+        )
     seed = args.seed if args.seed is not None else _default_seed()
     config = {
         "n_max": args.n_max,

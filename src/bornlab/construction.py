@@ -85,20 +85,6 @@ def partial_dft_basis(
     return PartialDftBasis(base=base, K=K, vectors=OrthonormalBasis(rows))
 
 
-def geometric_series_overlap(j: int, m: int, K: int) -> complex:
-    """<tilde v_j | tilde v_m> by direct geometric-series summation.
-
-    Independent cross-check of the basis construction: returns
-    (1/K) sum_{l=1}^{K} exp(-2 pi i (m-j)/K)^{l-1}, which is 1 for m = j
-    and 0 otherwise (up to float error).  Indices are 1-based.
-    """
-    if not (1 <= j <= K and 1 <= m <= K):
-        raise ParameterError(f"require 1 <= j, m <= K, got j={j}, m={m}, K={K}")
-    ratio = np.exp(-1j * TWO_PI * (m - j) / K)
-    total = sum(ratio ** (l - 1) for l in range(1, K + 1))
-    return complex(total / K)
-
-
 def overlap_with_symmetric(tilde: PartialDftBasis, psi_star: SymmetricState) -> np.ndarray:
     """Overlaps <tilde v_j | psi*> for j = 1..N.
 

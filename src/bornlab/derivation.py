@@ -28,7 +28,6 @@ from .construction import (
     TWO_PI,
     dft_block,
     overlap_contract_error,
-    overlap_with_symmetric,
     partial_dft_basis,
     symmetric_state,
 )
@@ -75,16 +74,8 @@ class RationalConstraint:
         """True when certificates exist and all passed; a loaded constraint has none."""
         return bool(self.certificates) and all(c["passed"] for c in self.certificates)
 
-    def to_json(self, full_certificates: bool = False) -> dict:
-        certs = [dict(c) for c in self.certificates]
-        if full_certificates and self.K > 0:
-            base = _rebuild_base(self.N, self.base_kind, self.base_seed)
-            basis, states = certificate_probe(base, self.K, self.N, [c["theta"] for c in certs])
-            for c, state in zip(certs, states):
-                c["basis"] = basis.to_json()
-                c["state"] = state.to_json()
-                c["overlaps"] = vector_to_pairs(basis.matrix.conj() @ state.amplitudes)
-        entry = {
+    def to_json(self) -> dict:
+        return {
             "K": self.K,
             "N": self.N,
             "value": {
@@ -98,9 +89,6 @@ class RationalConstraint:
             "base_kind": self.base_kind,
             "base_seed": self.base_seed,
         }
-        if full_certificates:
-            entry["certificates"] = certs
-        return entry
 
     def certificate_digest(self) -> str:
         summary = [
@@ -111,6 +99,10 @@ class RationalConstraint:
         return hashlib.sha256(blob).hexdigest()
 
 
+# (K, N, theta samples, base_kind, base_seed): one constraint to derive
+Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
+
+
 def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
     if kind == "standard":
         return standard_basis(n)
@@ -118,36 +110,38 @@ def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
 
 
 def certificate_probe(
-    base: OrthonormalBasis, k: int, n: int, thetas
+    base: OrthonormalBasis, k: int, n: int, thetas, blocks: Optional[dict] = None
 ) -> tuple[OrthonormalBasis, list[StateVector]]:
     """The basis behind an entry's certificates, built once, and the state
     behind each of its thetas.
 
     For K < N the partial-DFT basis and the symmetric states; for K = N the
-    base itself and its first vector, phased by e^{i theta}.
+    base itself and its first vector, phased by e^{i theta}.  ``blocks``
+    caches dft_block(K) by K, for a caller that meets each K many times.
     """
-    if k < n:
-        return partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state for t in thetas]
-    return base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0]) for t in thetas]
+    if k == n:
+        return base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0]) for t in thetas]
+    if blocks is not None and k not in blocks:
+        blocks[k] = dft_block(k)
+    basis = partial_dft_basis(base, k, None if blocks is None else blocks[k]).vectors
+    return basis, [symmetric_state(base, t).state for t in thetas]
 
 
-def certificate_objects(base: OrthonormalBasis, k: int, n: int, theta: float) -> dict:
-    """The concrete state, basis, and overlaps behind one certificate.
+def certificate_probes(specs: Iterable[Spec], blocks: Optional[dict] = None):
+    """(spec, basis, states) behind the certificates of each spec with K > 0,
+    in order: the one place a certificate's construction is built.
 
-    Rebuilt on demand (certificates stored in constraints keep only the
-    verification numbers, so ledgers stay small in memory).
+    A base is rebuilt, standard or Haar-rotated, only when (N, base_kind,
+    base_seed) changes, so callers group specs by N.
     """
-    basis, (state,) = certificate_probe(base, k, n, [theta])
-    return {
-        "kind": "partial_dft" if k < n else "single_vector",
-        "basis": basis,
-        "state": state,
-        "overlaps": basis.matrix.conj() @ state.amplitudes,
-    }
-
-
-# (K, N, theta samples, base_kind, base_seed): one constraint to derive
-Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
+    key = base = None
+    for spec in specs:
+        k, n, thetas, kind, sub = spec
+        if k == 0:
+            continue
+        if key != (n, kind, sub):
+            key, base = (n, kind, sub), _rebuild_base(n, kind, sub)
+        yield (spec, *certificate_probe(base, k, n, thetas, blocks))
 
 
 class CertificateKernel:
@@ -158,13 +152,10 @@ class CertificateKernel:
     symmetric state are c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N)
     as the contract asks.  So all standard entries that share K are
     certified in one array pass over F_K's defect and conj(F_K) 1_K.  Other
-    bases take the full N x N path with F_K kept per K; each is rebuilt
-    when (N, kind, seed) changes, so callers group those entries by N.
+    entries take the full N x N path of ``certificate_probes``, with F_K
+    built once per K; a base is rebuilt when (N, kind, seed) changes, so
+    callers group those entries by N.
     """
-
-    def __init__(self):
-        self._blocks: dict[int, np.ndarray] = {}
-        self._base: tuple = (None, None)  # ((N, kind, seed), base)
 
     def derive(self, specs: Iterable[Spec]) -> list[RationalConstraint]:
         """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified at each
@@ -173,13 +164,23 @@ class CertificateKernel:
                  for k, n, thetas, kind, sub in specs]
         certificates: list = [None] * len(specs)
         by_k: dict[int, list[int]] = {}
+        full = []
         for i, (k, n, thetas, kind, sub) in enumerate(specs):
             if n < 1 or k < 1 or k > n:
                 raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
             if kind == "standard" and k < n:
                 by_k.setdefault(k, []).append(i)
             else:
-                certificates[i] = self._full_certificates(k, n, thetas, kind, sub)
+                full.append(i)
+        reduced = ((k, n, tuple(t % TWO_PI for t in thetas), kind, sub)
+                   for k, n, thetas, kind, sub in (specs[i] for i in full))
+        for i, ((k, n, thetas, _, _), basis, states) in zip(full, certificate_probes(reduced, {})):
+            defect = orthonormality_defect(basis) if k < n else 0.0
+            errors = [
+                overlap_contract_error(basis.matrix.conj() @ state.amplitudes, k, n, t)
+                for state, t in zip(states, thetas)
+            ]
+            certificates[i] = _certificate_dicts(k, n, thetas, defect, errors)
         for k, indices in by_k.items():
             rows = self._standard_certificates(k, [specs[i][1:3] for i in indices])
             for i, certs in zip(indices, rows):
@@ -216,30 +217,6 @@ class CertificateKernel:
             _certificate_dicts(k, n, ts, defect, [next(errors) for _ in ts])
             for (n, _), ts in zip(entries, thetas)
         ]
-
-    def _full_certificates(self, k: int, n: int, thetas, kind: str, sub) -> tuple[dict, ...]:
-        thetas = [t % TWO_PI for t in thetas]
-        if self._base[0] != (n, kind, sub):
-            self._base = ((n, kind, sub), _rebuild_base(n, kind, sub))
-        base = self._base[1]
-        if k == n:
-            defect = 0.0
-            errors = [
-                overlap_contract_error(certificate_objects(base, n, n, t)["overlaps"], n, n, t)
-                for t in thetas
-            ]
-        else:
-            if k not in self._blocks:
-                self._blocks[k] = dft_block(k)
-            tilde = partial_dft_basis(base, k, self._blocks[k])
-            defect = orthonormality_defect(tilde.vectors)
-            errors = [
-                overlap_contract_error(
-                    overlap_with_symmetric(tilde, symmetric_state(base, t)), k, n, t
-                )
-                for t in thetas
-            ]
-        return _certificate_dicts(k, n, thetas, defect, errors)
 
 
 def _certificate_dicts(k: int, n: int, thetas, defect: float, errors) -> tuple[dict, ...]:
@@ -294,16 +271,6 @@ def derive_p_zero() -> RationalConstraint:
     )
 
 
-def derive_uniform(n: int, theta: float) -> RationalConstraint:
-    """P(e^{i theta}/sqrt(N)) = 1/N from the symmetric state."""
-    return derive_rational(1, n, theta)
-
-
-def derive_rational(k: int, n: int, theta: float) -> RationalConstraint:
-    """P(e^{i theta} sqrt(K/N)) = K/N with a verified basis certificate."""
-    return CertificateKernel().derive([(k, n, (theta,), "standard", None)])[0]
-
-
 @dataclass(frozen=True)
 class ConstraintLedger:
     """All derived constraints for reduced fractions K/N, N <= n_max."""
@@ -329,15 +296,30 @@ class ConstraintLedger:
         return all(c.verified for c in self.entries.values())
 
     def to_json(self, full_certificates: bool = False) -> dict:
+        """The serialized ledger; with full_certificates, each certificate
+        also carries the basis, state and overlaps it was computed from."""
+        fractions = self.fractions()
+        entries = [self.entries[f].to_json() for f in fractions]
+        if full_certificates:
+            certificates = {}
+            for f, entry in zip(fractions, entries):
+                entry["certificates"] = certificates[f] = [
+                    dict(cert) for cert in self.entries[f].certificates
+                ]
+            specs = [(c.K, c.N, [cert["theta"] for cert in c.certificates], c.base_kind,
+                      c.base_seed) for c in self.constraints()]
+            for (k, n, *_), basis, states in certificate_probes(specs):
+                for cert, state in zip(certificates[Fraction(k, n)], states):
+                    cert["basis"] = basis.to_json()
+                    cert["state"] = state.to_json()
+                    cert["overlaps"] = vector_to_pairs(basis.matrix.conj() @ state.amplitudes)
         return {
             "format_version": FORMAT_VERSION,
             "n_max": self.n_max,
             "seed": self.seed,
             "rotate_bases": self.rotate_bases,
             "theta_base": list(self.theta_base),
-            "entries": [
-                self.entries[f].to_json(full_certificates) for f in self.fractions()
-            ],
+            "entries": entries,
         }
 
     @classmethod
@@ -388,18 +370,22 @@ class ConstraintLedger:
     def from_json(cls, payload) -> "ConstraintLedger":
         """``load``, then re-derive every constraint and check it against its
         stored digest; raise CertificateError on any fault."""
-        ledger = cls.load(payload)
+        ledger = _certified(cls.load(payload))
         digests = {(e["K"], e["N"]): e.get("certificate_digest") for e in payload["entries"]}
-        loaded = ledger.constraints()  # (N, K) order: P(0) first, Haar bases grouped by N
-        derived = [derive_p_zero()] + CertificateKernel().derive(
-            (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed) for c in loaded[1:]
-        )
-        for constraint in derived:
-            if constraint.certificate_digest() != digests[constraint.K, constraint.N]:
-                raise CertificateError(
-                    f"certificate digest mismatch at K={constraint.K}, N={constraint.N}"
-                )
-        return replace(ledger, entries={c.modulus_squared: c for c in derived})
+        for c in ledger.constraints():
+            if c.certificate_digest() != digests[c.K, c.N]:
+                raise CertificateError(f"certificate digest mismatch at K={c.K}, N={c.N}")
+        return ledger
+
+
+def _certified(ledger: ConstraintLedger) -> ConstraintLedger:
+    """The ledger with every constraint derived afresh from its (K, N,
+    thetas, base): P(0), then one kernel pass over the rest."""
+    loaded = ledger.constraints()  # (N, K) order: P(0) first, Haar bases grouped by N
+    derived = [derive_p_zero()] + CertificateKernel().derive(
+        (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed) for c in loaded[1:]
+    )
+    return replace(ledger, entries={c.modulus_squared: c for c in derived})
 
 
 def _uncertified(k: int, n: int, thetas, kind: str, sub) -> RationalConstraint:
@@ -477,34 +463,26 @@ def build_ledger(
     arithmetic; a disagreement would indicate an internal inconsistency
     and raises CertificateError.
     """
-    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
-    entries: dict[Fraction, RationalConstraint] = {Fraction(0): derive_p_zero()}
-    for constraint in CertificateKernel().derive(specs):
+    ledger = _certified(uncertified_ledger(n_max, theta_samples, rotate_bases, seed))
+    for constraint in ledger.constraints():
         if not constraint.verified:
             bad = next(c for c in constraint.certificates if not c["passed"])
             raise CertificateError(
                 f"certificate failed at K={constraint.K}, N={constraint.N}, "
                 f"theta={bad['theta']!r}"
             )
-        entries[constraint.modulus_squared] = constraint
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             if math.gcd(k, n) != 1:
                 # duplicate fraction: same exact-arithmetic chain, no new basis
                 fraction = Fraction(k, n)
                 value = Fraction(1) - (n - k) * Fraction(1, n)
-                if value != entries[fraction].asserted_value:
+                if value != ledger.entries[fraction].asserted_value:
                     raise CertificateError(
                         f"inconsistent duplicate fraction {k}/{n}: "
-                        f"{value} != {entries[fraction].asserted_value}"
+                        f"{value} != {ledger.entries[fraction].asserted_value}"
                     )
-    return ConstraintLedger(
-        n_max=n_max,
-        seed=seed,
-        rotate_bases=rotate_bases,
-        theta_base=thetas,
-        entries=entries,
-    )
+    return ledger
 
 
 def uncertified_ledger(

@@ -34,7 +34,7 @@ from .axioms import (
     check_normalization,
     check_orthogonality_axiom,
 )
-from .derivation import ConstraintLedger, _rebuild_base, certificate_probe
+from .derivation import ConstraintLedger, certificate_probes
 from .errors import ParameterError
 from .hilbert import (
     OrthonormalBasis,
@@ -47,6 +47,9 @@ from .hilbert import (
 
 RANDOM_CHUNK = 20  # random trials drawn, validated and scored as one stack
 STEP_WINDOW = 20  # rejections in a row after which the step scale halves
+# 100x the default step scale.  Far past it, exp(scale * A) loses unitarity
+# in floats and the climber would accept the drift as a residual gain.
+MAX_STEP_SCALE = 10.0
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -110,6 +113,10 @@ class FalsifierConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+        if self.step_scale > MAX_STEP_SCALE:
+            raise ParameterError(
+                f"step_scale must be <= {MAX_STEP_SCALE}, got {self.step_scale!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,28 +153,23 @@ def _ledger_probes(p, ledger, dims, seed: int) -> Iterator[Witness]:
     """A would-be witness for every certificate of each K > 0 entry with N
     in dims, in (N, K, theta) order.
 
-    Each base is rebuilt as the ledger built it (standard or Haar-rotated),
+    Each basis is rebuilt as the ledger built it (``certificate_probes``),
     so the probes are the ledger's own certificates.  An entry's basis is
     built once, and all of its thetas are scored in one call.
     """
-    key = base = None
-    for c in ledger.constraints():
-        if c.K == 0 or c.N not in dims:
-            continue
-        if key != (c.N, c.base_kind, c.base_seed):
-            key = (c.N, c.base_kind, c.base_seed)
-            base = _rebuild_base(*key)
-        basis, states = certificate_probe(base, c.K, c.N, c.theta_samples)
+    specs = ((c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
+             for c in ledger.constraints() if c.N in dims)
+    for (k, n, *_), basis, states in certificate_probes(specs):
         residuals = check_normalization(p, basis, np.array([s.amplitudes for s in states]))
         for state, residual in zip(states, residuals.tolist()):
             yield Witness(
                 candidate_name=p.name,
                 axiom=Axiom.NORMALIZATION,
-                dimension=c.N,
+                dimension=n,
                 state=state,
                 basis=basis,
                 residual=residual,
-                seed_chain=(seed, 1, c.N, c.K),
+                seed_chain=(seed, 1, n, k),
                 construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
                 candidate=p,
             )

@@ -219,13 +219,6 @@ def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
     return UnitaryMatrix(haar_unitaries(n, [seed])[0])
 
 
-def apply_unitary(u: UnitaryMatrix, v: StateVector) -> StateVector:
-    """Return U|v>."""
-    if u.dim != v.dim:
-        raise DimensionError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return StateVector(u.matrix @ v.amplitudes)
-
-
 def rotate_basis(u: UnitaryMatrix, basis: OrthonormalBasis) -> OrthonormalBasis:
     """Apply U to every basis vector."""
     if u.dim != basis.dim:

@@ -2,14 +2,16 @@
 
 Each function here scores, samples or climbs one probe at a time.  The
 guard tests require the package's stacked paths to give the same results,
-bit for bit.
+bit for bit.  ``geometric_series_overlap`` is the independent route to
+the partial-DFT basis's inner products.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from bornlab import OrthonormalBasis, random_state
+from bornlab import OrthonormalBasis, ParameterError, random_state
 from bornlab.axioms import evaluate
+from bornlab.construction import TWO_PI
 
 
 def haar(n: int, seed: int) -> np.ndarray:
@@ -91,3 +93,16 @@ def _witness(p, n, state, u, residual, seed_chain, tag) -> dict:
         "seed_chain": list(seed_chain),
         "construction_tag": tag,
     }
+
+
+def geometric_series_overlap(j: int, m: int, K: int) -> complex:
+    """<tilde v_j | tilde v_m> by direct geometric-series summation.
+
+    Returns (1/K) sum_{l=1}^{K} exp(-2 pi i (m-j)/K)^{l-1}, which is 1 for
+    m = j and 0 otherwise (up to float error).  Indices are 1-based.
+    """
+    if not (1 <= j <= K and 1 <= m <= K):
+        raise ParameterError(f"require 1 <= j, m <= K, got j={j}, m={m}, K={K}")
+    ratio = np.exp(-1j * TWO_PI * (m - j) / K)
+    total = sum(ratio ** (l - 1) for l in range(1, K + 1))
+    return complex(total / K)

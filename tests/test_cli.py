@@ -277,6 +277,9 @@ BAD_FALSIFY_PARAMETERS = {
     "step-scale-nan": ["--step-scale", "nan"],
     "step-scale-zero": ["--step-scale", "0"],
     "step-scale-negative": ["--step-scale", "-0.1"],
+    "step-scale-above-bound": ["--step-scale", "1e10"],
+    "threshold-below-floor": ["--threshold", "1e-300"],
+    "threshold-float-noise": ["--threshold", "1e-15"],
     "theta-inf": ["--theta", "inf"],
     "theta-nan": ["--theta", "nan"],
     "theta-overflow": ["--theta", "1e999"],
@@ -297,6 +300,11 @@ BAD_VALUES = {
     "derive-n-max-huge": ["derive", "--n-max", "100000000"],
     "compare-grid-above-bound": ["compare", "-p", "r^2", "LEDGER", "--grid", "1048577"],
     "compare-grid-huge": ["compare", "-p", "r^2", "LEDGER", "--grid", "100000000"],
+    "compare-tolerance-zero": ["compare", "-p", "r^2", "LEDGER", "--tolerance", "0"],
+    "compare-tolerance-below-floor": ["compare", "-p", "r^2", "LEDGER", "--tolerance", "1e-13"],
+    "compare-tolerance-inf": ["compare", "-p", "r", "LEDGER", "--tolerance", "inf"],
+    "compare-tolerance-nan": ["compare", "-p", "r", "LEDGER", "--tolerance", "nan"],
+    "derive-full-certificates-above-bound": ["derive", "--n-max", "17", "--full-certificates"],
     "derive-seed-negative": ["derive", "--n-max", "2", "--seed", "-3"],
     "falsify-seed-negative": ["falsify", "-p", "r", "--n-range", "2..3", "--seed", "-1"],
     "simulate-seed-negative": ["simulate", "--fraction", "1/2", "--seed", "-1"],
@@ -329,14 +337,27 @@ class TestUsageErrors:
         assert not (tmp_path / "out.json").exists()
 
     def test_sizes_at_bound_accepted(self, tmp_path):
-        from bornlab.cli import MAX_DIMENSION, MAX_GRID, MAX_SAMPLES, MAX_STEPS, _parse_range
+        from bornlab.cli import (MAX_DIMENSION, MAX_FULL_CERTIFICATES_N, MAX_GRID,
+                                 MAX_SAMPLES, MAX_STEPS, MIN_TOLERANCE, _parse_range)
+        from bornlab.falsifier import MAX_STEP_SCALE
 
         assert (MAX_DIMENSION, MAX_GRID) == (512, 1 << 20)
         assert (MAX_STEPS, MAX_SAMPLES) == (10**6, 10**12)
+        assert (MAX_FULL_CERTIFICATES_N, MIN_TOLERANCE, MAX_STEP_SCALE) == (16, 1e-12, 10.0)
+        code, payload = run(tmp_path, "derive", "--n-max", str(MAX_FULL_CERTIFICATES_N),
+                            "--full-certificates", name="full.json")
+        assert code == 0
+        assert all("basis" in c for e in payload["result"]["ledger"]["entries"][1:]
+                   for c in e["certificates"])
+        code, payload = run(tmp_path, "falsify", "-p", "r^2", "--n-range", "2..3",
+                            "--trials", "2", "--optimizer-steps", "20",
+                            "--step-scale", str(MAX_STEP_SCALE), "--threshold", str(MIN_TOLERANCE))
+        assert code == 1
+        assert payload["result"]["witness"] is None
         assert _parse_range(f"{MAX_DIMENSION - 1}..{MAX_DIMENSION}") == (511, 512)
         run(tmp_path, "derive", "--n-max", "3", name="ledger.json")
         code, payload = run(tmp_path, "compare", "-p", "r^2", str(tmp_path / "ledger.json"),
-                            "--grid", str(MAX_GRID))
+                            "--grid", str(MAX_GRID), "--tolerance", str(MIN_TOLERANCE))
         assert code == 0
         assert payload["result"]["grid_size"] == MAX_GRID
 
@@ -531,7 +552,7 @@ def _cli_argv(draw, ledgers):
     argv = [command]
     if command == "derive":
         argv += _flags(draw, {
-            "--n-max": ["3", "-1", "0", "1", "513", "x"],
+            "--n-max": ["3", "-1", "0", "1", "17", "513", "x"],
             "--theta": _THETAS,
             "--rotate-bases": None,
             "--full-certificates": None,
@@ -548,8 +569,8 @@ def _cli_argv(draw, ledgers):
         argv += _flags(draw, {
             "--n-range": ["2..3", "2", "2,3", "3..2", "0..2", "2..513",
                           "2..100000000", "a..b", "1"],
-            "--step-scale": ["0.1", "0", "nan", "inf"],
-            "--threshold": ["1e-6", "0", "-1", "nan", "inf"],
+            "--step-scale": ["0.1", "0", "nan", "inf", "1e10"],
+            "--threshold": ["1e-6", "0", "-1", "nan", "inf", "1e-300"],
             "--theta": _THETAS,
             "--seed": _SEEDS,
         })
@@ -569,7 +590,7 @@ def _cli_argv(draw, ledgers):
         argv += ["-p", _value(draw, _CANDIDATES), _value(draw, ledgers)]
         argv += _flags(draw, {
             "--grid": ["16", "2", "1", "0", "1048577", "100000000", "x"],
-            "--tolerance": ["1e-9", "0", "-1", "nan", "inf"],
+            "--tolerance": ["1e-9", "0", "-1", "nan", "inf", "1e-13"],
         })
     if draw(st.integers(0, 7)) == 0:
         # an unknown flag, -o without its value, or -o to a path that cannot be written

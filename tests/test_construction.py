@@ -6,7 +6,6 @@ import pytest
 from bornlab import (
     CertificateError,
     ParameterError,
-    geometric_series_overlap,
     haar_unitary,
     inner_product,
     orthonormality_defect,
@@ -17,6 +16,8 @@ from bornlab import (
 )
 from bornlab.construction import dft_block, overlap_contract_error
 from bornlab.hilbert import rotate_basis
+
+from reference import geometric_series_overlap
 
 
 class TestSymmetricState:

@@ -13,14 +13,19 @@ from bornlab import (
     build_ledger,
     compare_to_born,
     continuity_extension_check,
+    construction,
+    derivation,
     derive_p_zero,
-    derive_rational,
-    derive_uniform,
     verify_ledger,
 )
 from bornlab.derivation import DEFAULT_THETAS, CertificateKernel, uncertified_ledger
 
 from conftest import corrupt_entry, make_ledger_locked_candidate
+
+
+def derive(k: int, n: int, theta: float):
+    """P(e^{i theta} sqrt(K/N)) = K/N in the standard basis, certified at theta."""
+    return CertificateKernel().derive([(k, n, (theta,), "standard", None)])[0]
 
 
 def totient_sum(n_max: int) -> int:
@@ -46,54 +51,55 @@ class TestDeriveP0:
 
 class TestDeriveUniform:
     def test_n4(self):
-        c = derive_uniform(4, 0.0)
+        c = derive(1, 4, 0.0)
         assert c.asserted_value == Fraction(1, 4)
         assert c.modulus_squared == Fraction(1, 4)
         assert c.verified
 
     def test_n1(self):
-        c = derive_uniform(1, 2.0)
+        c = derive(1, 1, 2.0)
         assert c.asserted_value == Fraction(1)
 
     def test_n3_exact(self):
-        assert derive_uniform(3, 1.0).asserted_value == Fraction(1, 3)
+        assert derive(1, 3, 1.0).asserted_value == Fraction(1, 3)
 
     def test_n0_rejected(self):
         with pytest.raises(ParameterError):
-            derive_uniform(0, 0.0)
+            derive(1, 0, 0.0)
 
 
 class TestDeriveRational:
     def test_two_thirds(self):
-        c = derive_rational(2, 3, 0.5)
+        c = derive(2, 3, 0.5)
         assert c.asserted_value == Fraction(2, 3)
         assert c.verified
         assert c.certificates[0]["kind"] == "partial_dft"
 
     def test_k_equals_n(self):
-        c = derive_rational(5, 5, 1.0)
+        c = derive(5, 5, 1.0)
         assert c.asserted_value == Fraction(1)
         assert c.certificates[0]["kind"] == "single_vector"
 
     def test_k1_matches_uniform(self):
-        a = derive_rational(1, 7, 0.3)
-        b = derive_uniform(7, 0.3)
+        # the K = 1 entry of a ledger is the uniform constraint, with the same bits
+        a = derive(1, 7, 0.3)
+        b = build_ledger(7, [0.3]).lookup(Fraction(1, 7))
         assert a.asserted_value == b.asserted_value == Fraction(1, 7)
-        assert a.certificate_digest() == b.certificate_digest()
+        assert a.certificates[0] == b.certificates[0]
 
     @pytest.mark.parametrize("k,n", [(0, 3), (4, 3), (-1, 2)])
     def test_out_of_range(self, k, n):
         with pytest.raises(ParameterError):
-            derive_rational(k, n, 0.0)
+            derive(k, n, 0.0)
 
     def test_equivalent_fractions_agree(self):
-        reduced = derive_rational(1, 2, 0.0).asserted_value
+        reduced = derive(1, 2, 0.0).asserted_value
         for m in (2, 3, 4):
-            assert derive_rational(m, 2 * m, 0.0).asserted_value == reduced
+            assert derive(m, 2 * m, 0.0).asserted_value == reduced
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi, 5.5])
     def test_theta_independence(self, theta):
-        c = derive_rational(3, 5, theta)
+        c = derive(3, 5, theta)
         assert c.asserted_value == Fraction(3, 5)
         assert c.verified
 
@@ -207,6 +213,14 @@ class TestSerialization:
         blob = json.dumps(make().to_json(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    def test_full_certificate_bits_pinned(self):
+        # the bases, states and overlaps of --full-certificates, rotated bases included
+        payload = build_ledger(6, rotate_bases=True, seed=2).to_json(full_certificates=True)
+        blob = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9901d2dcacd7da221fc9f8cd41ec57f6b844703f52c68aa8d959137512495597"
+        )
+
     def test_full_certificates_embed_bases(self, ledger8):
         payload = ledger8.to_json(full_certificates=True)
         entry = next(e for e in payload["entries"] if e["K"] == 1 and e["N"] == 2)
@@ -270,6 +284,38 @@ class TestKernel:
         assert [(c.K, c.N, c.theta_samples) for c in batch] == [
             (k, n, thetas) for k, n, thetas, _, _ in self.SPECS
         ]
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCertificateProbes:
+    def test_base_rebuilt_once_per_n_kind_seed(self, monkeypatch):
+        calls = _counting(monkeypatch, derivation, "_rebuild_base")
+        ledger = uncertified_ledger(6, rotate_bases=True, seed=2)
+        specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
+                 for c in ledger.constraints()]
+        probes = list(derivation.certificate_probes(specs))
+        assert [spec for spec, _, _ in probes] == specs[1:]  # P(0) has no construction
+        assert calls == list(dict.fromkeys((n, kind, sub) for _, n, _, kind, sub in specs[1:]))
+        assert len(calls) == 6
+
+    def test_kernel_builds_each_dft_block_once(self, monkeypatch):
+        # partial_dft_basis builds a block itself when it is given none
+        calls = _counting(monkeypatch, derivation, "dft_block")
+        calls_inside = _counting(monkeypatch, construction, "dft_block")
+        assert build_ledger(12, rotate_bases=True, seed=2).verified
+        assert calls_inside == []
+        assert sorted(calls) == [(k,) for k in range(1, 12)]
 
 
 class TestContinuityExtension:

@@ -16,11 +16,22 @@ from bornlab import (
     replay_witness,
     shrink_witness,
 )
-from bornlab.derivation import _rebuild_base, certificate_objects
+from bornlab.construction import TWO_PI, partial_dft_basis, symmetric_state
 from bornlab.falsifier import _ledger_probes, hill_climb
+from bornlab.hilbert import StateVector, haar_unitary, rotate_basis, standard_basis
 
 import reference
 from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
+
+
+def certificate(k, n, theta, kind, sub):
+    """(basis, state) behind one ledger certificate, built from the constructions."""
+    base = standard_basis(n)
+    if kind == "haar":
+        base = rotate_basis(haar_unitary(n, sub), base)
+    if k == n:
+        return base, StateVector(np.exp(1j * (theta % TWO_PI)) * base.matrix[0])
+    return partial_dft_basis(base, k).vectors, symmetric_state(base, theta).state
 
 
 def quick_cfg(**overrides):
@@ -77,11 +88,11 @@ class TestRotatedLedger:
         assert (w.dimension, w.seed_chain) == (2, (0, 1, 2, 1))
         c = ledger.lookup(0.5)
         assert c.base_kind == "haar"
-        objs = certificate_objects(_rebuild_base(2, "haar", c.base_seed), 1, 2, c.theta_samples[0])
-        assert w.state == objs["state"]
-        assert w.basis == objs["basis"]
-        standard = certificate_objects(_rebuild_base(2, "standard", None), 1, 2, 0.0)
-        assert not np.allclose(w.basis.matrix, standard["basis"].matrix)
+        basis, state = certificate(1, 2, c.theta_samples[0], "haar", c.base_seed)
+        assert w.state == state
+        assert w.basis == basis
+        standard, _ = certificate(1, 2, 0.0, "standard", None)
+        assert not np.allclose(w.basis.matrix, standard.matrix)
         assert abs(replay_witness(w) - w.residual) <= 1e-12
 
     def test_shrink_uses_the_rotated_base(self):
@@ -91,8 +102,7 @@ class TestRotatedLedger:
         shrunk = shrink_witness(w, ledger, cfg)
         assert shrunk.dimension == 2
         c = ledger.lookup(0.5)
-        objs = certificate_objects(_rebuild_base(2, "haar", c.base_seed), 1, 2, c.theta_samples[0])
-        assert shrunk.basis == objs["basis"]
+        assert shrunk.basis == certificate(1, 2, c.theta_samples[0], "haar", c.base_seed)[0]
         assert abs(replay_witness(shrunk) - shrunk.residual) <= 1e-12
 
 
@@ -255,12 +265,12 @@ class TestStackedPhasesMatchPerProbe:
         p = candidate_from_expression("r^2.2")
         probes = iter(_ledger_probes(p, ledger, range(1, 7), 0))
         for c in ledger.constraints()[1:]:
-            base = _rebuild_base(c.N, c.base_kind, c.base_seed)
             for theta in c.theta_samples:
-                probe, objs = next(probes), certificate_objects(base, c.K, c.N, theta)
-                assert (probe.state, probe.basis) == (objs["state"], objs["basis"])
+                probe = next(probes)
+                basis, state = certificate(c.K, c.N, theta, c.base_kind, c.base_seed)
+                assert (probe.state, probe.basis) == (state, basis)
                 assert probe.residual == reference.normalization(
-                    p, objs["basis"].matrix, objs["state"].amplitudes)
+                    p, basis.matrix, state.amplitudes)
         assert next(probes, None) is None
 
 
@@ -273,8 +283,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             FalsifierConfig(n_range=())
 
-    @pytest.mark.parametrize("field", ["step_scale", "violation_threshold"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    # a step scale past MAX_STEP_SCALE made expm lose unitarity, so 1e10 is refused
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{value}-{field}")
+        for field in ("step_scale", "violation_threshold")
+        for value in (0.0, -1.0, math.inf, math.nan)
+    ] + [pytest.param("step_scale", 1e10, id="1e10-step_scale")])
     def test_scale_and_threshold_finite_positive(self, field, value):
         with pytest.raises(ParameterError):
             FalsifierConfig(**{field: value})
