@@ -32,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -72,6 +73,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-20" for a flag, since its own pattern has no
+        # exponent; with this one "--theta -1e-20" parses as "--theta=-1e-20"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -307,8 +314,9 @@ def _cmd_falsify(args) -> int:
         violation_threshold=args.threshold,
         seed=seed,
     )
-    # the probes rebuild their bases from (K, N, theta), so no certificate is derived
-    ledger = uncertified_ledger(max(n_range), args.theta, rotate_bases=False, seed=seed)
+    # the probes rebuild their bases from (K, N, theta), so no certificate is
+    # derived, and they read only the dimensions in n_range
+    ledger = uncertified_ledger(max(n_range), args.theta, seed=seed, dims=n_range)
     outcome = falsify(candidate, cfg, ledger)
     config = {
         "candidate": args.candidate,

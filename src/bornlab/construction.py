@@ -12,13 +12,17 @@ Given any orthonormal basis of C^N this module builds
 
 Together these pin the probability of an overlap of modulus sqrt(K/N)
 to exactly K/N; the ledger in :mod:`bornlab.derivation` is built on top.
+
+Every inner product of the two constructions reduces to one identity of
+the K-th roots of unity, which :func:`roots_of_unity_vanish` checks in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,18 +74,13 @@ def dft_block(k: int) -> np.ndarray:
     return np.exp(-1j * TWO_PI * (l * j) / k) / math.sqrt(k)
 
 
-def partial_dft_basis(
-    base: OrthonormalBasis, K: int, block: Optional[np.ndarray] = None
-) -> PartialDftBasis:
-    """Mix the first K base vectors by the DFT block, keep the rest.
-
-    ``block`` is ``dft_block(K)``, for a caller that already holds it.
-    """
+def partial_dft_basis(base: OrthonormalBasis, K: int) -> PartialDftBasis:
+    """Mix the first K base vectors by the DFT block, keep the rest."""
     n = base.dim
     if not 1 <= K < n:
         raise ParameterError(f"require 1 <= K < N, got K={K}, N={n}")
     rows = np.array(base.matrix)
-    rows[:K] = (dft_block(K) if block is None else block) @ base.matrix[:K]
+    rows[:K] = dft_block(K) @ base.matrix[:K]
     return PartialDftBasis(base=base, K=K, vectors=OrthonormalBasis(rows))
 
 
@@ -108,3 +107,80 @@ def overlap_contract_error(
     expected[1:K] = 0.0
     expected[K:] = phase / math.sqrt(n)
     return float(np.max(np.abs(overlaps - expected)))
+
+
+@functools.lru_cache(maxsize=None)
+def prime_factors(k: int) -> tuple[int, ...]:
+    """The distinct primes dividing k >= 1, ascending."""
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return tuple(primes + [k] if k > 1 else primes)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the k-th cyclotomic polynomial, constant
+    term first: the product of (x^d - 1)^mu(k/d) over the divisors d of k."""
+    factors = {1: [], -1: []}
+    for d in range(1, k + 1):
+        if k % d == 0:
+            m, mu = k // d, 1
+            for p in prime_factors(m):
+                mu = 0 if (m // p) % p == 0 else -mu
+            if mu:
+                factors[mu].append(d)
+    poly = [1]
+    for d in factors[1]:  # times (x^d - 1)
+        poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                for i in range(len(poly) + d)]
+    for d in factors[-1]:  # divided by (x^d - 1), exactly: q[i] = q[i - d] - a[i]
+        quotient = []
+        for i in range(len(poly) - d):
+            quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
+        poly = quotient
+    return tuple(poly)
+
+
+def divides(divisor, dividend) -> bool:
+    """Whether the monic integer polynomial ``divisor`` divides ``dividend``
+    in Z[x]; both are coefficient sequences, constant term first."""
+    degree = len(divisor) - 1
+    terms = [(j, a) for j, a in enumerate(divisor[:-1]) if a]
+    rest = list(dividend)
+    for i in range(len(rest) - 1, degree - 1, -1):
+        c = rest[i]
+        if c:
+            for j, a in terms:
+                rest[i - degree + j] -= c * a
+            rest[i] = 0
+    return not any(rest)
+
+
+@functools.lru_cache(maxsize=None)
+def roots_of_unity_vanish(k: int) -> bool:
+    """Whether sum_{l<K} zeta^(d l) = 0 for every d not divisible by K,
+    zeta = exp(-2 pi i / K), checked in exact integer arithmetic.
+
+    These sums are K times the Gram entries of dft_block(K) off its
+    diagonal, and sqrt(K N) e^{-i theta} times the overlaps of the
+    partial-DFT vectors 2..K with the symmetric state, so one check covers
+    every N > K and every theta.  Let
+    g = gcd(d, K) < K.  The exponents d l mod K, l < K, are the multiples
+    of g below K, g times each, so the sum is g (x^K - 1)/(x^g - 1) at
+    x = zeta.  Some prime p | K has g | K/p, and then Phi_p(x^(K/p)) =
+    (x^K - 1)/(x^(K/p) - 1) divides that quotient.  So it suffices that
+    Phi_K, whose root zeta is, divides Phi_p(x^(K/p)) for each prime p | K;
+    that is what is checked here.  For K = 1 there is no such d.
+    """
+    phi = cyclotomic(k)
+    for p in prime_factors(k):
+        dividend = [0] * ((p - 1) * (k // p) + 1)
+        dividend[:: k // p] = [1] * p
+        if not divides(phi, dividend):
+            return False
+    return True

@@ -4,22 +4,23 @@ Derives, with exact integer arithmetic, the full family of constraints
 
     P(0) = 0,   P(e^{i theta}/sqrt(N)) = 1/N,   P(e^{i theta} sqrt(K/N)) = K/N
 
-for all reduced fractions K/N with N <= n_max, attaching to each a
-numerical certificate (a concrete symmetric state and partial-DFT basis
-whose overlaps realize the modulus).  Asserted values are exact
-:class:`fractions.Fraction` objects; only the certificates are floating
-point.  The ledger is indexed in Farey order and doubles as the
-deterministic probe set for the falsifier and the continuity probe.
+for all reduced fractions K/N with N <= n_max.  Each is certified by a
+concrete symmetric state and partial-DFT basis whose overlaps realize
+the modulus: exactly, by an identity of the K-th roots of unity that
+covers every theta, and as a float cross-check at sampled thetas.
+Asserted values are exact :class:`fractions.Fraction` objects.  The
+ledger is indexed in Farey order and doubles as the deterministic probe
+set for the falsifier and the continuity probe.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .axioms import CandidateDistribution, _worst_index, evaluate
 from .construction import (
     TWO_PI,
     dft_block,
-    overlap_contract_error,
     partial_dft_basis,
+    prime_factors,
+    roots_of_unity_vanish,
     symmetric_state,
 )
 from .errors import CertificateError, ParameterError
@@ -45,9 +47,25 @@ from .hilbert import (
 DEFECT_TOLERANCE = 1e-10
 OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
-# Version 2 changed the summation order of the certificate numbers, and
-# with it their float bits and digests; version 1 ledgers must be re-derived.
-FORMAT_VERSION = 2
+# Version 3 adds the exact certificate and hashes no float certificate
+# number, so that a digest depends on no BLAS, thread count or CPU; it also
+# bounds Haar entries by unitary invariance.  Older ledgers must be re-derived.
+FORMAT_VERSION = 3
+UNIT_ROUNDOFF = 2.0**-53
+
+
+class ExactCertificate(NamedTuple):
+    """An entry's construction checked in exact arithmetic, for every theta.
+
+    For K < N: Phi_K divides Phi_p(x^(K/p)) for each prime p | K in
+    ``primes``, which is the identity of the K-th roots of unity behind
+    every Gram entry and overlap of the partial-DFT basis, and the first
+    overlap's squared modulus (K/sqrt(K N))^2 is K/N.  For K = N the state
+    is a base vector, of overlap 1 with itself, and ``primes`` is empty.
+    """
+
+    primes: tuple[int, ...]
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -55,8 +73,9 @@ class RationalConstraint:
     """An exact statement P(e^{i theta} sqrt(K/N)) = K/N, for all theta.
 
     K and N are the generating integers; asserted_value is kept as an
-    exact fraction (possibly reduced).  Certificates record the float
-    verification of the generating construction at each sampled theta.
+    exact fraction (possibly reduced).  The exact certificate records the
+    check of the construction in integer arithmetic, valid for every
+    theta; certificates record its float cross-check at each sampled theta.
     """
 
     K: int
@@ -68,11 +87,20 @@ class RationalConstraint:
     proof_trace: tuple[str, ...]
     base_kind: str = "standard"
     base_seed: Optional[int] = None
+    exact_certificate: Optional[ExactCertificate] = None
+
+    @property
+    def exact(self) -> bool:
+        """True when the exact certificate exists and passed."""
+        return self.exact_certificate is not None and self.exact_certificate.passed
 
     @property
     def verified(self) -> bool:
-        """True when certificates exist and all passed; a loaded constraint has none."""
-        return bool(self.certificates) and all(c["passed"] for c in self.certificates)
+        """True when every certificate, exact and float, exists and passed;
+        a loaded constraint has none."""
+        return self.exact and bool(self.certificates) and all(
+            c["passed"] for c in self.certificates
+        )
 
     def to_json(self) -> dict:
         return {
@@ -91,12 +119,19 @@ class RationalConstraint:
         }
 
     def certificate_digest(self) -> str:
-        summary = [
-            {k: c[k] for k in ("theta", "kind", "defect", "overlap_error", "passed")}
-            for c in self.certificates
-        ]
-        blob = json.dumps(summary, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
+        the exact certificate, the float64 bits of the theta samples and the
+        kind and pass/fail verdict of each float certificate.  No float
+        certificate number enters it, so it is the same on every BLAS,
+        thread count and CPU."""
+        primes, passed = self.exact_certificate or ((), False)
+        head = "%d %d %s %s %s %d %d|" % (
+            self.K, self.N, self.base_kind, self.base_seed,
+            ",".join(map(str, primes)), passed, len(self.theta_samples),
+        )
+        verdicts = "|" + " ".join(f"{c['kind']}:{c['passed']:d}" for c in self.certificates)
+        thetas = struct.pack(f"<{len(self.theta_samples)}d", *self.theta_samples)
+        return hashlib.sha256(head.encode() + thetas + verdicts.encode()).hexdigest()
 
 
 # (K, N, theta samples, base_kind, base_seed): one constraint to derive
@@ -109,30 +144,15 @@ def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
     return rotate_basis(haar_unitary(n, int(sub)), standard_basis(n))
 
 
-def certificate_probe(
-    base: OrthonormalBasis, k: int, n: int, thetas, blocks: Optional[dict] = None
-) -> tuple[OrthonormalBasis, list[StateVector]]:
-    """The basis behind an entry's certificates, built once, and the state
-    behind each of its thetas.
-
-    For K < N the partial-DFT basis and the symmetric states; for K = N the
-    base itself and its first vector, phased by e^{i theta}.  ``blocks``
-    caches dft_block(K) by K, for a caller that meets each K many times.
-    """
-    if k == n:
-        return base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0]) for t in thetas]
-    if blocks is not None and k not in blocks:
-        blocks[k] = dft_block(k)
-    basis = partial_dft_basis(base, k, None if blocks is None else blocks[k]).vectors
-    return basis, [symmetric_state(base, t).state for t in thetas]
-
-
-def certificate_probes(specs: Iterable[Spec], blocks: Optional[dict] = None):
+def certificate_probes(specs: Iterable[Spec]):
     """(spec, basis, states) behind the certificates of each spec with K > 0,
-    in order: the one place a certificate's construction is built.
+    in order: the one place a certificate's N x N construction is built,
+    for the falsifier's probes and ``--full-certificates``.
 
-    A base is rebuilt, standard or Haar-rotated, only when (N, base_kind,
-    base_seed) changes, so callers group specs by N.
+    For K < N the partial-DFT basis, built once, and the symmetric state of
+    each theta; for K = N the base itself and its first vector, phased by
+    e^{i theta}.  A base is rebuilt, standard or Haar-rotated, only when
+    (N, base_kind, base_seed) changes, so callers group specs by N.
     """
     key = base = None
     for spec in specs:
@@ -141,82 +161,113 @@ def certificate_probes(specs: Iterable[Spec], blocks: Optional[dict] = None):
             continue
         if key != (n, kind, sub):
             key, base = (n, kind, sub), _rebuild_base(n, kind, sub)
-        yield (spec, *certificate_probe(base, k, n, thetas, blocks))
+        if k == n:
+            yield spec, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
+                               for t in thetas]
+        else:
+            yield spec, partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state
+                                                             for t in thetas]
+
+
+def rotation_rounding(k: int, n: int) -> float:
+    """What forming a Haar entry's construction in floats can add to the
+    Gram defect and overlap errors of its K's standard construction.
+
+    With g = sqrt(2) gamma_{N+2}, the bound on a complex inner product of
+    length N (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.6): the rows of F_K U err by g sqrt(K) in norm, the
+    symmetric state's sum U 1 / sqrt(N) by g sqrt(N), and the Gram and
+    overlap products add g each, as do F_K's own Gram and row sums.  That
+    is at most g (2 sqrt(K) + sqrt(N) + 2); every vector involved has norm
+    within 1e-9 of 1, and the factor 1.01 absorbs those norms.
+    """
+    t = (n + 2) * UNIT_ROUNDOFF
+    return 1.01 * math.sqrt(2.0) * t / (1.0 - t) * (2.0 * math.sqrt(k) + math.sqrt(n) + 2.0)
 
 
 class CertificateKernel:
     """Derives constraints, sharing certificate work across one ledger's entries.
 
-    In the standard basis the partial-DFT basis is exactly blockdiag(F_K, I),
-    F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with the
-    symmetric state are c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N)
-    as the contract asks.  So all standard entries that share K are
-    certified in one array pass over F_K's defect and conj(F_K) 1_K.  Other
-    entries take the full N x N path of ``certificate_probes``, with F_K
-    built once per K; a base is rebuilt when (N, kind, seed) changes, so
-    callers group those entries by N.
+    Exact: each entry carries the check of its construction in integer
+    arithmetic, which covers every theta (``_exact_certificate``).
+
+    Float cross-check, one array pass per K.  In the standard basis the
+    partial-DFT basis is exactly blockdiag(F_K, I), F_K = dft_block(K): its
+    Gram defect is F_K's, and its overlaps with the symmetric state are
+    c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N) as the contract
+    asks.  A Haar-rotated base U moves every Gram entry and overlap of that
+    construction by unitary invariance, by at most N max|U^H U - I| each.
+    So a Haar entry takes the standard numbers of its (K, N, theta), plus
+    that bound from one Gram check of U per N, plus ``rotation_rounding``
+    for forming the construction in floats.  No N x N partial-DFT basis or
+    symmetric state is built.
     """
 
     def derive(self, specs: Iterable[Spec]) -> list[RationalConstraint]:
-        """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified at each
-        of its thetas; one constraint per spec, in order."""
+        """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified exactly and
+        at each of its thetas; one constraint per spec, in order."""
         specs = [(k, n, tuple(float(t) for t in thetas), kind, sub)
                  for k, n, thetas, kind, sub in specs]
-        certificates: list = [None] * len(specs)
         by_k: dict[int, list[int]] = {}
-        full = []
-        for i, (k, n, thetas, kind, sub) in enumerate(specs):
+        for i, (k, n, *_) in enumerate(specs):
             if n < 1 or k < 1 or k > n:
                 raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
-            if kind == "standard" and k < n:
-                by_k.setdefault(k, []).append(i)
-            else:
-                full.append(i)
-        reduced = ((k, n, tuple(t % TWO_PI for t in thetas), kind, sub)
-                   for k, n, thetas, kind, sub in (specs[i] for i in full))
-        for i, ((k, n, thetas, _, _), basis, states) in zip(full, certificate_probes(reduced, {})):
-            defect = orthonormality_defect(basis) if k < n else 0.0
-            errors = [
-                overlap_contract_error(basis.matrix.conj() @ state.amplitudes, k, n, t)
-                for state, t in zip(states, thetas)
-            ]
-            certificates[i] = _certificate_dicts(k, n, thetas, defect, errors)
+            by_k.setdefault(k, []).append(i)
+        certificates: list = [None] * len(specs)
+        unitarity: dict = {}  # (N, seed) -> max|U^H U - I| of that Haar base
         for k, indices in by_k.items():
-            rows = self._standard_certificates(k, [specs[i][1:3] for i in indices])
+            rows = self._certificates(k, [specs[i] for i in indices], unitarity)
             for i, certs in zip(indices, rows):
                 certificates[i] = certs
         constraints = []
         for (k, n, thetas, kind, sub), certs in zip(specs, certificates):
-            # exact arithmetic mirror of the certificate: the normalization sum
-            # has one term at sqrt(K/N) and N-K tail terms each worth 1/N
-            value = Fraction(1) - (n - k) * Fraction(1, n) if k < n else Fraction(1)
-            assert value == Fraction(k, n)
+            value = Fraction(k, n)
             constraints.append(RationalConstraint(
-                K=k, N=n, modulus_squared=Fraction(k, n), asserted_value=value,
-                theta_samples=thetas, certificates=certs, proof_trace=_trace(k, n),
-                base_kind=kind, base_seed=sub,
+                K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
+                certificates=certs, proof_trace=_trace(k, n), base_kind=kind, base_seed=sub,
+                exact_certificate=_exact_certificate(k, n),
             ))
         return constraints
 
-    def _standard_certificates(self, k: int, entries: list) -> list:
-        """Certificates of the standard-basis entries (N, thetas) that share K.
+    def _certificates(self, k: int, entries: list, unitarity: dict) -> list:
+        """Float certificates of the entries (K, N, thetas, kind, seed) that share K.
 
         Each (entry, theta) pair is one row, so entries may hold different
         numbers of thetas; row for row this is the same arithmetic as one
-        entry at a time, and so the same bits.
+        entry at a time, and so the same bits.  A K = N entry's state is its
+        base's first vector, so its standard numbers are 0.
         """
-        block = dft_block(k)  # one pass per K, so not kept in the block cache
+        block = dft_block(k)  # one pass per K
         defect, row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
-        thetas = [[t % TWO_PI for t in ts] for _, ts in entries]
-        ns = np.repeat([n for n, _ in entries], [len(ts) for ts in thetas])
+        thetas = [[t % TWO_PI for t in ts] for _, _, ts, _, _ in entries]
+        ns = np.repeat([n for _, n, *_ in entries], [len(ts) for ts in thetas])
         phase = np.exp(1j * np.array([t for ts in thetas for t in ts]))
         overlaps = np.outer(phase / np.sqrt(ns), row_sums)
         overlaps[:, 0] -= phase * np.sqrt(k / ns)
-        errors = iter(np.max(np.abs(overlaps), axis=1).tolist())
-        return [
-            _certificate_dicts(k, n, ts, defect, [next(errors) for _ in ts])
-            for (n, _), ts in zip(entries, thetas)
-        ]
+        errors = np.max(np.abs(overlaps), axis=1)
+        errors[ns == k] = 0.0
+        errors = iter(errors.tolist())
+        rows = []
+        for (_, n, _, kind, sub), ts in zip(entries, thetas):
+            d, es = (defect if k < n else 0.0), [next(errors) for _ in ts]
+            if kind == "haar":
+                if (n, sub) not in unitarity:
+                    unitarity[n, sub] = haar_unitary(n, int(sub)).defect
+                extra = n * unitarity[n, sub] + rotation_rounding(k, n)
+                d, es = d + extra, [e + extra for e in es]
+            rows.append(_certificate_dicts(k, n, ts, d, es))
+        return rows
+
+
+def _exact_certificate(k: int, n: int) -> ExactCertificate:
+    """The roots-of-unity identity of K, checked once per K, and the squared
+    modulus; the normalization sum then gives P = 1 - (N - K)/N = K/N."""
+    squared_modulus = (k * k, k * n)  # (K/sqrt(K N))^2
+    normalized = (n - (n - k), n)  # 1 - (N - K)/N
+    passed = (k == n or roots_of_unity_vanish(k)) and all(
+        a * n == b * k for a, b in (squared_modulus, normalized)  # a/b = K/N
+    )
+    return ExactCertificate(prime_factors(k) if k < n else (), passed)
 
 
 def _certificate_dicts(k: int, n: int, thetas, defect: float, errors) -> tuple[dict, ...]:
@@ -254,7 +305,7 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
 def derive_p_zero() -> RationalConstraint:
     """The constraint P(0) = 0 from orthogonality consistency."""
     base = standard_basis(2)
-    overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))
+    overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
     cert = {
         "kind": "orthogonal_pair",
         "theta": 0.0,
@@ -268,6 +319,7 @@ def derive_p_zero() -> RationalConstraint:
             "orthogonal states embed in a common orthonormal basis",
             "consistency on that basis forces P(0) = 0",
         ),
+        exact_certificate=ExactCertificate((), overlap == 0),
     )
 
 
@@ -296,13 +348,17 @@ class ConstraintLedger:
         return all(c.verified for c in self.entries.values())
 
     def to_json(self, full_certificates: bool = False) -> dict:
-        """The serialized ledger; with full_certificates, each certificate
-        also carries the basis, state and overlaps it was computed from."""
+        """The serialized ledger.  An entry's certificates are re-derived from
+        it and covered by its digest; with full_certificates each entry also
+        carries them: its exact certificate, and its float certificates with
+        the basis, state and overlaps each was computed from."""
         fractions = self.fractions()
         entries = [self.entries[f].to_json() for f in fractions]
         if full_certificates:
             certificates = {}
             for f, entry in zip(fractions, entries):
+                primes, passed = self.entries[f].exact_certificate
+                entry["exact_certificate"] = {"primes": list(primes), "passed": passed}
                 entry["certificates"] = certificates[f] = [
                     dict(cert) for cert in self.entries[f].certificates
                 ]
@@ -425,19 +481,23 @@ def ledger_specs(
     theta_samples: Optional[Iterable[float]] = None,
     rotate_bases: bool = False,
     seed: int = 0,
+    dims: Optional[Iterable[int]] = None,
 ) -> tuple[tuple[float, ...], list[Spec]]:
     """The theta base and the spec of every reduced K/N with N <= n_max, in
     (N, K) order: the entries of a ledger, before any certificate.
 
     Each entry is probed at the base theta samples plus one seeded-random
-    theta; with rotate_bases, each N gets a seeded Haar-rotated base.
+    theta; with rotate_bases, each N gets a seeded Haar-rotated base.  Both
+    are seeded by (seed, N, K) and (seed, N) alone, so ``dims``, which keeps
+    only the N it lists, leaves every kept spec as it is.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     thetas = tuple(DEFAULT_THETAS if theta_samples is None else map(float, theta_samples))
     kind = "haar" if rotate_bases else "standard"
+    ns = range(1, n_max + 1) if dims is None else sorted(n for n in set(dims) if 1 <= n <= n_max)
     specs = []
-    for n in range(1, n_max + 1):
+    for n in ns:
         sub = int(np.random.SeedSequence([seed, n]).generate_state(1)[0]) if rotate_bases else None
         for k in range(1, n + 1):
             if math.gcd(k, n) == 1:
@@ -465,6 +525,10 @@ def build_ledger(
     """
     ledger = _certified(uncertified_ledger(n_max, theta_samples, rotate_bases, seed))
     for constraint in ledger.constraints():
+        if not constraint.exact:
+            raise CertificateError(
+                f"exact certificate failed at K={constraint.K}, N={constraint.N}"
+            )
         if not constraint.verified:
             bad = next(c for c in constraint.certificates if not c["passed"])
             raise CertificateError(
@@ -490,14 +554,17 @@ def uncertified_ledger(
     theta_samples: Optional[Iterable[float]] = None,
     rotate_bases: bool = False,
     seed: int = 0,
+    dims: Optional[Iterable[int]] = None,
 ) -> ConstraintLedger:
     """The entries ``build_ledger`` derives, with exact values only.
 
     Like the constraints of ``ConstraintLedger.load``, none carries a
     certificate, so none is ``verified``; probes that rebuild their bases
-    from (K, N, theta, base_kind, base_seed) need nothing more.
+    from (K, N, theta, base_kind, base_seed) need nothing more.  With
+    ``dims`` only P(0) and the entries whose N it lists are made: enough
+    for probes that read those dimensions alone.
     """
-    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
+    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed, dims)
     entries = {Fraction(0): _uncertified(0, 1, (0.0,), "standard", None)}
     entries.update((Fraction(spec[0], spec[1]), _uncertified(*spec)) for spec in specs)
     return ConstraintLedger(n_max, seed, rotate_bases, thetas, entries)
@@ -514,12 +581,13 @@ def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
     """Re-check every certificate; returns the failing (K, N, theta) triples.
 
     A constraint without certificates (one from ``ConstraintLedger.load``)
-    fails at each of its theta samples: nothing about it was checked.
+    or whose exact certificate failed fails at each of its theta samples.
     """
     failures = []
     for c in ledger.entries.values():
-        if not c.certificates:
+        if not (c.exact and c.certificates):
             failures.extend((c.K, c.N, theta) for theta in c.theta_samples)
+            continue
         for cert in c.certificates:
             if not cert["passed"]:
                 failures.append((c.K, c.N, cert["theta"]))

@@ -137,16 +137,19 @@ class OrthonormalBasis:
 
 
 class UnitaryMatrix:
-    """An N x N unitary, validated at construction."""
+    """An N x N unitary, validated at construction.
 
-    __slots__ = ("matrix",)
+    ``defect`` is max_ij |(U^H U - I)_ij| as measured then.
+    """
+
+    __slots__ = ("matrix", "defect")
 
     def __init__(self, matrix, ortho_tolerance: float = ORTHO_TOLERANCE):
         arr = _complex_array(matrix, 2)
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"unitary must be square, got {arr.shape}")
-        _check_unitary(arr, ortho_tolerance)
+        self.defect = _check_unitary(arr, ortho_tolerance)
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -172,9 +175,9 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _check_unitary(stack: np.ndarray, ortho_tolerance: float = ORTHO_TOLERANCE) -> None:
-    """Raise ValueError unless every matrix of a (..., n, n) stack is finite
-    and unitary: max_ij |(U^H U - I)_ij| <= ortho_tolerance for each U."""
+def _check_unitary(stack: np.ndarray, ortho_tolerance: float = ORTHO_TOLERANCE) -> float:
+    """max_ij |(U^H U - I)_ij| over every U of a (..., n, n) stack; raise
+    ValueError unless each U is finite and that defect <= ortho_tolerance."""
     if not np.isfinite(stack).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     gram = stack.conj().swapaxes(-1, -2) @ stack
@@ -182,6 +185,7 @@ def _check_unitary(stack: np.ndarray, ortho_tolerance: float = ORTHO_TOLERANCE) 
     defect = float(np.abs(gram).max())
     if defect > ortho_tolerance:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
+    return defect
 
 
 def haar_unitaries(n: int, seeds) -> np.ndarray:

@@ -1,17 +1,20 @@
-"""Per-probe reference forms of the falsifier's stacked paths.
+"""Per-probe reference forms of the package's stacked paths.
 
-Each function here scores, samples or climbs one probe at a time.  The
-guard tests require the package's stacked paths to give the same results,
-bit for bit.  ``geometric_series_overlap`` is the independent route to
-the partial-DFT basis's inner products.
+Each falsifier function here scores, samples or climbs one probe at a
+time.  The guard tests require the package's stacked paths to give the
+same results, bit for bit.  ``full_certificate`` builds one ledger
+entry's N x N construction, against which the certificate kernel's
+per-K numbers and Haar bounds are checked.  ``geometric_series_overlap``
+is the independent route to the partial-DFT basis's inner products.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from bornlab import OrthonormalBasis, ParameterError, random_state
+from bornlab import OrthonormalBasis, ParameterError, orthonormality_defect, random_state
 from bornlab.axioms import evaluate
-from bornlab.construction import TWO_PI
+from bornlab.construction import TWO_PI, overlap_contract_error
+from bornlab.derivation import certificate_probes
 
 
 def haar(n: int, seed: int) -> np.ndarray:
@@ -106,3 +109,17 @@ def geometric_series_overlap(j: int, m: int, K: int) -> complex:
     ratio = np.exp(-1j * TWO_PI * (m - j) / K)
     total = sum(ratio ** (l - 1) for l in range(1, K + 1))
     return complex(total / K)
+
+
+def full_certificate(spec):
+    """(defect, overlap errors) of one ledger entry (K, N, thetas, base_kind,
+    base_seed), from its N x N partial-DFT basis and one symmetric state per
+    theta, each built over the entry's own base, standard or Haar-rotated.
+    For K = N the state is the base's first vector, and the defect is 0."""
+    k, n, thetas, kind, sub = spec
+    thetas = tuple(t % TWO_PI for t in thetas)
+    [(_, basis, states)] = certificate_probes([(k, n, thetas, kind, sub)])
+    defect = orthonormality_defect(basis) if k < n else 0.0
+    errors = [overlap_contract_error(basis.matrix.conj() @ state.amplitudes, k, n, t)
+              for state, t in zip(states, thetas)]
+    return defect, errors

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import bornlab
 from bornlab import FalsifierConfig, build_ledger, candidate_from_expression, derivation, falsify
 from bornlab.cli import main
+from bornlab.derivation import uncertified_ledger
 
 from conftest import schema_validator
 
@@ -65,6 +66,19 @@ class TestDerive:
         _, payload = run(tmp_path, "derive", "--n-max", "3", "--full-certificates")
         schema_validator("ledger.schema.json").validate(payload)
 
+    @pytest.mark.parametrize("theta", ["-1e-20", "-2.5e0", "-.5", "-3"])
+    def test_negative_theta_as_its_own_argument(self, tmp_path, theta):
+        # argparse's own pattern for a negative number has no exponent
+        code, joined = run(tmp_path, "derive", "--n-max", "4", f"--theta={theta}", name="a.json")
+        assert code == 0
+        code, apart = run(tmp_path, "derive", "--n-max", "4", "--theta", theta, name="b.json")
+        assert code == 0
+        assert strip_timestamp(apart) == strip_timestamp(joined)
+        assert apart["config"]["theta"] == [float(theta)]
+        code, payload = run(tmp_path, "falsify", "-p", "r", "--n-range", "2", "--theta", theta)
+        assert code == 0
+        assert payload["config"]["theta"] == [float(theta)]
+
 
 class TestCertify:
     def test_fresh_ledger_verifies(self, tmp_path):
@@ -86,6 +100,21 @@ class TestCertify:
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.json")]) == 66
+
+    def test_derived_under_two_blas_threads_certifies_under_one(self, tmp_path):
+        # threaded BLAS sums Gram products in another order once K >= 129,
+        # so a digest of float bits would not survive the move
+        src = os.path.dirname(os.path.dirname(bornlab.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        ledger = str(tmp_path / "ledger.json")
+        for threads, argv in (("2", ["derive", "--n-max", "130", "-o", ledger]),
+                              ("1", ["certify", ledger, "-o", str(tmp_path / "c.json")])):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-m", "bornlab.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, (argv[0], done.stderr)
+        assert json.loads((tmp_path / "c.json").read_text())["result"]["verified"] is True
 
     def test_huge_finite_theta_certifies(self, tmp_path):
         # a finite theta near the float limit is a valid sample, in and out
@@ -121,7 +150,8 @@ MALFORMED_LEDGERS = {
     "entries-not-a-list": lambda ledger: ledger.update(entries=5),
     "no-format-version": lambda ledger: ledger.pop("format_version"),
     "format-version-1": lambda ledger: ledger.update(format_version=1),
-    "format-version-string": lambda ledger: ledger.update(format_version="2"),
+    "format-version-2": lambda ledger: ledger.update(format_version=2),
+    "format-version-string": lambda ledger: ledger.update(format_version="3"),
     "entry-missing-theta": _drop("theta_samples"),
     "entry-missing-value": _drop("value"),
     "entry-missing-K": _drop("K"),
@@ -175,6 +205,14 @@ class TestMalformedLedger:
         code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
         assert code == 2
         assert "re-run derive" in payload["result"]["error"]
+
+    def test_version_2_asks_for_rederive(self, tmp_path, capsys, ledger_doc):
+        # a version 2 ledger's digests hash float bits that version 3 no longer keeps
+        ledger_doc["result"]["ledger"]["format_version"] = 2
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert code == 2
+            assert "format_version is 2, not 3; re-run derive" in payload["result"]["error"]
 
     @pytest.mark.parametrize(
         "doc", [{}, {"entries": 5}, [], 5, {"result": 5}, {"result": {"ledger": []}}]
@@ -265,6 +303,23 @@ class TestFalsify:
         assert code == (0 if want["falsified"] else 1)
         assert payload["result"] == want
 
+    @pytest.mark.parametrize("candidate", ["r^2", "r^4"])
+    def test_enumerates_only_the_dimensions_it_probes(self, tmp_path, monkeypatch, candidate):
+        cfg = FalsifierConfig(n_range=(3, 7), random_trials=2, optimizer_steps=3, seed=5)
+        full = uncertified_ledger(7, [0.5], seed=5)
+        want = falsify(candidate_from_expression(candidate), cfg, full).to_json()
+        made, real = [], derivation._uncertified
+        monkeypatch.setattr(derivation, "_uncertified", lambda *spec: made.append(spec[:2])
+                            or real(*spec))
+        code, payload = run(tmp_path, "falsify", "-p", candidate, "--n-range", "7,3",
+                            "--trials", "2", "--optimizer-steps", "3", "--theta", "0.5",
+                            "--seed", "5")
+        assert code == (0 if want["falsified"] else 1)
+        assert payload["result"] == want
+        assert made == [(0, 1)] + [(k, n) for k, n, *_ in
+                                   (s for s in derivation.ledger_specs(7, [0.5], seed=5)[1])
+                                   if n in (3, 7)]
+
 
 # Each must exit 64 with a one-line usage error on stderr.
 BAD_FALSIFY_PARAMETERS = {
@@ -322,6 +377,11 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
+
+    def test_negative_threshold_meets_the_floor(self, capsys):
+        # read as a value, not as a flag, and refused as a tolerance
+        assert main(["falsify", "-p", "r^2", "--n-range", "2", "--threshold", "-1e-6"]) == 64
+        assert "'-1e-6' is below the floor" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_bad_value_refused_at_once(self, tmp_path, capsys, case):
@@ -525,7 +585,7 @@ def test_born_seed_env_override(tmp_path, monkeypatch):
 # each list is valid and drawn about half the time, so that runs get past
 # the usage checks.  Sizes stay tiny.
 
-_THETAS = ["0", "1.5", "-7", "1e308", "nan", "inf", "-inf", "1e999", "pi"]
+_THETAS = ["0", "1.5", "-7", "-1e-20", "-2.5e0", "1e308", "nan", "inf", "-inf", "1e999", "pi"]
 _CANDIDATES = ["r^2", "r", "r^2 + 0.05", "ln(r)", "1/r", "sin(1e999)",
                "(0-1)^(1e999-1e999)", "r^", "", "foo(r)"]
 _SEEDS = ["0", "7", "-3", "x"]
@@ -570,7 +630,7 @@ def _cli_argv(draw, ledgers):
             "--n-range": ["2..3", "2", "2,3", "3..2", "0..2", "2..513",
                           "2..100000000", "a..b", "1"],
             "--step-scale": ["0.1", "0", "nan", "inf", "1e10"],
-            "--threshold": ["1e-6", "0", "-1", "nan", "inf", "1e-300"],
+            "--threshold": ["1e-6", "0", "-1", "-1e-6", "nan", "inf", "1e-300"],
             "--theta": _THETAS,
             "--seed": _SEEDS,
         })

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,18 @@ from bornlab import (
     derive_p_zero,
     verify_ledger,
 )
-from bornlab.derivation import DEFAULT_THETAS, CertificateKernel, uncertified_ledger
+from bornlab.construction import cyclotomic, divides, prime_factors, roots_of_unity_vanish
+from bornlab.derivation import (
+    DEFAULT_THETAS,
+    DEFECT_TOLERANCE,
+    OVERLAP_TOLERANCE,
+    CertificateKernel,
+    ExactCertificate,
+    uncertified_ledger,
+)
 
 from conftest import corrupt_entry, make_ledger_locked_candidate
+from reference import full_certificate
 
 
 def derive(k: int, n: int, theta: float):
@@ -162,6 +172,108 @@ class TestUncertifiedLedger:
         with pytest.raises(ParameterError):
             uncertified_ledger(0)
 
+    def test_dims_keep_their_specs(self):
+        # the entries of the listed N, with the bits of the full enumeration
+        _, full = derivation.ledger_specs(12, rotate_bases=True, seed=5)
+        _, some = derivation.ledger_specs(12, rotate_bases=True, seed=5, dims=[9, 3, 9, 40])
+        assert some == [spec for spec in full if spec[1] in (3, 9)]
+        ledger = uncertified_ledger(12, seed=5, dims=[4])
+        assert [(c.K, c.N) for c in ledger.constraints()] == [(0, 1), (1, 4), (3, 4)]
+
+
+class TestExactCertificate:
+    def test_identity_holds_for_every_k_up_to_128(self):
+        assert all(roots_of_unity_vanish(k) for k in range(1, 129))
+
+    def test_wrong_divisibility_rejected(self):
+        # Phi_12 = 1 - x^2 + x^4 does not divide 1 + x^3 + x^6, which is Phi_9
+        assert cyclotomic(12) == (1, 0, -1, 0, 1)
+        assert not divides(cyclotomic(12), [1, 0, 0, 1, 0, 0, 1])
+        assert divides(cyclotomic(9), [1, 0, 0, 1, 0, 0, 1])
+
+    def test_cyclotomic_polynomials_factor_x_n_minus_1(self):
+        # independent of the Moebius product: x^n - 1 = prod_{d | n} Phi_d
+        for n in range(1, 65):
+            product = [1]
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                phi = cyclotomic(d)
+                product = [
+                    sum(product[i] * phi[j - i] for i in range(len(product))
+                        if 0 <= j - i < len(phi))
+                    for j in range(len(product) + len(phi) - 1)
+                ]
+            assert product == [-1] + [0] * (n - 1) + [1], n
+
+    def test_prime_factors(self):
+        assert [prime_factors(k) for k in (1, 2, 12, 97, 360, 512)] == [
+            (), (2,), (2, 3), (97,), (2, 3, 5), (2,)
+        ]
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_every_entry_carries_one(self, rotate):
+        for c in build_ledger(12, rotate_bases=rotate, seed=1).constraints():
+            primes = prime_factors(c.K) if 0 < c.K < c.N else ()
+            assert c.exact_certificate == ExactCertificate(primes, True)
+
+    def test_failed_identity_fails_its_entries(self, monkeypatch):
+        monkeypatch.setattr(derivation, "roots_of_unity_vanish", lambda k: k != 6)
+        c = derive(6, 7, 0.5)
+        assert all(cert["passed"] for cert in c.certificates)  # the floats cannot tell
+        assert not c.exact and not c.verified
+        with pytest.raises(CertificateError, match="exact certificate failed at K=6, N=7"):
+            build_ledger(7)
+        ledger = derivation._certified(uncertified_ledger(7))
+        assert verify_ledger(ledger) == [(6, 7, t) for t in ledger.lookup(Fraction(6, 7)).theta_samples]
+
+
+class TestHaarBound:
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_dominates_the_full_construction(self, seed):
+        # the per-entry N x N construction, built over the rotated base itself
+        ledger = build_ledger(32, rotate_bases=True, seed=seed)
+        for c in ledger.constraints()[1:]:
+            defect, errors = full_certificate(
+                (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed))
+            assert len(errors) == len(c.certificates)
+            for cert, error in zip(c.certificates, errors):
+                assert cert["defect"] >= defect, (c.K, c.N)
+                assert cert["overlap_error"] >= error, (c.K, c.N, cert["theta"])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certifies_at_the_dimension_bound(self, seed):
+        # the widest K at N = 512 takes the largest rounding term
+        _, specs = derivation.ledger_specs(512, rotate_bases=True, seed=seed, dims=[512])
+        for c in CertificateKernel().derive([specs[0], specs[-1]]):
+            assert c.verified
+            for cert in c.certificates:
+                assert cert["defect"] <= DEFECT_TOLERANCE
+                assert cert["overlap_error"] <= OVERLAP_TOLERANCE
+
+    def test_standard_numbers_plus_the_bound(self):
+        std, rot = CertificateKernel().derive([
+            (3, 8, (0.4, 2.0), "standard", None), (3, 8, (0.4, 2.0), "haar", 17)])
+        eps = derivation.haar_unitary(8, 17).defect
+        extra = 8 * eps + derivation.rotation_rounding(3, 8)
+        for a, b in zip(std.certificates, rot.certificates):
+            assert b["defect"] == a["defect"] + extra
+            assert b["overlap_error"] == a["overlap_error"] + extra
+
+
+class TestDigest:
+    def test_hashes_verdicts_not_float_numbers(self):
+        c = derive(2, 5, 0.3)
+        moved = replace(c, certificates=tuple(
+            dict(cert, defect=2 * cert["defect"], overlap_error=cert["overlap_error"] + 1e-15)
+            for cert in c.certificates))
+        assert moved.certificate_digest() == c.certificate_digest()
+        for changed in (
+            replace(c, certificates=tuple(dict(cert, passed=False) for cert in c.certificates)),
+            replace(c, exact_certificate=ExactCertificate((2,), False)),
+            replace(c, theta_samples=(math.nextafter(0.3, 1.0),)),
+            replace(c, base_kind="haar", base_seed=0),
+        ):
+            assert changed.certificate_digest() != c.certificate_digest()
+
 
 class TestCompareToBorn:
     def test_exactly_zero(self, ledger64):
@@ -200,25 +312,27 @@ class TestSerialization:
         "make,digest",
         [
             (lambda: build_ledger(64),
-             "239a173797f1706be4998015b670ca189bf344d1e0f0ea3f230f2dd3b8cc7f0b"),
+             "4d91285cf04a2f72f2089138842dd6682ac8e5f7f217561f0aa81bf9f915117a"),
             (lambda: build_ledger(16, rotate_bases=True, seed=3),
-             "9ae2c403396cbaacfd717276d06029e3d5e60d27e50875dd8a9d0c81727735a7"),
+             "83e4f040c991b01cb641a8b912b3c3187538ef348555b8215d10ef278fab61b0"),
         ],
+        ids=["standard-n64", "rotated-n16-seed3"],
     )
     def test_ledger_bits_pinned(self, make, digest):
-        # Stored certificate digests hash these float bits, so a change to
-        # either pin must bump derivation.FORMAT_VERSION: ledgers written
-        # before it would no longer certify.  The bits come from numpy's exp
-        # and the BLAS matrix products, so a different BLAS build may move them.
+        # A change to either pin must bump derivation.FORMAT_VERSION: ledgers
+        # written before it would no longer certify.  The payload holds no
+        # float certificate number, only exact values, theta samples and
+        # digests of verdicts, so no BLAS build or thread count moves it.
         blob = json.dumps(make().to_json(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_full_certificate_bits_pinned(self):
-        # the bases, states and overlaps of --full-certificates, rotated bases included
+        # the bases, states and overlaps of --full-certificates, rotated bases
+        # included; these are BLAS products, so another BLAS build may move them
         payload = build_ledger(6, rotate_bases=True, seed=2).to_json(full_certificates=True)
         blob = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "9901d2dcacd7da221fc9f8cd41ec57f6b844703f52c68aa8d959137512495597"
+            "db75fe0d93c4bf1795664c21750501e04951ff7cfe002bad4b918fffd25e44a9"
         )
 
     def test_full_certificates_embed_bases(self, ledger8):
@@ -228,6 +342,9 @@ class TestSerialization:
         assert len(cert["basis"]) == 2
         assert len(cert["state"]) == 2
         assert len(cert["overlaps"]) == 2
+        entry = next(e for e in payload["entries"] if e["K"] == 6 and e["N"] == 7)
+        assert entry["exact_certificate"] == {"primes": [2, 3], "passed": True}
+        assert "exact_certificate" not in ledger8.to_json()["entries"][1]
 
     def test_entries_in_farey_order(self, ledger10):
         values = [
@@ -310,7 +427,7 @@ class TestCertificateProbes:
         assert len(calls) == 6
 
     def test_kernel_builds_each_dft_block_once(self, monkeypatch):
-        # partial_dft_basis builds a block itself when it is given none
+        # one block per K, and no partial-DFT basis, Haar-rotated or not
         calls = _counting(monkeypatch, derivation, "dft_block")
         calls_inside = _counting(monkeypatch, construction, "dft_block")
         assert build_ledger(12, rotate_bases=True, seed=2).verified
