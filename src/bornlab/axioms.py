@@ -20,19 +20,22 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import dsl
-from .construction import overlap_with_symmetric, partial_dft_basis, symmetric_state
+from .construction import certificate_probes
 from .errors import DimensionError, DomainError, EvalError
 from .hilbert import (
     OrthonormalBasis,
     StateVector,
     complex_to_pair,
+    haar_unitaries,
     haar_unitary,
     inner_product,
+    matrix_to_pairs,
     random_state,
-    standard_basis,
+    vector_to_pairs,
 )
 
 DOMAIN_SLACK = 1e-9
+RANDOM_CHUNK = 20  # random trials drawn, validated and scored as one stack
 
 
 class Axiom(Enum):
@@ -217,6 +220,24 @@ def pair_form(p: CandidateDistribution) -> Callable[[StateVector, StateVector], 
     return lambda v, w: p(inner_product(v, w))
 
 
+def _seeded_chunks(key: tuple, trials: int):
+    """(trials, seeds) RANDOM_CHUNK at a time, trial t seeded from (*key, t) alone."""
+    for start in range(0, trials, RANDOM_CHUNK):
+        ts = range(start, min(start + RANDOM_CHUNK, trials))
+        yield ts, [int(np.random.SeedSequence([*key, t]).generate_state(1)[0]) for t in ts]
+
+
+def random_probes(p: CandidateDistribution, key: tuple, n: int, trials: int):
+    """(trials, seeds, unitaries, states, residuals) of Haar-random normalization
+    probes, RANDOM_CHUNK at a time: trial t's basis is the Haar unitary of its
+    seed, drawn from (*key, n, t), and its state ``random_state(n, seed + 1)``.
+    Each residual has the bits of scoring its trial alone."""
+    for ts, subs in _seeded_chunks((*key, n), trials):
+        unitaries = haar_unitaries(n, subs)  # each validated as a unitary
+        states = np.array([random_state(n, sub + 1).amplitudes for sub in subs])
+        yield ts, subs, unitaries, states, check_normalization(p, unitaries, states)
+
+
 def check_unitary_invariance(
     p_pairform: Callable[[StateVector, StateVector], float],
     trials: int,
@@ -228,29 +249,27 @@ def check_unitary_invariance(
     """Residual = max over sampled (v, w, U) of |P(Uv, Uw) - P(v, w)|.
 
     For overlap-only candidates this is tiny by construction; pair-form
-    candidates that peek at amplitudes directly are caught here.
+    candidates that peek at amplitudes directly are caught here.  Trial t
+    is seeded from (seed, t), and its unitary drawn in RANDOM_CHUNK stacks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     max_residual = 0.0
     worst = {"candidate": name}
-    for t in range(trials):
-        sub = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-        v = random_state(dim, sub)
-        w = random_state(dim, sub + 1)
-        u = haar_unitary(dim, sub + 2)
-        try:
-            before = p_pairform(v, w)
-            after = p_pairform(
-                StateVector(u.matrix @ v.amplitudes),
-                StateVector(u.matrix @ w.amplitudes),
-            )
-            residual = abs(after - before)
-        except EvalError:
-            residual = math.inf
-        if residual > max_residual:
-            max_residual = residual
-            worst = {"candidate": name, "trial": t, "seed": sub, "dim": dim}
+    for ts, subs in _seeded_chunks((seed,), trials):
+        unitaries = haar_unitaries(dim, [sub + 2 for sub in subs])
+        for t, sub, u in zip(ts, subs, unitaries):
+            v = random_state(dim, sub)
+            w = random_state(dim, sub + 1)
+            try:
+                before = p_pairform(v, w)
+                after = p_pairform(StateVector(u @ v.amplitudes), StateVector(u @ w.amplitudes))
+                residual = abs(after - before)
+            except EvalError:
+                residual = math.inf
+            if residual > max_residual:
+                max_residual = residual
+                worst = {"candidate": name, "trial": t, "seed": sub, "dim": dim}
     return AxiomReport(Axiom.UNITARY_INVARIANCE, max_residual, worst, tolerance)
 
 
@@ -263,30 +282,23 @@ def check_n_independence(
     """Compare p at equal overlaps produced in different dimensions.
 
     For every modulus sqrt(K/N) achievable in more than one of the given
-    dimensions, the overlap is computed through each dimension's own
-    symmetric-state / partial-DFT pipeline and p is evaluated on each.
-    The residual is the spread of those values; overlap-only candidates
-    give (numerically) zero because the candidate accepts no N parameter.
+    dimensions, p is evaluated on the overlap of each K/N's ledger
+    construction in C^N (``certificate_probes``).  The residual is the
+    spread of those values; overlap-only candidates give (numerically)
+    zero because the candidate accepts no N parameter.
     """
     dims = sorted(set(int(d) for d in dims))
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    fractions, overlaps = [], []
-    for n in dims:
-        base = standard_basis(n)
-        for k in range(1, n + 1):
-            if k < n:
-                psi = symmetric_state(base, theta)
-                tilde = partial_dft_basis(base, k)
-                overlaps.append(overlap_with_symmetric(tilde, psi)[0])
-            else:
-                overlaps.append(np.exp(1j * theta))
-            fractions.append((Fraction(k, n), n))
+    specs = [(k, n, (theta,), "standard", None) for n in dims for k in range(1, n + 1)]
+    # the first of all N overlaps, with the bits the construction's own product gives
+    overlaps = [(basis.matrix.conj() @ state.amplitudes)[0]
+                for _, basis, [state] in certificate_probes(specs)]
     by_fraction: dict[Fraction, list[tuple[int, float]]] = {}
-    for (frac, n), value in zip(fractions, evaluate(p, overlaps).tolist()):
-        by_fraction.setdefault(frac, []).append((n, value))
+    for (k, n, *_), value in zip(specs, evaluate(p, overlaps).tolist()):
+        by_fraction.setdefault(Fraction(k, n), []).append((n, value))
     max_residual = 0.0
     worst = {"candidate": p.name, "overlap_only": True}
     for frac, entries in by_fraction.items():
@@ -315,24 +327,24 @@ def normalization_report(
     seed: int,
     tolerance: float = 1e-9,
 ) -> AxiomReport:
-    """Worst normalization residual over Haar-random (basis, state) probes."""
+    """Worst normalization residual over Haar-random (basis, state) probes,
+    trial t of dimension n seeded from (seed, n, t) (``random_probes``)."""
     max_residual = 0.0
     worst = {"candidate": p.name}
     for n in sorted(set(dims)):
-        for t in range(trials):
-            sub = int(np.random.SeedSequence([seed, n, t]).generate_state(1)[0])
-            basis = haar_unitary(n, sub)
-            state = random_state(n, sub + 1)
-            residual = check_normalization(p, basis.matrix, state)
-            if residual > max_residual:
-                max_residual = residual
+        for ts, subs, unitaries, states, residuals in random_probes(p, (seed,), n, trials):
+            # the first largest residual above the best so far, as a scan would keep
+            above = np.flatnonzero(residuals > max_residual)
+            if above.size:
+                i = int(above[np.argmax(residuals[above])])
+                max_residual = float(residuals[i])
                 worst = {
                     "candidate": p.name,
                     "dim": n,
-                    "trial": t,
-                    "seed": sub,
-                    "basis": basis.to_json(),
-                    "state": state.to_json(),
+                    "trial": ts[i],
+                    "seed": subs[i],
+                    "basis": matrix_to_pairs(unitaries[i]),
+                    "state": vector_to_pairs(states[i]),
                 }
     return AxiomReport(Axiom.NORMALIZATION, max_residual, worst, tolerance)
 

@@ -16,8 +16,9 @@ report alone.  Exit codes:
         range, a non-finite --theta, a --threshold or --tolerance that is
         not finite or lies below 1e-12, a --step-scale above 10, a size
         past its bound: --n-max or an --n-range dimension above 512,
-        --n-max above 16 with --full-certificates, --grid above 2^20,
-        --trials or --optimizer-steps above 10^6, --samples above 10^12),
+        --n-max above 16 with --full-certificates, more than 16 --theta
+        values, --grid above 2^20, --trials or --optimizer-steps above
+        10^6, --samples above 10^12),
         or an output path that cannot be written
     66  input file unreadable
 
@@ -40,6 +41,7 @@ from fractions import Fraction
 from . import __version__
 from .axioms import candidate_from_expression
 from .derivation import (
+    MAX_THETAS,  # derive/falsify --theta values; a ledger entry holds one more
     ConstraintLedger,
     build_ledger,
     compare_to_born,
@@ -403,6 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if len(getattr(args, "theta", None) or ()) > MAX_THETAS:  # derive, falsify
+            raise _UsageError(f"at most {MAX_THETAS} --theta values, got {len(args.theta)}")
         return _COMMANDS[args.subcommand](args)
     except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

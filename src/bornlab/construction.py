@@ -12,6 +12,8 @@ Given any orthonormal basis of C^N this module builds
 
 Together these pin the probability of an overlap of modulus sqrt(K/N)
 to exactly K/N; the ledger in :mod:`bornlab.derivation` is built on top.
+:func:`certificate_probes` builds the construction behind each ledger
+entry, for every caller that needs the N x N matrices themselves.
 
 Every inner product of the two constructions reduces to one identity of
 the K-th roots of unity, which :func:`roots_of_unity_vanish` checks in
@@ -23,13 +25,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import CertificateError, ParameterError
-from .hilbert import OrthonormalBasis, StateVector
+from .hilbert import OrthonormalBasis, StateVector, haar_unitary, standard_basis
 
 TWO_PI = 2.0 * math.pi
+
+# (K, N, theta samples, base_kind, base_seed): one ledger entry's construction
+Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,40 @@ def overlap_contract_error(
     expected[1:K] = 0.0
     expected[K:] = phase / math.sqrt(n)
     return float(np.max(np.abs(overlaps - expected)))
+
+
+def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
+    """The standard basis, or the rows of U^T for the Haar unitary U of seed sub:
+    each standard vector moved by U."""
+    if kind == "standard":
+        return standard_basis(n)
+    return OrthonormalBasis(haar_unitary(n, int(sub)).matrix.T.copy())
+
+
+def certificate_probes(specs: Iterable[Spec]):
+    """(spec, basis, states) behind the certificates of each spec with K > 0,
+    in order: the one place a certificate's N x N construction is built,
+    for the falsifier's probes, ``--full-certificates`` and the axiom
+    suite's N-independence check.
+
+    For K < N the partial-DFT basis, built once, and the symmetric state of
+    each theta; for K = N the base itself and its first vector, phased by
+    e^{i theta}.  A base is rebuilt, standard or Haar-rotated, only when
+    (N, base_kind, base_seed) changes, so callers group specs by N.
+    """
+    key = base = None
+    for spec in specs:
+        k, n, thetas, kind, sub = spec
+        if k == 0:
+            continue
+        if key != (n, kind, sub):
+            key, base = (n, kind, sub), _rebuild_base(n, kind, sub)
+        if k == n:
+            yield spec, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
+                               for t in thetas]
+        else:
+            yield spec, partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state
+                                                             for t in thetas]
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,26 +27,19 @@ import numpy as np
 from .axioms import CandidateDistribution, _worst_index, evaluate
 from .construction import (
     TWO_PI,
+    Spec,
+    certificate_probes,
     dft_block,
-    partial_dft_basis,
     prime_factors,
     roots_of_unity_vanish,
-    symmetric_state,
 )
 from .errors import CertificateError, ParameterError
-from .hilbert import (
-    OrthonormalBasis,
-    StateVector,
-    haar_unitary,
-    orthonormality_defect,
-    rotate_basis,
-    standard_basis,
-    vector_to_pairs,
-)
+from .hilbert import haar_unitary, orthonormality_defect, standard_basis, vector_to_pairs
 
 DEFECT_TOLERANCE = 1e-10
 OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
+MAX_THETAS = 16  # bound on theta_samples; each entry adds one seeded theta
 # Version 3 adds the exact certificate and hashes no float certificate
 # number, so that a digest depends on no BLAS, thread count or CPU; it also
 # bounds Haar entries by unitary invariance.  Older ledgers must be re-derived.
@@ -134,41 +127,6 @@ class RationalConstraint:
         return hashlib.sha256(head.encode() + thetas + verdicts.encode()).hexdigest()
 
 
-# (K, N, theta samples, base_kind, base_seed): one constraint to derive
-Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
-
-
-def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
-    if kind == "standard":
-        return standard_basis(n)
-    return rotate_basis(haar_unitary(n, int(sub)), standard_basis(n))
-
-
-def certificate_probes(specs: Iterable[Spec]):
-    """(spec, basis, states) behind the certificates of each spec with K > 0,
-    in order: the one place a certificate's N x N construction is built,
-    for the falsifier's probes and ``--full-certificates``.
-
-    For K < N the partial-DFT basis, built once, and the symmetric state of
-    each theta; for K = N the base itself and its first vector, phased by
-    e^{i theta}.  A base is rebuilt, standard or Haar-rotated, only when
-    (N, base_kind, base_seed) changes, so callers group specs by N.
-    """
-    key = base = None
-    for spec in specs:
-        k, n, thetas, kind, sub = spec
-        if k == 0:
-            continue
-        if key != (n, kind, sub):
-            key, base = (n, kind, sub), _rebuild_base(n, kind, sub)
-        if k == n:
-            yield spec, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
-                               for t in thetas]
-        else:
-            yield spec, partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state
-                                                             for t in thetas]
-
-
 def rotation_rounding(k: int, n: int) -> float:
     """What forming a Haar entry's construction in floats can add to the
     Gram defect and overlap errors of its K's standard construction.
@@ -206,8 +164,7 @@ class CertificateKernel:
     def derive(self, specs: Iterable[Spec]) -> list[RationalConstraint]:
         """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified exactly and
         at each of its thetas; one constraint per spec, in order."""
-        specs = [(k, n, tuple(float(t) for t in thetas), kind, sub)
-                 for k, n, thetas, kind, sub in specs]
+        specs = [(k, n, tuple(map(float, thetas)), kind, sub) for k, n, thetas, kind, sub in specs]
         by_k: dict[int, list[int]] = {}
         for i, (k, n, *_) in enumerate(specs):
             if n < 1 or k < 1 or k > n:
@@ -409,11 +366,13 @@ class ConstraintLedger:
                 raise CertificateError(f"asserted value mismatch at K={k}, N={n}")
             thetas = _thetas(raw, "theta_samples", where)
             kind, sub = raw.get("base_kind", "standard"), raw.get("base_seed")
-            if not thetas or not (
+            if not 1 <= len(thetas) <= MAX_THETAS + 1 or not (
                 (kind == "standard" and sub is None)
                 or (kind == "haar" and type(sub) is int and sub >= 0)
             ):
-                raise CertificateError(f"{where}: no theta samples, or a bad base_kind/base_seed")
+                raise CertificateError(
+                    f"{where}: not 1..{MAX_THETAS + 1} theta samples, or a bad base_kind/base_seed"
+                )
             entries[value] = _uncertified(k, n, thetas, kind, sub)
         # n_max > len(entries) is already incomplete; testing it first bounds the count
         if n_max < 1 or n_max > len(entries) or len(entries) != 1 + sum(
@@ -424,13 +383,18 @@ class ConstraintLedger:
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
-        """``load``, then re-derive every constraint and check it against its
-        stored digest; raise CertificateError on any fault."""
+        """``load``, then re-derive every constraint and check each stored
+        field the format requires against it; raise CertificateError on any
+        fault.  ``base_kind`` and ``base_seed`` were read by ``load``, and
+        the extra fields of ``--full-certificates`` are not compared."""
         ledger = _certified(cls.load(payload))
-        digests = {(e["K"], e["N"]): e.get("certificate_digest") for e in payload["entries"]}
+        stored = {(e["K"], e["N"]): e for e in payload["entries"]}
         for c in ledger.constraints():
-            if c.certificate_digest() != digests[c.K, c.N]:
-                raise CertificateError(f"certificate digest mismatch at K={c.K}, N={c.N}")
+            derived, raw = c.to_json(), stored[c.K, c.N]
+            for key in ("value", "theta_samples", "certificate_digest", "verified", "proof_trace"):
+                value = raw.get(key)  # of the same type too: 1 == True, but 1 is no JSON boolean
+                if value != derived[key] or type(value) is not type(derived[key]):
+                    raise CertificateError(f"{key} mismatch at K={c.K}, N={c.N}")
         return ledger
 
 
@@ -465,7 +429,7 @@ def _thetas(raw, key: str, where: str) -> tuple[float, ...]:
     values = _field(raw, key, list, where)
     if not all(type(t) in (int, float) and _finite(t) for t in values):
         raise CertificateError(f"{where}: {key} must hold finite numbers only")
-    return tuple(float(t) for t in values)
+    return tuple(map(float, values))
 
 
 def _finite(t) -> bool:
@@ -572,9 +536,8 @@ def uncertified_ledger(
 
 def compare_to_born(ledger: ConstraintLedger) -> Fraction:
     """max |asserted - modulus^2| in exact arithmetic; 0 for a sound ledger."""
-    return max(
-        abs(c.asserted_value - c.modulus_squared) for c in ledger.entries.values()
-    )
+    return max((abs(c.asserted_value - c.modulus_squared) for c in ledger.entries.values()
+                if c.asserted_value != c.modulus_squared), default=Fraction(0))
 
 
 def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:

@@ -33,19 +33,13 @@ from .axioms import (
     CandidateDistribution,
     check_normalization,
     check_orthogonality_axiom,
+    random_probes,
 )
-from .derivation import ConstraintLedger, certificate_probes
+from .construction import certificate_probes
+from .derivation import ConstraintLedger
 from .errors import ParameterError
-from .hilbert import (
-    OrthonormalBasis,
-    StateVector,
-    haar_unitaries,
-    haar_unitary,
-    random_state,
-    standard_basis,
-)
+from .hilbert import OrthonormalBasis, StateVector, haar_unitary, random_state, standard_basis
 
-RANDOM_CHUNK = 20  # random trials drawn, validated and scored as one stack
 STEP_WINDOW = 20  # rejections in a row after which the step scale halves
 # 100x the default step scale.  Far past it, exp(scale * A) loses unitarity
 # in floats and the climber would accept the drift as a residual gain.
@@ -205,27 +199,16 @@ def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
 
 
 def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
-    """Haar-random probes, trial t of dimension n seeded from (seed, 2, n, t).
-
-    Trials are drawn seed by seed, then QR-factorized, checked unitary and
-    scored RANDOM_CHUNK at a time; the first violating trial is the witness.
-    """
+    """Haar-random probes, trial t of dimension n seeded from (seed, 2, n, t)
+    (``axioms.random_probes``); the first violating trial is the witness."""
     probes = 0
     for n in sorted(set(cfg.n_range)):
-        for start in range(0, cfg.random_trials, RANDOM_CHUNK):
-            trials = range(start, min(start + RANDOM_CHUNK, cfg.random_trials))
-            subs = [
-                int(np.random.SeedSequence([cfg.seed, 2, n, t]).generate_state(1)[0])
-                for t in trials
-            ]
-            unitaries = haar_unitaries(n, subs)  # each validated as a unitary
-            states = [random_state(n, sub + 1) for sub in subs]
-            residuals = check_normalization(
-                p, unitaries, np.array([s.amplitudes for s in states])
-            )
+        for ts, subs, unitaries, states, residuals in random_probes(
+            p, (cfg.seed, 2), n, cfg.random_trials
+        ):
             hits = np.flatnonzero(residuals >= cfg.violation_threshold)
             if hits.size == 0:
-                probes += len(trials)
+                probes += len(ts)
                 continue
             i = int(hits[0])
             return (
@@ -233,10 +216,10 @@ def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
                     candidate_name=p.name,
                     axiom=Axiom.NORMALIZATION,
                     dimension=n,
-                    state=states[i],
+                    state=StateVector(states[i]),
                     basis=OrthonormalBasis(unitaries[i]),
                     residual=float(residuals[i]),
-                    seed_chain=(cfg.seed, 2, n, trials[i], subs[i]),
+                    seed_chain=(cfg.seed, 2, n, ts[i], subs[i]),
                     construction_tag=ConstructionTag.RANDOM_BASIS,
                     candidate=p,
                 ),

@@ -113,10 +113,6 @@ class OrthonormalBasis:
         """Return the i-th basis vector (0-based)."""
         return StateVector(self.matrix[i])
 
-    @property
-    def vectors(self) -> list[StateVector]:
-        return [self.vector(i) for i in range(self.dim)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OrthonormalBasis) and np.array_equal(
             self.matrix, other.matrix
@@ -130,10 +126,6 @@ class OrthonormalBasis:
 
     def to_json(self) -> list:
         return matrix_to_pairs(self.matrix)
-
-    @classmethod
-    def from_json(cls, pairs) -> "OrthonormalBasis":
-        return cls(pairs_to_vector(pairs))
 
 
 class UnitaryMatrix:
@@ -159,13 +151,6 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
-
-    def to_json(self) -> list:
-        return matrix_to_pairs(self.matrix)
-
-    @classmethod
-    def from_json(cls, pairs) -> "UnitaryMatrix":
-        return cls(pairs_to_vector(pairs))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -197,6 +182,14 @@ def haar_unitaries(n: int, seeds) -> np.ndarray:
     exactly Haar-distributed; every Q is checked to be unitary.  Entry i is
     bit for bit the unitary that seeds[i] alone gives.
     """
+    q = _haar_q(n, seeds)
+    _check_unitary(q)
+    q.setflags(write=False)
+    return q
+
+
+def _haar_q(n: int, seeds) -> np.ndarray:
+    """The unchecked Q factors of :func:`haar_unitaries`."""
     if n < 1:
         raise DimensionError("n must be >= 1")
     normals = np.empty((len(seeds), 2, n, n))
@@ -211,23 +204,14 @@ def haar_unitaries(n: int, seeds) -> np.ndarray:
     del z
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
-    del r, d
-    _check_unitary(q)
-    q.setflags(write=False)
     return q
 
 
 def haar_unitary(n: int, seed: int) -> UnitaryMatrix:
     """Draw a Haar-uniform unitary, deterministically for a fixed seed: the
-    stack-of-one case of :func:`haar_unitaries`."""
-    return UnitaryMatrix(haar_unitaries(n, [seed])[0])
-
-
-def rotate_basis(u: UnitaryMatrix, basis: OrthonormalBasis) -> OrthonormalBasis:
-    """Apply U to every basis vector."""
-    if u.dim != basis.dim:
-        raise DimensionError(f"dimension mismatch: {u.dim} vs {basis.dim}")
-    return OrthonormalBasis(basis.matrix @ u.matrix.T)
+    stack-of-one case of :func:`haar_unitaries`, checked once, by
+    ``UnitaryMatrix``."""
+    return UnitaryMatrix(_haar_q(n, [seed])[0])
 
 
 def orthonormality_defect(candidate) -> float:

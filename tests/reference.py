@@ -1,20 +1,43 @@
 """Per-probe reference forms of the package's stacked paths.
 
-Each falsifier function here scores, samples or climbs one probe at a
-time.  The guard tests require the package's stacked paths to give the
-same results, bit for bit.  ``full_certificate`` builds one ledger
-entry's N x N construction, against which the certificate kernel's
-per-K numbers and Haar bounds are checked.  ``geometric_series_overlap``
-is the independent route to the partial-DFT basis's inner products.
+Each falsifier and axiom-suite function here draws, scores, samples or
+climbs one probe at a time, and builds each N-independence overlap from
+its own construction.  The guard tests require the package's stacked
+paths to give the same results, bit for bit.  ``full_certificate``
+builds one ledger entry's N x N construction, against which the
+certificate kernel's per-K numbers and Haar bounds are checked.
+``geometric_series_overlap`` is the independent route to the
+partial-DFT basis's inner products, and ``rotate_basis`` the product
+form of a Haar-rotated base.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
-from bornlab import OrthonormalBasis, ParameterError, orthonormality_defect, random_state
-from bornlab.axioms import evaluate
-from bornlab.construction import TWO_PI, overlap_contract_error
-from bornlab.derivation import certificate_probes
+from bornlab import (
+    DimensionError,
+    EvalError,
+    OrthonormalBasis,
+    ParameterError,
+    StateVector,
+    haar_unitary,
+    orthonormality_defect,
+    random_state,
+    standard_basis,
+)
+from bornlab.axioms import Axiom, AxiomReport, check_normalization, evaluate
+from bornlab.hilbert import matrix_to_pairs
+from bornlab.construction import (
+    TWO_PI,
+    certificate_probes,
+    overlap_contract_error,
+    overlap_with_symmetric,
+    partial_dft_basis,
+    symmetric_state,
+)
 
 
 def haar(n: int, seed: int) -> np.ndarray:
@@ -123,3 +146,99 @@ def full_certificate(spec):
     errors = [overlap_contract_error(basis.matrix.conj() @ state.amplitudes, k, n, t)
               for state, t in zip(states, thetas)]
     return defect, errors
+
+
+def rotate_basis(u, basis: OrthonormalBasis) -> OrthonormalBasis:
+    """Apply the UnitaryMatrix u to every basis vector."""
+    if u.dim != basis.dim:
+        raise DimensionError(f"dimension mismatch: {u.dim} vs {basis.dim}")
+    return OrthonormalBasis(basis.matrix @ u.matrix.T)
+
+
+def normalization_report(p, dims, trials, seed, tolerance=1e-9) -> AxiomReport:
+    """``axioms.normalization_report`` one Haar draw and one scoring call per trial."""
+    max_residual = 0.0
+    worst = {"candidate": p.name}
+    for n in sorted(set(dims)):
+        for t in range(trials):
+            sub = int(np.random.SeedSequence([seed, n, t]).generate_state(1)[0])
+            basis = haar_unitary(n, sub)
+            state = random_state(n, sub + 1)
+            residual = check_normalization(p, basis.matrix, state)
+            if residual > max_residual:
+                max_residual = residual
+                worst = {
+                    "candidate": p.name,
+                    "dim": n,
+                    "trial": t,
+                    "seed": sub,
+                    "basis": matrix_to_pairs(basis.matrix),
+                    "state": state.to_json(),
+                }
+    return AxiomReport(Axiom.NORMALIZATION, max_residual, worst, tolerance)
+
+
+def check_unitary_invariance(p_pairform, trials, seed, dim=4, tolerance=1e-12,
+                             name="") -> AxiomReport:
+    """``axioms.check_unitary_invariance`` one Haar draw per trial."""
+    max_residual = 0.0
+    worst = {"candidate": name}
+    for t in range(trials):
+        sub = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
+        v = random_state(dim, sub)
+        w = random_state(dim, sub + 1)
+        u = haar_unitary(dim, sub + 2)
+        try:
+            before = p_pairform(v, w)
+            after = p_pairform(
+                StateVector(u.matrix @ v.amplitudes),
+                StateVector(u.matrix @ w.amplitudes),
+            )
+            residual = abs(after - before)
+        except EvalError:
+            residual = math.inf
+        if residual > max_residual:
+            max_residual = residual
+            worst = {"candidate": name, "trial": t, "seed": sub, "dim": dim}
+    return AxiomReport(Axiom.UNITARY_INVARIANCE, max_residual, worst, tolerance)
+
+
+def check_n_independence(p, dims, seed, tolerance=1e-9) -> AxiomReport:
+    """``axioms.check_n_independence`` with each overlap built from its own
+    symmetric state and partial-DFT basis (for K = N, e^{i theta} itself)."""
+    dims = sorted(set(int(d) for d in dims))
+    rng = np.random.default_rng(seed)
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    fractions, overlaps = [], []
+    for n in dims:
+        base = standard_basis(n)
+        for k in range(1, n + 1):
+            if k < n:
+                psi = symmetric_state(base, theta)
+                tilde = partial_dft_basis(base, k)
+                overlaps.append(overlap_with_symmetric(tilde, psi)[0])
+            else:
+                overlaps.append(np.exp(1j * theta))
+            fractions.append((Fraction(k, n), n))
+    by_fraction = {}
+    for (frac, n), value in zip(fractions, evaluate(p, overlaps).tolist()):
+        by_fraction.setdefault(frac, []).append((n, value))
+    max_residual = 0.0
+    worst = {"candidate": p.name, "overlap_only": True}
+    for frac, entries in by_fraction.items():
+        if len(entries) < 2:
+            continue
+        values = [v for _, v in entries]
+        spread = max(values) - min(values)
+        if not math.isfinite(spread):
+            spread = math.inf
+        if spread > max_residual:
+            max_residual = spread
+            worst = {
+                "candidate": p.name,
+                "overlap_only": True,
+                "fraction": f"{frac.numerator}/{frac.denominator}",
+                "dims": [n for n, _ in entries],
+                "theta": theta,
+            }
+    return AxiomReport(Axiom.N_INDEPENDENCE, max_residual, worst, tolerance)

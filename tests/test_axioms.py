@@ -21,7 +21,7 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.axioms import evaluate, pair_form
+from bornlab.axioms import evaluate, normalization_report, pair_form
 from bornlab.hilbert import OrthonormalBasis, haar_unitaries
 
 import reference
@@ -155,6 +155,62 @@ class TestNIndependence:
         # modulus 1/2 arises as K/N = 1/4 in both N=4 and N=8 pipelines
         report = check_n_independence(born_candidate(), {4, 8}, seed=3)
         assert report.max_residual <= 1e-12
+
+
+TRIALS = [1, 19, 20, 21, 45]  # around and across RANDOM_CHUNK = 20
+SUITE_CANDIDATES = [
+    candidate_from_expression("r^2"),
+    candidate_from_expression("r^2*(1 + 0.1*sin(phi))"),
+    cand("python r^2.5", lambda z: abs(z) ** 2.5),
+    born_candidate(),
+    candidate_from_expression("0.5"),  # every trial of a dimension ties
+]
+SUITE_IDS = ["dsl", "dsl-failing", "python-failing", "python", "dsl-constant"]
+
+
+class TestStackedSuiteMatchesReference:
+    """The stacked axiom checks give the per-probe forms' reports, bit for bit."""
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    @pytest.mark.parametrize("p", SUITE_CANDIDATES, ids=SUITE_IDS)
+    def test_normalization_report(self, p, trials):
+        dims = [1, 2, 3, 7]
+        report = normalization_report(p, dims, trials, seed=5)
+        assert report.to_json() == reference.normalization_report(p, dims, trials, 5).to_json()
+        if p.name != "r^2":  # the failing ones
+            assert not report.passed and report.worst_case["trial"] < trials
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("p", [
+        pair_form(candidate_from_expression("r^2")),
+        lambda v, w: abs(w.amplitudes[0]) ** 2,  # peeks at an amplitude
+    ], ids=["dsl", "python-failing"])
+    def test_unitary_invariance(self, p, dim, trials):
+        report = check_unitary_invariance(p, trials, 3, dim=dim, name="p")
+        expected = reference.check_unitary_invariance(p, trials, 3, dim=dim, name="p")
+        assert report.to_json() == expected.to_json()
+
+    def test_unitary_invariance_calls_pair_form_once_per_pair(self):
+        calls = []
+        check_unitary_invariance(lambda v, w: calls.append(v) or 0.0, 21, 0, dim=3)
+        assert len(calls) == 2 * 21
+
+    @pytest.mark.parametrize("dims, seed", [
+        ({1, 2, 4, 6}, 0), ({3, 5, 8, 16}, 4), ({1}, 1), ({2, 3, 4, 6, 8, 12}, 9),
+    ])
+    @pytest.mark.parametrize("p", SUITE_CANDIDATES + [
+        candidate_from_expression("1/(r-0.5)"),  # undefined at K/N = 1/4: spread inf
+    ], ids=SUITE_IDS + ["dsl-undefined"])
+    def test_n_independence(self, p, dims, seed):
+        report = check_n_independence(p, dims, seed)
+        assert report.to_json() == reference.check_n_independence(p, dims, seed).to_json()
+
+    def test_criterion_3_config(self):
+        dims, trials, seed = [2, 3, 5, 8, 16, 64], 45, 2024
+        p = candidate_from_expression("r^2.000001")
+        assert normalization_report(p, dims, trials, seed).to_json() == (
+            reference.normalization_report(p, dims, trials, seed).to_json())
 
 
 class TestEvaluate:

@@ -171,6 +171,20 @@ MALFORMED_LEDGERS = {
     "unreduced-entry": _unreduce,
     "n-max-raised": lambda ledger: ledger.update(n_max=5),
     "n-max-zero": lambda ledger: ledger.update(n_max=0, entries=ledger["entries"][:1]),
+    "too-many-thetas": _set(2, "theta_samples", [0.5] * 18),
+}
+
+# Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
+# with the entry it re-derives; load alone accepts every one of them.
+TAMPERED_FIELDS = {
+    "value": ("value", {"fraction": "1/3", "decimal": "0.9"}),
+    # the entry is re-derived at the stored thetas, as floats; another list
+    # of floats moves the digest, and this integer does not survive float()
+    "theta_samples": ("theta_samples", [2**53 + 1]),
+    "certificate_digest": ("certificate_digest", "f" * 64),
+    "verified": ("verified", False),
+    "verified-integer": ("verified", 1),  # equal to True in Python, not in JSON
+    "proof_trace": ("proof_trace", ["hence P(e^(i*theta)*sqrt(1/3)) = 1/3"]),
 }
 
 
@@ -232,6 +246,29 @@ class TestMalformedLedger:
         assert payload["result"]["passed"] is True
         assert payload["result"]["max_rational_residual"] <= 1e-12
         schema_validator("compare.schema.json").validate(payload)
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED_FIELDS))
+    def test_every_stored_field_is_certified(self, tmp_path, capsys, ledger_doc, case):
+        key, value = TAMPERED_FIELDS[case]
+        entry = ledger_doc["result"]["ledger"]["entries"][2]
+        assert (entry["K"], entry["N"]) == (1, 3) and json.dumps(entry[key]) != json.dumps(value)
+        entry[key] = value
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
+        assert code == 2
+        assert payload["result"]["error"] == f"{key} mismatch at K=1, N=3"
+        del entry[key]
+        assert run_on_file(tmp_path, capsys, ledger_doc, "certify")[0] == 2
+
+    def test_optional_and_full_certificate_fields_certify(self, tmp_path, capsys):
+        # base_kind and base_seed default as load reads them, and the extra
+        # fields of --full-certificates are not compared
+        code, doc = run(tmp_path, "derive", "--n-max", "4", "--full-certificates",
+                        name="full.json")
+        assert code == 0 and "exact_certificate" in doc["result"]["ledger"]["entries"][2]
+        for entry in doc["result"]["ledger"]["entries"]:
+            del entry["base_kind"], entry["base_seed"]
+        code, payload = run_on_file(tmp_path, capsys, doc, "certify")
+        assert code == 0 and payload["result"]["verified"] is True
 
     def test_truncated_fails_certify_and_compare(self, tmp_path, capsys, ledger_doc):
         ledger = ledger_doc["result"]["ledger"]
@@ -360,6 +397,9 @@ BAD_VALUES = {
     "compare-tolerance-inf": ["compare", "-p", "r", "LEDGER", "--tolerance", "inf"],
     "compare-tolerance-nan": ["compare", "-p", "r", "LEDGER", "--tolerance", "nan"],
     "derive-full-certificates-above-bound": ["derive", "--n-max", "17", "--full-certificates"],
+    "derive-thetas-above-bound": ["derive", "--n-max", "3", *["--theta", "0.5"] * 17],
+    "falsify-thetas-above-bound": ["falsify", "-p", "r", "--n-range", "2..3",
+                                   *["--theta", "0.5"] * 17],
     "derive-seed-negative": ["derive", "--n-max", "2", "--seed", "-3"],
     "falsify-seed-negative": ["falsify", "-p", "r", "--n-range", "2..3", "--seed", "-1"],
     "simulate-seed-negative": ["simulate", "--fraction", "1/2", "--seed", "-1"],
@@ -398,12 +438,24 @@ class TestUsageErrors:
 
     def test_sizes_at_bound_accepted(self, tmp_path):
         from bornlab.cli import (MAX_DIMENSION, MAX_FULL_CERTIFICATES_N, MAX_GRID,
-                                 MAX_SAMPLES, MAX_STEPS, MIN_TOLERANCE, _parse_range)
+                                 MAX_SAMPLES, MAX_STEPS, MAX_THETAS, MIN_TOLERANCE,
+                                 _parse_range)
         from bornlab.falsifier import MAX_STEP_SCALE
 
         assert (MAX_DIMENSION, MAX_GRID) == (512, 1 << 20)
-        assert (MAX_STEPS, MAX_SAMPLES) == (10**6, 10**12)
+        assert (MAX_STEPS, MAX_SAMPLES, MAX_THETAS) == (10**6, 10**12, 16)
         assert (MAX_FULL_CERTIFICATES_N, MIN_TOLERANCE, MAX_STEP_SCALE) == (16, 1e-12, 10.0)
+        thetas = [str(0.25 * i) for i in range(MAX_THETAS)]
+        code, payload = run(tmp_path, "derive", "--n-max", "3",
+                            *[a for t in thetas for a in ("--theta", t)], name="thetas.json")
+        assert code == 0
+        assert {len(e["theta_samples"]) for e in payload["result"]["ledger"]["entries"][1:]} == {
+            MAX_THETAS + 1}
+        schema_validator("ledger.schema.json").validate(payload)
+        assert main(["certify", str(tmp_path / "thetas.json"), "-o", str(tmp_path / "c.json")]) == 0
+        code, payload = run(tmp_path, "falsify", "-p", "r^2", "--n-range", "2..3", "--trials", "2",
+                            "--optimizer-steps", "0", *[a for t in thetas for a in ("--theta", t)])
+        assert code == 1 and len(payload["config"]["theta"]) == MAX_THETAS
         code, payload = run(tmp_path, "derive", "--n-max", str(MAX_FULL_CERTIFICATES_N),
                             "--full-certificates", name="full.json")
         assert code == 0
@@ -595,6 +647,9 @@ def _value(draw, values):
     return draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
 
 
+_MANY_THETAS = ["--theta", "0.5"] * 17  # one past cli.MAX_THETAS
+
+
 def _flags(draw, grammar):
     argv = []
     for flag, values in grammar.items():
@@ -618,6 +673,7 @@ def _cli_argv(draw, ledgers):
             "--full-certificates": None,
             "--seed": _SEEDS,
         })
+        argv += draw(st.sampled_from([[], _MANY_THETAS]))
         if "--n-max" not in argv:  # the default, 64, is not tiny
             argv += ["--n-max", "2"]
     elif command == "certify":
@@ -634,6 +690,7 @@ def _cli_argv(draw, ledgers):
             "--theta": _THETAS,
             "--seed": _SEEDS,
         })
+        argv += draw(st.sampled_from([[], _MANY_THETAS]))
         if "--n-range" not in argv:
             argv += ["--n-range", "2..3"]
     elif command == "simulate":

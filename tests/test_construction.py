@@ -14,10 +14,8 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.construction import dft_block, overlap_contract_error
-from bornlab.hilbert import rotate_basis
-
-from reference import geometric_series_overlap
+from bornlab.construction import _rebuild_base, dft_block, overlap_contract_error
+from reference import geometric_series_overlap, rotate_basis
 
 
 class TestSymmetricState:
@@ -208,3 +206,13 @@ def test_kernel_certificates_match_full_construction(ledger64):
             )
             assert abs(cert["defect"] - defect) <= 1e-15
             assert abs(cert["overlap_error"] - error) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_haar_base_is_the_rotated_standard_basis(n, seed):
+    # the rows of U^T, bit for bit the product I U^T that rotate_basis forms
+    base = _rebuild_base(n, "haar", seed)
+    rotated = rotate_basis(haar_unitary(n, seed), standard_basis(n))
+    assert base.matrix.tobytes() == rotated.matrix.tobytes()
+    assert base.matrix.flags.c_contiguous

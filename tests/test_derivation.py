@@ -417,11 +417,11 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 class TestCertificateProbes:
     def test_base_rebuilt_once_per_n_kind_seed(self, monkeypatch):
-        calls = _counting(monkeypatch, derivation, "_rebuild_base")
+        calls = _counting(monkeypatch, construction, "_rebuild_base")
         ledger = uncertified_ledger(6, rotate_bases=True, seed=2)
         specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
                  for c in ledger.constraints()]
-        probes = list(derivation.certificate_probes(specs))
+        probes = list(construction.certificate_probes(specs))
         assert [spec for spec, _, _ in probes] == specs[1:]  # P(0) has no construction
         assert calls == list(dict.fromkeys((n, kind, sub) for _, n, _, kind, sub in specs[1:]))
         assert len(calls) == 6

@@ -18,7 +18,7 @@ from bornlab import (
 )
 from bornlab.construction import TWO_PI, partial_dft_basis, symmetric_state
 from bornlab.falsifier import _ledger_probes, hill_climb
-from bornlab.hilbert import StateVector, haar_unitary, rotate_basis, standard_basis
+from bornlab.hilbert import StateVector, haar_unitary, standard_basis
 
 import reference
 from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
@@ -28,7 +28,7 @@ def certificate(k, n, theta, kind, sub):
     """(basis, state) behind one ledger certificate, built from the constructions."""
     base = standard_basis(n)
     if kind == "haar":
-        base = rotate_basis(haar_unitary(n, sub), base)
+        base = reference.rotate_basis(haar_unitary(n, sub), base)
     if k == n:
         return base, StateVector(np.exp(1j * (theta % TWO_PI)) * base.matrix[0])
     return partial_dft_basis(base, k).vectors, symmetric_state(base, theta).state

@@ -17,7 +17,8 @@ from bornlab import (
     standard_basis,
 )
 from bornlab.construction import partial_dft_basis
-from bornlab.hilbert import _check_unitary, haar_unitaries, rotate_basis
+from bornlab import hilbert
+from bornlab.hilbert import _check_unitary, haar_unitaries
 
 import reference
 
@@ -148,7 +149,22 @@ class TestApplyUnitary:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            rotate_basis(haar_unitary(3, 0), standard_basis(4))
+            reference.rotate_basis(haar_unitary(3, 0), standard_basis(4))
+
+
+def test_haar_unitary_checks_unitarity_once(monkeypatch):
+    calls, real = [], hilbert._check_unitary
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(hilbert, "_check_unitary", counted)
+    u = haar_unitary(8, 3)
+    assert calls == [(8, 8)]  # UnitaryMatrix's check, whose defect the kernel reads
+    assert u.defect == real(u.matrix)
+    haar_unitaries(8, [3, 4])
+    assert calls == [(8, 8), (2, 8, 8)]
 
 
 @settings(max_examples=30, deadline=None)
