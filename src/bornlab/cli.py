@@ -18,7 +18,7 @@ report alone.  Exit codes:
         past its bound: --n-max or an --n-range dimension above 512,
         --n-max above 16 with --full-certificates, more than 16 --theta
         values, --grid above 2^20, --trials or --optimizer-steps above
-        10^6, --samples above 10^12),
+        10^6, --samples above 10^12, more than 512 --probs fractions),
         or an output path that cannot be written
     66  input file unreadable
 
@@ -60,7 +60,7 @@ EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 
 # bounds on the sizes a user controls, checked before anything is allocated
-MAX_DIMENSION = 512  # derive --n-max, falsify --n-range
+MAX_DIMENSION = 512  # derive --n-max, falsify --n-range, simulate --probs cells
 MAX_GRID = 1 << 20  # compare --grid
 MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
 MAX_SAMPLES = 10**12  # simulate --samples
@@ -343,8 +343,11 @@ def _cmd_simulate(args) -> int:
         frac = _parse_fraction(args.fraction)
         probs = [frac] if frac == 1 else [frac, 1 - frac]
     else:
+        parts = args.probs.split(",")
+        if len(parts) > MAX_DIMENSION:
+            raise _UsageError(f"--probs takes at most {MAX_DIMENSION} fractions, got {len(parts)}")
         try:
-            probs = [Fraction(part) for part in args.probs.split(",")]
+            probs = [Fraction(part) for part in parts]
         except (ValueError, ZeroDivisionError):
             raise _UsageError(f"invalid --probs {args.probs!r}")
     seed = args.seed if args.seed is not None else _default_seed()

@@ -20,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -280,6 +281,10 @@ def derive_p_zero() -> RationalConstraint:
     )
 
 
+# entry fields a ledger may leave out, with the values read in their place
+_OPTIONAL_FIELDS = {"base_kind": "standard", "base_seed": None}
+
+
 @dataclass(frozen=True)
 class ConstraintLedger:
     """All derived constraints for reduced fractions K/N, N <= n_max."""
@@ -365,7 +370,7 @@ class ConstraintLedger:
             if _field(raw, "value", dict, where).get("fraction") != f"{k}/{n}":
                 raise CertificateError(f"asserted value mismatch at K={k}, N={n}")
             thetas = _thetas(raw, "theta_samples", where)
-            kind, sub = raw.get("base_kind", "standard"), raw.get("base_seed")
+            kind, sub = (raw.get(key, default) for key, default in _OPTIONAL_FIELDS.items())
             if not 1 <= len(thetas) <= MAX_THETAS + 1 or not (
                 (kind == "standard" and sub is None)
                 or (kind == "haar" and type(sub) is int and sub >= 0)
@@ -383,16 +388,25 @@ class ConstraintLedger:
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
-        """``load``, then re-derive every constraint and check each stored
-        field the format requires against it; raise CertificateError on any
-        fault.  ``base_kind`` and ``base_seed`` were read by ``load``, and
-        the extra fields of ``--full-certificates`` are not compared."""
-        ledger = _certified(cls.load(payload))
+        """``load``, then derive the ledger its header (n_max, theta_base,
+        rotate_bases, seed) describes and check each stored entry field the
+        format requires against it; raise CertificateError on any fault.
+        ``base_kind`` and ``base_seed`` may be left out, with the defaults
+        ``load`` reads, and the extra fields of ``--full-certificates`` are
+        not compared."""
+        # the loaded entries are dropped at once: the derived ones replace them
+        n_max, theta_base, rotate_bases, seed = attrgetter(
+            "n_max", "theta_base", "rotate_bases", "seed")(cls.load(payload))
+        if len(theta_base) > MAX_THETAS:  # bounds the entries derived below
+            raise CertificateError(f"ledger theta_base holds more than {MAX_THETAS} values")
+        ledger = _certified(uncertified_ledger(n_max, theta_base, rotate_bases, seed))
         stored = {(e["K"], e["N"]): e for e in payload["entries"]}
         for c in ledger.constraints():
             derived, raw = c.to_json(), stored[c.K, c.N]
-            for key in ("value", "theta_samples", "certificate_digest", "verified", "proof_trace"):
-                value = raw.get(key)  # of the same type too: 1 == True, but 1 is no JSON boolean
+            for key in ("value", "theta_samples", "base_kind", "base_seed",
+                        "certificate_digest", "verified", "proof_trace"):
+                # of the same type too: 1 == True, but 1 is no JSON boolean
+                value = raw.get(key, _OPTIONAL_FIELDS.get(key))
                 if value != derived[key] or type(value) is not type(derived[key]):
                     raise CertificateError(f"{key} mismatch at K={c.K}, N={c.N}")
         return ledger

@@ -9,6 +9,15 @@ draws; block i uses the generator seeded with
 SeedSequence([seed, i]), so counts are independent of how blocks are
 distributed over workers and identical inputs always give identical
 counts.
+
+No draw is looked up on its own.  Each block adds, for every interior
+boundary cdf[i], the number of its draws below cdf[i] to a running total,
+and the cell counts are the differences of those totals, taken once at
+the end.  Below SORT_BOUNDARIES = log2(BLOCK_SIZE) = 16 interior
+boundaries (up to 16 cells) one comparison pass over the block counts
+each boundary; from there on the block is sorted once and every boundary
+found by binary search, which costs about as much as that many passes.
+Both give the counts of a per-draw lookup.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .errors import DimensionError, ParameterError
 from .hilbert import OrthonormalBasis, StateVector
 
 BLOCK_SIZE = 1 << 16
+# a sort of one block costs about as much as log2(BLOCK_SIZE) comparison passes
+SORT_BOUNDARIES = BLOCK_SIZE.bit_length() - 1
 MAX_Z = 4.0
 CHI2_PERCENTILE = 0.9999
 MIN_EXPECTED_COUNT = 5.0
@@ -79,19 +90,22 @@ def sample_counts_from_probabilities(
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0  # absorb rounding slack into the final cell
-    counts = np.zeros(len(probabilities), dtype=np.int64)
+    boundaries = cdf[:-1]  # the last is taken as 1.0, above every draw
+    below = np.zeros(len(boundaries), dtype=np.int64)  # draws below each boundary
     n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    buffer = np.empty(min(BLOCK_SIZE, n_samples))  # one buffer, drawn into and sorted in place
+    buffer = np.empty(min(BLOCK_SIZE, n_samples))  # one buffer, drawn into by every block
     for block in range(n_blocks):
         draws = buffer[: min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)]
         rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
         rng.random(out=draws)
-        draws.sort()
-        # #{draws < cdf[i]} - #{draws < cdf[i-1]}: the same counts as looking
-        # each draw up in the cdf, at a cost that does not grow with the cells
-        counts += np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)
-    return counts
+        if len(boundaries) >= SORT_BOUNDARIES:
+            draws.sort()
+            below += np.searchsorted(draws, boundaries, side="left")
+        else:
+            for i, c in enumerate(boundaries):
+                below[i] += np.count_nonzero(draws < c)
+    # the final cell absorbs rounding slack: it holds every draw not below cdf[-2]
+    return np.diff(below, prepend=0, append=n_samples)
 
 
 def sample_outcomes(
@@ -194,8 +208,9 @@ def simulate_fractions(
     fracs = tuple(Fraction(f) for f in probabilities)
     if any(f < 0 for f in fracs) or sum(fracs) != 1:
         raise ParameterError("probabilities must be non-negative and sum to 1")
-    amps = np.sqrt(np.array([float(f) for f in fracs]))
-    state = StateVector(amps)
-    basis = OrthonormalBasis(np.eye(len(fracs), dtype=np.complex128))
-    counts = sample_outcomes(state, basis, n_samples, seed)
+    state = StateVector(np.sqrt(np.array([float(f) for f in fracs])))
+    # the Born weights in the standard basis: the squared moduli of the
+    # amplitudes, which a product with the identity would give bit for bit
+    probabilities = np.abs(state.amplitudes) ** 2
+    counts = sample_counts_from_probabilities(probabilities, n_samples, seed)
     return frequentist_report(counts, fracs, n_samples, seed)

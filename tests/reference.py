@@ -8,7 +8,8 @@ builds one ledger entry's N x N construction, against which the
 certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
 partial-DFT basis's inner products, and ``rotate_basis`` the product
-form of a Haar-rotated base.
+form of a Haar-rotated base.  ``simulate_fractions`` reads its Born
+weights back through a Gram-checked d x d standard basis.
 """
 
 import math
@@ -23,9 +24,11 @@ from bornlab import (
     OrthonormalBasis,
     ParameterError,
     StateVector,
+    frequentist_report,
     haar_unitary,
     orthonormality_defect,
     random_state,
+    sample_outcomes,
     standard_basis,
 )
 from bornlab.axioms import Axiom, AxiomReport, check_normalization, evaluate
@@ -242,3 +245,15 @@ def check_n_independence(p, dims, seed, tolerance=1e-9) -> AxiomReport:
                 "theta": theta,
             }
     return AxiomReport(Axiom.N_INDEPENDENCE, max_residual, worst, tolerance)
+
+
+def simulate_fractions(probabilities, n_samples, seed):
+    """``montecarlo.simulate_fractions`` with the Born weights read back as
+    overlaps with the d x d identity basis: d^2 memory and a d^3 Gram check."""
+    fracs = tuple(Fraction(f) for f in probabilities)
+    if any(f < 0 for f in fracs) or sum(fracs) != 1:
+        raise ParameterError("probabilities must be non-negative and sum to 1")
+    state = StateVector(np.sqrt(np.array([float(f) for f in fracs])))
+    basis = OrthonormalBasis(np.eye(len(fracs), dtype=np.complex128))
+    counts = sample_outcomes(state, basis, n_samples, seed)
+    return frequentist_report(counts, fracs, n_samples, seed)

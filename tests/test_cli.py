@@ -172,6 +172,7 @@ MALFORMED_LEDGERS = {
     "n-max-raised": lambda ledger: ledger.update(n_max=5),
     "n-max-zero": lambda ledger: ledger.update(n_max=0, entries=ledger["entries"][:1]),
     "too-many-thetas": _set(2, "theta_samples", [0.5] * 18),
+    "too-many-base-thetas": lambda ledger: ledger.update(theta_base=[0.5] * 17),
 }
 
 # Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
@@ -185,6 +186,16 @@ TAMPERED_FIELDS = {
     "verified": ("verified", False),
     "verified-integer": ("verified", 1),  # equal to True in Python, not in JSON
     "proof_trace": ("proof_trace", ["hence P(e^(i*theta)*sqrt(1/3)) = 1/3"]),
+}
+
+
+# Each changes one header field so that it no longer describes the stored
+# entries; certify derives the entries from the header and names the first
+# entry field that differs, at K/N = 1/1.
+TAMPERED_HEADERS = {
+    "theta_base": ("theta_base", [0.123], "theta_samples"),
+    "rotate_bases": ("rotate_bases", True, "base_kind"),
+    "seed": ("seed", 99, "theta_samples"),  # moves each entry's seeded theta
 }
 
 
@@ -258,6 +269,17 @@ class TestMalformedLedger:
         assert payload["result"]["error"] == f"{key} mismatch at K=1, N=3"
         del entry[key]
         assert run_on_file(tmp_path, capsys, ledger_doc, "certify")[0] == 2
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
+    def test_header_is_certified(self, tmp_path, capsys, ledger_doc, case):
+        key, value, field = TAMPERED_HEADERS[case]
+        ledger = ledger_doc["result"]["ledger"]
+        assert ledger[key] != value
+        ledger[key] = value
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
+        assert code == 2
+        assert payload["result"]["error"] == f"{field} mismatch at K=1, N=1"
+        schema_validator("certify.schema.json").validate(payload)
 
     def test_optional_and_full_certificate_fields_certify(self, tmp_path, capsys):
         # base_kind and base_seed default as load reads them, and the extra
@@ -406,6 +428,7 @@ BAD_VALUES = {
     "simulate-samples-above-bound": ["simulate", "--fraction", "1/2", "--samples",
                                      "1000000000001"],
     "simulate-samples-huge": ["simulate", "--probs", "1/2,1/2", "--samples", str(10**30)],
+    "simulate-probs-above-bound": ["simulate", "--probs", ",".join(["1/513"] * 513)],
 }
 
 
@@ -556,6 +579,18 @@ class TestSimulate:
         assert code == 0
         assert payload["result"]["dimension"] == 3
 
+    def test_probs_at_bound(self, tmp_path, capsys):
+        from bornlab.cli import MAX_DIMENSION
+
+        code, payload = run(tmp_path, "simulate", "--probs",
+                            ",".join([f"1/{MAX_DIMENSION}"] * MAX_DIMENSION), "--samples", "100000")
+        assert code == 0
+        assert payload["result"]["dimension"] == MAX_DIMENSION
+        schema_validator("simulate.schema.json").validate(payload)
+        # one past the bound is refused before any fraction is parsed
+        assert main(["simulate", "--probs", ",".join(["x"] * (MAX_DIMENSION + 1))]) == 64
+        assert f"at most {MAX_DIMENSION} fractions" in capsys.readouterr().err
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "cells.csv"
         code = main(
@@ -648,6 +683,7 @@ def _value(draw, values):
 
 
 _MANY_THETAS = ["--theta", "0.5"] * 17  # one past cli.MAX_THETAS
+_MANY_PROBS = ",".join(["1/513"] * 513)  # one past cli.MAX_DIMENSION
 
 
 def _flags(draw, grammar):
@@ -696,7 +732,7 @@ def _cli_argv(draw, ledgers):
     elif command == "simulate":
         argv += _flags(draw, {
             "--fraction": ["2/3", "1/1", "0/1", "3/2", "1/0", "x"],
-            "--probs": ["1/4,3/4", "1/2,1/2,0", "1/2", "x", "1/0,1"],
+            "--probs": ["1/4,3/4", "1/2,1/2,0", "1/2", "x", "1/0,1", _MANY_PROBS],
             "--samples": ["1000", "1", "0", "-5", "x", "1000000000001"],
             "--seed": _SEEDS,
             "--format": ["json", "csv", "xml"],

@@ -14,7 +14,9 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.montecarlo import BLOCK_SIZE, sample_counts_from_probabilities
+from bornlab.montecarlo import BLOCK_SIZE, SORT_BOUNDARIES, sample_counts_from_probabilities
+
+import reference
 
 
 class TestSampleOutcomes:
@@ -69,7 +71,12 @@ def lookup_counts(probabilities, n_samples, seed):
 
 
 class TestSortAndCount:
-    @pytest.mark.parametrize("k", [1, 2, 8, 1024])
+    def test_sort_from_log2_block_size_boundaries(self):
+        # a sort of the block costs about log2(BLOCK_SIZE) comparison passes
+        assert SORT_BOUNDARIES == 16 and 1 << SORT_BOUNDARIES == BLOCK_SIZE
+
+    # up to 16 cells one comparison pass per interior boundary, from 17 a sort
+    @pytest.mark.parametrize("k", [1, 2, 8, 16, 17, 1024])
     def test_counts_equal_per_draw_lookup(self, k):
         rng = np.random.default_rng(k)
         weights = rng.random(k)
@@ -146,6 +153,29 @@ class TestSimulateFractions:
     def test_honest_simulation_passes(self):
         report = simulate_fractions([Fraction(1, 3), Fraction(2, 3)], 10**6, 1)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "probabilities, n_samples, seed, counts",
+        [
+            ([Fraction(2, 3), Fraction(1, 3)], 10**7, 7, (6667980, 3332020)),
+            ([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 10**6, 3,
+             (248926, 250129, 500945)),
+        ],
+    )
+    def test_pinned_counts(self, probabilities, n_samples, seed, counts):
+        # the counts of the sort-per-block sampler over the identity basis
+        assert simulate_fractions(probabilities, n_samples, seed).counts == counts
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 16, 17, 512])
+    def test_equals_identity_basis_reference(self, cells):
+        rng = np.random.default_rng(cells)
+        weights = [int(w) for w in rng.integers(0, 5, cells)]
+        weights[0] += 1  # some cells empty, never all
+        probabilities = [Fraction(w, sum(weights)) for w in weights]
+        n_samples = 2 * BLOCK_SIZE + 77
+        report = simulate_fractions(probabilities, n_samples, cells)
+        expected = reference.simulate_fractions(probabilities, n_samples, cells)
+        assert report.to_json() == expected.to_json()
 
     def test_probabilities_validated(self):
         with pytest.raises(ParameterError):
