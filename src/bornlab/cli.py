@@ -10,7 +10,9 @@ report alone.  Exit codes:
     1   clean falsification run with no witness, or a failed
         comparison/simulation gate
     2   verification failure (a certificate did not verify, or a ledger
-        is malformed, incomplete, or of another format_version)
+        is malformed, incomplete, of another format_version, or has a
+        header past its bounds: n_max above 512, a negative seed, more
+        than 16 theta_base values)
     64  usage error (bad flags, a seed that is not an integer >= 0,
         unparseable candidate, invalid fraction, a parameter out of its
         range, a non-finite --theta, a --threshold or --tolerance that is
@@ -41,6 +43,7 @@ from fractions import Fraction
 from . import __version__
 from .axioms import candidate_from_expression
 from .derivation import (
+    MAX_DIMENSION,  # derive --n-max, a stored n_max, falsify --n-range, simulate --probs cells
     MAX_THETAS,  # derive/falsify --theta values; a ledger entry holds one more
     ConstraintLedger,
     build_ledger,
@@ -60,7 +63,6 @@ EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 
 # bounds on the sizes a user controls, checked before anything is allocated
-MAX_DIMENSION = 512  # derive --n-max, falsify --n-range, simulate --probs cells
 MAX_GRID = 1 << 20  # compare --grid
 MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
 MAX_SAMPLES = 10**12  # simulate --samples

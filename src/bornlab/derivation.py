@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -41,6 +40,7 @@ DEFECT_TOLERANCE = 1e-10
 OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
 MAX_THETAS = 16  # bound on theta_samples; each entry adds one seeded theta
+MAX_DIMENSION = 512  # bound on n_max, derived or stored
 # Version 3 adds the exact certificate and hashes no float certificate
 # number, so that a digest depends on no BLAS, thread count or CPU; it also
 # bounds Haar entries by unitary invariance.  Older ledgers must be re-derived.
@@ -105,11 +105,11 @@ class RationalConstraint:
                 "decimal": repr(float(self.asserted_value)),
             },
             "theta_samples": list(self.theta_samples),
+            "base_kind": self.base_kind,
+            "base_seed": self.base_seed,
             "certificate_digest": self.certificate_digest(),
             "verified": self.verified,
             "proof_trace": list(self.proof_trace),
-            "base_kind": self.base_kind,
-            "base_seed": self.base_seed,
         }
 
     def certificate_digest(self) -> str:
@@ -345,22 +345,15 @@ class ConstraintLedger:
         """Read a serialized ledger with exact checks only; raise
         CertificateError on any fault.
 
-        Checks the format version and field types, and that the entries are
-        exactly {0} and each reduced K/N with N <= n_max, each asserting K/N.
+        Checks the header (``_header``), then that the entries are distinct
+        and each is {0} or a reduced K/N with N <= n_max asserting K/N; as
+        many as the header counts, so every one of them is there.
         Certificates are not re-derived, so the constraints carry none and
         none of them is ``verified``; use ``from_json`` for that.
         """
-        version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version != FORMAT_VERSION:
-            raise CertificateError(
-                f"ledger format_version is {version!r:.20}, not {FORMAT_VERSION}; re-run derive"
-            )
-        n_max = _field(payload, "n_max", int, "ledger")
-        seed = _field(payload, "seed", int, "ledger")
-        rotate_bases = _field(payload, "rotate_bases", bool, "ledger")
-        theta_base = _thetas(payload, "theta_base", "ledger")
+        n_max, seed, rotate_bases, theta_base, stored = _header(payload)
         entries: dict[Fraction, RationalConstraint] = {}
-        for index, raw in enumerate(_field(payload, "entries", list, "ledger")):
+        for index, raw in enumerate(stored):
             where = f"ledger entry {index}"
             k, n = _field(raw, "K", int, where), _field(raw, "N", int, where)
             reduced = (k, n) == (0, 1) or 1 <= k <= n <= n_max and math.gcd(k, n) == 1
@@ -379,47 +372,75 @@ class ConstraintLedger:
                     f"{where}: not 1..{MAX_THETAS + 1} theta samples, or a bad base_kind/base_seed"
                 )
             entries[value] = _uncertified(k, n, thetas, kind, sub)
-        # n_max > len(entries) is already incomplete; testing it first bounds the count
-        if n_max < 1 or n_max > len(entries) or len(entries) != 1 + sum(
-            math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1)
-        ):
-            raise CertificateError(f"ledger holds {len(entries)} entries, not all of n_max={n_max}")
         return cls(n_max, seed, rotate_bases, theta_base, entries)
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
-        """``load``, then derive the ledger its header (n_max, theta_base,
-        rotate_bases, seed) describes and check each stored entry field the
-        format requires against it; raise CertificateError on any fault.
+        """Derive the ledger that the header (``_header``) describes and check
+        that each stored entry is the derived one: every key of its
+        ``to_json``, of the same JSON type, one entry at a time, the first
+        mismatch in (N, K) order; raise CertificateError on any fault.
         ``base_kind`` and ``base_seed`` may be left out, with the defaults
         ``load`` reads, and the extra fields of ``--full-certificates`` are
         not compared."""
-        # the loaded entries are dropped at once: the derived ones replace them
-        n_max, theta_base, rotate_bases, seed = attrgetter(
-            "n_max", "theta_base", "rotate_bases", "seed")(cls.load(payload))
-        if len(theta_base) > MAX_THETAS:  # bounds the entries derived below
-            raise CertificateError(f"ledger theta_base holds more than {MAX_THETAS} values")
-        ledger = _certified(uncertified_ledger(n_max, theta_base, rotate_bases, seed))
-        stored = {(e["K"], e["N"]): e for e in payload["entries"]}
+        n_max, seed, rotate_bases, theta_base, stored = _header(payload)
+        ledger = _derive(n_max, theta_base, rotate_bases, seed)
+        place = {f: i for i, f in enumerate(ledger.fractions())}  # entries are in Farey order
         for c in ledger.constraints():
-            derived, raw = c.to_json(), stored[c.K, c.N]
-            for key in ("value", "theta_samples", "base_kind", "base_seed",
-                        "certificate_digest", "verified", "proof_trace"):
+            raw = stored[place[c.modulus_squared]]
+            for key, derived in c.to_json().items():
+                value = raw.get(key, _OPTIONAL_FIELDS.get(key)) if isinstance(raw, dict) else None
                 # of the same type too: 1 == True, but 1 is no JSON boolean
-                value = raw.get(key, _OPTIONAL_FIELDS.get(key))
-                if value != derived[key] or type(value) is not type(derived[key]):
+                if value != derived or type(value) is not type(derived):
                     raise CertificateError(f"{key} mismatch at K={c.K}, N={c.N}")
         return ledger
 
 
-def _certified(ledger: ConstraintLedger) -> ConstraintLedger:
-    """The ledger with every constraint derived afresh from its (K, N,
-    thetas, base): P(0), then one kernel pass over the rest."""
-    loaded = ledger.constraints()  # (N, K) order: P(0) first, Haar bases grouped by N
-    derived = [derive_p_zero()] + CertificateKernel().derive(
-        (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed) for c in loaded[1:]
-    )
-    return replace(ledger, entries={c.modulus_squared: c for c in derived})
+def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
+    """(n_max, seed, rotate_bases, theta_base, entries) of a serialized
+    ledger; raise CertificateError on any fault, before any entry is read.
+
+    Checks the format version and field types, bounds n_max by
+    MAX_DIMENSION, seed below by 0 and theta_base by MAX_THETAS values, and
+    checks that the entries number 1 + the reduced fractions K/N with
+    N <= n_max.
+    """
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
+        raise CertificateError(
+            f"ledger format_version is {version!r:.20}, not {FORMAT_VERSION}; re-run derive"
+        )
+    n_max = _field(payload, "n_max", int, "ledger")
+    seed = _field(payload, "seed", int, "ledger")
+    rotate_bases = _field(payload, "rotate_bases", bool, "ledger")
+    theta_base = _thetas(payload, "theta_base", "ledger")
+    entries = _field(payload, "entries", list, "ledger")
+    if not 1 <= n_max <= MAX_DIMENSION:
+        raise CertificateError(f"ledger n_max must lie in 1..{MAX_DIMENSION}")
+    if seed < 0:
+        raise CertificateError("ledger seed must be >= 0")
+    if len(theta_base) > MAX_THETAS:
+        raise CertificateError(f"ledger theta_base holds more than {MAX_THETAS} values")
+    count = 1 + sum(math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1))
+    if len(entries) != count:
+        raise CertificateError(
+            f"ledger holds {len(entries)} entries, not the {count} of n_max={n_max}"
+        )
+    return n_max, seed, rotate_bases, theta_base, entries
+
+
+def _derive(
+    n_max: int,
+    theta_samples: Optional[Iterable[float]] = None,
+    rotate_bases: bool = False,
+    seed: int = 0,
+) -> ConstraintLedger:
+    """The ledger of ``ledger_specs``, every constraint derived: P(0), then
+    one kernel pass over the rest in (N, K) order."""
+    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
+    derived = [derive_p_zero()] + CertificateKernel().derive(specs)
+    return ConstraintLedger(n_max, seed, rotate_bases, thetas,
+                            {c.modulus_squared: c for c in derived})
 
 
 def _uncertified(k: int, n: int, thetas, kind: str, sub) -> RationalConstraint:
@@ -501,7 +522,7 @@ def build_ledger(
     arithmetic; a disagreement would indicate an internal inconsistency
     and raises CertificateError.
     """
-    ledger = _certified(uncertified_ledger(n_max, theta_samples, rotate_bases, seed))
+    ledger = _derive(n_max, theta_samples, rotate_bases, seed)
     for constraint in ledger.constraints():
         if not constraint.exact:
             raise CertificateError(

@@ -54,10 +54,10 @@ class StateVector:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, norm_tolerance: float = NORM_TOLERANCE):
+    def __init__(self, amplitudes):
         arr = _complex_array(amplitudes, 1)
         norm_sq = float(np.real(np.vdot(arr, arr)))
-        if abs(norm_sq - 1.0) > norm_tolerance:
+        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: <v|v> = {norm_sq!r}")
         arr.setflags(write=False)
         self.amplitudes = arr
@@ -93,13 +93,13 @@ class OrthonormalBasis:
 
     __slots__ = ("matrix", "defect")
 
-    def __init__(self, matrix, ortho_tolerance: float = ORTHO_TOLERANCE):
+    def __init__(self, matrix):
         arr = _complex_array(matrix, 2)
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"basis matrix must be square, got {arr.shape}")
         defect = _gram_defect(arr)
-        if defect > ortho_tolerance:
+        if defect > ORTHO_TOLERANCE:
             raise ValueError(f"basis is not orthonormal: Gram defect {defect:.3e}")
         arr.setflags(write=False)
         self.matrix = arr
@@ -136,12 +136,12 @@ class UnitaryMatrix:
 
     __slots__ = ("matrix", "defect")
 
-    def __init__(self, matrix, ortho_tolerance: float = ORTHO_TOLERANCE):
+    def __init__(self, matrix):
         arr = _complex_array(matrix, 2)
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"unitary must be square, got {arr.shape}")
-        self.defect = _check_unitary(arr, ortho_tolerance)
+        self.defect = _check_unitary(arr)
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -160,15 +160,15 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _check_unitary(stack: np.ndarray, ortho_tolerance: float = ORTHO_TOLERANCE) -> float:
+def _check_unitary(stack: np.ndarray) -> float:
     """max_ij |(U^H U - I)_ij| over every U of a (..., n, n) stack; raise
-    ValueError unless each U is finite and that defect <= ortho_tolerance."""
+    ValueError unless each U is finite and that defect <= ORTHO_TOLERANCE."""
     if not np.isfinite(stack).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     gram = stack.conj().swapaxes(-1, -2) @ stack
     gram -= np.eye(stack.shape[-1])
     defect = float(np.abs(gram).max())
-    if defect > ortho_tolerance:
+    if defect > ORTHO_TOLERANCE:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
     return defect
 

@@ -22,6 +22,7 @@ Both give the counts of a per-draw lookup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +35,7 @@ from .hilbert import OrthonormalBasis, StateVector
 BLOCK_SIZE = 1 << 16
 # a sort of one block costs about as much as log2(BLOCK_SIZE) comparison passes
 SORT_BOUNDARIES = BLOCK_SIZE.bit_length() - 1
-MAX_Z = 4.0
+MAX_Z = 4.0  # the |z| bound of a two-cell run; see z_threshold
 CHI2_PERCENTILE = 0.9999
 MIN_EXPECTED_COUNT = 5.0
 
@@ -55,7 +56,8 @@ class SimulationReport:
     @property
     def passed(self) -> bool:
         return (
-            self.max_z_score <= MAX_Z and self.chi_square <= self.chi_square_threshold
+            self.max_z_score <= z_threshold(self.dimension)
+            and self.chi_square <= self.chi_square_threshold
         )
 
     def to_json(self) -> dict:
@@ -142,6 +144,22 @@ def _pool_cells(expected_counts: np.ndarray, counts: np.ndarray):
     return np.array(pooled_exp), np.array(pooled_obs, dtype=float)
 
 
+def z_threshold(cells: int) -> float:
+    """The |z| bound on each cell of a run with the given number of cells.
+
+    The two-sided tail of MAX_Z, erfc(MAX_Z / sqrt(2)), is shared among
+    m = max(cells - 1, 1) cells, so that an honest run fails by |z| about
+    as often at any cell count: z = sqrt(2) erfcinv(erfc(MAX_Z / sqrt(2)) / m).
+    The two cells of a two-cell run share one |z|, and it keeps MAX_Z
+    exactly.
+    """
+    if cells <= 2:
+        return MAX_Z
+    from scipy.special import erfc, erfcinv  # loaded by simulate only
+
+    return float(math.sqrt(2.0) * erfcinv(erfc(MAX_Z / math.sqrt(2.0)) / (cells - 1)))
+
+
 def frequentist_report(
     counts: Sequence[int],
     expected: Sequence[Fraction],
@@ -150,9 +168,12 @@ def frequentist_report(
 ) -> SimulationReport:
     """Pearson chi-square and per-cell z-scores against exact expectations.
 
-    Pass criteria: max |z| <= 4 and chi-square below its 99.99th
-    percentile.  Cells with expected count < 5 are pooled before the
-    chi-square; z-scores are reported per original cell.
+    Pass criteria: every cell's |z| within ``z_threshold`` of the cell
+    count d (4 for d <= 2, about 4.16 at 3 cells, 4.89 at 64 and 5.29 at
+    512; MAX_Z's two-sided tail shared among d - 1 cells) and chi-square
+    below its 99.99th percentile.  Cells with expected count < 5 are
+    pooled before the chi-square; z-scores are reported per original
+    cell.
     """
     expected = tuple(Fraction(f) for f in expected)
     counts = tuple(int(c) for c in counts)

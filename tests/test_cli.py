@@ -143,8 +143,8 @@ def _unreduce(ledger):
     entry.update(K=2, N=4, value={"fraction": "2/4", "decimal": "0.5"})
 
 
-# Each turns a fresh n_max = 4 ledger into one that certify must reject
-# with exit 2 and a JSON report, never a traceback.
+# Each turns a fresh n_max = 4 ledger into one that certify and compare
+# must reject with exit 2 and a JSON report, never a traceback.
 MALFORMED_LEDGERS = {
     "empty-object": lambda ledger: ledger.clear(),
     "entries-not-a-list": lambda ledger: ledger.update(entries=5),
@@ -173,6 +173,8 @@ MALFORMED_LEDGERS = {
     "n-max-zero": lambda ledger: ledger.update(n_max=0, entries=ledger["entries"][:1]),
     "too-many-thetas": _set(2, "theta_samples", [0.5] * 18),
     "too-many-base-thetas": lambda ledger: ledger.update(theta_base=[0.5] * 17),
+    "negative-seed": lambda ledger: ledger.update(seed=-1),
+    "n-max-above-bound": lambda ledger: ledger.update(n_max=513),
 }
 
 # Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
@@ -224,6 +226,31 @@ class TestMalformedLedger:
         assert code == 2
         assert payload["result"]["verified"] is False
         schema_validator("certify.schema.json").validate(payload)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+    def test_compare_exits_2_on_every_malformed_ledger(self, tmp_path, capsys, ledger_doc, case):
+        MALFORMED_LEDGERS[case](ledger_doc["result"]["ledger"])
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
+        assert code == 2
+        assert payload["result"]["passed"] is False
+        schema_validator("compare.schema.json").validate(payload)
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("n_max", 10**6, "ledger n_max must lie in 1..512"),
+        ("seed", -1, "ledger seed must be >= 0"),
+        ("theta_base", [0.5] * 2000, "ledger theta_base holds more than 16 values"),
+    ])
+    def test_header_bounded_before_any_entry(self, tmp_path, capsys, ledger_doc, monkeypatch,
+                                             key, value, error):
+        def refuse(*args):
+            raise AssertionError("an entry was read or derived")
+
+        monkeypatch.setattr(derivation, "_uncertified", refuse)
+        monkeypatch.setattr(derivation, "ledger_specs", refuse)
+        ledger_doc["result"]["ledger"][key] = value
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert (code, payload["result"]["error"]) == (2, error)
 
     def test_old_format_asks_for_rederive(self, tmp_path, capsys, ledger_doc):
         del ledger_doc["result"]["ledger"]["format_version"]
@@ -535,7 +562,7 @@ class TestUnwritableOutput:
 
 def test_no_scipy_import_outside_optimizer_and_simulate():
     # scipy.linalg loads for the optimizer phase and scipy.special for
-    # simulate's chi-square threshold; nothing else may pull scipy in
+    # simulate's chi-square threshold and z bound; nothing else may pull scipy in
     script = (
         "import os, sys\n"
         "import bornlab.cli\n"

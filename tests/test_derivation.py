@@ -222,7 +222,7 @@ class TestExactCertificate:
         assert not c.exact and not c.verified
         with pytest.raises(CertificateError, match="exact certificate failed at K=6, N=7"):
             build_ledger(7)
-        ledger = derivation._certified(uncertified_ledger(7))
+        ledger = derivation._derive(7)
         assert verify_ledger(ledger) == [(6, 7, t) for t in ledger.lookup(Fraction(6, 7)).theta_samples]
 
 
@@ -299,6 +299,30 @@ class TestSerialization:
         payload = ledger10.to_json()
         payload["entries"][3]["certificate_digest"] = "0" * 64
         with pytest.raises(CertificateError):
+            ConstraintLedger.from_json(payload)
+
+    def test_certify_derives_from_the_header_alone(self, monkeypatch):
+        # one derive path for build_ledger and from_json: neither reads the
+        # stored entries through load nor makes an uncertified constraint
+        def refuse(*args):
+            raise AssertionError("an entry was parsed or left uncertified")
+
+        monkeypatch.setattr(ConstraintLedger, "load", refuse)
+        monkeypatch.setattr(derivation, "_uncertified", refuse)
+        built = build_ledger(7, rotate_bases=True, seed=3)
+        rebuilt = ConstraintLedger.from_json(built.to_json())
+        assert rebuilt.entries == built.entries and rebuilt.verified
+        assert [c.certificate_digest() for c in rebuilt.constraints()] == [
+            c.certificate_digest() for c in built.constraints()]
+        assert not hasattr(derivation, "_certified")
+
+    def test_every_key_derive_writes_is_compared(self, ledger10, monkeypatch):
+        # no hand-kept field list: a key that derive would add must be stored too
+        payload = ledger10.to_json()
+        real = derivation.RationalConstraint.to_json
+        monkeypatch.setattr(derivation.RationalConstraint, "to_json",
+                            lambda c: dict(real(c), extra=c.N))
+        with pytest.raises(CertificateError, match="^extra mismatch at K=0, N=1$"):
             ConstraintLedger.from_json(payload)
 
     def test_value_tamper_detected(self, ledger10):

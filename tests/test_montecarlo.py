@@ -14,7 +14,13 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.montecarlo import BLOCK_SIZE, SORT_BOUNDARIES, sample_counts_from_probabilities
+from bornlab.montecarlo import (
+    BLOCK_SIZE,
+    MAX_Z,
+    SORT_BOUNDARIES,
+    sample_counts_from_probabilities,
+    z_threshold,
+)
 
 import reference
 
@@ -180,6 +186,46 @@ class TestSimulateFractions:
     def test_probabilities_validated(self):
         with pytest.raises(ParameterError):
             simulate_fractions([Fraction(2, 3), Fraction(2, 3)], 100, 1)
+
+
+class TestZThreshold:
+    def test_two_cells_keep_max_z_exactly(self):
+        assert z_threshold(1) == z_threshold(2) == MAX_Z == 4.0
+
+    def test_tail_shared_among_cells(self):
+        # the two-sided tail of each of d - 1 cells is that of MAX_Z over d - 1
+        tail = math.erfc(MAX_Z / math.sqrt(2.0))
+        for cells in (3, 17, 64, 512):
+            z = z_threshold(cells)
+            assert math.erfc(z / math.sqrt(2.0)) * (cells - 1) == pytest.approx(tail, rel=1e-9)
+        assert [round(z_threshold(d), 2) for d in (3, 64, 512)] == [4.16, 4.89, 5.29]
+
+    @pytest.mark.parametrize("cells, seed", [(64, 238), (512, 18), (512, 36), (512, 115),
+                                             (512, 198), (512, 208)])
+    def test_honest_uniform_runs_pass(self, cells, seed):
+        # each fails a bound of 4 on every cell while its chi-square passes
+        report = simulate_fractions([Fraction(1, cells)] * cells, 10**5, seed)
+        assert report.max_z_score > MAX_Z
+        assert report.chi_square <= report.chi_square_threshold
+        assert report.passed
+
+    def test_wrong_distribution_fails_at_512_cells(self):
+        # uniform draws against weights 3/1024 and 1/1024
+        counts = simulate_fractions([Fraction(1, 512)] * 512, 10**5, 1).counts
+        report = frequentist_report(counts, [Fraction(3, 1024)] * 256 + [Fraction(1, 1024)] * 256,
+                                    10**5)
+        assert report.max_z_score > z_threshold(512) and not report.passed
+
+    def test_one_cell_past_its_bound_fails(self):
+        # 512 cells, exact counts but for two cells moved 5.5 sigma each
+        n, p = 512 * 10**4, Fraction(1, 512)
+        shift = math.ceil(5.5 * math.sqrt(n * float(p) * (1 - float(p))))
+        counts = [10**4] * 512
+        counts[0] += shift
+        counts[1] -= shift
+        report = frequentist_report(counts, [p] * 512, n)
+        assert report.chi_square <= report.chi_square_threshold
+        assert z_threshold(512) < report.max_z_score < 5.6 and not report.passed
 
 
 def test_inverse_sqrt_n_convergence():
