@@ -199,7 +199,9 @@ def _read_ledger(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit
+    # limit; RecursionError, nesting deeper than the decoder's recursion
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
     for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
         if isinstance(payload, dict):

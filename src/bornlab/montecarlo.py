@@ -1,23 +1,12 @@
 """Frequentist verification of Born weights by projective-measurement
 simulation.
 
-Outcomes are drawn i.i.d. from the categorical distribution
-p_i = |<v_i|psi>|^2 by inverse-CDF lookup on the cumulative vector (the
-final cell absorbs float rounding slack); cell i counts the draws in
-[cdf[i-1], cdf[i]).  Sampling is split into fixed-size blocks of 2^16
-draws; block i uses the generator seeded with
-SeedSequence([seed, i]), so counts are independent of how blocks are
-distributed over workers and identical inputs always give identical
-counts.
-
-No draw is looked up on its own.  Each block adds, for every interior
-boundary cdf[i], the number of its draws below cdf[i] to a running total,
-and the cell counts are the differences of those totals, taken once at
-the end.  Below SORT_BOUNDARIES = log2(BLOCK_SIZE) = 16 interior
-boundaries (up to 16 cells) one comparison pass over the block counts
-each boundary; from there on the block is sorted once and every boundary
-found by binary search, which costs about as much as that many passes.
-Both give the counts of a per-draw lookup.
+The cell counts of n i.i.d. categorical draws with p_i = |<v_i|psi>|^2
+are multinomial, so they are drawn in one call, as a chain of conditional
+binomials, in time that does not depend on n.  Cell i holds the mass in
+[cdf[i-1], cdf[i]) of the cumulative sum clipped at 1; the final cell
+absorbs float rounding slack.  The generator is seeded with
+SeedSequence([seed]), so identical inputs always give identical counts.
 """
 
 from __future__ import annotations
@@ -32,9 +21,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .hilbert import OrthonormalBasis, StateVector
 
-BLOCK_SIZE = 1 << 16
-# a sort of one block costs about as much as log2(BLOCK_SIZE) comparison passes
-SORT_BOUNDARIES = BLOCK_SIZE.bit_length() - 1
 MAX_Z = 4.0  # the |z| bound of a two-cell run; see z_threshold
 CHI2_PERCENTILE = 0.9999
 MIN_EXPECTED_COUNT = 5.0
@@ -91,23 +77,12 @@ def sample_counts_from_probabilities(
     """Per-cell counts of n_samples categorical draws; deterministic per seed."""
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    cdf = np.cumsum(probabilities)
-    boundaries = cdf[:-1]  # the last is taken as 1.0, above every draw
-    below = np.zeros(len(boundaries), dtype=np.int64)  # draws below each boundary
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    buffer = np.empty(min(BLOCK_SIZE, n_samples))  # one buffer, drawn into by every block
-    for block in range(n_blocks):
-        draws = buffer[: min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
-        rng.random(out=draws)
-        if len(boundaries) >= SORT_BOUNDARIES:
-            draws.sort()
-            below += np.searchsorted(draws, boundaries, side="left")
-        else:
-            for i, c in enumerate(boundaries):
-                below[i] += np.count_nonzero(draws < c)
-    # the final cell absorbs rounding slack: it holds every draw not below cdf[-2]
-    return np.diff(below, prepend=0, append=n_samples)
+    # a basis within ORTHO_TOLERANCE may give weights that sum past 1 by
+    # rounding, which multinomial refuses; the clipped sum's last cell takes the slack
+    cdf = np.minimum(np.cumsum(probabilities), 1.0)
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return rng.multinomial(n_samples, np.diff(cdf, prepend=0.0))
 
 
 def sample_outcomes(

@@ -9,7 +9,10 @@ certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
 partial-DFT basis's inner products, and ``rotate_basis`` the product
 form of a Haar-rotated base.  ``simulate_fractions`` reads its Born
-weights back through a Gram-checked d x d standard basis.
+weights back through a Gram-checked d x d standard basis, and
+``lookup_counts`` draws every outcome and looks each up in the cumulative
+sum, against which the sampler's multinomial counts are checked in
+distribution.
 """
 
 import math
@@ -257,3 +260,20 @@ def simulate_fractions(probabilities, n_samples, seed):
     basis = OrthonormalBasis(np.eye(len(fracs), dtype=np.complex128))
     counts = sample_outcomes(state, basis, n_samples, seed)
     return frequentist_report(counts, fracs, n_samples, seed)
+
+
+BLOCK_SIZE = 1 << 16
+
+
+def lookup_counts(probabilities, n_samples, seed):
+    """Per-draw inverse-CDF lookup, block by block, each block from
+    SeedSequence([seed, block]): cell i counts the draws in [cdf[i-1], cdf[i])."""
+    cdf = np.cumsum(probabilities)
+    cdf[-1] = 1.0
+    counts = np.zeros(len(probabilities), dtype=np.int64)
+    for block in range((n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
+        draws = np.random.default_rng(np.random.SeedSequence([seed, block])).random(size)
+        cells = np.searchsorted(cdf, draws, side="right")
+        counts += np.bincount(cells, minlength=len(probabilities))
+    return counts

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -177,6 +178,16 @@ MALFORMED_LEDGERS = {
     "n-max-above-bound": lambda ledger: ledger.update(n_max=513),
 }
 
+# Each turns a derive report into the raw text of a file that json.load
+# itself refuses; certify and compare must exit 66 with a one-line input
+# error, never a traceback.
+UNREADABLE_LEDGERS = {
+    "deep-nesting": lambda doc: "[" * 100_000,  # RecursionError
+    # ValueError: past Python's 4,300-digit limit for int()
+    "long-integer-n-max": lambda doc: re.sub(r'"n_max": \d+', '"n_max": ' + "9" * 5000,
+                                              json.dumps(doc)),
+}
+
 # Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
 # with the entry it re-derives; load alone accepts every one of them.
 TAMPERED_FIELDS = {
@@ -234,6 +245,17 @@ class TestMalformedLedger:
         assert code == 2
         assert payload["result"]["passed"] is False
         schema_validator("compare.schema.json").validate(payload)
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_LEDGERS))
+    def test_unreadable_file_exits_66(self, tmp_path, capsys, ledger_doc, argv, case):
+        path = tmp_path / "doc.json"
+        path.write_text(UNREADABLE_LEDGERS[case](ledger_doc))
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == 66
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"input error: cannot read ledger {str(path)!r}")
 
     @pytest.mark.parametrize("key, value, error", [
         ("n_max", 10**6, "ledger n_max must lie in 1..512"),
@@ -783,7 +805,7 @@ def _cli_argv(draw, ledgers):
 @pytest.fixture(scope="module")
 def fuzz_ledgers(tmp_path_factory):
     """Ledger paths: a valid one, each malformed case, a tampered digest,
-    non-JSON text, a non-object and a missing file."""
+    non-JSON text, each unreadable file, a non-object and a missing file."""
     root = tmp_path_factory.mktemp("fuzz")
     run(root, "derive", "--n-max", "3", name="valid.json")
     doc = json.loads((root / "valid.json").read_text())
@@ -795,6 +817,9 @@ def fuzz_ledgers(tmp_path_factory):
         case = json.loads(json.dumps(doc))
         mutate(case["result"]["ledger"])
         (root / f"{name}.json").write_text(json.dumps(case))
+        paths.append(str(root / f"{name}.json"))
+    for name, text in UNREADABLE_LEDGERS.items():
+        (root / f"{name}.json").write_text(text(doc))
         paths.append(str(root / f"{name}.json"))
     (root / "text.json").write_text("not json {")
     (root / "list.json").write_text("[1, 2]")

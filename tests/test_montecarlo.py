@@ -15,12 +15,12 @@ from bornlab import (
     symmetric_state,
 )
 from bornlab.montecarlo import (
-    BLOCK_SIZE,
+    CHI2_PERCENTILE,
     MAX_Z,
-    SORT_BOUNDARIES,
     sample_counts_from_probabilities,
     z_threshold,
 )
+from scipy.special import chdtri
 
 import reference
 
@@ -63,43 +63,71 @@ class TestSampleOutcomes:
             sample_outcomes(standard_basis(2).vector(0), standard_basis(2), 0, 0)
 
 
-def lookup_counts(probabilities, n_samples, seed):
-    """Per-draw inverse-CDF lookup, block by block: the sampler's reference."""
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0
-    counts = np.zeros(len(probabilities), dtype=np.int64)
-    for block in range((n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        size = min(BLOCK_SIZE, n_samples - block * BLOCK_SIZE)
-        draws = np.random.default_rng(np.random.SeedSequence([seed, block])).random(size)
-        cells = np.searchsorted(cdf, draws, side="right")
-        counts += np.bincount(cells, minlength=len(probabilities))
-    return counts
+def two_sample_chi_square(a, b):
+    """Pearson's chi-square of two count vectors of equal total over the
+    cells either holds, and its degrees of freedom."""
+    held = (a + b) > 0
+    a, b = a[held], b[held]
+    return float(np.sum((a - b) ** 2 / (a + b))), int(held.sum()) - 1
 
 
-class TestSortAndCount:
-    def test_sort_from_log2_block_size_boundaries(self):
-        # a sort of the block costs about log2(BLOCK_SIZE) comparison passes
-        assert SORT_BOUNDARIES == 16 and 1 << SORT_BOUNDARIES == BLOCK_SIZE
+def half_in_first_cell(k):
+    """k cell weights: half the mass in the first cell, random weights with
+    runs of zero cells in the rest."""
+    rng = np.random.default_rng(k)
+    weights = rng.random(k - 1)
+    weights[rng.random(k - 1) < 0.25] = 0.0
+    weights[0] = weights[0] or 1.0
+    return np.concatenate([[0.5], 0.5 * weights / weights.sum()])
 
-    # up to 16 cells one comparison pass per interior boundary, from 17 a sort
-    @pytest.mark.parametrize("k", [1, 2, 8, 16, 17, 1024])
-    def test_counts_equal_per_draw_lookup(self, k):
-        rng = np.random.default_rng(k)
-        weights = rng.random(k)
-        weights[rng.random(k) < 0.25] = 0.0  # zero-probability cells, runs of them too
-        weights[0] = weights[0] or 1.0
-        probabilities = weights / weights.sum()
-        n_samples = 2 * BLOCK_SIZE + 1234
-        counts = sample_counts_from_probabilities(probabilities, n_samples, seed=k)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, lookup_counts(probabilities, n_samples, k))
+
+class TestMultinomialCounts:
+    # seeds 0-199 pooled per sampler: 2 x 10^7 draws each
+    SEEDS, N_SAMPLES = range(200), 10**5
+
+    def pooled_chi_square(self, probabilities, reference_probabilities):
+        ours = sum(sample_counts_from_probabilities(probabilities, self.N_SAMPLES, seed)
+                   for seed in self.SEEDS)
+        theirs = sum(reference.lookup_counts(reference_probabilities, self.N_SAMPLES, seed)
+                     for seed in self.SEEDS)
+        chi_square, dof = two_sample_chi_square(ours, theirs)
+        return chi_square, float(chdtri(dof, 1.0 - CHI2_PERCENTILE))
+
+    @pytest.mark.parametrize("k", [2, 17, 512])
+    def test_counts_agree_with_per_draw_lookup_in_distribution(self, k):
+        probabilities = half_in_first_cell(k)
+        chi_square, threshold = self.pooled_chi_square(probabilities, probabilities)
+        assert chi_square < threshold
+
+    @pytest.mark.parametrize("k", [2, 17, 512])
+    def test_first_cell_one_percent_heavier_is_told_apart(self, k):
+        probabilities = half_in_first_cell(k)
+        heavier = probabilities.copy()
+        heavier[0] *= 1.01
+        chi_square, threshold = self.pooled_chi_square(probabilities, heavier / heavier.sum())
+        assert chi_square > threshold
+
+    @pytest.mark.parametrize("k", [2, 17, 512])
+    def test_zero_cells_get_no_counts(self, k):
+        probabilities = half_in_first_cell(k)
+        counts = sample_counts_from_probabilities(probabilities, 10**12, k)
+        assert counts.dtype == np.int64 and counts.sum() == 10**12
         assert not counts[probabilities == 0.0].any()
 
     def test_leading_and_trailing_zero_cells(self):
-        probabilities = np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
+        probabilities = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
         counts = sample_counts_from_probabilities(probabilities, 100_000, 3)
-        assert np.array_equal(counts, lookup_counts(probabilities, 100_000, 3))
         assert counts.sum() == 100_000
+        assert not counts[probabilities == 0.0].any()
+
+    def test_weights_past_one_by_rounding(self):
+        # a basis within ORTHO_TOLERANCE can give such weights; multinomial
+        # alone refuses them, and the clipped cumulative sum takes them
+        probabilities = np.array([0.5 + 1e-10, 0.5, 0.0])
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(100_000, probabilities)
+        counts = sample_counts_from_probabilities(probabilities, 100_000, 0)
+        assert counts.sum() == 100_000 and counts[2] == 0
 
 
 class TestFrequentistReport:
@@ -163,13 +191,13 @@ class TestSimulateFractions:
     @pytest.mark.parametrize(
         "probabilities, n_samples, seed, counts",
         [
-            ([Fraction(2, 3), Fraction(1, 3)], 10**7, 7, (6667980, 3332020)),
+            ([Fraction(2, 3), Fraction(1, 3)], 10**7, 7, (6666895, 3333105)),
             ([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], 10**6, 3,
-             (248926, 250129, 500945)),
+             (249883, 249763, 500354)),
         ],
     )
     def test_pinned_counts(self, probabilities, n_samples, seed, counts):
-        # the counts of the sort-per-block sampler over the identity basis
+        # the counts of one multinomial draw from SeedSequence([seed])
         assert simulate_fractions(probabilities, n_samples, seed).counts == counts
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 16, 17, 512])
@@ -178,7 +206,7 @@ class TestSimulateFractions:
         weights = [int(w) for w in rng.integers(0, 5, cells)]
         weights[0] += 1  # some cells empty, never all
         probabilities = [Fraction(w, sum(weights)) for w in weights]
-        n_samples = 2 * BLOCK_SIZE + 77
+        n_samples = 131_149
         report = simulate_fractions(probabilities, n_samples, cells)
         expected = reference.simulate_fractions(probabilities, n_samples, cells)
         assert report.to_json() == expected.to_json()
@@ -200,8 +228,9 @@ class TestZThreshold:
             assert math.erfc(z / math.sqrt(2.0)) * (cells - 1) == pytest.approx(tail, rel=1e-9)
         assert [round(z_threshold(d), 2) for d in (3, 64, 512)] == [4.16, 4.89, 5.29]
 
-    @pytest.mark.parametrize("cells, seed", [(64, 238), (512, 18), (512, 36), (512, 115),
-                                             (512, 198), (512, 208)])
+    # every seed of 0-299 at these sizes whose max |z| exceeds MAX_Z
+    @pytest.mark.parametrize("cells, seed", [(64, 132), (64, 173)] + [
+        (512, seed) for seed in (7, 42, 68, 81, 91, 96, 105, 119, 125, 155, 191, 270, 294)])
     def test_honest_uniform_runs_pass(self, cells, seed):
         # each fails a bound of 4 on every cell while its chi-square passes
         report = simulate_fractions([Fraction(1, cells)] * cells, 10**5, seed)
@@ -226,6 +255,36 @@ class TestZThreshold:
         report = frequentist_report(counts, [p] * 512, n)
         assert report.chi_square <= report.chi_square_threshold
         assert z_threshold(512) < report.max_z_score < 5.6 and not report.passed
+
+
+class TestGatePower:
+    # derandomized: seeds 0-299 at every size
+    SEEDS = range(300)
+
+    @pytest.mark.parametrize("n_samples", [10**5, 10**8, 10**12])
+    @pytest.mark.parametrize("cells", [2, 3, 64, 512])
+    def test_honest_runs_pass(self, cells, n_samples):
+        if cells == 2:
+            probabilities = [Fraction(2, 3), Fraction(1, 3)]
+        else:
+            probabilities = [Fraction(1, cells)] * cells
+        passed = sum(simulate_fractions(probabilities, n_samples, seed).passed
+                     for seed in self.SEEDS)
+        assert passed >= 299
+
+    @pytest.mark.parametrize("n_samples, failures", [(10**5, 0), (10**12, 300)])
+    def test_two_thirds_off_by_1e_minus_5(self, n_samples, failures):
+        # z is about 14 at 10^12 samples and 0.005 at 10^5
+        drawn = np.array([2 / 3 * (1 + 1e-5), 0.0])
+        drawn[1] = 1.0 - drawn[0]
+        expected = [Fraction(2, 3), Fraction(1, 3)]
+        failed = sum(
+            not frequentist_report(
+                sample_counts_from_probabilities(drawn, n_samples, seed), expected, n_samples
+            ).passed
+            for seed in self.SEEDS
+        )
+        assert failed == failures
 
 
 def test_inverse_sqrt_n_convergence():
