@@ -81,30 +81,36 @@ def half_in_first_cell(k):
     return np.concatenate([[0.5], 0.5 * weights / weights.sum()])
 
 
-class TestMultinomialCounts:
-    # seeds 0-199 pooled per sampler: 2 x 10^7 draws each
-    SEEDS, N_SAMPLES = range(200), 10**5
+def pooled_chi_square(probabilities, reference_probabilities):
+    """Two-sample chi-square of the sampler's and the per-draw lookup's
+    counts, each pooled over seeds 0-199 at 10^5 samples (2 x 10^7 draws),
+    and its 99.99th percentile."""
+    seeds, n_samples = range(200), 10**5
+    ours = sum(sample_counts_from_probabilities(probabilities, n_samples, seed)
+               for seed in seeds)
+    theirs = sum(reference.lookup_counts(reference_probabilities, n_samples, seed)
+                 for seed in seeds)
+    chi_square, dof = two_sample_chi_square(ours, theirs)
+    return chi_square, float(chdtri(dof, 1.0 - CHI2_PERCENTILE))
 
-    def pooled_chi_square(self, probabilities, reference_probabilities):
-        ours = sum(sample_counts_from_probabilities(probabilities, self.N_SAMPLES, seed)
-                   for seed in self.SEEDS)
-        theirs = sum(reference.lookup_counts(reference_probabilities, self.N_SAMPLES, seed)
-                     for seed in self.SEEDS)
-        chi_square, dof = two_sample_chi_square(ours, theirs)
-        return chi_square, float(chdtri(dof, 1.0 - CHI2_PERCENTILE))
 
-    @pytest.mark.parametrize("k", [2, 17, 512])
-    def test_counts_agree_with_per_draw_lookup_in_distribution(self, k):
+class TestSortAndCount:
+    # the sampler against the per-draw inverse-CDF lookup; one multinomial
+    # draw consumes the RNG differently, so the two agree in distribution
+    @pytest.mark.parametrize("k", [2, 17, 1024])
+    def test_counts_equal_per_draw_lookup(self, k):
         probabilities = half_in_first_cell(k)
-        chi_square, threshold = self.pooled_chi_square(probabilities, probabilities)
+        chi_square, threshold = pooled_chi_square(probabilities, probabilities)
         assert chi_square < threshold
 
+
+class TestMultinomialCounts:
     @pytest.mark.parametrize("k", [2, 17, 512])
     def test_first_cell_one_percent_heavier_is_told_apart(self, k):
         probabilities = half_in_first_cell(k)
         heavier = probabilities.copy()
         heavier[0] *= 1.01
-        chi_square, threshold = self.pooled_chi_square(probabilities, heavier / heavier.sum())
+        chi_square, threshold = pooled_chi_square(probabilities, heavier / heavier.sum())
         assert chi_square > threshold
 
     @pytest.mark.parametrize("k", [2, 17, 512])
