@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import dsl
-from .construction import certificate_probes
+from .construction import entry_overlaps
 from .errors import DimensionError, DomainError, EvalError
 from .hilbert import (
     OrthonormalBasis,
@@ -282,22 +282,21 @@ def check_n_independence(
     """Compare p at equal overlaps produced in different dimensions.
 
     For every modulus sqrt(K/N) achievable in more than one of the given
-    dimensions, p is evaluated on the overlap of each K/N's ledger
-    construction in C^N (``certificate_probes``).  The residual is the
-    spread of those values; overlap-only candidates give (numerically)
-    zero because the candidate accepts no N parameter.
+    dimensions, p is evaluated on the first overlap of each K/N's ledger
+    construction in C^N, e^{i theta} sqrt(K/N), in closed form
+    (``entry_overlaps``).  The residual is the spread of those values;
+    overlap-only candidates give zero because the candidate accepts no N
+    parameter.
     """
     dims = sorted(set(int(d) for d in dims))
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    specs = [(k, n, (theta,), "standard", None) for n in dims for k in range(1, n + 1)]
-    # the first of all N overlaps, with the bits the construction's own product gives
-    overlaps = [(basis.matrix.conj() @ state.amplitudes)[0]
-                for _, basis, [state] in certificate_probes(specs)]
+    specs = [(k, n, (theta,)) for n in dims for k in range(1, n + 1)]
+    first, _ = entry_overlaps(specs)
     by_fraction: dict[Fraction, list[tuple[int, float]]] = {}
-    for (k, n, *_), value in zip(specs, evaluate(p, overlaps).tolist()):
+    for (k, n, _), value in zip(specs, evaluate(p, first).tolist()):
         by_fraction.setdefault(Fraction(k, n), []).append((n, value))
     max_residual = 0.0
     worst = {"candidate": p.name, "overlap_only": True}

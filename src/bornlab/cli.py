@@ -22,7 +22,7 @@ report alone.  Exit codes:
         values, --grid above 2^20, --trials or --optimizer-steps above
         10^6, --samples above 10^12, more than 512 --probs fractions),
         or an output path that cannot be written
-    66  input file unreadable
+    66  input file unreadable, or larger than 128 MiB
 
 The environment variable BORN_SEED overrides the default seed.  Output
 is strict JSON: a non-finite number is written as the string "inf",
@@ -67,8 +67,12 @@ MAX_GRID = 1 << 20  # compare --grid
 MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
 MAX_SAMPLES = 10**12  # simulate --samples
 MAX_FULL_CERTIFICATES_N = 16  # derive --n-max with --full-certificates: N x N bases inline
+# a ledger file (certify, compare), refused before it is read: the largest
+# derive report, at --n-max 512 with --rotate-bases and 16 --theta values
+# of the longest float repr (24 characters), is 114.3 MB at seed 0
+MAX_LEDGER_BYTES = 128 * 2**20
 # floor of falsify --threshold and compare --tolerance: residuals of the
-# Born rule itself reach about 1e-14 from float rounding at N = 512
+# Born rule itself reach about 3e-15 from float rounding at N = 512 (optimizer)
 MIN_TOLERANCE = 1e-12
 
 
@@ -195,12 +199,16 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 
 def _read_ledger(path: str):
-    """The ledger payload of a derive report (or of a bare ledger) on disk."""
+    """The ledger payload of a derive report (or of a bare ledger) on disk,
+    if the file holds at most MAX_LEDGER_BYTES."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > MAX_LEDGER_BYTES:
+                raise ValueError(f"{size} bytes, past the bound of {MAX_LEDGER_BYTES}")
             payload = json.load(handle)
-    # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit
-    # limit; RecursionError, nesting deeper than the decoder's recursion
+    # ValueError covers a file past the bound, bad JSON, bad UTF-8 and integers
+    # past Python's digit limit; RecursionError, nesting deeper than the decoder's
     except (OSError, ValueError, RecursionError) as exc:
         raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
     for key in ("result", "ledger"):  # a whole derive report, or the bare ledger

@@ -12,8 +12,9 @@ Given any orthonormal basis of C^N this module builds
 
 Together these pin the probability of an overlap of modulus sqrt(K/N)
 to exactly K/N; the ledger in :mod:`bornlab.derivation` is built on top.
-:func:`certificate_probes` builds the construction behind each ledger
-entry, for every caller that needs the N x N matrices themselves.
+:func:`entry_overlaps` gives their overlaps in closed form, and
+:func:`certificate_probes` the N x N matrices, for a witness or a full
+certificate.
 
 Every inner product of the two constructions reduces to one identity of
 the K-th roots of unity, which :func:`roots_of_unity_vanish` checks in
@@ -103,15 +104,29 @@ def overlap_with_symmetric(tilde: PartialDftBasis, psi_star: SymmetricState) -> 
     return tilde.vectors.matrix.conj() @ psi_star.state.amplitudes
 
 
-def overlap_contract_error(
-    overlaps: np.ndarray, K: int, n: int, theta: float
-) -> float:
+def entry_overlaps(specs) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the symmetric overlap, e^{i theta} sqrt(K/N) and
+    e^{i theta}/sqrt(N), of each (K, N, theta) row of the specs (K, N,
+    thetas, ...), in order, theta reduced modulo 2 pi as the constructions
+    reduce it.  The other K - 1 overlaps are 0; the exact certificate proves
+    all N for every theta, and any base has them by unitary invariance."""
+    first, symmetric = [], []
+    for k, n, thetas, *_ in specs:
+        modulus, root = math.sqrt(k / n), math.sqrt(n)
+        for theta in thetas:
+            t = float(theta) % TWO_PI
+            phase = complex(math.cos(t), math.sin(t))
+            first.append(phase * modulus)
+            symmetric.append(phase / root)
+    return np.array(first, dtype=np.complex128), np.array(symmetric, dtype=np.complex128)
+
+
+def overlap_contract_error(overlaps: np.ndarray, K: int, n: int, theta: float) -> float:
     """Max deviation of computed overlaps from the three-block contract."""
-    phase = np.exp(1j * (float(theta) % TWO_PI))
-    expected = np.empty(n, dtype=np.complex128)
-    expected[0] = phase * math.sqrt(K / n)
+    (first,), (symmetric,) = entry_overlaps([(K, n, (theta,))])
+    expected = np.full(n, symmetric)
+    expected[0] = first
     expected[1:K] = 0.0
-    expected[K:] = phase / math.sqrt(n)
     return float(np.max(np.abs(overlaps - expected)))
 
 
@@ -126,8 +141,7 @@ def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
 def certificate_probes(specs: Iterable[Spec]):
     """(spec, basis, states) behind the certificates of each spec with K > 0,
     in order: the one place a certificate's N x N construction is built,
-    for the falsifier's probes, ``--full-certificates`` and the axiom
-    suite's N-independence check.
+    for a falsifier witness and ``--full-certificates``.
 
     For K < N the partial-DFT basis, built once, and the symmetric state of
     each theta; for K = N the base itself and its first vector, phased by

@@ -30,6 +30,7 @@ from .construction import (
     Spec,
     certificate_probes,
     dft_block,
+    entry_overlaps,
     prime_factors,
     roots_of_unity_vanish,
 )
@@ -599,8 +600,9 @@ def continuity_extension_check(
 ) -> dict:
     """Quantitative form of the density argument.
 
-    max_rational_residual probes p at every ledger modulus (over the
-    entry's theta samples) against the exact asserted value;
+    max_rational_residual probes p at every ledger entry's first overlap,
+    e^{i theta} sqrt(K/N) at each of its theta samples (``entry_overlaps``),
+    against the exact asserted value;
     max_grid_deviation_from_born probes p against |z|^2 on a uniform
     modulus grid on [0, 1] times the base theta samples.  A continuous
     candidate with a small rational residual on a dense ledger must have
@@ -609,15 +611,14 @@ def continuity_extension_check(
     """
     if grid_size < 2:
         raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
-    probes, zs, targets = [], [], []
-    for c in ledger.constraints():
-        modulus = math.sqrt(float(c.modulus_squared))
-        for theta in c.theta_samples:
-            probes.append({"K": c.K, "N": c.N, "theta": theta})
-            zs.append(modulus * complex(math.cos(theta), math.sin(theta)))
-            targets.append(float(c.asserted_value))
-    rational = np.abs(evaluate(p, zs) - np.array(targets))
+    constraints = ledger.constraints()
+    counts = [len(c.theta_samples) for c in constraints]
+    owners = np.repeat(np.arange(len(constraints)), counts)  # the constraint of each row
+    first, _ = entry_overlaps((c.K, c.N, c.theta_samples) for c in constraints)
+    targets = np.repeat([float(c.asserted_value) for c in constraints], counts)
+    rational = np.abs(evaluate(p, first) - targets)
     r = _worst_index(rational)
+    worst = None if r is None else constraints[owners[r]]
     moduli = np.linspace(0.0, 1.0, grid_size)
     thetas = np.array(ledger.theta_base, dtype=np.float64)
     grid_zs = np.outer(moduli, [complex(math.cos(t), math.sin(t)) for t in thetas])
@@ -626,7 +627,10 @@ def continuity_extension_check(
     return {
         "candidate": p.name,
         "max_rational_residual": 0.0 if r is None else float(rational[r]),
-        "worst_rational": None if r is None else probes[r],
+        "worst_rational": None if r is None else {
+            "K": worst.K, "N": worst.N,
+            "theta": [theta for c in constraints for theta in c.theta_samples][r],
+        },
         "max_grid_deviation_from_born": 0.0 if g is None else float(grid.flat[g]),
         "worst_grid": None if g is None else {
             "modulus": float(moduli[g // len(thetas)]),

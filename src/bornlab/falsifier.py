@@ -2,21 +2,21 @@
 
 Three phases, cheapest and most interpretable first:
 
-1. ledger probes — the certificate bases behind every ledger constraint
-   give deterministic, targeted normalization probes (plus the P(0)/P(1)
-   orthogonality probe), so any candidate that is wrong at a rational
-   modulus is falsified without randomness;
+1. ledger probes — every ledger certificate, scored in closed form from
+   its exact overlaps (plus the P(0)/P(1) orthogonality probe), so any
+   candidate that is wrong at a rational modulus is falsified without
+   randomness;
 2. random probes — Haar-random (state, basis) normalization residuals;
 3. optimizer — derivative-free hill climbing over the unitary group,
    perturbing U by exp(eps * A) with A random skew-Hermitian, keeping
    perturbations that increase the normalization residual.
 
-Each phase scores its probes in stacks through one
-``check_normalization`` call: an entry's thetas, a chunk of random
-trials, a window of climbing steps.  A stack gives the same bits as
-scoring its probes one at a time, and a phase stops at the same first
-violating probe, so identical (candidate, config, ledger) inputs produce
-identical outcomes, witness bit patterns included.
+The other two phases score their probes in stacks through one
+``check_normalization`` call: a chunk of random trials, a window of
+climbing steps.  A stack gives the same bits as scoring its probes one
+at a time, and a phase stops at the same first violating probe, so
+identical (candidate, config, ledger) inputs produce identical outcomes,
+witness bit patterns included.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,9 +33,10 @@ from .axioms import (
     CandidateDistribution,
     check_normalization,
     check_orthogonality_axiom,
+    evaluate,
     random_probes,
 )
-from .construction import certificate_probes
+from .construction import certificate_probes, entry_overlaps
 from .derivation import ConstraintLedger
 from .errors import ParameterError
 from .hilbert import OrthonormalBasis, StateVector, haar_unitary, random_state, standard_basis
@@ -87,6 +88,10 @@ class Witness:
             "seed_chain": list(self.seed_chain),
             "construction_tag": self.construction_tag.value,
         }
+
+
+def _witness(p, axiom, basis, state, residual, seed_chain, tag) -> Witness:
+    return Witness(p.name, axiom, basis.dim, state, basis, residual, seed_chain, tag, p)
 
 
 @dataclass(frozen=True)
@@ -143,30 +148,39 @@ def replay_witness(w: Witness, p: Optional[CandidateDistribution] = None) -> flo
     return check_normalization(p, w.basis, w.state)
 
 
-def _ledger_probes(p, ledger, dims, seed: int) -> Iterator[Witness]:
-    """A would-be witness for every certificate of each K > 0 entry with N
-    in dims, in (N, K, theta) order.
+def _ledger_witness(p, ledger, dims, cfg) -> tuple[Optional[Witness], int]:
+    """The first certificate of a K > 0 entry with N in dims, in (N, K, theta)
+    order, whose closed-form residual reaches the threshold, and the number
+    scored up to it (all, if none does).  Only the witness's basis and state
+    are built (``certificate_probes``), and its residual is scored on them,
+    so that ``replay_witness`` reproduces it bit for bit."""
+    specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
+             for c in ledger.constraints() if c.K > 0 and c.N in dims]
+    rows, residuals = _ledger_residuals(p, specs)
+    hits = np.flatnonzero(residuals >= cfg.violation_threshold)
+    if hits.size == 0:
+        return None, len(rows)
+    (k, n, _, kind, sub), theta = rows[hits[0]]
+    [(_, basis, [state])] = certificate_probes([(k, n, (theta,), kind, sub)])
+    witness = _witness(p, Axiom.NORMALIZATION, basis, state, check_normalization(p, basis, state),
+                       (cfg.seed, 1, n, k), ConstructionTag.LEDGER_CERTIFICATE)
+    return witness, int(hits[0]) + 1
 
-    Each basis is rebuilt as the ledger built it (``certificate_probes``),
-    so the probes are the ledger's own certificates.  An entry's basis is
-    built once, and all of its thetas are scored in one call.
-    """
-    specs = ((c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
-             for c in ledger.constraints() if c.N in dims)
-    for (k, n, *_), basis, states in certificate_probes(specs):
-        residuals = check_normalization(p, basis, np.array([s.amplitudes for s in states]))
-        for state, residual in zip(states, residuals.tolist()):
-            yield Witness(
-                candidate_name=p.name,
-                axiom=Axiom.NORMALIZATION,
-                dimension=n,
-                state=state,
-                basis=basis,
-                residual=residual,
-                seed_chain=(seed, 1, n, k),
-                construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
-                candidate=p,
-            )
+
+def _ledger_residuals(p, specs) -> tuple[list, np.ndarray]:
+    """The (spec, theta) rows of the specs, in order, and the normalization
+    residual of each row's construction from its exact overlaps z1 and zs
+    (``entry_overlaps``): |P(z1) + (K - 1) P(0) + (N - K) P(zs) - 1|, from
+    one ``evaluate`` call."""
+    rows = [(spec, theta) for spec in specs for theta in spec[2]]
+    first, symmetric = entry_overlaps(specs)
+    values = evaluate(p, np.concatenate([first, symmetric, [0.0]]))
+    ks = np.array([spec[0] for spec, _ in rows])
+    ns = np.array([spec[1] for spec, _ in rows])
+    # a term of count 0 is 0, even where P is inf there
+    zeros = np.multiply(ks - 1, values[-1], out=np.zeros(len(rows)), where=ks > 1)
+    tails = np.multiply(ns - ks, values[len(rows):-1], out=np.zeros(len(rows)), where=ns > ks)
+    return rows, np.abs(values[:len(rows)] + zeros + tails - 1.0)
 
 
 def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
@@ -174,28 +188,12 @@ def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
     # must hit, which are the only overlaps in the Gram matrix of the
     # standard basis at the smallest dimension
     basis = standard_basis(max(min(cfg.n_range), 2))
-    probes = 2
     residual = check_orthogonality_axiom(p, basis).max_residual
     if residual >= cfg.violation_threshold:
-        return (
-            Witness(
-                candidate_name=p.name,
-                axiom=Axiom.ORTHOGONALITY,
-                dimension=basis.dim,
-                state=basis.vector(0),
-                basis=basis,
-                residual=residual,
-                seed_chain=(cfg.seed, 1),
-                construction_tag=ConstructionTag.LEDGER_CERTIFICATE,
-                candidate=p,
-            ),
-            probes,
-        )
-    for witness in _ledger_probes(p, ledger, set(cfg.n_range), cfg.seed):
-        probes += 1
-        if witness.residual >= cfg.violation_threshold:
-            return witness, probes
-    return None, probes
+        return _witness(p, Axiom.ORTHOGONALITY, basis, basis.vector(0), residual,
+                        (cfg.seed, 1), ConstructionTag.LEDGER_CERTIFICATE), 2
+    witness, probes = _ledger_witness(p, ledger, set(cfg.n_range), cfg)
+    return witness, 2 + probes
 
 
 def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
@@ -211,20 +209,10 @@ def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
                 probes += len(ts)
                 continue
             i = int(hits[0])
-            return (
-                Witness(
-                    candidate_name=p.name,
-                    axiom=Axiom.NORMALIZATION,
-                    dimension=n,
-                    state=StateVector(states[i]),
-                    basis=OrthonormalBasis(unitaries[i]),
-                    residual=float(residuals[i]),
-                    seed_chain=(cfg.seed, 2, n, ts[i], subs[i]),
-                    construction_tag=ConstructionTag.RANDOM_BASIS,
-                    candidate=p,
-                ),
-                probes + i + 1,
-            )
+            witness = _witness(p, Axiom.NORMALIZATION, OrthonormalBasis(unitaries[i]),
+                               StateVector(states[i]), float(residuals[i]),
+                               (cfg.seed, 2, n, ts[i], subs[i]), ConstructionTag.RANDOM_BASIS)
+            return witness, probes + i + 1
     return None, probes
 
 
@@ -303,21 +291,8 @@ def _optimizer_phase(p, cfg) -> tuple[Optional[Witness], int, dict]:
         probes += len(trace)
         traces[n] = trace
         if best >= cfg.violation_threshold:
-            return (
-                Witness(
-                    candidate_name=p.name,
-                    axiom=Axiom.NORMALIZATION,
-                    dimension=n,
-                    state=state,
-                    basis=OrthonormalBasis(u),
-                    residual=best,
-                    seed_chain=(cfg.seed, 3, n),
-                    construction_tag=ConstructionTag.OPTIMIZED_BASIS,
-                    candidate=p,
-                ),
-                probes,
-                traces,
-            )
+            return _witness(p, Axiom.NORMALIZATION, OrthonormalBasis(u), state, best,
+                            (cfg.seed, 3, n), ConstructionTag.OPTIMIZED_BASIS), probes, traces
     return None, probes, traces
 
 
@@ -351,12 +326,10 @@ def shrink_witness(w: Witness, ledger: ConstraintLedger, cfg: FalsifierConfig) -
         raise ParameterError("witness carries no candidate; cannot shrink")
     if w.axiom is Axiom.ORTHOGONALITY:
         return w  # already minimal: a single basis pair
-    for probe in _ledger_probes(p, ledger, range(1, w.dimension + 1), cfg.seed):
-        if probe.residual >= cfg.violation_threshold:
-            if (
-                probe.dimension == w.dimension
-                and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
-            ):
-                return w
-            return probe
-    return w
+    probe, _ = _ledger_witness(p, ledger, range(1, w.dimension + 1), cfg)
+    if probe is None or (
+        probe.dimension == w.dimension
+        and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
+    ):
+        return w
+    return probe

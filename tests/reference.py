@@ -1,9 +1,11 @@
 """Per-probe reference forms of the package's stacked paths.
 
 Each falsifier and axiom-suite function here draws, scores, samples or
-climbs one probe at a time, and builds each N-independence overlap from
-its own construction.  The guard tests require the package's stacked
-paths to give the same results, bit for bit.  ``full_certificate``
+climbs one probe at a time: the ledger scan builds each certificate's
+N x N construction and scores it alone, and each N-independence overlap
+is formed on its own in closed form.  The guard tests require the
+package's stacked and closed-form paths to give the same results, bit
+for bit.  ``full_certificate``
 builds one ledger entry's N x N construction, against which the
 certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
@@ -15,6 +17,7 @@ sum, against which the sampler's multinomial counts are checked in
 distribution.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -34,13 +37,18 @@ from bornlab import (
     sample_outcomes,
     standard_basis,
 )
-from bornlab.axioms import Axiom, AxiomReport, check_normalization, evaluate
+from bornlab.axioms import (
+    Axiom,
+    AxiomReport,
+    check_normalization,
+    check_orthogonality_axiom,
+    evaluate,
+)
 from bornlab.hilbert import matrix_to_pairs
 from bornlab.construction import (
     TWO_PI,
     certificate_probes,
     overlap_contract_error,
-    overlap_with_symmetric,
     partial_dft_basis,
     symmetric_state,
 )
@@ -85,6 +93,46 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
                 rejections = 0
         trace.append(best)
     return u, state, best, trace
+
+
+def certificate(k, n, theta, kind, sub):
+    """(basis, state) behind one ledger certificate, built from the constructions."""
+    base = standard_basis(n)
+    if kind == "haar":
+        base = rotate_basis(haar_unitary(n, sub), base)
+    if k == n:
+        return base, StateVector(np.exp(1j * (theta % TWO_PI)) * base.matrix[0])
+    return partial_dft_basis(base, k).vectors, symmetric_state(base, theta).state
+
+
+def ledger_scan(p, ledger, dims, seed, threshold):
+    """(witness JSON or None, probes) of the first certificate of a K > 0
+    entry with N in dims, in (N, K, theta) order, whose residual reaches the
+    threshold: each certificate's basis built and scored on its own."""
+    probes = 0
+    for c in ledger.constraints():
+        if c.K == 0 or c.N not in dims:
+            continue
+        for theta in c.theta_samples:
+            basis, state = certificate(c.K, c.N, theta, c.base_kind, c.base_seed)
+            probes += 1
+            residual = normalization(p, basis.matrix, state.amplitudes)
+            if residual >= threshold:
+                return _witness(p, c.N, state, basis.matrix, residual, (seed, 1, c.N, c.K),
+                                "LedgerCertificate"), probes
+    return None, probes
+
+
+def ledger_phase(p, cfg, ledger):
+    """(witness JSON or None, probes) of the ledger phase, one probe at a time."""
+    basis = standard_basis(max(min(cfg.n_range), 2))
+    residual = check_orthogonality_axiom(p, basis).max_residual
+    if residual >= cfg.violation_threshold:
+        return dict(_witness(p, basis.dim, basis.vector(0), basis.matrix, residual,
+                             (cfg.seed, 1), "LedgerCertificate"), axiom="orthogonality"), 2
+    witness, probes = ledger_scan(p, ledger, set(cfg.n_range), cfg.seed,
+                                  cfg.violation_threshold)
+    return witness, probes + 2
 
 
 def random_phase(p, cfg):
@@ -210,21 +258,15 @@ def check_unitary_invariance(p_pairform, trials, seed, dim=4, tolerance=1e-12,
 
 
 def check_n_independence(p, dims, seed, tolerance=1e-9) -> AxiomReport:
-    """``axioms.check_n_independence`` with each overlap built from its own
-    symmetric state and partial-DFT basis (for K = N, e^{i theta} itself)."""
+    """``axioms.check_n_independence`` with each first overlap
+    e^{i theta} sqrt(K/N) formed on its own, as a modulus and an angle."""
     dims = sorted(set(int(d) for d in dims))
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
     fractions, overlaps = [], []
     for n in dims:
-        base = standard_basis(n)
         for k in range(1, n + 1):
-            if k < n:
-                psi = symmetric_state(base, theta)
-                tilde = partial_dft_basis(base, k)
-                overlaps.append(overlap_with_symmetric(tilde, psi)[0])
-            else:
-                overlaps.append(np.exp(1j * theta))
+            overlaps.append(cmath.rect(math.sqrt(k / n), theta % TWO_PI))
             fractions.append((Fraction(k, n), n))
     by_fraction = {}
     for (frac, n), value in zip(fractions, evaluate(p, overlaps).tolist()):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bornlab
 from bornlab import FalsifierConfig, build_ledger, candidate_from_expression, derivation, falsify
-from bornlab.cli import main
+from bornlab.cli import MAX_LEDGER_BYTES, main
 from bornlab.derivation import uncertified_ledger
 
 from conftest import schema_validator
@@ -188,6 +188,16 @@ UNREADABLE_LEDGERS = {
                                               json.dumps(doc)),
 }
 
+
+
+def oversized_ledger(root) -> str:
+    """A sparse file one byte past cli.MAX_LEDGER_BYTES, all zero bytes."""
+    path = str(root / "oversized.json")
+    open(path, "wb").close()
+    os.truncate(path, MAX_LEDGER_BYTES + 1)
+    return path
+
+
 # Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
 # with the entry it re-derives; load alone accepts every one of them.
 TAMPERED_FIELDS = {
@@ -256,6 +266,21 @@ class TestMalformedLedger:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"input error: cannot read ledger {str(path)!r}")
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    def test_oversized_file_refused_before_it_is_read(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the file was read")
+
+        path = oversized_ledger(tmp_path)
+        monkeypatch.setattr(json, "load", refuse)
+        capsys.readouterr()
+        assert main([*argv, path]) == 66
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"input error: cannot read ledger {path!r}: "
+                              f"{MAX_LEDGER_BYTES + 1} bytes, past the bound")
 
     @pytest.mark.parametrize("key, value, error", [
         ("n_max", 10**6, "ledger n_max must lie in 1..512"),
@@ -805,7 +830,8 @@ def _cli_argv(draw, ledgers):
 @pytest.fixture(scope="module")
 def fuzz_ledgers(tmp_path_factory):
     """Ledger paths: a valid one, each malformed case, a tampered digest,
-    non-JSON text, each unreadable file, a non-object and a missing file."""
+    non-JSON text, each unreadable file, an oversized file, a non-object and
+    a missing file."""
     root = tmp_path_factory.mktemp("fuzz")
     run(root, "derive", "--n-max", "3", name="valid.json")
     doc = json.loads((root / "valid.json").read_text())
@@ -821,6 +847,7 @@ def fuzz_ledgers(tmp_path_factory):
     for name, text in UNREADABLE_LEDGERS.items():
         (root / f"{name}.json").write_text(text(doc))
         paths.append(str(root / f"{name}.json"))
+    paths.append(oversized_ledger(root))
     (root / "text.json").write_text("not json {")
     (root / "list.json").write_text("[1, 2]")
     return paths + [str(root / "text.json"), str(root / "list.json")]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,22 +17,13 @@ from bornlab import (
     replay_witness,
     shrink_witness,
 )
-from bornlab.construction import TWO_PI, partial_dft_basis, symmetric_state
-from bornlab.falsifier import _ledger_probes, hill_climb
-from bornlab.hilbert import StateVector, haar_unitary, standard_basis
+from bornlab import construction
+from bornlab.cli import main
+from bornlab.falsifier import _ledger_phase, _ledger_residuals, hill_climb
 
 import reference
 from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
-
-
-def certificate(k, n, theta, kind, sub):
-    """(basis, state) behind one ledger certificate, built from the constructions."""
-    base = standard_basis(n)
-    if kind == "haar":
-        base = reference.rotate_basis(haar_unitary(n, sub), base)
-    if k == n:
-        return base, StateVector(np.exp(1j * (theta % TWO_PI)) * base.matrix[0])
-    return partial_dft_basis(base, k).vectors, symmetric_state(base, theta).state
+from reference import certificate
 
 
 def quick_cfg(**overrides):
@@ -261,17 +253,90 @@ class TestStackedPhasesMatchPerProbe:
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_ledger_probes_are_the_certificates(self, rotate):
-        ledger = build_ledger(6, rotate_bases=rotate, seed=3)
+        # each closed-form residual is its constructed certificate's, up to rounding
+        ledger = build_ledger(24, (-7.5, -0.3, 0.0, 1.0, 7.0, 100.0), rotate, seed=3)
         p = candidate_from_expression("r^2.2")
-        probes = iter(_ledger_probes(p, ledger, range(1, 7), 0))
-        for c in ledger.constraints()[1:]:
-            for theta in c.theta_samples:
-                probe = next(probes)
-                basis, state = certificate(c.K, c.N, theta, c.base_kind, c.base_seed)
-                assert (probe.state, probe.basis) == (state, basis)
-                assert probe.residual == reference.normalization(
-                    p, basis.matrix, state.amplitudes)
-        assert next(probes, None) is None
+        specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
+                 for c in ledger.constraints()[1:]]
+        rows, residuals = _ledger_residuals(p, specs)
+        assert [(spec[:2], theta) for spec, theta in rows] == [
+            ((k, n), theta) for k, n, thetas, *_ in specs for theta in thetas]
+        for (spec, theta), residual in zip(rows, residuals.tolist()):
+            basis, state = certificate(spec[0], spec[1], theta, *spec[3:])
+            constructed = reference.normalization(p, basis.matrix, state.amplitudes)
+            assert abs(residual - constructed) <= 1e-14, (spec[:2], theta)
+
+
+    @pytest.mark.parametrize("expr", ["1/r", "1/(1-r)"])
+    def test_a_term_of_count_zero_stays_zero(self, expr):
+        # K = 1 has no zero overlap and K = N no symmetric one; an undefined
+        # P(0) or P(e^{i theta}) times that count 0 must not give nan
+        p = candidate_from_expression(expr)
+        specs = [(1, 1, (0.0, 1.0), "standard", None), (1, 2, (0.0, 1.0), "standard", None)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, residuals = _ledger_residuals(p, specs)
+        for (spec, theta), residual in zip(rows, residuals.tolist()):
+            basis, state = certificate(spec[0], spec[1], theta, *spec[3:])
+            constructed = reference.normalization(p, basis.matrix, state.amplitudes)
+            assert residual == constructed or abs(residual - constructed) <= 1e-14
+
+
+LEDGER_CANDIDATES = {
+    "r": candidate_from_expression("r"),
+    "r^4": candidate_from_expression("r^4"),
+    "r^2 + 0.05": candidate_from_expression("r^2 + 0.05"),
+    "phi": candidate_from_expression("r^2*(1 + 0.1*sin(phi))"),
+    "r^2.1": candidate_from_expression("r^2.1"),
+    "r^2.2": candidate_from_expression("r^2.2"),
+    "ledger-locked": make_ledger_locked_candidate(8),
+    "wrong-above-5": make_wrong_above_denominator(5),
+}
+
+
+class TestLedgerPhaseMatchesReference:
+    """The closed-form ledger phase finds the witness and probe count of
+    building and scoring every certificate one at a time."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["standard", "rotated"])
+    def ledger(self, request):
+        return build_ledger(8, (-7.5, 0.0, 1.0, 100.0), request.param, seed=3)
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_CANDIDATES))
+    def test_witness_and_probes(self, ledger, name):
+        p = LEDGER_CANDIDATES[name]
+        cfg = quick_cfg()
+        witness, probes = _ledger_phase(p, cfg, ledger)
+        assert (witness and witness.to_json(), probes) == reference.ledger_phase(p, cfg, ledger)
+        if witness:
+            assert abs(replay_witness(witness) - witness.residual) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(LEDGER_CANDIDATES))
+    def test_shrink(self, ledger, name):
+        p = LEDGER_CANDIDATES[name]
+        cfg = quick_cfg(n_range=(8,), random_trials=20, optimizer_steps=50)
+        w = falsify(p, cfg, ledger).witness
+        scan, _ = reference.ledger_scan(p, ledger, range(1, 9), 0, cfg.violation_threshold)
+        if w.axiom is Axiom.ORTHOGONALITY or scan is None or (
+            scan["dimension"] == w.dimension
+            and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
+        ):
+            scan = w.to_json()
+        assert shrink_witness(w, ledger, cfg).to_json() == scan
+
+
+def test_clean_ledger_phase_builds_no_basis(monkeypatch, capsys):
+    calls = {name: [] for name in ("_rebuild_base", "partial_dft_basis")}
+    for name, seen in calls.items():
+        real = getattr(construction, name)
+        monkeypatch.setattr(construction, name,
+                            lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    argv = ["--n-range", "2..64", "--trials", "0", "--optimizer-steps", "0"]
+    assert main(["falsify", "-p", "r^2", *argv]) == 1
+    assert calls == {"_rebuild_base": [], "partial_dft_basis": []}
+    assert main(["falsify", "-p", "r^2.1", *argv]) == 0  # its witness: K/N = 1/2
+    assert [len(seen) for seen in calls.values()] == [1, 1]
+    capsys.readouterr()
 
 
 class TestConfigValidation:
