@@ -22,7 +22,7 @@ report alone.  Exit codes:
         values, --grid above 2^20, --trials or --optimizer-steps above
         10^6, --samples above 10^12, more than 512 --probs fractions),
         or an output path that cannot be written
-    66  input file unreadable, or larger than 128 MiB
+    66  input file unreadable, or larger than 89 MiB
 
 The environment variable BORN_SEED overrides the default seed.  Output
 is strict JSON: a non-finite number is written as the string "inf",
@@ -69,8 +69,8 @@ MAX_SAMPLES = 10**12  # simulate --samples
 MAX_FULL_CERTIFICATES_N = 16  # derive --n-max with --full-certificates: N x N bases inline
 # a ledger file (certify, compare), refused before it is read: the largest
 # derive report, at --n-max 512 with --rotate-bases and 16 --theta values
-# of the longest float repr (24 characters), is 114.3 MB at seed 0
-MAX_LEDGER_BYTES = 128 * 2**20
+# of the longest float repr (24 characters), is 79.8 MB at seed 0
+MAX_LEDGER_BYTES = 89 * 2**20
 # floor of falsify --threshold and compare --tolerance: residuals of the
 # Born rule itself reach about 3e-15 from float rounding at N = 512 (optimizer)
 MIN_TOLERANCE = 1e-12
@@ -133,22 +133,24 @@ def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
         "config": config,
         "result": result,
     }
-    options = {"indent": 2, "sort_keys": True, "allow_nan": False}
+    options = {"sort_keys": True, "allow_nan": False}  # no indent: the C encoder, one line
     try:
         text = json.dumps(payload, **options)
     except ValueError:  # a non-finite float; rare, so only then walk the payload
         text = json.dumps(_finite_json(payload), **options)
-    _write(path, text + "\n")
+    _write(path, text, "\n")
 
 
-def _write(path, text: str) -> None:
-    """Write text to the file at path, or to stdout if there is none."""
+def _write(path, *texts: str) -> None:
+    """Write the texts to the file at path, or to stdout if there is none, in
+    slices of 2^20 characters: no text is copied whole to be encoded."""
+    pieces = (t[i:i + 2**20] for t in texts for i in range(0, len(t), 2**20))
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write output {path!r}: {exc.strerror or exc}")
 

@@ -72,13 +72,11 @@ def symmetric_state(base: OrthonormalBasis, theta: float) -> SymmetricState:
 
 
 def dft_block(k: int) -> np.ndarray:
-    """The K x K matrix exp(-2 pi i (l-1)(j-1)/K)/sqrt(K), row index j.
-
-    Roots of unity are evaluated as exp of the exact angle multiple, not
-    by repeated multiplication, so there is no error accumulation in K.
-    """
-    j, l = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    return np.exp(-1j * TWO_PI * (l * j) / k) / math.sqrt(k)
+    """The K x K matrix exp(-2 pi i (l-1)(j-1)/K)/sqrt(K), row index j, read
+    from a table of the K roots at index j l mod K: K exps, not K^2, each of
+    an exact angle below 2 pi, so there is no error accumulation in K."""
+    m = np.arange(k)
+    return (np.exp(-1j * TWO_PI * m / k) / math.sqrt(k))[np.outer(m, m) % k]
 
 
 def partial_dft_basis(base: OrthonormalBasis, K: int) -> PartialDftBasis:

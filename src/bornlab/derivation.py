@@ -42,10 +42,10 @@ OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
 MAX_THETAS = 16  # bound on theta_samples; each entry adds one seeded theta
 MAX_DIMENSION = 512  # bound on n_max, derived or stored
-# Version 3 adds the exact certificate and hashes no float certificate
-# number, so that a digest depends on no BLAS, thread count or CPU; it also
-# bounds Haar entries by unitary invariance.  Older ledgers must be re-derived.
-FORMAT_VERSION = 3
+# Version 3 added the exact certificate and hashes no float certificate number,
+# so a digest depends on no BLAS, thread count or CPU; version 4 draws each N's
+# extra thetas from one stream (``ledger_specs``).  Re-derive older ledgers.
+FORMAT_VERSION = 4
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -297,7 +297,9 @@ class ConstraintLedger:
     entries: dict[Fraction, RationalConstraint]
 
     def fractions(self) -> list[Fraction]:
-        return sorted(self.entries)
+        """Farey order, by the float K/N: exact while N < 2^26 (MAX_DIMENSION
+        ensures it), as distinct K/N differ by >= 1/N^2, each rounded <= 2^-53."""
+        return sorted(self.entries, key=float)
 
     def constraints(self) -> list[RationalConstraint]:
         """Constraints sorted by (N, K) of the generating construction."""
@@ -487,9 +489,11 @@ def ledger_specs(
     (N, K) order: the entries of a ledger, before any certificate.
 
     Each entry is probed at the base theta samples plus one seeded-random
-    theta; with rotate_bases, each N gets a seeded Haar-rotated base.  Both
-    are seeded by (seed, N, K) and (seed, N) alone, so ``dims``, which keeps
-    only the N it lists, leaves every kept spec as it is.
+    theta; with rotate_bases, each N gets a Haar-rotated base seeded by
+    SeedSequence([seed, N]).  The extra thetas of N, in K order, are one
+    uniform stream from its first spawned child, not from [seed, N, 0],
+    which zero padding makes the base's own key.  Both depend on (seed, N)
+    alone, so ``dims``, which keeps only the N it lists, keeps every spec.
     """
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
@@ -498,14 +502,11 @@ def ledger_specs(
     ns = range(1, n_max + 1) if dims is None else sorted(n for n in set(dims) if 1 <= n <= n_max)
     specs = []
     for n in ns:
-        sub = int(np.random.SeedSequence([seed, n]).generate_state(1)[0]) if rotate_bases else None
-        for k in range(1, n + 1):
-            if math.gcd(k, n) == 1:
-                extra_seed = np.random.SeedSequence([seed, n, k])
-                extra = float(
-                    np.random.default_rng(extra_seed).uniform(0.0, 2.0 * math.pi)
-                )
-                specs.append((k, n, thetas + (extra,), kind, sub))
+        key = np.random.SeedSequence([seed, n])
+        sub = int(key.generate_state(1)[0]) if rotate_bases else None
+        ks = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        extras = np.random.default_rng(key.spawn(1)[0]).uniform(0.0, TWO_PI, len(ks))
+        specs.extend((k, n, thetas + (extra,), kind, sub) for k, extra in zip(ks, extras.tolist()))
     return thetas, specs
 
 
@@ -520,8 +521,8 @@ def build_ledger(
     Each reduced fraction (see :func:`ledger_specs`) gets certificates at
     its theta samples.  Unreduced representations (2/4, 3/6, ...)
     are cross-checked for equal asserted values via the same exact
-    arithmetic; a disagreement would indicate an internal inconsistency
-    and raises CertificateError.
+    arithmetic, in integers; a disagreement would indicate an internal
+    inconsistency and raises CertificateError.
     """
     ledger = _derive(n_max, theta_samples, rotate_bases, seed)
     for constraint in ledger.constraints():
@@ -535,17 +536,17 @@ def build_ledger(
                 f"certificate failed at K={constraint.K}, N={constraint.N}, "
                 f"theta={bad['theta']!r}"
             )
+    values = {(c.K, c.N): c.asserted_value for c in ledger.entries.values()}
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            if math.gcd(k, n) != 1:
-                # duplicate fraction: same exact-arithmetic chain, no new basis
-                fraction = Fraction(k, n)
-                value = Fraction(1) - (n - k) * Fraction(1, n)
-                if value != ledger.entries[fraction].asserted_value:
-                    raise CertificateError(
-                        f"inconsistent duplicate fraction {k}/{n}: "
-                        f"{value} != {ledger.entries[fraction].asserted_value}"
-                    )
+            # duplicate fraction: 1 - (N - K)/N against the value of K/N reduced,
+            # the same exact-arithmetic chain in integers, no new basis
+            g = math.gcd(k, n)
+            value = values[k // g, n // g]
+            if g > 1 and (n - (n - k)) * value.denominator != value.numerator * n:
+                raise CertificateError(
+                    f"inconsistent duplicate fraction {k}/{n}: 1 - {n - k}/{n} != {value}"
+                )
     return ledger
 
 

@@ -95,10 +95,8 @@ def sample_outcomes(
     return sample_counts_from_probabilities(probabilities, n_samples, seed)
 
 
-def _pool_cells(expected_counts: np.ndarray, counts: np.ndarray):
+def _pool_cells(exp: list[float], obs: tuple[int, ...]):
     """Merge cells with expected count < 5 (smallest first) for the chi-square."""
-    exp = list(map(float, expected_counts))
-    obs = list(map(int, counts))
     order = sorted(range(len(exp)), key=lambda i: exp[i])
     pooled_exp, pooled_obs = [], []
     acc_e = acc_o = 0.0
@@ -109,13 +107,11 @@ def _pool_cells(expected_counts: np.ndarray, counts: np.ndarray):
             pooled_exp.append(acc_e)
             pooled_obs.append(acc_o)
             acc_e = acc_o = 0.0
-    if acc_e > 0.0:
-        if pooled_exp:
-            pooled_exp[-1] += acc_e
-            pooled_obs[-1] += acc_o
-        else:
-            pooled_exp.append(acc_e)
-            pooled_obs.append(acc_o)
+    if acc_e > 0.0:  # the rest joins the last pooled cell, or is the only one
+        if not pooled_exp:
+            pooled_exp, pooled_obs = [0.0], [0.0]
+        pooled_exp[-1] += acc_e
+        pooled_obs[-1] += acc_o
     return np.array(pooled_exp), np.array(pooled_obs, dtype=float)
 
 
@@ -151,16 +147,19 @@ def frequentist_report(
     cell.
     """
     expected = tuple(Fraction(f) for f in expected)
-    counts = tuple(int(c) for c in counts)
     if len(counts) != len(expected):
         raise ParameterError("counts and expected must have equal length")
     if sum(expected) != 1:
         raise ParameterError(f"expected probabilities sum to {sum(expected)}, not 1")
+    return _report(counts, expected, [float(f) for f in expected], n_samples, seed)
+
+
+def _report(counts, expected, p: list, n_samples: int, seed: int) -> SimulationReport:
+    """``frequentist_report`` of exact weights that sum to 1, and their floats p."""
+    counts = tuple(int(c) for c in counts)
     if sum(counts) != n_samples:
         raise ParameterError("counts must sum to n_samples")
-    p = np.array([float(f) for f in expected])
-    exp_counts = n_samples * p
-    pooled_exp, pooled_obs = _pool_cells(exp_counts, np.array(counts))
+    pooled_exp, pooled_obs = _pool_cells([n_samples * pf for pf in p], counts)
     dof = max(len(pooled_exp) - 1, 0)
     if dof == 0:
         chi_square = 0.0
@@ -173,8 +172,7 @@ def frequentist_report(
         chi_square = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
         threshold = float(chdtri(dof, 1.0 - CHI2_PERCENTILE))
     z_scores = []
-    for c, f in zip(counts, expected):
-        pf = float(f)
+    for c, pf in zip(counts, p):
         if pf <= 0.0:
             z_scores.append(0.0 if c == 0 else float("inf"))
         elif pf >= 1.0:
@@ -202,11 +200,12 @@ def simulate_fractions(
     """Simulate a state whose squared amplitudes are the given exact
     probabilities (in the standard basis) and test the frequencies."""
     fracs = tuple(Fraction(f) for f in probabilities)
-    if any(f < 0 for f in fracs) or sum(fracs) != 1:
+    if any(f.numerator < 0 for f in fracs) or sum(fracs) != 1:
         raise ParameterError("probabilities must be non-negative and sum to 1")
-    state = StateVector(np.sqrt(np.array([float(f) for f in fracs])))
+    p = [float(f) for f in fracs]
+    state = StateVector(np.sqrt(np.array(p)))
     # the Born weights in the standard basis: the squared moduli of the
     # amplitudes, which a product with the identity would give bit for bit
     probabilities = np.abs(state.amplitudes) ** 2
     counts = sample_counts_from_probabilities(probabilities, n_samples, seed)
-    return frequentist_report(counts, fracs, n_samples, seed)
+    return _report(counts, fracs, p, n_samples, seed)

@@ -59,6 +59,16 @@ class TestDerive:
         code, _ = run(tmp_path, "derive", "--n-max", "0")
         assert code == 64
 
+    def test_one_line_of_sorted_strict_json(self, tmp_path, capsys):
+        # json.dumps with an indent falls back to the pure-Python encoder
+        for argv in (["derive", "--n-max", "3", "--seed", "0"],
+                     ["simulate", "--fraction", "1/3", "--seed", "0"]):
+            capsys.readouterr()
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert text == json.dumps(strict_json(text), sort_keys=True) + "\n"
+
     def test_schema(self, tmp_path):
         _, payload = run(tmp_path, "derive", "--n-max", "4")
         schema_validator("ledger.schema.json").validate(payload)
@@ -152,7 +162,8 @@ MALFORMED_LEDGERS = {
     "no-format-version": lambda ledger: ledger.pop("format_version"),
     "format-version-1": lambda ledger: ledger.update(format_version=1),
     "format-version-2": lambda ledger: ledger.update(format_version=2),
-    "format-version-string": lambda ledger: ledger.update(format_version="3"),
+    "format-version-3": lambda ledger: ledger.update(format_version=3),
+    "format-version-string": lambda ledger: ledger.update(format_version="4"),
     "entry-missing-theta": _drop("theta_samples"),
     "entry-missing-value": _drop("value"),
     "entry-missing-K": _drop("K"),
@@ -311,7 +322,7 @@ class TestMalformedLedger:
         for argv in (["certify"], ["compare", "-p", "r^2"]):
             code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
             assert code == 2
-            assert "format_version is 2, not 3; re-run derive" in payload["result"]["error"]
+            assert "format_version is 2, not 4; re-run derive" in payload["result"]["error"]
 
     @pytest.mark.parametrize(
         "doc", [{}, {"entries": 5}, [], 5, {"result": 5}, {"result": {"ledger": []}}]

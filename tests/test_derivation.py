@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bornlab import (
@@ -180,6 +181,21 @@ class TestUncertifiedLedger:
         ledger = uncertified_ledger(12, seed=5, dims=[4])
         assert [(c.K, c.N) for c in ledger.constraints()] == [(0, 1), (1, 4), (3, 4)]
 
+    def test_extra_thetas_are_one_stream_per_n(self):
+        # each N's extra thetas, in K order, come from the first spawned child
+        # of SeedSequence([seed, N]); [seed, N, 0] would be the Haar base's
+        # own key, since SeedSequence pads its entropy with zeros
+        _, specs = derivation.ledger_specs(12, rotate_bases=True, seed=5)
+        for n in range(1, 13):
+            extras = [thetas[-1] for _, m, thetas, _, _ in specs if m == n]
+            base = np.random.SeedSequence([5, n])
+            child = np.random.default_rng(base.spawn(1)[0]).uniform(0.0, 2 * math.pi, len(extras))
+            assert extras == child.tolist()
+            padded = np.random.SeedSequence([5, n, 0])
+            assert padded.generate_state(2).tolist() == base.generate_state(2).tolist()
+            own = np.random.default_rng(base).uniform(0.0, 2 * math.pi, len(extras))
+            assert extras != own.tolist()
+
 
 class TestExactCertificate:
     def test_identity_holds_for_every_k_up_to_128(self):
@@ -336,9 +352,9 @@ class TestSerialization:
         "make,digest",
         [
             (lambda: build_ledger(64),
-             "4d91285cf04a2f72f2089138842dd6682ac8e5f7f217561f0aa81bf9f915117a"),
+             "154f44067ed274709390356b2990184a3d0d4d93e06f43173a6f1b1f0634deb2"),
             (lambda: build_ledger(16, rotate_bases=True, seed=3),
-             "83e4f040c991b01cb641a8b912b3c3187538ef348555b8215d10ef278fab61b0"),
+             "be6a76bd051e6be6aa692da36ca1947f9d4dcb5e4bc1dfdcf3025bc81beae1c1"),
         ],
         ids=["standard-n64", "rotated-n16-seed3"],
     )
@@ -356,7 +372,7 @@ class TestSerialization:
         payload = build_ledger(6, rotate_bases=True, seed=2).to_json(full_certificates=True)
         blob = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "db75fe0d93c4bf1795664c21750501e04951ff7cfe002bad4b918fffd25e44a9"
+            "8f571b9a9b1c3aff0e19f90bddc6ffa755d1f1e7d7130338d2ca6bb1b713d2ca"
         )
 
     def test_full_certificates_embed_bases(self, ledger8):
