@@ -8,8 +8,8 @@ Three phases, cheapest and most interpretable first:
    randomness;
 2. random probes — Haar-random (state, basis) normalization residuals;
 3. optimizer — derivative-free hill climbing over the unitary group,
-   perturbing U by exp(eps * A) with A random skew-Hermitian, keeping
-   perturbations that increase the normalization residual.
+   perturbing U by the Cayley map of eps * A with A random skew-Hermitian,
+   keeping perturbations that increase the normalization residual.
 
 The other two phases score their probes in stacks through one
 ``check_normalization`` call: a chunk of random trials, a window of
@@ -42,17 +42,19 @@ from .errors import ParameterError
 from .hilbert import OrthonormalBasis, StateVector, haar_unitary, random_state, standard_basis
 
 STEP_WINDOW = 20  # rejections in a row after which the step scale halves
-# 100x the default step scale.  Far past it, exp(scale * A) loses unitarity
-# in floats and the climber would accept the drift as a residual gain.
+# 100x the default step scale.  Past it a step is no longer a local move, and its
+# unitarity defect grows (n = 32, 2,000 draws: 1.7e-14 at scale 10, 7.5e-13 at 1000).
 MAX_STEP_SCALE = 10.0
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential.  scipy.linalg loads on the first call, which only
-    the optimizer phase makes, so no other command pays its import."""
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+def expm(x: np.ndarray) -> np.ndarray:
+    """The Cayley map I + (I - X/2)^-1 X of a stack of skew-Hermitian X, by one
+    solve: unitary, and exp(X) to second order (the difference is X^3/12 + O(X^4)).
+    The equal (I - X/2)^-1 (I + X/2) drifts 2.5x further from unitary near I."""
+    eye = np.eye(x.shape[-1])
+    out = np.linalg.solve(eye - x / 2, x)
+    out += eye
+    return out
 
 
 class ConstructionTag(Enum):
@@ -220,15 +222,16 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     """Maximize the normalization residual over the unitary group.
 
     Returns (best_basis_matrix, state, best_residual, residual_trace).
-    Each step perturbs U by exp(scale * A), A random skew-Hermitian, and
-    keeps the move if it raises the residual.  The step scale halves after
-    STEP_WINDOW consecutive rejections and the search stops once it drops
-    below 1e-6; the recorded best residual is non-decreasing by construction.
+    Each step perturbs U by the Cayley map ``expm(scale * A)``, A random
+    skew-Hermitian, and keeps the move if it raises the residual.  The step
+    scale halves after STEP_WINDOW consecutive rejections and the search
+    stops once it drops below 1e-6; the recorded best residual is
+    non-decreasing by construction.
 
     So after r rejections the next STEP_WINDOW - r steps share one scale
     whatever is accepted.  Those steps form a window: their perturbations
-    are drawn and exponentiated as one stack and scored from the current U,
-    and after an accept the rest of the window is re-scored from the new U.
+    are drawn and mapped as one stack and scored from the current U, and
+    after an accept the rest of the window is re-scored from the new U.
     Step for step this is the arithmetic of one perturbation at a time, so
     the result is the same, bit for bit.
     """
@@ -265,12 +268,9 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
 
 
 def _perturbations(rng, m: int, n: int, scale: float) -> np.ndarray:
-    """exp(scale * A) for m random skew-Hermitian A, as an (m, n, n) stack.
-
-    One draw of m * 2 n^2 normals is the stream of m draws of two n x n
-    blocks (real parts, then imaginary parts); scipy's expm runs the same
-    Pade routine on each matrix of a stack.
-    """
+    """``expm(scale * A)`` for m random skew-Hermitian A, as an (m, n, n)
+    stack.  One draw of m * 2 n^2 normals is the stream of m draws of two
+    n x n blocks (real parts, then imaginary parts)."""
     normals = rng.standard_normal((m, 2, n, n))
     a = 1j * normals[:, 1]
     a += normals[:, 0]

@@ -22,7 +22,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from bornlab import (
     DimensionError,
@@ -68,8 +67,14 @@ def normalization(p, matrix: np.ndarray, amplitudes: np.ndarray) -> float:
     return abs(float(evaluate(p, matrix.conj() @ amplitudes).sum()) - 1.0)
 
 
+def cayley(x: np.ndarray) -> np.ndarray:
+    """The Cayley map I + (I - X/2)^-1 X of one n x n matrix: a 2-d solve."""
+    n = x.shape[0]
+    return np.linalg.solve(np.eye(n) - x / 2, x) + np.eye(n)
+
+
 def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
-    """The climber one step at a time: draw, exponentiate, score, keep if better."""
+    """The climber one step at a time: draw, take one Cayley step, score, keep if better."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, n]))
     state = random_state(n, int(rng.integers(2**63)))
     u = haar(n, int(rng.integers(2**63)))
@@ -81,7 +86,7 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
         if scale < 1e-6:
             break
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        candidate_u = u @ expm(scale * ((a - a.conj().T) / 2.0))
+        candidate_u = u @ cayley(scale * ((a - a.conj().T) / 2.0))
         residual = normalization(p, candidate_u, state.amplitudes)
         if residual > best:
             u, best = candidate_u, residual

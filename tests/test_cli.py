@@ -618,14 +618,17 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
-def test_no_scipy_import_outside_optimizer_and_simulate():
-    # scipy.linalg loads for the optimizer phase and scipy.special for
-    # simulate's chi-square threshold and z bound; nothing else may pull scipy in
+def test_no_scipy_import_outside_simulate():
+    # scipy.special loads for simulate's chi-square threshold and z bound;
+    # nothing else may pull scipy in, a falsify through all three phases included
     script = (
         "import os, sys\n"
         "import bornlab.cli\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "bornlab.cli.main(['falsify', '-p', 'r', '--n-range', '2..4', '-o', os.devnull])\n"
+        "code = bornlab.cli.main(['falsify', '-p', 'r^2', '--n-range', '2..4', '--trials', '2',\n"
+        "                         '--optimizer-steps', '5', '-o', os.devnull])\n"
+        "assert code == 1, code\n"
         "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(len(loaded))\n"
     )

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from bornlab import (
     Axiom,
@@ -19,7 +20,7 @@ from bornlab import (
 )
 from bornlab import construction
 from bornlab.cli import main
-from bornlab.falsifier import _ledger_phase, _ledger_residuals, hill_climb
+from bornlab.falsifier import MAX_STEP_SCALE, _ledger_phase, _ledger_residuals, expm, hill_climb
 
 import reference
 from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
@@ -169,6 +170,41 @@ class TestOptimizer:
             candidate_from_expression("r"), 3, steps=100, step_scale=0.2, seed=1
         )
         assert best >= 1e-3
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clean_climb_stops_on_rejections(self, n, seed):
+        # on the Born rule nothing beats rounding, so the step scale halves
+        # every STEP_WINDOW rejections and a climb ends well before its cap of
+        # 1,001 probes (at most 534 here).  A step whose unitarity drift reads
+        # as residual gain climbs on: the Cayley form (I - X/2)^-1 (I + X/2)
+        # passes 700 on 5 of these 18 climbs (2 reach the cap), an eigh
+        # exponential reaches the cap on all 18.
+        _, _, _, trace = hill_climb(candidate_from_expression("r^2"), n, 1000, 0.1, seed)
+        assert len(trace) < 700
+
+
+class TestCayleyStep:
+    """``expm``, the optimizer's unitary step, on stacks of skew-Hermitian X."""
+
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    @pytest.mark.parametrize("scale", [1e-6, 0.1, MAX_STEP_SCALE])
+    def test_step(self, n, scale):
+        a = np.random.default_rng([n, 7]).standard_normal((20, 2, n, n))
+        a = a[:, 0] + 1j * a[:, 1]
+        x = scale * ((a - a.conj().swapaxes(-1, -2)) / 2.0)
+        steps = expm(x)
+        for xi, step in zip(x, steps):
+            assert step.tobytes() == reference.cayley(xi).tobytes()
+            # exactly unitary but for rounding in the solve, which grows with
+            # cond(I - X/2) <= 1 + |X|/2: at n = 32, 2,000 draws reached
+            # 6.7e-16 at scale 0.1 and 1.7e-14 at scale 10
+            defect = np.abs(step.conj().T @ step - np.eye(n)).max()
+            assert defect <= 1e-14 * max(1.0, scale)
+            # on an eigenvalue i*lam the map turns by 2 atan(lam/2) where exp
+            # turns by lam, so |Cayley(X) - exp(X)| <= |X|^3/12 in the 2-norm
+            bound = np.linalg.norm(xi, 2) ** 3 / 12 + 1e-14
+            assert np.linalg.norm(step - scipy_expm(xi), 2) <= bound
 
 
 def band_candidate() -> CandidateDistribution:
@@ -348,7 +384,8 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             FalsifierConfig(n_range=())
 
-    # a step scale past MAX_STEP_SCALE made expm lose unitarity, so 1e10 is refused
+    # past MAX_STEP_SCALE a step is no longer local and its unitarity defect
+    # grows (n = 32: 1.7e-14 at scale 10, 7.5e-13 at 1000), so 1e10 is refused
     @pytest.mark.parametrize("field,value", [
         pytest.param(field, value, id=f"{value}-{field}")
         for field in ("step_scale", "violation_threshold")
