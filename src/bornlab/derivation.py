@@ -163,10 +163,9 @@ class CertificateKernel:
     symmetric state is built.
     """
 
-    def derive(self, specs: Iterable[Spec]) -> list[RationalConstraint]:
+    def derive(self, specs: list[Spec]) -> list[RationalConstraint]:
         """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified exactly and
         at each of its thetas; one constraint per spec, in order."""
-        specs = [(k, n, tuple(map(float, thetas)), kind, sub) for k, n, thetas, kind, sub in specs]
         by_k: dict[int, list[int]] = {}
         for i, (k, n, *_) in enumerate(specs):
             if n < 1 or k < 1 or k > n:

@@ -120,15 +120,43 @@ def z_threshold(cells: int) -> float:
 
     The two-sided tail of MAX_Z, erfc(MAX_Z / sqrt(2)), is shared among
     m = max(cells - 1, 1) cells, so that an honest run fails by |z| about
-    as often at any cell count: z = sqrt(2) erfcinv(erfc(MAX_Z / sqrt(2)) / m).
-    The two cells of a two-cell run share one |z|, and it keeps MAX_Z
-    exactly.
+    as often at any cell count: z = -Phi^-1(erfc(MAX_Z / sqrt(2)) / (2 m)),
+    with Phi the standard normal distribution function.  The two cells of
+    a two-cell run share one |z|, and it keeps MAX_Z exactly.
     """
     if cells <= 2:
         return MAX_Z
-    from scipy.special import erfc, erfcinv  # loaded by simulate only
+    from statistics import NormalDist
 
-    return float(math.sqrt(2.0) * erfcinv(erfc(MAX_Z / math.sqrt(2.0)) / (cells - 1)))
+    return -NormalDist().inv_cdf(math.erfc(MAX_Z / math.sqrt(2.0)) / (2 * (cells - 1)))
+
+
+def chi_square_threshold(dof: int) -> float:
+    """The CHI2_PERCENTILE point of the chi-square law with dof >= 1.
+
+    At x = 2y the upper tail is a finite sum of positive terms
+    e^-y y^a / Gamma(a + 1), a = dof/2 - 1, dof/2 - 2, ... >= 0, plus
+    erfc(sqrt(y)) for odd dof (Abramowitz & Stegun 26.4.4-5), each formed
+    in log space so that none underflows.  Newton's method solves it from
+    the Wilson-Hilferty value; the density at x is the a = dof/2 - 1 term
+    halved.
+    """
+    from statistics import NormalDist
+
+    def term(a: float, y: float) -> float:
+        return math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+
+    h = 2.0 / (9 * dof)
+    x = dof * (1.0 - h + NormalDist().inv_cdf(CHI2_PERCENTILE) * math.sqrt(h)) ** 3
+    while True:
+        y = x / 2
+        tail = math.fsum(term(dof % 2 / 2 + i, y) for i in range(dof // 2))
+        if dof % 2:
+            tail += math.erfc(math.sqrt(y))
+        step = 2 * (tail - (1.0 - CHI2_PERCENTILE)) / term(dof / 2 - 1, y)
+        x += step
+        if abs(step) <= 1e-10 * x:  # converging quadratically, it is off by ~(1e-10 x)^2
+            return x
 
 
 def frequentist_report(
@@ -165,12 +193,8 @@ def _report(counts, expected, p: list, n_samples: int, seed: int) -> SimulationR
         chi_square = 0.0
         threshold = 0.0
     else:
-        # scipy loads here only.  chdtri(dof, 1 - q) equals chi2.ppf(q, dof)
-        # bit for bit (checked for dof 1..2999) at a third of the import time
-        from scipy.special import chdtri
-
         chi_square = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
-        threshold = float(chdtri(dof, 1.0 - CHI2_PERCENTILE))
+        threshold = chi_square_threshold(dof)
     z_scores = []
     for c, pf in zip(counts, p):
         if pf <= 0.0:

@@ -618,26 +618,39 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
-def test_no_scipy_import_outside_simulate():
-    # scipy.special loads for simulate's chi-square threshold and z bound;
-    # nothing else may pull scipy in, a falsify through all three phases included
+def test_no_subcommand_imports_scipy(tmp_path):
+    # with scipy's entry in sys.modules set to None, any import of it fails;
+    # every subcommand must still end with its documented exit code, falsify
+    # through all three phases and simulate at 2, 3 and 512 cells
     script = (
         "import os, sys\n"
-        "import bornlab.cli\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "bornlab.cli.main(['falsify', '-p', 'r', '--n-range', '2..4', '-o', os.devnull])\n"
-        "code = bornlab.cli.main(['falsify', '-p', 'r^2', '--n-range', '2..4', '--trials', '2',\n"
-        "                         '--optimizer-steps', '5', '-o', os.devnull])\n"
-        "assert code == 1, code\n"
-        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(len(loaded))\n"
+        "sys.modules['scipy'] = None\n"
+        "from bornlab.cli import main\n"
+        "ledger, null = os.path.join(sys.argv[1], 'l.json'), os.devnull\n"
+        "sim = ['simulate', '--samples', '100000', '--seed', '0', '-o', null]\n"
+        "runs = [\n"
+        "    (['derive', '--n-max', '4', '--seed', '0', '-o', ledger], 0),\n"
+        "    (['certify', ledger, '-o', null], 0),\n"
+        "    (['compare', '-p', 'r^2', ledger, '-o', null], 0),\n"
+        "    (['falsify', '-p', 'r', '--n-range', '2..4', '--seed', '0', '-o', null], 0),\n"
+        "    (['falsify', '-p', 'r^2', '--n-range', '2..4', '--trials', '2',\n"
+        "      '--optimizer-steps', '5', '--seed', '0', '-o', null], 1),\n"
+        "    (sim + ['--fraction', '2/3'], 0),\n"
+        "    (sim + ['--probs', '1/3,1/6,1/2'], 0),\n"
+        "    (sim + ['--probs', ','.join(['1/512'] * 512)], 0),\n"
+        "    (sim + ['--fraction', '1/3', '--format', 'csv'], 0),\n"
+        "]\n"
+        "for argv, code in runs:\n"
+        "    assert main(argv) == code, argv\n"
+        "print(sys.modules['scipy'])\n"
     )
     src = os.path.dirname(os.path.dirname(bornlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
     )
-    assert done.stdout.strip() == "0"
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
 
 
 class TestSimulate:

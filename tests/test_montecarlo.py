@@ -17,10 +17,11 @@ from bornlab import (
 from bornlab.montecarlo import (
     CHI2_PERCENTILE,
     MAX_Z,
+    chi_square_threshold,
     sample_counts_from_probabilities,
     z_threshold,
 )
-from scipy.special import chdtri
+from scipy.special import chdtri, erfc, erfcinv
 
 import reference
 
@@ -157,7 +158,7 @@ class TestFrequentistReport:
             frequentist_report([1, 2], [Fraction(1, 2), Fraction(1, 2)], 4)
 
     def test_threshold_is_the_chi2_percentile(self):
-        # chdtri(dof, 1 - q) stands in for scipy.stats.chi2.ppf(q, dof)
+        # at 2 dof the percentile q has the closed form -2 ln(1 - q)
         report = frequentist_report([250, 250, 500], [Fraction(1, 4)] * 2 + [Fraction(1, 2)], 1000)
         assert report.degrees_of_freedom == 2
         assert report.chi_square_threshold == pytest.approx(-2 * math.log(1e-4), rel=1e-12)
@@ -261,6 +262,20 @@ class TestZThreshold:
         report = frequentist_report(counts, [p] * 512, n)
         assert report.chi_square <= report.chi_square_threshold
         assert z_threshold(512) < report.max_z_score < 5.6 and not report.passed
+
+
+class TestScipyReferences:
+    # the stdlib forms of montecarlo against the scipy.special ones they replace
+    def test_chi_square_threshold_is_chdtri(self):
+        for dof in [*range(1, 601), 1023, 4095, 10**4]:
+            reference = chdtri(dof, 1.0 - CHI2_PERCENTILE)
+            assert chi_square_threshold(dof) == pytest.approx(reference, rel=1e-13, abs=0), dof
+
+    def test_z_threshold_is_the_erfcinv_form(self):
+        tail = erfc(MAX_Z / math.sqrt(2.0))
+        for cells in range(3, 2049):
+            reference = math.sqrt(2.0) * erfcinv(tail / (cells - 1))
+            assert z_threshold(cells) == pytest.approx(reference, rel=1e-14, abs=0), cells
 
 
 class TestGatePower:
