@@ -21,7 +21,7 @@ report alone.  Exit codes:
         --n-max above 16 with --full-certificates, more than 16 --theta
         values, --grid above 2^20, --trials or --optimizer-steps above
         10^6, --samples above 10^12, more than 512 --probs fractions),
-        or an output path that cannot be written
+        or an output path or stdout that cannot be written
     66  input file unreadable, or larger than 89 MiB
 
 The environment variable BORN_SEED overrides the default seed.  Output
@@ -49,7 +49,8 @@ from .derivation import (
     build_ledger,
     compare_to_born,
     continuity_extension_check,
-    uncertified_ledger,
+    ledger_specs,
+    read_specs,
     verify_ledger,
 )
 from .errors import CertificateError, ParameterError, ParseError
@@ -145,14 +146,20 @@ def _write(path, *texts: str) -> None:
     """Write the texts to the file at path, or to stdout if there is none, in
     slices of 2^20 characters: no text is copied whole to be encoded."""
     pieces = (t[i:i + 2**20] for t in texts for i in range(0, len(t), 2**20))
-    if not path:
-        sys.stdout.writelines(pieces)
-        return
+    if not path and sys.stdout is None:  # started with fd 1 closed
+        raise _UsageError("cannot write output to stdout: it is closed")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
     except OSError as exc:
-        raise _UsageError(f"cannot write output {path!r}: {exc.strerror or exc}")
+        if not path:  # the interpreter flushes stdout again at exit: let that flush succeed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = repr(path) if path else "to stdout"
+        raise _UsageError(f"cannot write output {where}: {exc.strerror or exc}")
 
 
 def _finite_float(text: str) -> float:
@@ -330,10 +337,10 @@ def _cmd_falsify(args) -> int:
         violation_threshold=args.threshold,
         seed=seed,
     )
-    # the probes rebuild their bases from (K, N, theta), so no certificate is
-    # derived, and they read only the dimensions in n_range
-    ledger = uncertified_ledger(max(n_range), args.theta, seed=seed, dims=n_range)
-    outcome = falsify(candidate, cfg, ledger)
+    # the probes rebuild their bases from their specs, so no certificate is
+    # derived, and only the dimensions in n_range are enumerated
+    _, specs = ledger_specs(max(n_range), args.theta, seed=seed, dims=n_range)
+    outcome = falsify(candidate, cfg, specs)
     config = {
         "candidate": args.candidate,
         "n_range": list(n_range),
@@ -394,12 +401,12 @@ def _cmd_compare(args) -> int:
         "tolerance": args.tolerance,
     }
     try:
-        # exact values only: the probes read no certificate, so none is re-derived
-        ledger = ConstraintLedger.load(_read_ledger(args.ledger))
+        # the probes read no certificate, so none is re-derived
+        theta_base, specs = read_specs(_read_ledger(args.ledger))
     except CertificateError as exc:
         _emit("compare", config, {"passed": False, "error": str(exc)}, args.output)
         return EXIT_VERIFICATION
-    report = continuity_extension_check(candidate, ledger, args.grid)
+    report = continuity_extension_check(candidate, theta_base, specs, args.grid)
     passed = (
         report["max_rational_residual"] <= args.tolerance
         and report["max_grid_deviation_from_born"] <= args.tolerance

@@ -91,27 +91,25 @@ class RationalConstraint:
 
     @property
     def verified(self) -> bool:
-        """True when every certificate, exact and float, exists and passed;
-        a loaded constraint has none."""
+        """True when every certificate, exact and float, exists and passed."""
         return self.exact and bool(self.certificates) and all(
             c["passed"] for c in self.certificates
         )
 
+    @property
+    def spec(self) -> Spec:
+        """(K, N, theta_samples, base_kind, base_seed): what its construction
+        is rebuilt from."""
+        return (self.K, self.N, self.theta_samples, self.base_kind, self.base_seed)
+
     def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "N": self.N,
-            "value": {
-                "fraction": f"{self.asserted_value.numerator}/{self.asserted_value.denominator}",
-                "decimal": repr(float(self.asserted_value)),
-            },
-            "theta_samples": list(self.theta_samples),
-            "base_kind": self.base_kind,
-            "base_seed": self.base_seed,
-            "certificate_digest": self.certificate_digest(),
-            "verified": self.verified,
-            "proof_trace": list(self.proof_trace),
-        }
+        value = self.asserted_value
+        return dict(
+            _spec_json(self.spec, (value.numerator, value.denominator)),
+            certificate_digest=self.certificate_digest(),
+            verified=self.verified,
+            proof_trace=list(self.proof_trace),
+        )
 
     def certificate_digest(self) -> str:
         """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
@@ -285,6 +283,20 @@ def derive_p_zero() -> RationalConstraint:
 _OPTIONAL_FIELDS = {"base_kind": "standard", "base_seed": None}
 
 
+def _spec_json(spec: Spec, value: tuple[int, int]) -> dict:
+    """The stored fields of an entry that no certificate enters: its spec's,
+    and the value numerator/denominator it asserts."""
+    k, n, thetas, kind, sub = spec
+    return {
+        "K": k,
+        "N": n,
+        "value": {"fraction": "%d/%d" % value, "decimal": repr(value[0] / value[1])},
+        "theta_samples": list(thetas),
+        "base_kind": kind,
+        "base_seed": sub,
+    }
+
+
 @dataclass(frozen=True)
 class ConstraintLedger:
     """All derived constraints for reduced fractions K/N, N <= n_max."""
@@ -303,6 +315,11 @@ class ConstraintLedger:
     def constraints(self) -> list[RationalConstraint]:
         """Constraints sorted by (N, K) of the generating construction."""
         return sorted(self.entries.values(), key=lambda c: (c.N, c.K))
+
+    def specs(self) -> list[Spec]:
+        """The spec of each constraint in (N, K) order, P(0)'s first: the
+        ledger probes of ``falsify`` and ``continuity_extension_check``."""
+        return [c.spec for c in self.constraints()]
 
     def lookup(self, fraction: Fraction) -> RationalConstraint:
         return self.entries[Fraction(fraction)]
@@ -326,9 +343,7 @@ class ConstraintLedger:
                 entry["certificates"] = certificates[f] = [
                     dict(cert) for cert in self.entries[f].certificates
                 ]
-            specs = [(c.K, c.N, [cert["theta"] for cert in c.certificates], c.base_kind,
-                      c.base_seed) for c in self.constraints()]
-            for (k, n, *_), basis, states in certificate_probes(specs):
+            for (k, n, *_), basis, states in certificate_probes(self.specs()):
                 for cert, state in zip(certificates[Fraction(k, n)], states):
                     cert["basis"] = basis.to_json()
                     cert["state"] = state.to_json()
@@ -343,59 +358,53 @@ class ConstraintLedger:
         }
 
     @classmethod
-    def load(cls, payload) -> "ConstraintLedger":
-        """Read a serialized ledger with exact checks only; raise
-        CertificateError on any fault.
-
-        Checks the header (``_header``), then that the entries are distinct
-        and each is {0} or a reduced K/N with N <= n_max asserting K/N; as
-        many as the header counts, so every one of them is there.
-        Certificates are not re-derived, so the constraints carry none and
-        none of them is ``verified``; use ``from_json`` for that.
-        """
-        n_max, seed, rotate_bases, theta_base, stored = _header(payload)
-        entries: dict[Fraction, RationalConstraint] = {}
-        for index, raw in enumerate(stored):
-            where = f"ledger entry {index}"
-            k, n = _field(raw, "K", int, where), _field(raw, "N", int, where)
-            reduced = (k, n) == (0, 1) or 1 <= k <= n <= n_max and math.gcd(k, n) == 1
-            value = Fraction(k, n) if reduced else None
-            if value is None or value in entries:
-                raise CertificateError(f"{where}: {k}/{n} is a repeat or not a reduced K/N")
-            if _field(raw, "value", dict, where).get("fraction") != f"{k}/{n}":
-                raise CertificateError(f"asserted value mismatch at K={k}, N={n}")
-            thetas = _thetas(raw, "theta_samples", where)
-            kind, sub = (raw.get(key, default) for key, default in _OPTIONAL_FIELDS.items())
-            if not 1 <= len(thetas) <= MAX_THETAS + 1 or not (
-                (kind == "standard" and sub is None)
-                or (kind == "haar" and type(sub) is int and sub >= 0)
-            ):
-                raise CertificateError(
-                    f"{where}: not 1..{MAX_THETAS + 1} theta samples, or a bad base_kind/base_seed"
-                )
-            entries[value] = _uncertified(k, n, thetas, kind, sub)
-        return cls(n_max, seed, rotate_bases, theta_base, entries)
-
-    @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
         """Derive the ledger that the header (``_header``) describes and check
-        that each stored entry is the derived one: every key of its
-        ``to_json``, of the same JSON type, one entry at a time, the first
-        mismatch in (N, K) order; raise CertificateError on any fault.
-        ``base_kind`` and ``base_seed`` may be left out, with the defaults
-        ``load`` reads, and the extra fields of ``--full-certificates`` are
-        not compared."""
+        that each stored entry is the derived one, on every key of its
+        ``to_json`` (``_check_stored``); raise CertificateError on any fault.
+        The extra fields of ``--full-certificates`` are not compared."""
         n_max, seed, rotate_bases, theta_base, stored = _header(payload)
         ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        place = {f: i for i, f in enumerate(ledger.fractions())}  # entries are in Farey order
-        for c in ledger.constraints():
-            raw = stored[place[c.modulus_squared]]
-            for key, derived in c.to_json().items():
-                value = raw.get(key, _OPTIONAL_FIELDS.get(key)) if isinstance(raw, dict) else None
-                # of the same type too: 1 == True, but 1 is no JSON boolean
-                if value != derived or type(value) is not type(derived):
-                    raise CertificateError(f"{key} mismatch at K={c.K}, N={c.N}")
+        constraints = ledger.constraints()
+        _check_stored(stored, [c.K / c.N for c in constraints],
+                      map(RationalConstraint.to_json, constraints))
         return ledger
+
+
+def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
+    """The theta base and the specs of a serialized ledger, from its header
+    (``_header``, ``ledger_specs``) in (N, K) order, P(0)'s first; raise
+    CertificateError on any fault.
+
+    Each stored entry is checked against its spec on the fields that no
+    certificate enters: K, N, value, theta_samples, base_kind and
+    base_seed (``_check_stored``).  No certificate is derived, so a stored
+    digest, verdict or proof trace is not read; ``from_json`` checks those.
+    """
+    n_max, seed, rotate_bases, theta_base, stored = _header(payload)
+    thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
+    specs.insert(0, (0, 1, (0.0,), "standard", None))  # P(0), as derive_p_zero states it
+    _check_stored(stored, [k / n for k, n, *_ in specs],
+                  (_spec_json(spec, spec[:2]) for spec in specs))
+    return thetas, specs
+
+
+def _check_stored(stored: list, keys: list[float], derived: Iterable[dict]) -> None:
+    """Check the stored entries, in Farey order, against the derived JSON
+    entries of float K/N ``keys``, in (N, K) order: every key, of the same
+    JSON type, one entry at a time; raise CertificateError at the first
+    mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out."""
+    # each derived entry's place in the file: the inverse of the order of the
+    # float K/N, exact as ``ConstraintLedger.fractions`` says
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    place = sorted(range(len(order)), key=order.__getitem__)
+    for entry, farey in zip(derived, place):
+        raw = stored[farey]
+        for key, want in entry.items():
+            value = raw.get(key, _OPTIONAL_FIELDS.get(key)) if isinstance(raw, dict) else None
+            # of the same type too: 1 == True, but 1 is no JSON boolean
+            if value != want or type(value) is not type(want):
+                raise CertificateError(f"{key} mismatch at K={entry['K']}, N={entry['N']}")
 
 
 def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
@@ -443,15 +452,6 @@ def _derive(
     derived = [derive_p_zero()] + CertificateKernel().derive(specs)
     return ConstraintLedger(n_max, seed, rotate_bases, thetas,
                             {c.modulus_squared: c for c in derived})
-
-
-def _uncertified(k: int, n: int, thetas, kind: str, sub) -> RationalConstraint:
-    """P(e^{i theta} sqrt(K/N)) = K/N with its exact value only: no certificate."""
-    value = Fraction(k, n)
-    return RationalConstraint(
-        K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
-        certificates=(), proof_trace=(), base_kind=kind, base_seed=sub,
-    )
 
 
 def _field(raw, key: str, kind: type, where: str):
@@ -549,27 +549,6 @@ def build_ledger(
     return ledger
 
 
-def uncertified_ledger(
-    n_max: int,
-    theta_samples: Optional[Iterable[float]] = None,
-    rotate_bases: bool = False,
-    seed: int = 0,
-    dims: Optional[Iterable[int]] = None,
-) -> ConstraintLedger:
-    """The entries ``build_ledger`` derives, with exact values only.
-
-    Like the constraints of ``ConstraintLedger.load``, none carries a
-    certificate, so none is ``verified``; probes that rebuild their bases
-    from (K, N, theta, base_kind, base_seed) need nothing more.  With
-    ``dims`` only P(0) and the entries whose N it lists are made: enough
-    for probes that read those dimensions alone.
-    """
-    thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed, dims)
-    entries = {Fraction(0): _uncertified(0, 1, (0.0,), "standard", None)}
-    entries.update((Fraction(spec[0], spec[1]), _uncertified(*spec)) for spec in specs)
-    return ConstraintLedger(n_max, seed, rotate_bases, thetas, entries)
-
-
 def compare_to_born(ledger: ConstraintLedger) -> Fraction:
     """max |asserted - modulus^2| in exact arithmetic; 0 for a sound ledger."""
     return max((abs(c.asserted_value - c.modulus_squared) for c in ledger.entries.values()
@@ -579,8 +558,8 @@ def compare_to_born(ledger: ConstraintLedger) -> Fraction:
 def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
     """Re-check every certificate; returns the failing (K, N, theta) triples.
 
-    A constraint without certificates (one from ``ConstraintLedger.load``)
-    or whose exact certificate failed fails at each of its theta samples.
+    A constraint without certificates, or whose exact certificate failed,
+    fails at each of its theta samples.
     """
     failures = []
     for c in ledger.entries.values():
@@ -595,14 +574,15 @@ def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
 
 def continuity_extension_check(
     p: CandidateDistribution,
-    ledger: ConstraintLedger,
+    theta_base: tuple[float, ...],
+    specs: list[Spec],
     grid_size: int,
 ) -> dict:
     """Quantitative form of the density argument.
 
-    max_rational_residual probes p at every ledger entry's first overlap,
+    max_rational_residual probes p at every spec's first overlap,
     e^{i theta} sqrt(K/N) at each of its theta samples (``entry_overlaps``),
-    against the exact asserted value;
+    against K/N, the value the ledger asserts there;
     max_grid_deviation_from_born probes p against |z|^2 on a uniform
     modulus grid on [0, 1] times the base theta samples.  A continuous
     candidate with a small rational residual on a dense ledger must have
@@ -611,16 +591,15 @@ def continuity_extension_check(
     """
     if grid_size < 2:
         raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
-    constraints = ledger.constraints()
-    counts = [len(c.theta_samples) for c in constraints]
-    owners = np.repeat(np.arange(len(constraints)), counts)  # the constraint of each row
-    first, _ = entry_overlaps((c.K, c.N, c.theta_samples) for c in constraints)
-    targets = np.repeat([float(c.asserted_value) for c in constraints], counts)
+    counts = [len(spec[2]) for spec in specs]
+    owners = np.repeat(np.arange(len(specs)), counts)  # the spec of each row
+    first, _ = entry_overlaps(specs)
+    targets = np.repeat([k / n for k, n, *_ in specs], counts)
     rational = np.abs(evaluate(p, first) - targets)
     r = _worst_index(rational)
-    worst = None if r is None else constraints[owners[r]]
+    worst = None if r is None else specs[owners[r]]
     moduli = np.linspace(0.0, 1.0, grid_size)
-    thetas = np.array(ledger.theta_base, dtype=np.float64)
+    thetas = np.array(theta_base, dtype=np.float64)
     grid_zs = np.outer(moduli, [complex(math.cos(t), math.sin(t)) for t in thetas])
     grid = np.abs(evaluate(p, grid_zs) - np.hypot(grid_zs.real, grid_zs.imag) ** 2)
     g = _worst_index(grid)
@@ -628,8 +607,8 @@ def continuity_extension_check(
         "candidate": p.name,
         "max_rational_residual": 0.0 if r is None else float(rational[r]),
         "worst_rational": None if r is None else {
-            "K": worst.K, "N": worst.N,
-            "theta": [theta for c in constraints for theta in c.theta_samples][r],
+            "K": worst[0], "N": worst[1],
+            "theta": [theta for spec in specs for theta in spec[2]][r],
         },
         "max_grid_deviation_from_born": 0.0 if g is None else float(grid.flat[g]),
         "worst_grid": None if g is None else {

@@ -15,7 +15,7 @@ The other two phases score their probes in stacks through one
 ``check_normalization`` call: a chunk of random trials, a window of
 climbing steps.  A stack gives the same bits as scoring its probes one
 at a time, and a phase stops at the same first violating probe, so
-identical (candidate, config, ledger) inputs produce identical outcomes,
+identical (candidate, config, specs) inputs produce identical outcomes,
 witness bit patterns included.
 """
 
@@ -36,8 +36,7 @@ from .axioms import (
     evaluate,
     random_probes,
 )
-from .construction import certificate_probes, entry_overlaps
-from .derivation import ConstraintLedger
+from .construction import Spec, certificate_probes, entry_overlaps
 from .errors import ParameterError
 from .hilbert import OrthonormalBasis, StateVector, haar_unitary, random_state, standard_basis
 
@@ -150,14 +149,14 @@ def replay_witness(w: Witness, p: Optional[CandidateDistribution] = None) -> flo
     return check_normalization(p, w.basis, w.state)
 
 
-def _ledger_witness(p, ledger, dims, cfg) -> tuple[Optional[Witness], int]:
-    """The first certificate of a K > 0 entry with N in dims, in (N, K, theta)
-    order, whose closed-form residual reaches the threshold, and the number
-    scored up to it (all, if none does).  Only the witness's basis and state
-    are built (``certificate_probes``), and its residual is scored on them,
-    so that ``replay_witness`` reproduces it bit for bit."""
-    specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
-             for c in ledger.constraints() if c.K > 0 and c.N in dims]
+def _ledger_witness(p, specs, dims, cfg) -> tuple[Optional[Witness], int]:
+    """The first certificate of a K > 0 spec with N in dims, in the specs'
+    (N, K) order and then theta order, whose closed-form residual reaches
+    the threshold, and the number scored up to it (all, if none does).  Only
+    the witness's basis and state are built (``certificate_probes``), and
+    its residual is scored on them, so that ``replay_witness`` reproduces it
+    bit for bit."""
+    specs = [spec for spec in specs if spec[0] > 0 and spec[1] in dims]
     rows, residuals = _ledger_residuals(p, specs)
     hits = np.flatnonzero(residuals >= cfg.violation_threshold)
     if hits.size == 0:
@@ -185,7 +184,7 @@ def _ledger_residuals(p, specs) -> tuple[list, np.ndarray]:
     return rows, np.abs(values[:len(rows)] + zeros + tails - 1.0)
 
 
-def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
+def _ledger_phase(p, cfg, specs) -> tuple[Optional[Witness], int]:
     # P(0) = 0 and P(1) = 1 first: the two fixed points every candidate
     # must hit, which are the only overlaps in the Gram matrix of the
     # standard basis at the smallest dimension
@@ -194,7 +193,7 @@ def _ledger_phase(p, cfg, ledger) -> tuple[Optional[Witness], int]:
     if residual >= cfg.violation_threshold:
         return _witness(p, Axiom.ORTHOGONALITY, basis, basis.vector(0), residual,
                         (cfg.seed, 1), ConstructionTag.LEDGER_CERTIFICATE), 2
-    witness, probes = _ledger_witness(p, ledger, set(cfg.n_range), cfg)
+    witness, probes = _ledger_witness(p, specs, set(cfg.n_range), cfg)
     return witness, 2 + probes
 
 
@@ -296,15 +295,15 @@ def _optimizer_phase(p, cfg) -> tuple[Optional[Witness], int, dict]:
     return None, probes, traces
 
 
-def falsify(
-    p: CandidateDistribution, cfg: FalsifierConfig, ledger: ConstraintLedger
-) -> FalsifyResult:
-    """Search for a concrete axiom violation; None witness is a valid outcome."""
-    if max(cfg.n_range) > ledger.n_max:
-        raise ParameterError(
-            f"ledger covers N <= {ledger.n_max}, config asks for {max(cfg.n_range)}"
-        )
-    witness, ledger_probes = _ledger_phase(p, cfg, ledger)
+def falsify(p: CandidateDistribution, cfg: FalsifierConfig, specs: list[Spec]) -> FalsifyResult:
+    """Search for a concrete axiom violation; None witness is a valid outcome.
+
+    The ledger phase probes the specs (``derivation.ledger_specs``) whose N
+    is in cfg.n_range, and each N there must have one."""
+    missing = set(cfg.n_range).difference(spec[1] for spec in specs)
+    if missing:
+        raise ParameterError(f"no ledger spec of N = {min(missing)}, which the config asks for")
+    witness, ledger_probes = _ledger_phase(p, cfg, specs)
     probes = {"ledger": ledger_probes, "random": 0, "optimizer": 0}
     if witness is None:
         witness, probes["random"] = _random_phase(p, cfg)
@@ -313,10 +312,10 @@ def falsify(
     return FalsifyResult(witness, probes)
 
 
-def shrink_witness(w: Witness, ledger: ConstraintLedger, cfg: FalsifierConfig) -> Witness:
+def shrink_witness(w: Witness, specs: list[Spec], cfg: FalsifierConfig) -> Witness:
     """Smallest-dimension ledger-certificate witness for the same candidate.
 
-    Scans ledger constraints in ascending (N, K) order and returns the
+    Scans the ledger specs in ascending (N, K) order and returns the
     first that violates at >= the configured threshold; falls back to the
     original witness (so the operation is idempotent) when no smaller
     deterministic witness exists.
@@ -326,7 +325,7 @@ def shrink_witness(w: Witness, ledger: ConstraintLedger, cfg: FalsifierConfig) -
         raise ParameterError("witness carries no candidate; cannot shrink")
     if w.axiom is Axiom.ORTHOGONALITY:
         return w  # already minimal: a single basis pair
-    probe, _ = _ledger_witness(p, ledger, range(1, w.dimension + 1), cfg)
+    probe, _ = _ledger_witness(p, specs, range(1, w.dimension + 1), cfg)
     if probe is None or (
         probe.dimension == w.dimension
         and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE

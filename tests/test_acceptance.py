@@ -127,7 +127,7 @@ def test_criterion_4_falsification_completeness(ledger8):
     ok = True
     details = []
     for expr, (axiom, expected_residual) in expectations.items():
-        result = falsify(candidate_from_expression(expr), cfg, ledger8)
+        result = falsify(candidate_from_expression(expr), cfg, ledger8.specs())
         w = result.witness
         if w is None:
             ok = False
@@ -168,13 +168,10 @@ def test_criterion_5_frequentist_check():
 
 
 def test_criterion_6_continuity_probe(ledger64):
-    born = continuity_extension_check(born_candidate(), ledger64, 256)
-    absr = continuity_extension_check(
-        candidate_from_expression("r"), ledger64, 256
-    )
-    fixture = continuity_extension_check(
-        make_ledger_locked_candidate(64), ledger64, 256
-    )
+    probes = ledger64.theta_base, ledger64.specs()
+    born = continuity_extension_check(born_candidate(), *probes, 256)
+    absr = continuity_extension_check(candidate_from_expression("r"), *probes, 256)
+    fixture = continuity_extension_check(make_ledger_locked_candidate(64), *probes, 256)
     ok = (
         born["max_rational_residual"] <= 1e-12
         and born["max_grid_deviation_from_born"] <= 1e-12

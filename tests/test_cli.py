@@ -13,9 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bornlab
-from bornlab import FalsifierConfig, build_ledger, candidate_from_expression, derivation, falsify
+from bornlab import (
+    FalsifierConfig,
+    build_ledger,
+    candidate_from_expression,
+    cli,
+    derivation,
+    falsify,
+)
 from bornlab.cli import MAX_LEDGER_BYTES, main
-from bornlab.derivation import uncertified_ledger
+from bornlab.derivation import ledger_specs
 
 from conftest import schema_validator
 
@@ -210,7 +217,8 @@ def oversized_ledger(root) -> str:
 
 
 # Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
-# with the entry it re-derives; load alone accepts every one of them.
+# with the entry it re-derives.  compare checks the fields that no
+# certificate enters, SPEC_FIELDS, and accepts the others.
 TAMPERED_FIELDS = {
     "value": ("value", {"fraction": "1/3", "decimal": "0.9"}),
     # the entry is re-derived at the stored thetas, as floats; another list
@@ -221,11 +229,12 @@ TAMPERED_FIELDS = {
     "verified-integer": ("verified", 1),  # equal to True in Python, not in JSON
     "proof_trace": ("proof_trace", ["hence P(e^(i*theta)*sqrt(1/3)) = 1/3"]),
 }
+SPEC_FIELDS = ("value", "theta_samples")
 
 
 # Each changes one header field so that it no longer describes the stored
-# entries; certify derives the entries from the header and names the first
-# entry field that differs, at K/N = 1/1.
+# entries; certify and compare take the entries from the header and name the
+# first entry field that differs, at K/N = 1/1.
 TAMPERED_HEADERS = {
     "theta_base": ("theta_base", [0.123], "theta_samples"),
     "rotate_bases": ("rotate_bases", True, "base_kind"),
@@ -303,7 +312,7 @@ class TestMalformedLedger:
         def refuse(*args):
             raise AssertionError("an entry was read or derived")
 
-        monkeypatch.setattr(derivation, "_uncertified", refuse)
+        # certify derives, and compare reads, every entry from ledger_specs
         monkeypatch.setattr(derivation, "ledger_specs", refuse)
         ledger_doc["result"]["ledger"][key] = value
         for argv in (["certify"], ["compare", "-p", "r^2"]):
@@ -352,6 +361,11 @@ class TestMalformedLedger:
         code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
         assert code == 2
         assert payload["result"]["error"] == f"{key} mismatch at K=1, N=3"
+        # compare checks the same way the fields no certificate enters, and no other
+        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
+        want = (2, f"{key} mismatch at K=1, N=3") if key in SPEC_FIELDS else (0, None)
+        assert (code, payload["result"].get("error")) == want
+        schema_validator("compare.schema.json").validate(payload)
         del entry[key]
         assert run_on_file(tmp_path, capsys, ledger_doc, "certify")[0] == 2
 
@@ -361,14 +375,15 @@ class TestMalformedLedger:
         ledger = ledger_doc["result"]["ledger"]
         assert ledger[key] != value
         ledger[key] = value
-        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
-        assert code == 2
-        assert payload["result"]["error"] == f"{field} mismatch at K=1, N=1"
-        schema_validator("certify.schema.json").validate(payload)
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert code == 2
+            assert payload["result"]["error"] == f"{field} mismatch at K=1, N=1"
+            schema_validator(f"{argv[0]}.schema.json").validate(payload)
 
     def test_optional_and_full_certificate_fields_certify(self, tmp_path, capsys):
-        # base_kind and base_seed default as load reads them, and the extra
-        # fields of --full-certificates are not compared
+        # base_kind and base_seed may be left out, and the extra fields of
+        # --full-certificates are not compared
         code, doc = run(tmp_path, "derive", "--n-max", "4", "--full-certificates",
                         name="full.json")
         assert code == 0 and "exact_certificate" in doc["result"]["ledger"]["entries"][2]
@@ -376,6 +391,8 @@ class TestMalformedLedger:
             del entry["base_kind"], entry["base_seed"]
         code, payload = run_on_file(tmp_path, capsys, doc, "certify")
         assert code == 0 and payload["result"]["verified"] is True
+        code, payload = run_on_file(tmp_path, capsys, doc, "compare", "-p", "r^2")
+        assert code == 0 and payload["result"]["passed"] is True
 
     def test_truncated_fails_certify_and_compare(self, tmp_path, capsys, ledger_doc):
         ledger = ledger_doc["result"]["ledger"]
@@ -434,7 +451,7 @@ class TestFalsify:
     def test_same_result_without_deriving_a_certificate(self, tmp_path, monkeypatch, candidate):
         cfg = FalsifierConfig(n_range=(2, 3, 4, 5), random_trials=3, optimizer_steps=5, seed=4)
         ledger = build_ledger(5, [0.5, 4.0], seed=4)
-        want = falsify(candidate_from_expression(candidate), cfg, ledger).to_json()
+        want = falsify(candidate_from_expression(candidate), cfg, ledger.specs()).to_json()
 
         def refuse(*args):
             raise AssertionError("falsify derived a certificate")
@@ -450,19 +467,22 @@ class TestFalsify:
     @pytest.mark.parametrize("candidate", ["r^2", "r^4"])
     def test_enumerates_only_the_dimensions_it_probes(self, tmp_path, monkeypatch, candidate):
         cfg = FalsifierConfig(n_range=(3, 7), random_trials=2, optimizer_steps=3, seed=5)
-        full = uncertified_ledger(7, [0.5], seed=5)
+        _, full = ledger_specs(7, [0.5], seed=5)
         want = falsify(candidate_from_expression(candidate), cfg, full).to_json()
-        made, real = [], derivation._uncertified
-        monkeypatch.setattr(derivation, "_uncertified", lambda *spec: made.append(spec[:2])
-                            or real(*spec))
+        made = []
+
+        def counted(*args, **kwargs):
+            thetas, specs = ledger_specs(*args, **kwargs)
+            made.extend(spec[:2] for spec in specs)
+            return thetas, specs
+
+        monkeypatch.setattr(cli, "ledger_specs", counted)
         code, payload = run(tmp_path, "falsify", "-p", candidate, "--n-range", "7,3",
                             "--trials", "2", "--optimizer-steps", "3", "--theta", "0.5",
                             "--seed", "5")
         assert code == (0 if want["falsified"] else 1)
         assert payload["result"] == want
-        assert made == [(0, 1)] + [(k, n) for k, n, *_ in
-                                   (s for s in derivation.ledger_specs(7, [0.5], seed=5)[1])
-                                   if n in (3, 7)]
+        assert made == [spec[:2] for spec in full if spec[1] in (3, 7)]
 
 
 # Each must exit 64 with a one-line usage error on stderr.
@@ -606,6 +626,21 @@ UNWRITABLE_OUTPUT = {
 }
 
 
+# (argv, the shell redirection of its stdout, the error it must report).
+# derive's report, 750 kB, outgrows a pipe's buffer, so it is still being
+# written when `head -c 10` exits; `true` exits before simulate's csv is written.
+_DERIVE = ["derive", "--n-max", "64"]
+_CSV = ["simulate", "--fraction", "1/3", "--samples", "1000", "--format", "csv"]
+STDOUT_FAULTS = {
+    "derive-head-c-10": (_DERIVE, "| head -c 10 > /dev/null", "Broken pipe"),
+    "simulate-csv-reader-gone": (_CSV, "| true", "Broken pipe"),
+    "derive-dev-full": (_DERIVE, "> /dev/full", "No space left on device"),
+    "simulate-csv-dev-full": (_CSV, "> /dev/full", "No space left on device"),
+    "derive-closed": (_DERIVE, ">&-", "it is closed"),
+    "simulate-csv-closed": (_CSV, ">&-", "it is closed"),
+}
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUT))
     @pytest.mark.parametrize("target", ["directory", "missing-directory"])
@@ -616,6 +651,19 @@ class TestUnwritableOutput:
         assert out == ""
         assert err.startswith("usage error: cannot write output ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("case", sorted(STDOUT_FAULTS))
+    def test_stdout_that_cannot_be_written(self, case):
+        # run by a shell, as a user would; with pipefail the pipeline's code is bornlab's
+        argv, redirect, reason = STDOUT_FAULTS[case]
+        src = os.path.dirname(os.path.dirname(bornlab.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            ["bash", "-c", f'set -o pipefail; "$@" {redirect}', "bash",
+             sys.executable, "-m", "bornlab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (64, "")
+        assert done.stderr == f"usage error: cannot write output to stdout: {reason}\n"
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

@@ -27,7 +27,8 @@ from bornlab.derivation import (
     OVERLAP_TOLERANCE,
     CertificateKernel,
     ExactCertificate,
-    uncertified_ledger,
+    ledger_specs,
+    read_specs,
 )
 
 from conftest import corrupt_entry, make_ledger_locked_candidate
@@ -140,6 +141,14 @@ class TestBuildLedger:
         assert ledger10.verified
         assert verify_ledger(ledger10) == []
 
+    def test_constraint_without_certificates_fails_verify_ledger(self, ledger10):
+        # nothing was checked, so nothing may read as verified
+        bare = replace(ledger10, entries={
+            f: replace(c, certificates=()) for f, c in ledger10.entries.items()})
+        assert not bare.verified
+        failures = verify_ledger(bare)
+        assert len(failures) == sum(len(c.theta_samples) for c in bare.constraints())
+
     def test_theta_samples_include_extra(self, ledger10):
         c = ledger10.lookup(Fraction(1, 2))
         assert len(c.theta_samples) == len(DEFAULT_THETAS) + 1
@@ -155,37 +164,37 @@ class TestBuildLedger:
 
 
 class TestUncertifiedLedger:
+    """The ledger before any certificate: ``ledger_specs``."""
+
     @pytest.mark.parametrize("kwargs", [
         {}, {"theta_samples": [0.5, 2.0], "seed": 4}, {"rotate_bases": True, "seed": 3},
     ])
     def test_build_ledger_entries_without_certificates(self, kwargs):
-        built, bare = build_ledger(7, **kwargs), uncertified_ledger(7, **kwargs)
-        fields = ("n_max", "seed", "rotate_bases", "theta_base")
-        assert [getattr(bare, f) for f in fields] == [getattr(built, f) for f in fields]
-        assert bare.entries.keys() == built.entries.keys()
-        for fraction, c in built.entries.items():
-            u = bare.entries[fraction]
-            same = ("K", "N", "asserted_value", "theta_samples", "base_kind", "base_seed")
-            assert [getattr(u, f) for f in same] == [getattr(c, f) for f in same]
-            assert u.certificates == () and not u.verified
+        built = build_ledger(7, **kwargs)
+        thetas, specs = ledger_specs(7, **kwargs)
+        assert thetas == built.theta_base
+        assert specs == built.specs()[1:]
+        assert built.specs()[0] == (0, 1, (0.0,), "standard", None)
+        assert [Fraction(k, n) for k, n, *_ in built.specs()] == [
+            c.asserted_value for c in built.constraints()]
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
-            uncertified_ledger(0)
+            ledger_specs(0)
 
     def test_dims_keep_their_specs(self):
         # the entries of the listed N, with the bits of the full enumeration
-        _, full = derivation.ledger_specs(12, rotate_bases=True, seed=5)
-        _, some = derivation.ledger_specs(12, rotate_bases=True, seed=5, dims=[9, 3, 9, 40])
+        _, full = ledger_specs(12, rotate_bases=True, seed=5)
+        _, some = ledger_specs(12, rotate_bases=True, seed=5, dims=[9, 3, 9, 40])
         assert some == [spec for spec in full if spec[1] in (3, 9)]
-        ledger = uncertified_ledger(12, seed=5, dims=[4])
-        assert [(c.K, c.N) for c in ledger.constraints()] == [(0, 1), (1, 4), (3, 4)]
+        _, specs = ledger_specs(12, seed=5, dims=[4])
+        assert [(k, n) for k, n, *_ in specs] == [(1, 4), (3, 4)]
 
     def test_extra_thetas_are_one_stream_per_n(self):
         # each N's extra thetas, in K order, come from the first spawned child
         # of SeedSequence([seed, N]); [seed, N, 0] would be the Haar base's
         # own key, since SeedSequence pads its entropy with zeros
-        _, specs = derivation.ledger_specs(12, rotate_bases=True, seed=5)
+        _, specs = ledger_specs(12, rotate_bases=True, seed=5)
         for n in range(1, 13):
             extras = [thetas[-1] for _, m, thetas, _, _ in specs if m == n]
             base = np.random.SeedSequence([5, n])
@@ -248,8 +257,7 @@ class TestHaarBound:
         # the per-entry N x N construction, built over the rotated base itself
         ledger = build_ledger(32, rotate_bases=True, seed=seed)
         for c in ledger.constraints()[1:]:
-            defect, errors = full_certificate(
-                (c.K, c.N, c.theta_samples, c.base_kind, c.base_seed))
+            defect, errors = full_certificate(c.spec)
             assert len(errors) == len(c.certificates)
             for cert, error in zip(c.certificates, errors):
                 assert cert["defect"] >= defect, (c.K, c.N)
@@ -258,7 +266,7 @@ class TestHaarBound:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_certifies_at_the_dimension_bound(self, seed):
         # the widest K at N = 512 takes the largest rounding term
-        _, specs = derivation.ledger_specs(512, rotate_bases=True, seed=seed, dims=[512])
+        _, specs = ledger_specs(512, rotate_bases=True, seed=seed, dims=[512])
         for c in CertificateKernel().derive([specs[0], specs[-1]]):
             assert c.verified
             for cert in c.certificates:
@@ -319,12 +327,11 @@ class TestSerialization:
 
     def test_certify_derives_from_the_header_alone(self, monkeypatch):
         # one derive path for build_ledger and from_json: neither reads the
-        # stored entries through load nor makes an uncertified constraint
+        # stored entries through read_specs
         def refuse(*args):
-            raise AssertionError("an entry was parsed or left uncertified")
+            raise AssertionError("an entry was read as a spec")
 
-        monkeypatch.setattr(ConstraintLedger, "load", refuse)
-        monkeypatch.setattr(derivation, "_uncertified", refuse)
+        monkeypatch.setattr(derivation, "read_specs", refuse)
         built = build_ledger(7, rotate_bases=True, seed=3)
         rebuilt = ConstraintLedger.from_json(built.to_json())
         assert rebuilt.entries == built.entries and rebuilt.verified
@@ -394,30 +401,25 @@ class TestSerialization:
         assert values == sorted(values)
 
 
-class TestLoad:
-    def test_loaded_constraints_are_not_verified(self, ledger10):
-        loaded = ConstraintLedger.load(ledger10.to_json())
-        assert loaded.fractions() == ledger10.fractions()
-        for c in loaded.constraints():
-            assert c.certificates == ()
-            assert not c.verified
-        assert not loaded.verified
+class TestReadSpecs:
+    @pytest.mark.parametrize("make", [lambda: build_ledger(10),
+                                      lambda: build_ledger(7, [0.5], True, 3)],
+                             ids=["standard-n10", "rotated-n7-seed3"])
+    def test_reads_the_specs_of_the_header(self, make):
+        ledger = make()
+        assert read_specs(ledger.to_json()) == (ledger.theta_base, ledger.specs())
 
-    def test_loaded_ledger_fails_verify_ledger(self, ledger10):
-        # nothing was checked, so nothing may read as verified
-        loaded = ConstraintLedger.load(ledger10.to_json())
-        failures = verify_ledger(loaded)
-        assert len(failures) == sum(len(c.theta_samples) for c in loaded.constraints())
+    def test_reads_no_certificate(self, ledger10, monkeypatch):
+        # no certificate is derived, and none of the stored ones is read
+        def refuse(*args):
+            raise AssertionError("a certificate was derived")
 
-    def test_loaded_values_match_derived(self, ledger10):
-        loaded = ConstraintLedger.load(ledger10.to_json())
-        assert loaded.theta_base == ledger10.theta_base
-        for f in ledger10.fractions():
-            a, b = loaded.lookup(f), ledger10.lookup(f)
-            assert (a.K, a.N, a.asserted_value, a.theta_samples) == (
-                b.K, b.N, b.asserted_value, b.theta_samples
-            )
-            assert (a.base_kind, a.base_seed) == (b.base_kind, b.base_seed)
+        monkeypatch.setattr(derivation.CertificateKernel, "derive", refuse)
+        monkeypatch.setattr(derivation, "derive_p_zero", refuse)
+        payload = ledger10.to_json()
+        for entry in payload["entries"]:
+            entry.update(certificate_digest="0" * 64, verified=False, proof_trace=[])
+        assert read_specs(payload) == (ledger10.theta_base, ledger10.specs())
 
 
 class TestKernel:
@@ -458,9 +460,7 @@ def _counting(monkeypatch, module, name: str) -> list:
 class TestCertificateProbes:
     def test_base_rebuilt_once_per_n_kind_seed(self, monkeypatch):
         calls = _counting(monkeypatch, construction, "_rebuild_base")
-        ledger = uncertified_ledger(6, rotate_bases=True, seed=2)
-        specs = [(c.K, c.N, c.theta_samples, c.base_kind, c.base_seed)
-                 for c in ledger.constraints()]
+        specs = build_ledger(6, rotate_bases=True, seed=2).specs()
         probes = list(construction.certificate_probes(specs))
         assert [spec for spec, _, _ in probes] == specs[1:]  # P(0) has no construction
         assert calls == list(dict.fromkeys((n, kind, sub) for _, n, _, kind, sub in specs[1:]))
@@ -475,9 +475,14 @@ class TestCertificateProbes:
         assert sorted(calls) == [(k,) for k in range(1, 12)]
 
 
+def probes(ledger):
+    """The theta base and specs that ``continuity_extension_check`` probes."""
+    return ledger.theta_base, ledger.specs()
+
+
 class TestContinuityExtension:
     def test_born_both_tiny(self, ledger10):
-        report = continuity_extension_check(born_candidate(), ledger10, 64)
+        report = continuity_extension_check(born_candidate(), *probes(ledger10), 64)
         assert report["max_rational_residual"] <= 1e-12
         assert report["max_grid_deviation_from_born"] <= 1e-12
 
@@ -485,19 +490,19 @@ class TestContinuityExtension:
         from bornlab import CandidateDistribution
 
         report = continuity_extension_check(
-            CandidateDistribution("r", lambda z: abs(z)), ledger10, 64
+            CandidateDistribution("r", lambda z: abs(z)), *probes(ledger10), 64
         )
         assert report["max_rational_residual"] >= abs(math.sqrt(0.5) - 0.5) - 1e-12
 
     def test_discontinuous_fixture_needs_continuity(self, ledger10):
         fixture = make_ledger_locked_candidate(10)
-        report = continuity_extension_check(fixture, ledger10, 128)
+        report = continuity_extension_check(fixture, *probes(ledger10), 128)
         assert report["max_rational_residual"] <= 1e-12
         assert report["max_grid_deviation_from_born"] >= 0.5
 
     def test_grid_size_validated(self, ledger10):
         with pytest.raises(ParameterError):
-            continuity_extension_check(born_candidate(), ledger10, 1)
+            continuity_extension_check(born_candidate(), *probes(ledger10), 1)
 
 
 def test_proof_traces_present(ledger8):
