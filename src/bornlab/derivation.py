@@ -9,8 +9,8 @@ concrete symmetric state and partial-DFT basis whose overlaps realize
 the modulus: exactly, by an identity of the K-th roots of unity that
 covers every theta, and as a float cross-check at sampled thetas.
 Asserted values are exact :class:`fractions.Fraction` objects.  The
-ledger is indexed in Farey order and doubles as the deterministic probe
-set for the falsifier and the continuity probe.
+ledger is kept in (N, K) order, written in Farey order, and its specs
+are the deterministic probes of the falsifier and the continuity probe.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class RationalConstraint:
     K and N are the generating integers; asserted_value is kept as an
     exact fraction (possibly reduced).  The exact certificate records the
     check of the construction in integer arithmetic, valid for every
-    theta; certificates record its float cross-check at each sampled theta.
+    theta; defect and overlap_errors record its float cross-check at each
+    sampled theta.  All else an entry reports follows from these and (K, N).
     """
 
     K: int
@@ -78,8 +79,8 @@ class RationalConstraint:
     modulus_squared: Fraction
     asserted_value: Fraction
     theta_samples: tuple[float, ...]
-    certificates: tuple[dict, ...]
-    proof_trace: tuple[str, ...]
+    defect: float
+    overlap_errors: tuple[float, ...]
     base_kind: str = "standard"
     base_seed: Optional[int] = None
     exact_certificate: Optional[ExactCertificate] = None
@@ -92,15 +93,30 @@ class RationalConstraint:
     @property
     def verified(self) -> bool:
         """True when every certificate, exact and float, exists and passed."""
-        return self.exact and bool(self.certificates) and all(
-            c["passed"] for c in self.certificates
-        )
+        return self.exact and bool(self.overlap_errors) and all(self._verdicts())
 
     @property
     def spec(self) -> Spec:
         """(K, N, theta_samples, base_kind, base_seed): what its construction
         is rebuilt from."""
         return (self.K, self.N, self.theta_samples, self.base_kind, self.base_seed)
+
+    @property
+    def certificates(self) -> tuple[dict, ...]:
+        """The float certificate at each theta sample, theta reduced mod 2 pi."""
+        kind, verdicts = _kind(self.K, self.N), self._verdicts()
+        return tuple({"kind": kind, "theta": t % TWO_PI, "defect": self.defect,
+                      "overlap_error": e, "passed": ok}
+                     for t, e, ok in zip(self.theta_samples, self.overlap_errors, verdicts))
+
+    @property
+    def proof_trace(self) -> tuple[str, ...]:
+        return _trace(self.K, self.N)
+
+    def _verdicts(self) -> list[bool]:
+        """Whether the float certificate at each theta sample passed."""
+        ok = self.defect <= DEFECT_TOLERANCE
+        return [ok and error <= OVERLAP_TOLERANCE for error in self.overlap_errors]
 
     def to_json(self) -> dict:
         value = self.asserted_value
@@ -122,7 +138,7 @@ class RationalConstraint:
             self.K, self.N, self.base_kind, self.base_seed,
             ",".join(map(str, primes)), passed, len(self.theta_samples),
         )
-        verdicts = "|" + " ".join(f"{c['kind']}:{c['passed']:d}" for c in self.certificates)
+        verdicts = "|" + " ".join(f"{_kind(self.K, self.N)}:{ok:d}" for ok in self._verdicts())
         thetas = struct.pack(f"<{len(self.theta_samples)}d", *self.theta_samples)
         return hashlib.sha256(head.encode() + thetas + verdicts.encode()).hexdigest()
 
@@ -169,24 +185,25 @@ class CertificateKernel:
             if n < 1 or k < 1 or k > n:
                 raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
             by_k.setdefault(k, []).append(i)
-        certificates: list = [None] * len(specs)
+        numbers: list = [None] * len(specs)
         unitarity: dict = {}  # (N, seed) -> max|U^H U - I| of that Haar base
         for k, indices in by_k.items():
             rows = self._certificates(k, [specs[i] for i in indices], unitarity)
-            for i, certs in zip(indices, rows):
-                certificates[i] = certs
+            for i, row in zip(indices, rows):
+                numbers[i] = row
         constraints = []
-        for (k, n, thetas, kind, sub), certs in zip(specs, certificates):
+        for (k, n, thetas, kind, sub), (defect, errors) in zip(specs, numbers):
             value = Fraction(k, n)
             constraints.append(RationalConstraint(
                 K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
-                certificates=certs, proof_trace=_trace(k, n), base_kind=kind, base_seed=sub,
+                defect=defect, overlap_errors=errors, base_kind=kind, base_seed=sub,
                 exact_certificate=_exact_certificate(k, n),
             ))
         return constraints
 
     def _certificates(self, k: int, entries: list, unitarity: dict) -> list:
-        """Float certificates of the entries (K, N, thetas, kind, seed) that share K.
+        """(Gram defect, overlap errors) of the entries (K, N, thetas, kind,
+        seed) that share K.
 
         Each (entry, theta) pair is one row, so entries may hold different
         numbers of thetas; row for row this is the same arithmetic as one
@@ -205,13 +222,13 @@ class CertificateKernel:
         errors = iter(errors.tolist())
         rows = []
         for (_, n, _, kind, sub), ts in zip(entries, thetas):
-            d, es = (defect if k < n else 0.0), [next(errors) for _ in ts]
+            d, es = (defect if k < n else 0.0), tuple(next(errors) for _ in ts)
             if kind == "haar":
                 if (n, sub) not in unitarity:
                     unitarity[n, sub] = haar_unitary(n, int(sub)).defect
                 extra = n * unitarity[n, sub] + rotation_rounding(k, n)
-                d, es = d + extra, [e + extra for e in es]
-            rows.append(_certificate_dicts(k, n, ts, d, es))
+                d, es = d + extra, tuple(e + extra for e in es)
+            rows.append((d, es))
         return rows
 
 
@@ -226,20 +243,15 @@ def _exact_certificate(k: int, n: int) -> ExactCertificate:
     return ExactCertificate(prime_factors(k) if k < n else (), passed)
 
 
-def _certificate_dicts(k: int, n: int, thetas, defect: float, errors) -> tuple[dict, ...]:
-    return tuple(
-        {
-            "kind": "single_vector" if k == n else "partial_dft",
-            "theta": theta,
-            "defect": defect,
-            "overlap_error": error,
-            "passed": defect <= DEFECT_TOLERANCE and error <= OVERLAP_TOLERANCE,
-        }
-        for theta, error in zip(thetas, errors)
-    )
+def _kind(k: int, n: int) -> str:
+    """The construction behind the float certificates of K/N."""
+    return "orthogonal_pair" if k == 0 else "single_vector" if k == n else "partial_dft"
 
 
 def _trace(k: int, n: int) -> tuple[str, ...]:
+    if k == 0:
+        return ("orthogonal states embed in a common orthonormal basis",
+                "consistency on that basis forces P(0) = 0")
     if k == n:
         return (
             "normalization over a basis containing the state itself has a single term",
@@ -262,20 +274,10 @@ def derive_p_zero() -> RationalConstraint:
     """The constraint P(0) = 0 from orthogonality consistency."""
     base = standard_basis(2)
     overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
-    cert = {
-        "kind": "orthogonal_pair",
-        "theta": 0.0,
-        "defect": orthonormality_defect(base),
-        "overlap_error": abs(overlap),
-        "passed": abs(overlap) <= OVERLAP_TOLERANCE,
-    }
     return RationalConstraint(
         K=0, N=1, modulus_squared=Fraction(0), asserted_value=Fraction(0),
-        theta_samples=(0.0,), certificates=(cert,), proof_trace=(
-            "orthogonal states embed in a common orthonormal basis",
-            "consistency on that basis forces P(0) = 0",
-        ),
-        exact_certificate=ExactCertificate((), overlap == 0),
+        theta_samples=(0.0,), defect=orthonormality_defect(base),  # exactly 0 too
+        overlap_errors=(abs(overlap),), exact_certificate=ExactCertificate((), overlap == 0),
     )
 
 
@@ -299,52 +301,49 @@ def _spec_json(spec: Spec, value: tuple[int, int]) -> dict:
 
 @dataclass(frozen=True)
 class ConstraintLedger:
-    """All derived constraints for reduced fractions K/N, N <= n_max."""
+    """All derived constraints for reduced fractions K/N, N <= n_max, in
+    (N, K) order, P(0)'s first."""
 
     n_max: int
     seed: int
     rotate_bases: bool
     theta_base: tuple[float, ...]
-    entries: dict[Fraction, RationalConstraint]
-
-    def fractions(self) -> list[Fraction]:
-        """Farey order, by the float K/N: exact while N < 2^26 (MAX_DIMENSION
-        ensures it), as distinct K/N differ by >= 1/N^2, each rounded <= 2^-53."""
-        return sorted(self.entries, key=float)
-
-    def constraints(self) -> list[RationalConstraint]:
-        """Constraints sorted by (N, K) of the generating construction."""
-        return sorted(self.entries.values(), key=lambda c: (c.N, c.K))
+    entries: tuple[RationalConstraint, ...]
 
     def specs(self) -> list[Spec]:
-        """The spec of each constraint in (N, K) order, P(0)'s first: the
-        ledger probes of ``falsify`` and ``continuity_extension_check``."""
-        return [c.spec for c in self.constraints()]
+        """The spec of each constraint, in order: the ledger probes of
+        ``falsify`` and ``continuity_extension_check``."""
+        return [c.spec for c in self.entries]
 
-    def lookup(self, fraction: Fraction) -> RationalConstraint:
-        return self.entries[Fraction(fraction)]
+    def lookup(self, fraction) -> RationalConstraint:
+        """The constraint on the squared modulus ``fraction``, or KeyError."""
+        wanted = Fraction(fraction)
+        for c in self.entries:
+            if c.modulus_squared == wanted:
+                return c
+        raise KeyError(fraction)
 
     @property
     def verified(self) -> bool:
-        return all(c.verified for c in self.entries.values())
+        return all(c.verified for c in self.entries)
 
     def to_json(self, full_certificates: bool = False) -> dict:
-        """The serialized ledger.  An entry's certificates are re-derived from
-        it and covered by its digest; with full_certificates each entry also
-        carries them: its exact certificate, and its float certificates with
-        the basis, state and overlaps each was computed from."""
-        fractions = self.fractions()
-        entries = [self.entries[f].to_json() for f in fractions]
+        """The serialized ledger, its entries in Farey order.  An entry's
+        certificates are re-derived from it and covered by its digest; with
+        full_certificates each entry also carries them: its exact
+        certificate, and its float certificates with the basis, state and
+        overlaps each was computed from."""
+        order = _farey_order([c.K / c.N for c in self.entries])
+        entries = [self.entries[i].to_json() for i in order]
         if full_certificates:
-            certificates = {}
-            for f, entry in zip(fractions, entries):
-                primes, passed = self.entries[f].exact_certificate
+            certificates = [list(c.certificates) for c in self.entries]
+            for i, entry in zip(order, entries):
+                primes, passed = self.entries[i].exact_certificate
                 entry["exact_certificate"] = {"primes": list(primes), "passed": passed}
-                entry["certificates"] = certificates[f] = [
-                    dict(cert) for cert in self.entries[f].certificates
-                ]
-            for (k, n, *_), basis, states in certificate_probes(self.specs()):
-                for cert, state in zip(certificates[Fraction(k, n)], states):
+                entry["certificates"] = certificates[i]
+            probes = certificate_probes(self.specs())  # none for P(0), the first
+            for (_, basis, states), certs in zip(probes, certificates[1:]):
+                for cert, state in zip(certs, states):
                     cert["basis"] = basis.to_json()
                     cert["state"] = state.to_json()
                     cert["overlaps"] = vector_to_pairs(basis.matrix.conj() @ state.amplitudes)
@@ -365,9 +364,8 @@ class ConstraintLedger:
         The extra fields of ``--full-certificates`` are not compared."""
         n_max, seed, rotate_bases, theta_base, stored = _header(payload)
         ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        constraints = ledger.constraints()
-        _check_stored(stored, [c.K / c.N for c in constraints],
-                      map(RationalConstraint.to_json, constraints))
+        _check_stored(stored, [c.K / c.N for c in ledger.entries],
+                      map(RationalConstraint.to_json, ledger.entries))
         return ledger
 
 
@@ -394,10 +392,8 @@ def _check_stored(stored: list, keys: list[float], derived: Iterable[dict]) -> N
     entries of float K/N ``keys``, in (N, K) order: every key, of the same
     JSON type, one entry at a time; raise CertificateError at the first
     mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out."""
-    # each derived entry's place in the file: the inverse of the order of the
-    # float K/N, exact as ``ConstraintLedger.fractions`` says
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    place = sorted(range(len(order)), key=order.__getitem__)
+    order = _farey_order(keys)
+    place = sorted(range(len(order)), key=order.__getitem__)  # each entry's in the file
     for entry, farey in zip(derived, place):
         raw = stored[farey]
         for key, want in entry.items():
@@ -405,6 +401,13 @@ def _check_stored(stored: list, keys: list[float], derived: Iterable[dict]) -> N
             # of the same type too: 1 == True, but 1 is no JSON boolean
             if value != want or type(value) is not type(want):
                 raise CertificateError(f"{key} mismatch at K={entry['K']}, N={entry['N']}")
+
+
+def _farey_order(keys: list[float]) -> list[int]:
+    """The indices of the float K/N ``keys`` in Farey order: exact while
+    N < 2^26 (MAX_DIMENSION ensures it), as distinct K/N differ by >= 1/N^2,
+    each rounded <= 2^-53."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
@@ -450,8 +453,7 @@ def _derive(
     one kernel pass over the rest in (N, K) order."""
     thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
     derived = [derive_p_zero()] + CertificateKernel().derive(specs)
-    return ConstraintLedger(n_max, seed, rotate_bases, thetas,
-                            {c.modulus_squared: c for c in derived})
+    return ConstraintLedger(n_max, seed, rotate_bases, thetas, tuple(derived))
 
 
 def _field(raw, key: str, kind: type, where: str):
@@ -518,40 +520,24 @@ def build_ledger(
     """Derive every constraint P(e^{i theta} sqrt(K/N)) = K/N, N <= n_max.
 
     Each reduced fraction (see :func:`ledger_specs`) gets certificates at
-    its theta samples.  Unreduced representations (2/4, 3/6, ...)
-    are cross-checked for equal asserted values via the same exact
-    arithmetic, in integers; a disagreement would indicate an internal
-    inconsistency and raises CertificateError.
+    its theta samples; an unreduced representation (2/4, 3/6, ...) has the
+    value of its reduced fraction, by Fraction's reduction.  Raises
+    CertificateError if any certificate, exact or float, fails.
     """
     ledger = _derive(n_max, theta_samples, rotate_bases, seed)
-    for constraint in ledger.constraints():
-        if not constraint.exact:
-            raise CertificateError(
-                f"exact certificate failed at K={constraint.K}, N={constraint.N}"
-            )
-        if not constraint.verified:
-            bad = next(c for c in constraint.certificates if not c["passed"])
-            raise CertificateError(
-                f"certificate failed at K={constraint.K}, N={constraint.N}, "
-                f"theta={bad['theta']!r}"
-            )
-    values = {(c.K, c.N): c.asserted_value for c in ledger.entries.values()}
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            # duplicate fraction: 1 - (N - K)/N against the value of K/N reduced,
-            # the same exact-arithmetic chain in integers, no new basis
-            g = math.gcd(k, n)
-            value = values[k // g, n // g]
-            if g > 1 and (n - (n - k)) * value.denominator != value.numerator * n:
+    for c in ledger.entries:
+        if not c.exact:
+            raise CertificateError(f"exact certificate failed at K={c.K}, N={c.N}")
+        for theta, ok in zip(c.theta_samples, c._verdicts()):
+            if not ok:
                 raise CertificateError(
-                    f"inconsistent duplicate fraction {k}/{n}: 1 - {n - k}/{n} != {value}"
-                )
+                    f"certificate failed at K={c.K}, N={c.N}, theta={theta % TWO_PI!r}")
     return ledger
 
 
 def compare_to_born(ledger: ConstraintLedger) -> Fraction:
     """max |asserted - modulus^2| in exact arithmetic; 0 for a sound ledger."""
-    return max((abs(c.asserted_value - c.modulus_squared) for c in ledger.entries.values()
+    return max((abs(c.asserted_value - c.modulus_squared) for c in ledger.entries
                 if c.asserted_value != c.modulus_squared), default=Fraction(0))
 
 
@@ -562,13 +548,12 @@ def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
     fails at each of its theta samples.
     """
     failures = []
-    for c in ledger.entries.values():
-        if not (c.exact and c.certificates):
+    for c in ledger.entries:
+        if not (c.exact and c.overlap_errors):
             failures.extend((c.K, c.N, theta) for theta in c.theta_samples)
             continue
-        for cert in c.certificates:
-            if not cert["passed"]:
-                failures.append((c.K, c.N, cert["theta"]))
+        failures.extend((c.K, c.N, theta % TWO_PI)
+                        for theta, ok in zip(c.theta_samples, c._verdicts()) if not ok)
     return failures
 
 

@@ -12,7 +12,8 @@ also published in docs/grammar.ebnf):
 
 "^" is right-associative and binds tighter than unary minus, which binds
 tighter than "*" and "/".  Known identifiers: variables r, phi, re, im;
-constants pi, e; unary functions abs, sqrt, sin, cos, exp, ln.
+constants pi, e; unary functions abs, sqrt, sin, cos, exp, ln.  A candidate
+holds at most MAX_TOKENS tokens and MAX_NESTING levels of nesting.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .errors import EvalError, ParseError, UnknownNameError
 VARIABLES = ("r", "phi", "re", "im")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("abs", "sqrt", "sin", "cos", "exp", "ln")
+# The parser recurses once per level of nesting (a parenthesis, call, unary
+# minus or "^" exponent inside another); _eval, _compile and pretty once per
+# tree level, and a tree is at most MAX_NESTING + MAX_TOKENS / 2 levels deep.
+MAX_NESTING = 100
+MAX_TOKENS = 1000
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,9 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.factors = 0  # being parsed: one more per level of nesting
+        if len(self.tokens) > MAX_TOKENS + 1:  # and the end token
+            raise ParseError(self.tokens[MAX_TOKENS][2], f"at most {MAX_TOKENS} tokens")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,11 +177,17 @@ class _Parser:
                 return left
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
+        self.factors += 1
+        if self.factors > MAX_NESTING + 1:
+            raise ParseError(at, f"at most {MAX_NESTING} levels of nesting", text)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            e = Neg(self.factor())
+        else:
+            e = self.power()
+        self.factors -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()

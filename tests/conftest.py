@@ -74,6 +74,6 @@ def schema_validator(name: str) -> jsonschema.Draft202012Validator:
 
 def corrupt_entry(ledger, fraction: Fraction, value: Fraction):
     """Fault-injection helper: return a copy with one asserted value replaced."""
-    entries = dict(ledger.entries)
-    entries[fraction] = replace(entries[fraction], asserted_value=value)
+    entries = tuple(replace(c, asserted_value=value) if c.modulus_squared == fraction else c
+                    for c in ledger.entries)
     return replace(ledger, entries=entries)

@@ -115,7 +115,7 @@ def ledger_scan(p, ledger, dims, seed, threshold):
     entry with N in dims, in (N, K, theta) order, whose residual reaches the
     threshold: each certificate's basis built and scored on its own."""
     probes = 0
-    for c in ledger.constraints():
+    for c in ledger.entries:
         if c.K == 0 or c.N not in dims:
             continue
         for theta in c.theta_samples:

@@ -60,7 +60,7 @@ def test_criterion_1_ledger_exactness(tmp_path):
     ledger = ConstraintLedger.from_json(payload["result"]["ledger"])
     defects_ok = all(
         cert["defect"] <= 1e-10 and cert["overlap_error"] <= 1e-11
-        for c in ledger.entries.values()
+        for c in ledger.entries
         for cert in c.certificates
     )
     ok = (

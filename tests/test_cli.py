@@ -535,6 +535,24 @@ BAD_VALUES = {
     "simulate-samples-huge": ["simulate", "--probs", "1/2,1/2", "--samples", str(10**30)],
     "simulate-probs-above-bound": ["simulate", "--probs", ",".join(["1/513"] * 513)],
 }
+# candidates past dsl.MAX_NESTING or dsl.MAX_TOKENS: just past each bound, and
+# as first found, when each ended in a RecursionError traceback with exit 1
+DEEP_CANDIDATES = {
+    "parentheses-101": "(" * 101 + "r" + ")" * 101,
+    "parentheses-200": "(" * 200 + "r" + ")" * 200,
+    "calls-101": "sqrt(" * 101 + "r" + ")" * 101,
+    "calls-300": "sqrt(" * 300 + "r" + ")" * 300,
+    "minus-101": "-" * 101 + "r",
+    "minus-1000": "-" * 1000 + "r",
+    "powers-101": "^".join(["r"] * 102),
+    "powers-2000": "^".join(["r"] * 2000),
+    "sum-501": "+".join(["r"] * 501),
+    "sum-1000": "+".join(["r"] * 1000),
+}
+for _name, _source in DEEP_CANDIDATES.items():
+    _flag = f"--candidate={_source}"
+    BAD_VALUES[f"falsify-candidate-{_name}"] = ["falsify", _flag, "--n-range", "2"]
+    BAD_VALUES[f"compare-candidate-{_name}"] = ["compare", _flag, "LEDGER"]
 
 
 class TestUsageErrors:
@@ -823,7 +841,7 @@ def test_born_seed_env_override(tmp_path, monkeypatch):
 
 _THETAS = ["0", "1.5", "-7", "-1e-20", "-2.5e0", "1e308", "nan", "inf", "-inf", "1e999", "pi"]
 _CANDIDATES = ["r^2", "r", "r^2 + 0.05", "ln(r)", "1/r", "sin(1e999)",
-               "(0-1)^(1e999-1e999)", "r^", "", "foo(r)"]
+               "(0-1)^(1e999-1e999)", "r^", "", "foo(r)", "(" * 101 + "r" + ")" * 101]
 _SEEDS = ["0", "7", "-3", "x"]
 
 

@@ -212,7 +212,7 @@ def test_dft_block_rounding_at_the_dimension_bound(k):
 
 
 def test_kernel_certificates_match_full_construction(ledger64):
-    for c in ledger64.constraints():
+    for c in ledger64.entries:
         if c.K == 0 or c.K == c.N:
             continue
         base = standard_basis(c.N)

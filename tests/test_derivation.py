@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -119,7 +120,7 @@ class TestDeriveRational:
 class TestBuildLedger:
     def test_n_max_3_fractions(self):
         ledger = build_ledger(3)
-        assert set(ledger.fractions()) == {
+        assert {c.modulus_squared for c in ledger.entries} == {
             Fraction(0),
             Fraction(1, 3),
             Fraction(1, 2),
@@ -128,7 +129,7 @@ class TestBuildLedger:
         }
 
     def test_n_max_1(self):
-        assert set(build_ledger(1).fractions()) == {Fraction(0), Fraction(1)}
+        assert {c.modulus_squared for c in build_ledger(1).entries} == {Fraction(0), Fraction(1)}
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
@@ -143,24 +144,48 @@ class TestBuildLedger:
 
     def test_constraint_without_certificates_fails_verify_ledger(self, ledger10):
         # nothing was checked, so nothing may read as verified
-        bare = replace(ledger10, entries={
-            f: replace(c, certificates=()) for f, c in ledger10.entries.items()})
+        bare = replace(ledger10, entries=tuple(
+            replace(c, overlap_errors=()) for c in ledger10.entries))
         assert not bare.verified
         failures = verify_ledger(bare)
-        assert len(failures) == sum(len(c.theta_samples) for c in bare.constraints())
+        assert len(failures) == sum(len(c.theta_samples) for c in bare.entries)
 
     def test_theta_samples_include_extra(self, ledger10):
         c = ledger10.lookup(Fraction(1, 2))
         assert len(c.theta_samples) == len(DEFAULT_THETAS) + 1
 
     def test_monotone_refinement(self):
-        small = set(build_ledger(4).fractions())
-        assert small <= set(build_ledger(8).fractions())
+        small = {c.modulus_squared for c in build_ledger(4).entries}
+        assert small <= {c.modulus_squared for c in build_ledger(8).entries}
 
     def test_rotated_bases(self):
         ledger = build_ledger(5, rotate_bases=True, seed=7)
         assert ledger.verified
         assert ledger.lookup(Fraction(2, 5)).base_kind == "haar"
+
+    def test_entries_in_n_k_order(self, ledger10):
+        # P(0) first, then each N's reduced K, as ledger_specs enumerates them
+        assert [(c.K, c.N) for c in ledger10.entries] == [(0, 1)] + [
+            (k, n) for n in range(1, 11) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+    @pytest.mark.parametrize("missing", [Fraction(1, 11), Fraction(3, 2), 0.3])
+    def test_lookup_of_a_missing_fraction(self, ledger10, missing):
+        with pytest.raises(KeyError):
+            ledger10.lookup(missing)
+
+    def test_entries_hold_their_numbers_only(self):
+        # an entry stores its spec, exact certificate and float numbers; its
+        # certificate dicts and proof trace are derived on read, so a ledger at
+        # 128 holds about 3 MB (10 MB when each entry stored them)
+        build_ledger(128)  # warm the per-K caches
+        tracemalloc.start()
+        try:
+            ledger = build_ledger(128)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ledger.entries) == 1 + totient_sum(128)
+        assert held < 5e6
 
 
 class TestUncertifiedLedger:
@@ -176,7 +201,7 @@ class TestUncertifiedLedger:
         assert specs == built.specs()[1:]
         assert built.specs()[0] == (0, 1, (0.0,), "standard", None)
         assert [Fraction(k, n) for k, n, *_ in built.specs()] == [
-            c.asserted_value for c in built.constraints()]
+            c.asserted_value for c in built.entries]
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
@@ -236,7 +261,7 @@ class TestExactCertificate:
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_every_entry_carries_one(self, rotate):
-        for c in build_ledger(12, rotate_bases=rotate, seed=1).constraints():
+        for c in build_ledger(12, rotate_bases=rotate, seed=1).entries:
             primes = prime_factors(c.K) if 0 < c.K < c.N else ()
             assert c.exact_certificate == ExactCertificate(primes, True)
 
@@ -251,12 +276,25 @@ class TestExactCertificate:
         assert verify_ledger(ledger) == [(6, 7, t) for t in ledger.lookup(Fraction(6, 7)).theta_samples]
 
 
+class TestFloatCertificate:
+    def test_failed_verdict_fails_build_ledger(self, monkeypatch):
+        # every overlap error above the tolerance: the first entry in (N, K)
+        # order fails at its first theta, reduced mod 2 pi
+        monkeypatch.setattr(derivation, "OVERLAP_TOLERANCE", -1.0)
+        failed = r"^certificate failed at K=0, N=1, theta=0\.0$"
+        with pytest.raises(CertificateError, match=failed):
+            build_ledger(3)
+        ledger = derivation._derive(3)
+        assert not ledger.verified
+        assert len(verify_ledger(ledger)) == sum(len(c.theta_samples) for c in ledger.entries)
+
+
 class TestHaarBound:
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_dominates_the_full_construction(self, seed):
         # the per-entry N x N construction, built over the rotated base itself
         ledger = build_ledger(32, rotate_bases=True, seed=seed)
-        for c in ledger.constraints()[1:]:
+        for c in ledger.entries[1:]:
             defect, errors = full_certificate(c.spec)
             assert len(errors) == len(c.certificates)
             for cert, error in zip(c.certificates, errors):
@@ -286,12 +324,13 @@ class TestHaarBound:
 class TestDigest:
     def test_hashes_verdicts_not_float_numbers(self):
         c = derive(2, 5, 0.3)
-        moved = replace(c, certificates=tuple(
-            dict(cert, defect=2 * cert["defect"], overlap_error=cert["overlap_error"] + 1e-15)
-            for cert in c.certificates))
+        moved = replace(c, defect=2 * c.defect,
+                        overlap_errors=tuple(e + 1e-15 for e in c.overlap_errors))
         assert moved.certificate_digest() == c.certificate_digest()
+        failed = replace(c, overlap_errors=(2 * OVERLAP_TOLERANCE,))
+        assert [cert["passed"] for cert in failed.certificates] == [False]
         for changed in (
-            replace(c, certificates=tuple(dict(cert, passed=False) for cert in c.certificates)),
+            failed,
             replace(c, exact_certificate=ExactCertificate((2,), False)),
             replace(c, theta_samples=(math.nextafter(0.3, 1.0),)),
             replace(c, base_kind="haar", base_seed=0),
@@ -311,13 +350,11 @@ class TestCompareToBorn:
 class TestSerialization:
     def test_round_trip_preserves_verification(self, ledger10):
         rebuilt = ConstraintLedger.from_json(ledger10.to_json())
-        assert rebuilt.fractions() == ledger10.fractions()
+        assert [c.modulus_squared for c in rebuilt.entries] == [
+            c.modulus_squared for c in ledger10.entries]
         assert rebuilt.verified
-        for f in ledger10.fractions():
-            assert (
-                rebuilt.lookup(f).certificate_digest()
-                == ledger10.lookup(f).certificate_digest()
-            )
+        assert [c.certificate_digest() for c in rebuilt.entries] == [
+            c.certificate_digest() for c in ledger10.entries]
 
     def test_digest_tamper_detected(self, ledger10):
         payload = ledger10.to_json()
@@ -335,8 +372,8 @@ class TestSerialization:
         built = build_ledger(7, rotate_bases=True, seed=3)
         rebuilt = ConstraintLedger.from_json(built.to_json())
         assert rebuilt.entries == built.entries and rebuilt.verified
-        assert [c.certificate_digest() for c in rebuilt.constraints()] == [
-            c.certificate_digest() for c in built.constraints()]
+        assert [c.certificate_digest() for c in rebuilt.entries] == [
+            c.certificate_digest() for c in built.entries]
         assert not hasattr(derivation, "_certified")
 
     def test_every_key_derive_writes_is_compared(self, ledger10, monkeypatch):

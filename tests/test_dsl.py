@@ -11,6 +11,8 @@ from bornlab.axioms import CandidateDistribution, evaluate
 from bornlab.dsl import (
     CONSTANTS,
     FUNCTIONS,
+    MAX_NESTING,
+    MAX_TOKENS,
     VARIABLES,
     Bin,
     Call,
@@ -156,6 +158,49 @@ FIXTURE_EXPRESSIONS = [
 def test_pretty_round_trip(source):
     tree = parse_candidate(source)
     assert parse_candidate(pretty(tree)) == tree
+
+
+NESTED = {  # each shape, nested the given number of levels deep
+    "parentheses": lambda levels: "(" * levels + "r" + ")" * levels,
+    "calls": lambda levels: "sqrt(" * levels + "r" + ")" * levels,
+    "unary-minus": lambda levels: "-" * levels + "r",
+    "powers": lambda levels: "^".join(["r"] * (levels + 1)),
+}
+
+
+class TestBounds:
+    """MAX_NESTING bounds the parser's recursion, and with MAX_TOKENS the
+    depth of the tree that eval_expr, compile_expr and pretty recurse on,
+    so what parses does not depend on the caller's stack."""
+
+    @staticmethod
+    def evaluates(source):
+        tree = parse_candidate(source)
+        z = 0.6 + 0.3j
+        compiled = compile_expr(tree)(np.array([z]))[0]
+        assert compiled == pytest.approx(eval_expr(tree, z), rel=1e-12)
+        assert pretty(parse_candidate(pretty(tree))) == pretty(tree)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_nesting_at_the_bound_evaluates(self, shape):
+        self.evaluates(NESTED[shape](MAX_NESTING))
+
+    def test_deepest_tree_at_the_bounds_evaluates(self):
+        # MAX_TOKENS tokens: the minus signs, then a chain of 451 terms, for a
+        # tree of 550 levels, a chain's left operand one level below the chain
+        chain = (MAX_TOKENS - MAX_NESTING) // 2
+        self.evaluates("-" * (MAX_NESTING - 1) + "r" + "+r" * chain)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_nesting_past_the_bound_refused(self, shape):
+        with pytest.raises(ParseError, match=f"expected at most {MAX_NESTING} levels of nesting"):
+            parse_candidate(NESTED[shape](MAX_NESTING + 1))
+
+    def test_tokens_past_the_bound_refused(self):
+        parse_candidate("-" + "+".join(["r"] * (MAX_TOKENS // 2)))
+        refused = f"offset {MAX_TOKENS}: expected at most {MAX_TOKENS} tokens"
+        with pytest.raises(ParseError, match=refused):
+            parse_candidate("+".join(["r"] * (MAX_TOKENS // 2 + 1)))
 
 
 def test_fuzz_never_crashes():
