@@ -31,7 +31,6 @@ from .derivation import (
     build_ledger,
     compare_to_born,
     continuity_extension_check,
-    derive_p_zero,
     verify_ledger,
 )
 from .errors import (

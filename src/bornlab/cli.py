@@ -32,6 +32,7 @@ is strict JSON: a non-finite number is written as the string "inf",
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import __version__
 from .axioms import candidate_from_expression
@@ -75,6 +77,8 @@ MAX_LEDGER_BYTES = 89 * 2**20
 # floor of falsify --threshold and compare --tolerance: residuals of the
 # Born rule itself reach about 3e-15 from float rounding at N = 512 (optimizer)
 MIN_TOLERANCE = 1e-12
+# stands in for a derive report's ledger entries, which _emit writes one at a time
+_ENTRIES = "\0entries"
 
 
 class _UsageError(Exception):
@@ -125,7 +129,11 @@ def _finite_json(value):
     return value
 
 
-def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
+def _emit(subcommand: str, config: dict, result: dict, path=None, entries=()) -> None:
+    """Write the report as json.dumps(payload, sort_keys=True,
+    allow_nan=False) writes it, on one line.  A derive report's ledger holds
+    _ENTRIES in place of its entries, which are encoded and written one at a
+    time, so that no whole payload or text of the ledger is built."""
     payload = {
         "tool": "bornlab",
         "version": __version__,
@@ -139,12 +147,23 @@ def _emit(subcommand: str, config: dict, result: dict, path=None) -> None:
         text = json.dumps(payload, **options)
     except ValueError:  # a non-finite float; rare, so only then walk the payload
         text = json.dumps(_finite_json(payload), **options)
-    _write(path, text, "\n")
+    head, marker, tail = text.partition(json.dumps(_ENTRIES))
+    _write(path, itertools.chain((head,), _json_list(entries) if marker else (), (tail, "\n")))
 
 
-def _write(path, *texts: str) -> None:
+def _json_list(items) -> Iterator[str]:
+    """The JSON list of the items, as json.dumps writes it with sort_keys and
+    allow_nan=False, one item at a time."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    yield "["
+    for i, item in enumerate(items):
+        yield ", " + encode(item) if i else encode(item)
+    yield "]"
+
+
+def _write(path, texts: Iterable[str]) -> None:
     """Write the texts to the file at path, or to stdout if there is none, in
-    slices of 2^20 characters: no text is copied whole to be encoded."""
+    slices of at most 2^20 characters: no text is copied whole to be encoded."""
     pieces = (t[i:i + 2**20] for t in texts for i in range(0, len(t), 2**20))
     if not path and sys.stdout is None:  # started with fd 1 closed
         raise _UsageError("cannot write output to stdout: it is closed")
@@ -292,13 +311,14 @@ def _cmd_derive(args) -> int:
         return EXIT_VERIFICATION
     failures = verify_ledger(ledger)
     born_gap = compare_to_born(ledger)
+    # every certificate is decided above, before the first byte is written
     result = {
-        "ledger": ledger.to_json(args.full_certificates),
-        "entry_count": len(ledger.entries),
+        "ledger": ledger.to_json(entries=_ENTRIES),
+        "entry_count": len(ledger),
         "compare_to_born": f"{born_gap.numerator}/{born_gap.denominator}",
         "failures": [list(f) for f in failures],
     }
-    _emit("derive", config, result, args.output)
+    _emit("derive", config, result, args.output, ledger.json_entries(args.full_certificates))
     return EXIT_OK if not failures and born_gap == 0 else EXIT_VERIFICATION
 
 
@@ -312,7 +332,7 @@ def _cmd_certify(args) -> int:
     failures = verify_ledger(ledger)
     result = {
         "verified": not failures and compare_to_born(ledger) == 0,
-        "entry_count": len(ledger.entries),
+        "entry_count": len(ledger),
         "failures": [list(f) for f in failures],
     }
     _emit("certify", config, result, args.output)
@@ -381,7 +401,7 @@ def _cmd_simulate(args) -> int:
     }
     report = simulate_fractions(probs, args.samples, seed)
     if args.format == "csv":
-        _write(args.output, report.to_csv())
+        _write(args.output, [report.to_csv()])
     else:
         _emit("simulate", config, report.to_json(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL

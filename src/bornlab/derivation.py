@@ -8,9 +8,9 @@ for all reduced fractions K/N with N <= n_max.  Each is certified by a
 concrete symmetric state and partial-DFT basis whose overlaps realize
 the modulus: exactly, by an identity of the K-th roots of unity that
 covers every theta, and as a float cross-check at sampled thetas.
-Asserted values are exact :class:`fractions.Fraction` objects.  The
-ledger is kept in (N, K) order, written in Farey order, and its specs
-are the deterministic probes of the falsifier and the continuity probe.
+Asserted values are exact integer fractions.  The ledger is kept in
+columns in (N, K) order, written one entry at a time in Farey order, and
+its specs are the probes of the falsifier and the continuity probe.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class RationalConstraint:
 
     @property
     def spec(self) -> Spec:
-        """(K, N, theta_samples, base_kind, base_seed): what its construction
-        is rebuilt from."""
+        """(K, N, theta_samples, base_kind, base_seed): what its construction is rebuilt from."""
         return (self.K, self.N, self.theta_samples, self.base_kind, self.base_seed)
 
     @property
@@ -118,34 +117,29 @@ class RationalConstraint:
         ok = self.defect <= DEFECT_TOLERANCE
         return [ok and error <= OVERLAP_TOLERANCE for error in self.overlap_errors]
 
-    def to_json(self) -> dict:
-        value = self.asserted_value
-        return dict(
-            _spec_json(self.spec, (value.numerator, value.denominator)),
-            certificate_digest=self.certificate_digest(),
-            verified=self.verified,
-            proof_trace=list(self.proof_trace),
-        )
-
     def certificate_digest(self) -> str:
-        """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
-        the exact certificate, the float64 bits of the theta samples and the
-        kind and pass/fail verdict of each float certificate.  No float
-        certificate number enters it, so it is the same on every BLAS,
-        thread count and CPU."""
-        primes, passed = self.exact_certificate or ((), False)
-        head = "%d %d %s %s %s %d %d|" % (
-            self.K, self.N, self.base_kind, self.base_seed,
-            ",".join(map(str, primes)), passed, len(self.theta_samples),
-        )
-        verdicts = "|" + " ".join(f"{_kind(self.K, self.N)}:{ok:d}" for ok in self._verdicts())
-        thetas = struct.pack(f"<{len(self.theta_samples)}d", *self.theta_samples)
-        return hashlib.sha256(head.encode() + thetas + verdicts.encode()).hexdigest()
+        return _digest(self.spec, self.exact_certificate or ((), False), self._verdicts())
 
 
-def rotation_rounding(k: int, n: int) -> float:
+def _digest(spec: Spec, exact, verdicts: list[bool]) -> str:
+    """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
+    the exact certificate (primes, passed), the float64 bits of the theta
+    samples and the kind and pass/fail verdict of each float certificate.
+    No float certificate number enters it, so it is the same on every BLAS,
+    thread count and CPU."""
+    k, n, thetas, kind, sub = spec
+    primes, passed = exact
+    head = "%d %d %s %s %s %d %d|" % (k, n, kind, sub, ",".join(map(str, primes)), passed,
+                                      len(thetas))
+    tail = "|" + " ".join(map((_kind(k, n) + ":%d").__mod__, verdicts))
+    packed = struct.pack(f"<{len(thetas)}d", *thetas)
+    return hashlib.sha256(head.encode() + packed + tail.encode()).hexdigest()
+
+
+def rotation_rounding(k, n):
     """What forming a Haar entry's construction in floats can add to the
-    Gram defect and overlap errors of its K's standard construction.
+    Gram defect and overlap errors of its K's standard construction; K and
+    N may be integer arrays.
 
     With g = sqrt(2) gamma_{N+2}, the bound on a complex inner product of
     length N (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -156,91 +150,131 @@ def rotation_rounding(k: int, n: int) -> float:
     within 1e-9 of 1, and the factor 1.01 absorbs those norms.
     """
     t = (n + 2) * UNIT_ROUNDOFF
-    return 1.01 * math.sqrt(2.0) * t / (1.0 - t) * (2.0 * math.sqrt(k) + math.sqrt(n) + 2.0)
+    return 1.01 * math.sqrt(2.0) * t / (1.0 - t) * (2.0 * np.sqrt(k) + np.sqrt(n) + 2.0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """Entries in columns, in order.  Entry i has the spec (ks[i], ns[i],
+    thetas[offsets[i]:offsets[i + 1]], the Haar base of seed seeds[i] or,
+    where that is -1, the standard basis) and asserts P = values[i, 0] /
+    values[i, 1]; its exact certificate passed if exact[i], and its float
+    cross-check has the Gram defect defects[i] and the overlap error
+    errors[j] at each of its thetas j."""
+
+    ks: np.ndarray
+    ns: np.ndarray
+    seeds: np.ndarray
+    thetas: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+    exact: np.ndarray
+    defects: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def owners(self) -> np.ndarray:
+        """The entry of each theta sample."""
+        return np.repeat(np.arange(len(self.ks)), np.diff(self.offsets))
+
+    def verdicts(self) -> np.ndarray:
+        """Whether the float certificate at each theta sample passed."""
+        ok = self.defects <= DEFECT_TOLERANCE
+        return ok[self.owners()] & (self.errors <= OVERLAP_TOLERANCE)
+
+    def _specs(self, order) -> Iterator[Spec]:
+        """The spec of each entry in ``order``."""
+        ks, ns, seeds, offsets = (a.tolist() for a in (self.ks, self.ns, self.seeds, self.offsets))
+        for i in order:
+            sub = seeds[i]
+            yield (ks[i], ns[i], tuple(self.thetas[offsets[i]:offsets[i + 1]].tolist()),
+                   "standard" if sub < 0 else "haar", None if sub < 0 else sub)
+
+    def entry_json(self, order) -> Iterator[dict]:
+        """Each entry in ``order`` as a ledger stores it, one at a time: its
+        ``_spec_json``, digest, verdict and proof trace; ``order`` is read twice."""
+        values, exact, offsets = self.values.tolist(), self.exact.tolist(), self.offsets.tolist()
+        verdicts = self.verdicts().tolist()
+        for i, spec in zip(order, self._specs(order)):
+            (k, n, *_), ok = spec, verdicts[offsets[i]:offsets[i + 1]]
+            yield dict(_spec_json(spec, values[i]),
+                       certificate_digest=_digest(spec, (_primes(k, n), exact[i]), ok),
+                       verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
+
+    def constraints(self, order) -> Iterator[RationalConstraint]:
+        """The constraint of each entry in ``order``; ``order`` is read twice."""
+        for i, (k, n, thetas, kind, sub) in zip(order, self._specs(order)):
+            errors = tuple(self.errors[self.offsets[i]:self.offsets[i + 1]].tolist())
+            yield RationalConstraint(k, n, Fraction(k, n), Fraction(*self.values[i].tolist()),
+                                     thetas, self.defects[i].item(), errors, kind, sub,
+                                     ExactCertificate(_primes(k, n), self.exact[i].item()))
+
+
+def _primes(k: int, n: int) -> tuple[int, ...]:
+    """The primes of an entry's exact certificate."""
+    return prime_factors(k) if 0 < k < n else ()
 
 
 class CertificateKernel:
-    """Derives constraints, sharing certificate work across one ledger's entries.
+    """Derives constraints in columns, one array pass per K: the exact
+    certificate (``ExactCertificate``), and the float cross-check.
 
-    Exact: each entry carries the check of its construction in integer
-    arithmetic, which covers every theta (``_exact_certificate``).
-
-    Float cross-check, one array pass per K.  In the standard basis the
-    partial-DFT basis is exactly blockdiag(F_K, I), F_K = dft_block(K): its
-    Gram defect is F_K's, and its overlaps with the symmetric state are
-    c conj(F_K) 1_K, then exactly c = e^{i theta}/sqrt(N) as the contract
-    asks.  A Haar-rotated base U moves every Gram entry and overlap of that
-    construction by unitary invariance, by at most N max|U^H U - I| each.
-    So a Haar entry takes the standard numbers of its (K, N, theta), plus
-    that bound from one Gram check of U per N, plus ``rotation_rounding``
-    for forming the construction in floats.  No N x N partial-DFT basis or
-    symmetric state is built.
-    """
+    In the standard basis the partial-DFT basis is exactly blockdiag(F_K,
+    I), F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with
+    the symmetric state are c conj(F_K) 1_K, then exactly c = e^{i theta}
+    /sqrt(N) as the contract asks.  A Haar-rotated base U moves every Gram
+    entry and overlap of that construction by unitary invariance, by at
+    most N max|U^H U - I| each.  So a Haar entry takes the standard numbers
+    of its (K, N, theta), plus that bound from one Gram check of U per (N,
+    seed), plus ``rotation_rounding`` for forming the construction in
+    floats.  No N x N partial-DFT basis or symmetric state is built."""
 
     def derive(self, specs: list[Spec]) -> list[RationalConstraint]:
         """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified exactly and
         at each of its thetas; one constraint per spec, in order."""
-        by_k: dict[int, list[int]] = {}
-        for i, (k, n, *_) in enumerate(specs):
+        for k, n, *_ in specs:
             if n < 1 or k < 1 or k > n:
                 raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
-            by_k.setdefault(k, []).append(i)
-        numbers: list = [None] * len(specs)
-        unitarity: dict = {}  # (N, seed) -> max|U^H U - I| of that Haar base
-        for k, indices in by_k.items():
-            rows = self._certificates(k, [specs[i] for i in indices], unitarity)
-            for i, row in zip(indices, rows):
-                numbers[i] = row
-        constraints = []
-        for (k, n, thetas, kind, sub), (defect, errors) in zip(specs, numbers):
-            value = Fraction(k, n)
-            constraints.append(RationalConstraint(
-                K=k, N=n, modulus_squared=value, asserted_value=value, theta_samples=thetas,
-                defect=defect, overlap_errors=errors, base_kind=kind, base_seed=sub,
-                exact_certificate=_exact_certificate(k, n),
-            ))
-        return constraints
+        return list(self.certify(specs).constraints(range(len(specs))))
 
-    def _certificates(self, k: int, entries: list, unitarity: dict) -> list:
-        """(Gram defect, overlap errors) of the entries (K, N, thetas, kind,
-        seed) that share K.
-
-        Each (entry, theta) pair is one row, so entries may hold different
-        numbers of thetas; row for row this is the same arithmetic as one
-        entry at a time, and so the same bits.  A K = N entry's state is its
-        base's first vector, so its standard numbers are 0.
-        """
-        block = dft_block(k)  # one pass per K
-        defect, row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
-        thetas = [[t % TWO_PI for t in ts] for _, _, ts, _, _ in entries]
-        ns = np.repeat([n for _, n, *_ in entries], [len(ts) for ts in thetas])
-        phase = np.exp(1j * np.array([t for ts in thetas for t in ts]))
-        overlaps = np.outer(phase / np.sqrt(ns), row_sums)
-        overlaps[:, 0] -= phase * np.sqrt(k / ns)
-        errors = np.max(np.abs(overlaps), axis=1)
-        errors[ns == k] = 0.0
-        errors = iter(errors.tolist())
-        rows = []
-        for (_, n, _, kind, sub), ts in zip(entries, thetas):
-            d, es = (defect if k < n else 0.0), tuple(next(errors) for _ in ts)
-            if kind == "haar":
-                if (n, sub) not in unitarity:
-                    unitarity[n, sub] = haar_unitary(n, int(sub)).defect
-                extra = n * unitarity[n, sub] + rotation_rounding(k, n)
-                d, es = d + extra, tuple(e + extra for e in es)
-            rows.append((d, es))
-        return rows
-
-
-def _exact_certificate(k: int, n: int) -> ExactCertificate:
-    """The roots-of-unity identity of K, checked once per K, and the squared
-    modulus; the normalization sum then gives P = 1 - (N - K)/N = K/N."""
-    squared_modulus = (k * k, k * n)  # (K/sqrt(K N))^2
-    normalized = (n - (n - k), n)  # 1 - (N - K)/N
-    passed = (k == n or roots_of_unity_vanish(k)) and all(
-        a * n == b * k for a, b in (squared_modulus, normalized)  # a/b = K/N
-    )
-    return ExactCertificate(prime_factors(k) if k < n else (), passed)
+    def certify(self, specs: list[Spec]) -> _Columns:
+        """The specs in columns, certified; K = 0 is P(0), by its orthogonal
+        pair.  Each (entry, theta) pair is one row of its K's pass: the same
+        arithmetic, and bits, as one entry at a time.  A K = N entry's state
+        is its base's first vector, so its standard numbers are 0."""
+        ks, ns = (np.array([spec[i] for spec in specs], dtype=np.int64) for i in (0, 1))
+        seeds = np.array([-1 if s[3] == "standard" else s[4] for s in specs], dtype=np.int64)
+        thetas = np.array([t for spec in specs for t in spec[2]], dtype=np.float64)
+        offsets = np.r_[0, np.cumsum([len(spec[2]) for spec in specs], dtype=np.int64)]
+        owners = np.repeat(np.arange(len(ks)), np.diff(offsets))
+        row_ks, errors = ks[owners], np.zeros(len(thetas))
+        gram, vanish = np.zeros(ks.max(initial=0) + 1), np.zeros(ks.max(initial=0) + 1, bool)
+        for k in np.unique(ks[ks > 0]).tolist():
+            block, rows = dft_block(k), np.flatnonzero(row_ks == k)
+            gram[k], row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
+            vanish[k] = roots_of_unity_vanish(k)  # once per K, read where K < N
+            n_rows = ns[owners[rows]]
+            phase = np.exp(1j * np.remainder(thetas[rows], TWO_PI))
+            overlaps = np.outer(phase / np.sqrt(n_rows), row_sums)
+            overlaps[:, 0] -= phase * np.sqrt(k / n_rows)
+            errors[rows] = np.where(n_rows == k, 0.0, np.max(np.abs(overlaps), axis=1))
+        defects = np.where(ks < ns, gram[ks], 0.0)
+        # exact: a/b = K/N for (K/sqrt(K N))^2 and for the normalization 1 - (N - K)/N
+        exact = ((ks == ns) | vanish[ks]) & (ks * ks * ns == ks * ns * ks) & (
+            (ns - (ns - ks)) * ns == ns * ks)
+        base = standard_basis(2)
+        overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
+        exact[ks == 0], defects[ks == 0] = overlap == 0, orthonormality_defect(base)
+        errors[row_ks == 0] = abs(overlap)
+        extra, haar = np.zeros(len(ks)), seeds >= 0
+        for n, sub in dict.fromkeys(zip(ns[haar].tolist(), seeds[haar].tolist())):
+            at = haar & (ns == n) & (seeds == sub)
+            extra[at] = n * haar_unitary(n, sub).defect + rotation_rounding(ks[at], n)
+        values = np.stack([ks, ns], axis=1) // np.gcd(ks, ns)[:, None]
+        return _Columns(ks, ns, seeds, thetas, offsets, values, exact, defects + extra,
+                        errors + extra[owners])
 
 
 def _kind(k: int, n: int) -> str:
@@ -253,32 +287,17 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
         return ("orthogonal states embed in a common orthonormal basis",
                 "consistency on that basis forces P(0) = 0")
     if k == n:
-        return (
-            "normalization over a basis containing the state itself has a single term",
-            f"hence P(e^(i*theta)) = 1 (K = N = {n})",
-        )
-    steps = [
-        "unitary invariance: P depends on the overlap only",
-        "orthogonality consistency: P(0) = 0",
-        f"symmetric state over {n} basis vectors: P(e^(i*theta)/sqrt({n})) = 1/{n}",
-    ]
-    if k > 1:
-        steps.append(
-            f"partial-DFT basis (K={k}): 1 = P(e^(i*theta)*sqrt({k}/{n})) + {n - k}/{n}"
-        )
-    steps.append(f"hence P(e^(i*theta)*sqrt({k}/{n})) = {k}/{n}")
-    return tuple(steps)
+        return ("normalization over a basis containing the state itself has a single term",
+                f"hence P(e^(i*theta)) = 1 (K = N = {n})")
+    dft = f"partial-DFT basis (K={k}): 1 = P(e^(i*theta)*sqrt({k}/{n})) + {n - k}/{n}"
+    return ("unitary invariance: P depends on the overlap only",
+            "orthogonality consistency: P(0) = 0",
+            f"symmetric state over {n} basis vectors: P(e^(i*theta)/sqrt({n})) = 1/{n}",
+            *([dft] if k > 1 else []), f"hence P(e^(i*theta)*sqrt({k}/{n})) = {k}/{n}")
 
 
-def derive_p_zero() -> RationalConstraint:
-    """The constraint P(0) = 0 from orthogonality consistency."""
-    base = standard_basis(2)
-    overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
-    return RationalConstraint(
-        K=0, N=1, modulus_squared=Fraction(0), asserted_value=Fraction(0),
-        theta_samples=(0.0,), defect=orthonormality_defect(base),  # exactly 0 too
-        overlap_errors=(abs(overlap),), exact_certificate=ExactCertificate((), overlap == 0),
-    )
+# P(0) = 0, by the orthogonal pair of C^2's standard basis (``CertificateKernel.certify``)
+_P_ZERO: Spec = (0, 1, (0.0,), "standard", None)
 
 
 # entry fields a ledger may leave out, with the values read in their place
@@ -286,86 +305,84 @@ _OPTIONAL_FIELDS = {"base_kind": "standard", "base_seed": None}
 
 
 def _spec_json(spec: Spec, value: tuple[int, int]) -> dict:
-    """The stored fields of an entry that no certificate enters: its spec's,
-    and the value numerator/denominator it asserts."""
+    """The stored fields of an entry that no certificate enters: its spec and value."""
     k, n, thetas, kind, sub = spec
-    return {
-        "K": k,
-        "N": n,
-        "value": {"fraction": "%d/%d" % value, "decimal": repr(value[0] / value[1])},
-        "theta_samples": list(thetas),
-        "base_kind": kind,
-        "base_seed": sub,
-    }
+    num, den = value
+    return {"K": k, "N": n, "value": {"fraction": "%d/%d" % (num, den), "decimal": repr(num / den)},
+            "theta_samples": list(thetas), "base_kind": kind, "base_seed": sub}
 
 
-@dataclass(frozen=True)
-class ConstraintLedger:
-    """All derived constraints for reduced fractions K/N, N <= n_max, in
-    (N, K) order, P(0)'s first."""
+@dataclass(frozen=True, eq=False)
+class ConstraintLedger(_Columns):
+    """All derived constraints for reduced fractions K/N, N <= n_max, in (N, K)
+    order, P(0)'s first, in columns under the header they are derived from;
+    ``entries`` and ``lookup`` build RationalConstraints on demand."""
 
     n_max: int
     seed: int
     rotate_bases: bool
     theta_base: tuple[float, ...]
-    entries: tuple[RationalConstraint, ...]
+
+    @property
+    def entries(self) -> tuple[RationalConstraint, ...]:
+        return tuple(self.constraints(range(len(self))))
 
     def specs(self) -> list[Spec]:
         """The spec of each constraint, in order: the ledger probes of
         ``falsify`` and ``continuity_extension_check``."""
-        return [c.spec for c in self.entries]
+        return list(self._specs(range(len(self))))
 
     def lookup(self, fraction) -> RationalConstraint:
         """The constraint on the squared modulus ``fraction``, or KeyError."""
-        wanted = Fraction(fraction)
-        for c in self.entries:
-            if c.modulus_squared == wanted:
-                return c
+        num, den = Fraction(fraction).as_integer_ratio()
+        for i, (k, n) in enumerate(zip(self.ks.tolist(), self.ns.tolist())):
+            if k * den == n * num:
+                return next(self.constraints([i]))
         raise KeyError(fraction)
 
     @property
     def verified(self) -> bool:
-        return all(c.verified for c in self.entries)
+        return not verify_ledger(self)
 
-    def to_json(self, full_certificates: bool = False) -> dict:
-        """The serialized ledger, its entries in Farey order.  An entry's
-        certificates are re-derived from it and covered by its digest; with
-        full_certificates each entry also carries them: its exact
-        certificate, and its float certificates with the basis, state and
-        overlaps each was computed from."""
-        order = _farey_order([c.K / c.N for c in self.entries])
-        entries = [self.entries[i].to_json() for i in order]
-        if full_certificates:
-            certificates = [list(c.certificates) for c in self.entries]
-            for i, entry in zip(order, entries):
-                primes, passed = self.entries[i].exact_certificate
-                entry["exact_certificate"] = {"primes": list(primes), "passed": passed}
-                entry["certificates"] = certificates[i]
-            probes = certificate_probes(self.specs())  # none for P(0), the first
-            for (_, basis, states), certs in zip(probes, certificates[1:]):
-                for cert, state in zip(certs, states):
-                    cert["basis"] = basis.to_json()
-                    cert["state"] = state.to_json()
-                    cert["overlaps"] = vector_to_pairs(basis.matrix.conj() @ state.amplitudes)
-        return {
-            "format_version": FORMAT_VERSION,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "rotate_bases": self.rotate_bases,
-            "theta_base": list(self.theta_base),
-            "entries": entries,
-        }
+    def json_entries(self, full_certificates: bool = False) -> Iterator[dict]:
+        """The serialized entries in Farey order, one at a time.  With
+        full_certificates each also carries its certificates, which its digest
+        covers: the exact one, and each float one with the basis, state and
+        overlaps it was computed from."""
+        order = _farey_order(self.ks / self.ns)
+        entries = self.entry_json(order)
+        if not full_certificates:
+            return entries
+        entries, constraints = list(entries), self.entries
+        probes = {spec[:2]: rest for spec, *rest in certificate_probes(self.specs())}  # no P(0)
+        for i, entry in zip(order, entries):
+            c = constraints[i]
+            basis, states = probes.get((c.K, c.N), (None, ()))
+            entry["exact_certificate"] = {"primes": list(c.exact_certificate.primes),
+                                          "passed": c.exact}
+            entry["certificates"] = certs = list(c.certificates)
+            for cert, state in zip(certs, states):
+                cert.update(basis=basis.to_json(), state=state.to_json(),
+                            overlaps=vector_to_pairs(basis.matrix.conj() @ state.amplitudes))
+        return iter(entries)
+
+    def to_json(self, full_certificates: bool = False, entries=None) -> dict:
+        """The serialized ledger, its entries those of ``json_entries``, or
+        ``entries`` in their place if given."""
+        if entries is None:
+            entries = list(self.json_entries(full_certificates))
+        return {"format_version": FORMAT_VERSION, "n_max": self.n_max, "seed": self.seed,
+                "rotate_bases": self.rotate_bases, "theta_base": list(self.theta_base),
+                "entries": entries}
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
         """Derive the ledger that the header (``_header``) describes and check
-        that each stored entry is the derived one, on every key of its
-        ``to_json`` (``_check_stored``); raise CertificateError on any fault.
-        The extra fields of ``--full-certificates`` are not compared."""
+        each stored entry, on every key derive writes (``_check_stored``) but
+        the extra ones of ``--full-certificates``; raise CertificateError on any fault."""
         n_max, seed, rotate_bases, theta_base, stored = _header(payload)
         ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        _check_stored(stored, [c.K / c.N for c in ledger.entries],
-                      map(RationalConstraint.to_json, ledger.entries))
+        _check_stored(stored, ledger.ks / ledger.ns, ledger.entry_json(range(len(ledger))))
         return ledger
 
 
@@ -381,19 +398,18 @@ def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
     """
     n_max, seed, rotate_bases, theta_base, stored = _header(payload)
     thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
-    specs.insert(0, (0, 1, (0.0,), "standard", None))  # P(0), as derive_p_zero states it
+    specs.insert(0, _P_ZERO)
     _check_stored(stored, [k / n for k, n, *_ in specs],
                   (_spec_json(spec, spec[:2]) for spec in specs))
     return thetas, specs
 
 
-def _check_stored(stored: list, keys: list[float], derived: Iterable[dict]) -> None:
+def _check_stored(stored: list, keys, derived: Iterable[dict]) -> None:
     """Check the stored entries, in Farey order, against the derived JSON
     entries of float K/N ``keys``, in (N, K) order: every key, of the same
     JSON type, one entry at a time; raise CertificateError at the first
     mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out."""
-    order = _farey_order(keys)
-    place = sorted(range(len(order)), key=order.__getitem__)  # each entry's in the file
+    place = np.argsort(_farey_order(keys)).tolist()  # each entry's in the file
     for entry, farey in zip(derived, place):
         raw = stored[farey]
         for key, want in entry.items():
@@ -403,11 +419,11 @@ def _check_stored(stored: list, keys: list[float], derived: Iterable[dict]) -> N
                 raise CertificateError(f"{key} mismatch at K={entry['K']}, N={entry['N']}")
 
 
-def _farey_order(keys: list[float]) -> list[int]:
+def _farey_order(keys) -> list[int]:
     """The indices of the float K/N ``keys`` in Farey order: exact while
     N < 2^26 (MAX_DIMENSION ensures it), as distinct K/N differ by >= 1/N^2,
     each rounded <= 2^-53."""
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    return np.argsort(np.asarray(keys, dtype=np.float64), kind="stable").tolist()
 
 
 def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
@@ -422,12 +438,14 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != FORMAT_VERSION:
         raise CertificateError(
-            f"ledger format_version is {version!r:.20}, not {FORMAT_VERSION}; re-run derive"
-        )
+            f"ledger format_version is {version!r:.20}, not {FORMAT_VERSION}; re-run derive")
     n_max = _field(payload, "n_max", int, "ledger")
     seed = _field(payload, "seed", int, "ledger")
     rotate_bases = _field(payload, "rotate_bases", bool, "ledger")
-    theta_base = _thetas(payload, "theta_base", "ledger")
+    theta_base = _field(payload, "theta_base", list, "ledger")
+    if not all(type(t) in (int, float) and _finite(t) for t in theta_base):
+        raise CertificateError("ledger: theta_base must hold finite numbers only")
+    theta_base = tuple(map(float, theta_base))
     entries = _field(payload, "entries", list, "ledger")
     if not 1 <= n_max <= MAX_DIMENSION:
         raise CertificateError(f"ledger n_max must lie in 1..{MAX_DIMENSION}")
@@ -438,22 +456,16 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
     count = 1 + sum(math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1))
     if len(entries) != count:
         raise CertificateError(
-            f"ledger holds {len(entries)} entries, not the {count} of n_max={n_max}"
-        )
+            f"ledger holds {len(entries)} entries, not the {count} of n_max={n_max}")
     return n_max, seed, rotate_bases, theta_base, entries
 
 
-def _derive(
-    n_max: int,
-    theta_samples: Optional[Iterable[float]] = None,
-    rotate_bases: bool = False,
-    seed: int = 0,
-) -> ConstraintLedger:
-    """The ledger of ``ledger_specs``, every constraint derived: P(0), then
-    one kernel pass over the rest in (N, K) order."""
+def _derive(n_max: int, theta_samples=None, rotate_bases=False, seed=0) -> ConstraintLedger:
+    """The ledger of ``ledger_specs`` after P(0), all derived in one kernel pass."""
     thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
-    derived = [derive_p_zero()] + CertificateKernel().derive(specs)
-    return ConstraintLedger(n_max, seed, rotate_bases, thetas, tuple(derived))
+    columns = CertificateKernel().certify([_P_ZERO] + specs)
+    return ConstraintLedger(**vars(columns), n_max=n_max, seed=seed,
+                            rotate_bases=rotate_bases, theta_base=thetas)
 
 
 def _field(raw, key: str, kind: type, where: str):
@@ -462,13 +474,6 @@ def _field(raw, key: str, kind: type, where: str):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise CertificateError(f"{where}: {key} is missing or not of type {kind.__name__}")
     return value
-
-
-def _thetas(raw, key: str, where: str) -> tuple[float, ...]:
-    values = _field(raw, key, list, where)
-    if not all(type(t) in (int, float) and _finite(t) for t in values):
-        raise CertificateError(f"{where}: {key} must hold finite numbers only")
-    return tuple(map(float, values))
 
 
 def _finite(t) -> bool:
@@ -517,44 +522,39 @@ def build_ledger(
     rotate_bases: bool = False,
     seed: int = 0,
 ) -> ConstraintLedger:
-    """Derive every constraint P(e^{i theta} sqrt(K/N)) = K/N, N <= n_max.
-
-    Each reduced fraction (see :func:`ledger_specs`) gets certificates at
-    its theta samples; an unreduced representation (2/4, 3/6, ...) has the
-    value of its reduced fraction, by Fraction's reduction.  Raises
-    CertificateError if any certificate, exact or float, fails.
-    """
+    """Derive every constraint P(e^{i theta} sqrt(K/N)) = K/N, N <= n_max,
+    certified at the theta samples of :func:`ledger_specs`.  Raises
+    CertificateError if any certificate, exact or float, fails, naming the
+    first in (N, K) order."""
     ledger = _derive(n_max, theta_samples, rotate_bases, seed)
-    for c in ledger.entries:
-        if not c.exact:
-            raise CertificateError(f"exact certificate failed at K={c.K}, N={c.N}")
-        for theta, ok in zip(c.theta_samples, c._verdicts()):
-            if not ok:
-                raise CertificateError(
-                    f"certificate failed at K={c.K}, N={c.N}, theta={theta % TWO_PI!r}")
+    failures = verify_ledger(ledger)
+    if failures:
+        k, n, theta = failures[0]
+        if not ledger.exact[(ledger.ks == k) & (ledger.ns == n)].all():
+            raise CertificateError(f"exact certificate failed at K={k}, N={n}")
+        raise CertificateError(f"certificate failed at K={k}, N={n}, theta={theta!r}")
     return ledger
 
 
 def compare_to_born(ledger: ConstraintLedger) -> Fraction:
     """max |asserted - modulus^2| in exact arithmetic; 0 for a sound ledger."""
-    return max((abs(c.asserted_value - c.modulus_squared) for c in ledger.entries
-                if c.asserted_value != c.modulus_squared), default=Fraction(0))
+    num, den = ledger.values.T
+    differ = np.flatnonzero(num * ledger.ns != den * ledger.ks).tolist()
+    return max((abs(Fraction(num[i].item(), den[i].item())
+                     - Fraction(ledger.ks[i].item(), ledger.ns[i].item())) for i in differ),
+               default=Fraction(0))
 
 
 def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
-    """Re-check every certificate; returns the failing (K, N, theta) triples.
-
-    A constraint without certificates, or whose exact certificate failed,
-    fails at each of its theta samples.
-    """
-    failures = []
-    for c in ledger.entries:
-        if not (c.exact and c.overlap_errors):
-            failures.extend((c.K, c.N, theta) for theta in c.theta_samples)
-            continue
-        failures.extend((c.K, c.N, theta % TWO_PI)
-                        for theta, ok in zip(c.theta_samples, c._verdicts()) if not ok)
-    return failures
+    """Re-check every certificate; returns the failing (K, N, theta) triples:
+    each theta of an entry whose exact certificate failed, as sampled, and
+    each failed float verdict (a NaN number fails), theta reduced mod 2 pi."""
+    owners = ledger.owners()
+    exact = ledger.exact[owners]
+    bad = np.flatnonzero(~(exact & ledger.verdicts()))
+    thetas = np.where(exact[bad], np.remainder(ledger.thetas[bad], TWO_PI), ledger.thetas[bad])
+    at = owners[bad]
+    return list(zip(ledger.ks[at].tolist(), ledger.ns[at].tolist(), thetas.tolist()))
 
 
 def continuity_extension_check(

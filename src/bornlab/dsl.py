@@ -19,7 +19,7 @@ holds at most MAX_TOKENS tokens and MAX_NESTING levels of nesting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -36,35 +36,84 @@ MAX_NESTING = 100
 MAX_TOKENS = 1000
 
 
-@dataclass(frozen=True)
-class Lit:
+class _Node:
+    """A syntax-tree node.  Equality, hashing and repr walk the tree with a
+    stack of their own: the dataclass-generated methods recurse two to three
+    interpreter levels per tree level, past the recursion limit for the
+    deepest trees that parse.  Two trees are equal when they have the same
+    node classes and the same field values, in the same places."""
+
+    __slots__ = ()
+
+    def _fields(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def _preorder(self) -> tuple:
+        """Each node's class and non-node fields, in preorder: since each
+        class has a fixed number of children, this determines the tree."""
+        flat, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            values = node._fields()
+            flat.append((type(node), *(v for v in values if not isinstance(v, _Node))))
+            stack.extend(v for v in reversed(values) if isinstance(v, _Node))
+        return tuple(flat)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        done, stack = [], [(self, False)]  # done: the reprs of finished subtrees
+        while stack:
+            node, expanded = stack.pop()
+            values = node._fields()
+            children = [v for v in values if isinstance(v, _Node)]
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(children))
+                continue
+            reprs = iter(done[len(done) - len(children):])
+            del done[len(done) - len(children):]
+            parts = (f"{f.name}={next(reprs) if isinstance(v, _Node) else repr(v)}"
+                     for f, v in zip(fields(node), values))
+            done.append(f"{type(node).__qualname__}({', '.join(parts)})")
+        return done[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Lit(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False, repr=False)
+class Bin(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     arg: "Expr"
 

@@ -74,6 +74,7 @@ def schema_validator(name: str) -> jsonschema.Draft202012Validator:
 
 def corrupt_entry(ledger, fraction: Fraction, value: Fraction):
     """Fault-injection helper: return a copy with one asserted value replaced."""
-    entries = tuple(replace(c, asserted_value=value) if c.modulus_squared == fraction else c
-                    for c in ledger.entries)
-    return replace(ledger, entries=entries)
+    values = ledger.values.copy()
+    values[ledger.ks * fraction.denominator == ledger.ns * fraction.numerator] = (
+        value.numerator, value.denominator)
+    return replace(ledger, values=values)

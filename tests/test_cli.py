@@ -98,6 +98,93 @@ class TestDerive:
         assert payload["config"]["theta"] == [float(theta)]
 
 
+def derive_output(tmp_path, capsys, argv, to):
+    """(exit code, text) of ``derive`` written with -o, or to stdout."""
+    if to == "stdout":
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().out
+    out = tmp_path / "derived.json"
+    code = main(argv + ["-o", str(out)])
+    return code, out.read_text()
+
+
+class TestStreamedReport:
+    """derive writes its ledger one entry at a time, yet the bytes are those
+    of json.dumps(payload, sort_keys=True, allow_nan=False) of the whole
+    payload, built in memory."""
+
+    # n_max, --theta values, --rotate-bases, --full-certificates
+    CASES = {
+        "standard-n1": (1, None, False, False),
+        "standard-n16": (16, None, False, False),
+        "rotated-n12": (12, None, True, False),
+        "thetas": (9, [0.0, -1.5, 1e-300, 7.25, 6.283185307179586], False, False),
+        "one-theta-rotated": (7, [2.0], True, False),
+        "full-certificates": (5, None, False, True),
+        "full-certificates-rotated": (4, [0.3, 4.0], True, True),
+    }
+
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_of_the_whole_payload(self, tmp_path, capsys, case, to):
+        n_max, thetas, rotate, full = self.CASES[case]
+        argv = ["derive", "--n-max", str(n_max), "--seed", "3"]
+        argv += [f"--theta={t!r}" for t in thetas or ()]
+        argv += ["--rotate-bases"] * rotate + ["--full-certificates"] * full
+        code, text = derive_output(tmp_path, capsys, argv, to)
+        assert code == 0
+        ledger = build_ledger(n_max, thetas, rotate, 3)
+        payload = {
+            "tool": "bornlab",
+            "version": bornlab.__version__,
+            "timestamp": json.loads(text)["timestamp"],
+            "subcommand": "derive",
+            "config": {"n_max": n_max, "theta": thetas, "rotate_bases": rotate,
+                       "full_certificates": full, "seed": 3},
+            "result": {"ledger": ledger.to_json(full), "entry_count": len(ledger.entries),
+                       "compare_to_born": "0/1", "failures": []},
+        }
+        assert text == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_derive_and_certify_build_no_constraint_object(self, tmp_path, monkeypatch):
+        # the ledger stays in columns: a RationalConstraint is built only for
+        # a caller that asks for one, as entries and lookup do
+        built = []
+        real = derivation.RationalConstraint.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[:2])
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(derivation.RationalConstraint, "__init__", counted)
+        for argv in (["--n-max", "12"], ["--n-max", "9", "--rotate-bases", "--theta", "0.5"]):
+            code, _ = run(tmp_path, "derive", *argv, name="ledger.json")
+            assert code == 0
+            code, payload = run(tmp_path, "certify", str(tmp_path / "ledger.json"))
+            assert code == 0 and payload["result"]["verified"]
+        assert built == []
+        assert len(build_ledger(3).entries) == len(built) == 5  # the counter counts
+
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    @pytest.mark.parametrize("fault", ["exact", "float"])
+    def test_failed_certificate_writes_the_error_report_only(self, tmp_path, capsys,
+                                                             monkeypatch, fault, to):
+        # every certificate is decided before the first byte: no partial ledger
+        if fault == "exact":
+            monkeypatch.setattr(derivation, "roots_of_unity_vanish", lambda k: k != 5)
+            error = "exact certificate failed at K=5, N=6"
+        else:
+            monkeypatch.setattr(derivation, "OVERLAP_TOLERANCE", -1.0)
+            error = "certificate failed at K=0, N=1, theta=0.0"
+        code, text = derive_output(tmp_path, capsys, ["derive", "--n-max", "8"], to)
+        assert code == 2
+        assert text.endswith("\n") and text.count("\n") == 1
+        payload = strict_json(text)
+        assert payload["result"] == {"error": error}
+        assert "entries" not in text
+
+
 class TestCertify:
     def test_fresh_ledger_verifies(self, tmp_path):
         _, _ = run(tmp_path, "derive", "--n-max", "4", name="ledger.json")
@@ -456,8 +543,7 @@ class TestFalsify:
         def refuse(*args):
             raise AssertionError("falsify derived a certificate")
 
-        monkeypatch.setattr(derivation.CertificateKernel, "derive", refuse)
-        monkeypatch.setattr(derivation, "derive_p_zero", refuse)
+        monkeypatch.setattr(derivation.CertificateKernel, "certify", refuse)
         code, payload = run(tmp_path, "falsify", "-p", candidate, "--n-range", "2..5",
                             "--trials", "3", "--optimizer-steps", "5", "--theta", "0.5",
                             "--theta", "4.0", "--seed", "4")

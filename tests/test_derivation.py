@@ -18,7 +18,6 @@ from bornlab import (
     continuity_extension_check,
     construction,
     derivation,
-    derive_p_zero,
     verify_ledger,
 )
 from bornlab.construction import cyclotomic, divides, prime_factors, roots_of_unity_vanish
@@ -53,7 +52,7 @@ def totient_sum(n_max: int) -> int:
 
 class TestDeriveP0:
     def test_value(self):
-        c = derive_p_zero()
+        c = build_ledger(1).entries[0]
         assert c.asserted_value == Fraction(0)
         assert c.modulus_squared == Fraction(0)
         assert c.verified
@@ -143,9 +142,9 @@ class TestBuildLedger:
         assert verify_ledger(ledger10) == []
 
     def test_constraint_without_certificates_fails_verify_ledger(self, ledger10):
-        # nothing was checked, so nothing may read as verified
-        bare = replace(ledger10, entries=tuple(
-            replace(c, overlap_errors=()) for c in ledger10.entries))
+        # nothing was checked, so nothing may read as verified: a NaN number
+        # is one that was never computed
+        bare = replace(ledger10, errors=np.full_like(ledger10.errors, np.nan))
         assert not bare.verified
         failures = verify_ledger(bare)
         assert len(failures) == sum(len(c.theta_samples) for c in bare.entries)
@@ -174,9 +173,10 @@ class TestBuildLedger:
             ledger10.lookup(missing)
 
     def test_entries_hold_their_numbers_only(self):
-        # an entry stores its spec, exact certificate and float numbers; its
-        # certificate dicts and proof trace are derived on read, so a ledger at
-        # 128 holds about 3 MB (10 MB when each entry stored them)
+        # an entry is a row of the ledger's columns: its spec, value, exact
+        # verdict and float numbers; its constraint, certificate dicts and proof
+        # trace are built on read, so a ledger at 128 holds about 0.9 MB (3 MB
+        # as a tuple of constraints, 10 MB when each also stored those dicts)
         build_ledger(128)  # warm the per-K caches
         tracemalloc.start()
         try:
@@ -185,7 +185,7 @@ class TestBuildLedger:
         finally:
             tracemalloc.stop()
         assert len(ledger.entries) == 1 + totient_sum(128)
-        assert held < 5e6
+        assert held < 2e6
 
 
 class TestUncertifiedLedger:
@@ -379,9 +379,9 @@ class TestSerialization:
     def test_every_key_derive_writes_is_compared(self, ledger10, monkeypatch):
         # no hand-kept field list: a key that derive would add must be stored too
         payload = ledger10.to_json()
-        real = derivation.RationalConstraint.to_json
-        monkeypatch.setattr(derivation.RationalConstraint, "to_json",
-                            lambda c: dict(real(c), extra=c.N))
+        real = derivation._spec_json
+        monkeypatch.setattr(derivation, "_spec_json",
+                            lambda spec, value: dict(real(spec, value), extra=spec[1]))
         with pytest.raises(CertificateError, match="^extra mismatch at K=0, N=1$"):
             ConstraintLedger.from_json(payload)
 
@@ -451,8 +451,7 @@ class TestReadSpecs:
         def refuse(*args):
             raise AssertionError("a certificate was derived")
 
-        monkeypatch.setattr(derivation.CertificateKernel, "derive", refuse)
-        monkeypatch.setattr(derivation, "derive_p_zero", refuse)
+        monkeypatch.setattr(derivation.CertificateKernel, "certify", refuse)
         payload = ledger10.to_json()
         for entry in payload["entries"]:
             entry.update(certificate_digest="0" * 64, verified=False, proof_trace=[])

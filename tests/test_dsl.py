@@ -191,6 +191,29 @@ class TestBounds:
         chain = (MAX_TOKENS - MAX_NESTING) // 2
         self.evaluates("-" * (MAX_NESTING - 1) + "r" + "+r" * chain)
 
+    def test_deepest_tree_compares_hashes_and_prints(self):
+        # the 1,000-token candidate of 550 levels: the dataclass-generated
+        # __eq__, __hash__ and __repr__ each raised RecursionError on it
+        source = "-" * 99 + "r" + "+r" * 450
+        a, b = parse_candidate(source), parse_candidate(source)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert repr(a).startswith("Bin(op='+', left=Bin(op='+', left=")
+        assert repr(a).endswith("Var(name='r')" + ")" * 99 + ", right=Var(name='r'))" * 450)
+        deepest_leaf_differs = parse_candidate("-" * 99 + "im" + "+r" * 450)
+        assert a != deepest_leaf_differs and deepest_leaf_differs != a
+        assert len({a, b, deepest_leaf_differs}) == 2
+
+    def test_nodes_compare_by_structure(self):
+        tree = parse_candidate("-r^2 + 0.5*sin(phi)")
+        assert repr(tree) == (
+            "Bin(op='+', left=Neg(arg=Bin(op='^', left=Var(name='r'), right=Lit(value=2.0))), "
+            "right=Bin(op='*', left=Lit(value=0.5), right=Call(func='sin', arg=Var(name='phi'))))"
+        )
+        assert Lit(1.0) != Var("r") and Var("r") != Const("r") and Lit(2.0) != 2.0
+        assert Bin("+", Var("r"), Lit(1.0)) != Bin("+", Lit(1.0), Var("r"))
+        assert hash(Call("sin", Var("r"))) == hash(Call("sin", Var("r")))
+
     @pytest.mark.parametrize("shape", sorted(NESTED))
     def test_nesting_past_the_bound_refused(self, shape):
         with pytest.raises(ParseError, match=f"expected at most {MAX_NESTING} levels of nesting"):
