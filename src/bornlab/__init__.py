@@ -27,7 +27,6 @@ from .construction import (
 )
 from .derivation import (
     ConstraintLedger,
-    RationalConstraint,
     build_ledger,
     compare_to_born,
     continuity_extension_check,

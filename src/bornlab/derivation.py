@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,78 +47,6 @@ MAX_DIMENSION = 512  # bound on n_max, derived or stored
 # extra thetas from one stream (``ledger_specs``).  Re-derive older ledgers.
 FORMAT_VERSION = 4
 UNIT_ROUNDOFF = 2.0**-53
-
-
-class ExactCertificate(NamedTuple):
-    """An entry's construction checked in exact arithmetic, for every theta.
-
-    For K < N: Phi_K divides Phi_p(x^(K/p)) for each prime p | K in
-    ``primes``, which is the identity of the K-th roots of unity behind
-    every Gram entry and overlap of the partial-DFT basis, and the first
-    overlap's squared modulus (K/sqrt(K N))^2 is K/N.  For K = N the state
-    is a base vector, of overlap 1 with itself, and ``primes`` is empty.
-    """
-
-    primes: tuple[int, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
-class RationalConstraint:
-    """An exact statement P(e^{i theta} sqrt(K/N)) = K/N, for all theta.
-
-    K and N are the generating integers; asserted_value is kept as an
-    exact fraction (possibly reduced).  The exact certificate records the
-    check of the construction in integer arithmetic, valid for every
-    theta; defect and overlap_errors record its float cross-check at each
-    sampled theta.  All else an entry reports follows from these and (K, N).
-    """
-
-    K: int
-    N: int
-    modulus_squared: Fraction
-    asserted_value: Fraction
-    theta_samples: tuple[float, ...]
-    defect: float
-    overlap_errors: tuple[float, ...]
-    base_kind: str = "standard"
-    base_seed: Optional[int] = None
-    exact_certificate: Optional[ExactCertificate] = None
-
-    @property
-    def exact(self) -> bool:
-        """True when the exact certificate exists and passed."""
-        return self.exact_certificate is not None and self.exact_certificate.passed
-
-    @property
-    def verified(self) -> bool:
-        """True when every certificate, exact and float, exists and passed."""
-        return self.exact and bool(self.overlap_errors) and all(self._verdicts())
-
-    @property
-    def spec(self) -> Spec:
-        """(K, N, theta_samples, base_kind, base_seed): what its construction is rebuilt from."""
-        return (self.K, self.N, self.theta_samples, self.base_kind, self.base_seed)
-
-    @property
-    def certificates(self) -> tuple[dict, ...]:
-        """The float certificate at each theta sample, theta reduced mod 2 pi."""
-        kind, verdicts = _kind(self.K, self.N), self._verdicts()
-        return tuple({"kind": kind, "theta": t % TWO_PI, "defect": self.defect,
-                      "overlap_error": e, "passed": ok}
-                     for t, e, ok in zip(self.theta_samples, self.overlap_errors, verdicts))
-
-    @property
-    def proof_trace(self) -> tuple[str, ...]:
-        return _trace(self.K, self.N)
-
-    def _verdicts(self) -> list[bool]:
-        """Whether the float certificate at each theta sample passed."""
-        ok = self.defect <= DEFECT_TOLERANCE
-        return [ok and error <= OVERLAP_TOLERANCE for error in self.overlap_errors]
-
-    def certificate_digest(self) -> str:
-        return _digest(self.spec, self.exact_certificate or ((), False), self._verdicts())
 
 
 def _digest(spec: Spec, exact, verdicts: list[bool]) -> str:
@@ -192,34 +120,53 @@ class _Columns:
             yield (ks[i], ns[i], tuple(self.thetas[offsets[i]:offsets[i + 1]].tolist()),
                    "standard" if sub < 0 else "haar", None if sub < 0 else sub)
 
-    def entry_json(self, order) -> Iterator[dict]:
+    def entry_json(self, order, full_certificates: bool = False) -> Iterator[dict]:
         """Each entry in ``order`` as a ledger stores it, one at a time: its
-        ``_spec_json``, digest, verdict and proof trace; ``order`` is read twice."""
+        ``_spec_json``, digest, verdict and proof trace.  With full_certificates
+        it also carries the certificates its digest covers: the exact one
+        (primes, verdict), and the float one at each theta (``_certificates``).
+        ``order`` is read twice."""
         values, exact, offsets = self.values.tolist(), self.exact.tolist(), self.offsets.tolist()
         verdicts = self.verdicts().tolist()
         for i, spec in zip(order, self._specs(order)):
             (k, n, *_), ok = spec, verdicts[offsets[i]:offsets[i + 1]]
-            yield dict(_spec_json(spec, values[i]),
-                       certificate_digest=_digest(spec, (_primes(k, n), exact[i]), ok),
-                       verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
+            entry = dict(_spec_json(spec, values[i]),
+                         certificate_digest=_digest(spec, (_primes(k, n), exact[i]), ok),
+                         verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
+            if full_certificates:
+                entry["exact_certificate"] = {"primes": list(_primes(k, n)), "passed": exact[i]}
+                entry["certificates"] = self._certificates(i, spec, ok)
+            yield entry
 
-    def constraints(self, order) -> Iterator[RationalConstraint]:
-        """The constraint of each entry in ``order``; ``order`` is read twice."""
-        for i, (k, n, thetas, kind, sub) in zip(order, self._specs(order)):
-            errors = tuple(self.errors[self.offsets[i]:self.offsets[i + 1]].tolist())
-            yield RationalConstraint(k, n, Fraction(k, n), Fraction(*self.values[i].tolist()),
-                                     thetas, self.defects[i].item(), errors, kind, sub,
-                                     ExactCertificate(_primes(k, n), self.exact[i].item()))
+    def _certificates(self, i: int, spec: Spec, verdicts: list[bool]) -> list[dict]:
+        """Entry i's float certificate at each theta, theta reduced mod 2 pi,
+        with the basis, state and overlaps it was computed from, built for
+        this entry alone (``certificate_probes``); P(0)'s have none."""
+        k, n, thetas, *_ = spec
+        defect, errors = self.defects[i].item(), self.errors[self.offsets[i]:self.offsets[i + 1]]
+        certs = [{"kind": _kind(k, n), "theta": t % TWO_PI, "defect": defect,
+                  "overlap_error": e, "passed": ok}
+                 for t, e, ok in zip(thetas, errors.tolist(), verdicts)]
+        for _, basis, states in certificate_probes([spec]):
+            rows = basis.to_json()  # one basis for every theta
+            for cert, state in zip(certs, states):
+                cert.update(basis=rows, state=state.to_json(),
+                            overlaps=vector_to_pairs(basis.matrix.conj() @ state.amplitudes))
+        return certs
 
 
 def _primes(k: int, n: int) -> tuple[int, ...]:
-    """The primes of an entry's exact certificate."""
+    """The primes of an entry's exact certificate: for K < N, Phi_K divides
+    Phi_p(x^(K/p)) for each prime p | K, the identity of the K-th roots of
+    unity behind every Gram entry and overlap of the partial-DFT basis.  For
+    K = N the state is a base vector, of overlap 1 with itself: none."""
     return prime_factors(k) if 0 < k < n else ()
 
 
-class CertificateKernel:
-    """Derives constraints in columns, one array pass per K: the exact
-    certificate (``ExactCertificate``), and the float cross-check.
+def certify_specs(specs: list[Spec]) -> _Columns:
+    """The specs in columns, certified in one array pass per K: exactly, for
+    every theta, and as a float cross-check at each theta.  K = 0 is P(0),
+    by its orthogonal pair.
 
     In the standard basis the partial-DFT basis is exactly blockdiag(F_K,
     I), F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with
@@ -229,52 +176,45 @@ class CertificateKernel:
     most N max|U^H U - I| each.  So a Haar entry takes the standard numbers
     of its (K, N, theta), plus that bound from one Gram check of U per (N,
     seed), plus ``rotation_rounding`` for forming the construction in
-    floats.  No N x N partial-DFT basis or symmetric state is built."""
+    floats.  No N x N partial-DFT basis or symmetric state is built.
 
-    def derive(self, specs: list[Spec]) -> list[RationalConstraint]:
-        """P(e^{i theta} sqrt(K/N)) = K/N for each spec, certified exactly and
-        at each of its thetas; one constraint per spec, in order."""
-        for k, n, *_ in specs:
-            if n < 1 or k < 1 or k > n:
-                raise ParameterError(f"require 1 <= K <= N, got K={k}, N={n}")
-        return list(self.certify(specs).constraints(range(len(specs))))
-
-    def certify(self, specs: list[Spec]) -> _Columns:
-        """The specs in columns, certified; K = 0 is P(0), by its orthogonal
-        pair.  Each (entry, theta) pair is one row of its K's pass: the same
-        arithmetic, and bits, as one entry at a time.  A K = N entry's state
-        is its base's first vector, so its standard numbers are 0."""
-        ks, ns = (np.array([spec[i] for spec in specs], dtype=np.int64) for i in (0, 1))
-        seeds = np.array([-1 if s[3] == "standard" else s[4] for s in specs], dtype=np.int64)
-        thetas = np.array([t for spec in specs for t in spec[2]], dtype=np.float64)
-        offsets = np.r_[0, np.cumsum([len(spec[2]) for spec in specs], dtype=np.int64)]
-        owners = np.repeat(np.arange(len(ks)), np.diff(offsets))
-        row_ks, errors = ks[owners], np.zeros(len(thetas))
-        gram, vanish = np.zeros(ks.max(initial=0) + 1), np.zeros(ks.max(initial=0) + 1, bool)
-        for k in np.unique(ks[ks > 0]).tolist():
-            block, rows = dft_block(k), np.flatnonzero(row_ks == k)
-            gram[k], row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
-            vanish[k] = roots_of_unity_vanish(k)  # once per K, read where K < N
-            n_rows = ns[owners[rows]]
-            phase = np.exp(1j * np.remainder(thetas[rows], TWO_PI))
-            overlaps = np.outer(phase / np.sqrt(n_rows), row_sums)
-            overlaps[:, 0] -= phase * np.sqrt(k / n_rows)
-            errors[rows] = np.where(n_rows == k, 0.0, np.max(np.abs(overlaps), axis=1))
-        defects = np.where(ks < ns, gram[ks], 0.0)
-        # exact: a/b = K/N for (K/sqrt(K N))^2 and for the normalization 1 - (N - K)/N
-        exact = ((ks == ns) | vanish[ks]) & (ks * ks * ns == ks * ns * ks) & (
-            (ns - (ns - ks)) * ns == ns * ks)
-        base = standard_basis(2)
-        overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
-        exact[ks == 0], defects[ks == 0] = overlap == 0, orthonormality_defect(base)
-        errors[row_ks == 0] = abs(overlap)
-        extra, haar = np.zeros(len(ks)), seeds >= 0
-        for n, sub in dict.fromkeys(zip(ns[haar].tolist(), seeds[haar].tolist())):
-            at = haar & (ns == n) & (seeds == sub)
-            extra[at] = n * haar_unitary(n, sub).defect + rotation_rounding(ks[at], n)
-        values = np.stack([ks, ns], axis=1) // np.gcd(ks, ns)[:, None]
-        return _Columns(ks, ns, seeds, thetas, offsets, values, exact, defects + extra,
-                        errors + extra[owners])
+    Each (entry, theta) pair is one row of its K's pass: the same
+    arithmetic, and bits, as one entry at a time.  A K = N entry's state
+    is its base's first vector, so its standard numbers are 0."""
+    ks, ns = (np.array([spec[i] for spec in specs], dtype=np.int64) for i in (0, 1))
+    bad = np.flatnonzero(((ks < 1) | (ks > ns)) & ((ks != 0) | (ns != 1)))  # P(0) is (0, 1)
+    if bad.size:
+        raise ParameterError(f"require 1 <= K <= N, got K={ks[bad[0]]}, N={ns[bad[0]]}")
+    seeds = np.array([-1 if s[3] == "standard" else s[4] for s in specs], dtype=np.int64)
+    thetas = np.array([t for spec in specs for t in spec[2]], dtype=np.float64)
+    offsets = np.r_[0, np.cumsum([len(spec[2]) for spec in specs], dtype=np.int64)]
+    owners = np.repeat(np.arange(len(ks)), np.diff(offsets))
+    row_ks, errors = ks[owners], np.zeros(len(thetas))
+    gram, vanish = np.zeros(ks.max(initial=0) + 1), np.zeros(ks.max(initial=0) + 1, bool)
+    for k in np.unique(ks[ks > 0]).tolist():
+        block, rows = dft_block(k), np.flatnonzero(row_ks == k)
+        gram[k], row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
+        vanish[k] = roots_of_unity_vanish(k)  # once per K, read where K < N
+        n_rows = ns[owners[rows]]
+        phase = np.exp(1j * np.remainder(thetas[rows], TWO_PI))
+        overlaps = np.outer(phase / np.sqrt(n_rows), row_sums)
+        overlaps[:, 0] -= phase * np.sqrt(k / n_rows)
+        errors[rows] = np.where(n_rows == k, 0.0, np.max(np.abs(overlaps), axis=1))
+    defects = np.where(ks < ns, gram[ks], 0.0)
+    # exact: a/b = K/N for (K/sqrt(K N))^2 and for the normalization 1 - (N - K)/N
+    exact = ((ks == ns) | vanish[ks]) & (ks * ks * ns == ks * ns * ks) & (
+        (ns - (ns - ks)) * ns == ns * ks)
+    base = standard_basis(2)
+    overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
+    exact[ks == 0], defects[ks == 0] = overlap == 0, orthonormality_defect(base)
+    errors[row_ks == 0] = abs(overlap)
+    extra, haar = np.zeros(len(ks)), seeds >= 0
+    for n, sub in dict.fromkeys(zip(ns[haar].tolist(), seeds[haar].tolist())):
+        at = haar & (ns == n) & (seeds == sub)
+        extra[at] = n * haar_unitary(n, sub).defect + rotation_rounding(ks[at], n)
+    values = np.stack([ks, ns], axis=1) // np.gcd(ks, ns)[:, None]
+    return _Columns(ks, ns, seeds, thetas, offsets, values, exact, defects + extra,
+                    errors + extra[owners])
 
 
 def _kind(k: int, n: int) -> str:
@@ -296,7 +236,7 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
             *([dft] if k > 1 else []), f"hence P(e^(i*theta)*sqrt({k}/{n})) = {k}/{n}")
 
 
-# P(0) = 0, by the orthogonal pair of C^2's standard basis (``CertificateKernel.certify``)
+# P(0) = 0, by the orthogonal pair of C^2's standard basis (``certify_specs``)
 _P_ZERO: Spec = (0, 1, (0.0,), "standard", None)
 
 
@@ -315,8 +255,7 @@ def _spec_json(spec: Spec, value: tuple[int, int]) -> dict:
 @dataclass(frozen=True, eq=False)
 class ConstraintLedger(_Columns):
     """All derived constraints for reduced fractions K/N, N <= n_max, in (N, K)
-    order, P(0)'s first, in columns under the header they are derived from;
-    ``entries`` and ``lookup`` build RationalConstraints on demand."""
+    order, P(0)'s first, in columns under the header they are derived from."""
 
     n_max: int
     seed: int
@@ -324,47 +263,18 @@ class ConstraintLedger(_Columns):
     theta_base: tuple[float, ...]
 
     @property
-    def entries(self) -> tuple[RationalConstraint, ...]:
-        return tuple(self.constraints(range(len(self))))
+    def entries(self) -> tuple[dict, ...]:
+        """The stored entry of each constraint, in (N, K) order."""
+        return tuple(self.entry_json(range(len(self))))
 
     def specs(self) -> list[Spec]:
         """The spec of each constraint, in order: the ledger probes of
         ``falsify`` and ``continuity_extension_check``."""
         return list(self._specs(range(len(self))))
 
-    def lookup(self, fraction) -> RationalConstraint:
-        """The constraint on the squared modulus ``fraction``, or KeyError."""
-        num, den = Fraction(fraction).as_integer_ratio()
-        for i, (k, n) in enumerate(zip(self.ks.tolist(), self.ns.tolist())):
-            if k * den == n * num:
-                return next(self.constraints([i]))
-        raise KeyError(fraction)
-
-    @property
-    def verified(self) -> bool:
-        return not verify_ledger(self)
-
     def json_entries(self, full_certificates: bool = False) -> Iterator[dict]:
-        """The serialized entries in Farey order, one at a time.  With
-        full_certificates each also carries its certificates, which its digest
-        covers: the exact one, and each float one with the basis, state and
-        overlaps it was computed from."""
-        order = _farey_order(self.ks / self.ns)
-        entries = self.entry_json(order)
-        if not full_certificates:
-            return entries
-        entries, constraints = list(entries), self.entries
-        probes = {spec[:2]: rest for spec, *rest in certificate_probes(self.specs())}  # no P(0)
-        for i, entry in zip(order, entries):
-            c = constraints[i]
-            basis, states = probes.get((c.K, c.N), (None, ()))
-            entry["exact_certificate"] = {"primes": list(c.exact_certificate.primes),
-                                          "passed": c.exact}
-            entry["certificates"] = certs = list(c.certificates)
-            for cert, state in zip(certs, states):
-                cert.update(basis=basis.to_json(), state=state.to_json(),
-                            overlaps=vector_to_pairs(basis.matrix.conj() @ state.amplitudes))
-        return iter(entries)
+        """The serialized entries in Farey order, one at a time (``entry_json``)."""
+        return self.entry_json(_farey_order(self.ks / self.ns), full_certificates)
 
     def to_json(self, full_certificates: bool = False, entries=None) -> dict:
         """The serialized ledger, its entries those of ``json_entries``, or
@@ -463,7 +373,7 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
 def _derive(n_max: int, theta_samples=None, rotate_bases=False, seed=0) -> ConstraintLedger:
     """The ledger of ``ledger_specs`` after P(0), all derived in one kernel pass."""
     thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
-    columns = CertificateKernel().certify([_P_ZERO] + specs)
+    columns = certify_specs([_P_ZERO] + specs)
     return ConstraintLedger(**vars(columns), n_max=n_max, seed=seed,
                             rotate_bases=rotate_bases, theta_base=thetas)
 

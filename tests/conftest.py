@@ -78,3 +78,20 @@ def corrupt_entry(ledger, fraction: Fraction, value: Fraction):
     values[ledger.ks * fraction.denominator == ledger.ns * fraction.numerator] = (
         value.numerator, value.denominator)
     return replace(ledger, values=values)
+
+
+def lookup(ledger, fraction, full_certificates=False) -> dict:
+    """The stored entry of the ledger on the squared modulus ``fraction``, or KeyError."""
+    num, den = Fraction(fraction).as_integer_ratio()
+    for entry in ledger.json_entries(full_certificates):
+        if entry["K"] * den == entry["N"] * num:
+            return entry
+    raise KeyError(fraction)
+
+
+def float_certificates(ledger) -> list:
+    """(spec, defect, overlap errors) of each entry of the ledger, in (N, K)
+    order, read from its columns."""
+    offsets = ledger.offsets.tolist()
+    return [(spec, ledger.defects[i].item(), ledger.errors[offsets[i]:offsets[i + 1]].tolist())
+            for i, spec in enumerate(ledger.specs())]

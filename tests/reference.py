@@ -115,15 +115,15 @@ def ledger_scan(p, ledger, dims, seed, threshold):
     entry with N in dims, in (N, K, theta) order, whose residual reaches the
     threshold: each certificate's basis built and scored on its own."""
     probes = 0
-    for c in ledger.entries:
-        if c.K == 0 or c.N not in dims:
+    for k, n, thetas, kind, sub in ledger.specs():
+        if k == 0 or n not in dims:
             continue
-        for theta in c.theta_samples:
-            basis, state = certificate(c.K, c.N, theta, c.base_kind, c.base_seed)
+        for theta in thetas:
+            basis, state = certificate(k, n, theta, kind, sub)
             probes += 1
             residual = normalization(p, basis.matrix, state.amplitudes)
             if residual >= threshold:
-                return _witness(p, c.N, state, basis.matrix, residual, (seed, 1, c.N, c.K),
+                return _witness(p, n, state, basis.matrix, residual, (seed, 1, n, k),
                                 "LedgerCertificate"), probes
     return None, probes
 

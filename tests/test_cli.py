@@ -18,6 +18,7 @@ from bornlab import (
     build_ledger,
     candidate_from_expression,
     cli,
+    construction,
     derivation,
     falsify,
 )
@@ -147,24 +148,19 @@ class TestStreamedReport:
         }
         assert text == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
-    def test_derive_and_certify_build_no_constraint_object(self, tmp_path, monkeypatch):
-        # the ledger stays in columns: a RationalConstraint is built only for
-        # a caller that asks for one, as entries and lookup do
+    def test_full_certificates_stream(self, monkeypatch):
+        # each entry's N x N construction is built as the entry is written,
+        # not every one before the first
         built = []
-        real = derivation.RationalConstraint.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args[:2])
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(derivation.RationalConstraint, "__init__", counted)
-        for argv in (["--n-max", "12"], ["--n-max", "9", "--rotate-bases", "--theta", "0.5"]):
-            code, _ = run(tmp_path, "derive", *argv, name="ledger.json")
-            assert code == 0
-            code, payload = run(tmp_path, "certify", str(tmp_path / "ledger.json"))
-            assert code == 0 and payload["result"]["verified"]
-        assert built == []
-        assert len(build_ledger(3).entries) == len(built) == 5  # the counter counts
+        real = construction.partial_dft_basis
+        monkeypatch.setattr(construction, "partial_dft_basis",
+                            lambda base, k: built.append(k) or real(base, k))
+        ledger = build_ledger(16)
+        entries = ledger.json_entries(True)
+        next(entries)
+        assert len(built) <= 1
+        assert 1 + sum(1 for _ in entries) == len(ledger)
+        assert len(built) == len(ledger) - 2  # the counter counts: all but P(0) and 1/1
 
     @pytest.mark.parametrize("to", ["file", "stdout"])
     @pytest.mark.parametrize("fault", ["exact", "float"])
@@ -543,7 +539,7 @@ class TestFalsify:
         def refuse(*args):
             raise AssertionError("falsify derived a certificate")
 
-        monkeypatch.setattr(derivation.CertificateKernel, "certify", refuse)
+        monkeypatch.setattr(derivation, "certify_specs", refuse)
         code, payload = run(tmp_path, "falsify", "-p", candidate, "--n-range", "2..5",
                             "--trials", "3", "--optimizer-steps", "5", "--theta", "0.5",
                             "--theta", "4.0", "--seed", "4")

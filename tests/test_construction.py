@@ -14,7 +14,8 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.construction import _rebuild_base, dft_block, overlap_contract_error
+from bornlab.construction import TWO_PI, _rebuild_base, dft_block, overlap_contract_error
+from conftest import float_certificates
 from reference import geometric_series_overlap, rotate_basis
 
 
@@ -212,19 +213,18 @@ def test_dft_block_rounding_at_the_dimension_bound(k):
 
 
 def test_kernel_certificates_match_full_construction(ledger64):
-    for c in ledger64.entries:
-        if c.K == 0 or c.K == c.N:
+    for (k, n, thetas, _, _), kernel_defect, kernel_errors in float_certificates(ledger64):
+        if k == 0 or k == n:
             continue
-        base = standard_basis(c.N)
-        tilde = partial_dft_basis(base, c.K)
+        base = standard_basis(n)
+        tilde = partial_dft_basis(base, k)
         defect = orthonormality_defect(tilde.vectors)
-        for cert in c.certificates:
-            psi = symmetric_state(base, cert["theta"])
-            error = overlap_contract_error(
-                overlap_with_symmetric(tilde, psi), c.K, c.N, cert["theta"]
-            )
-            assert abs(cert["defect"] - defect) <= 1e-15
-            assert abs(cert["overlap_error"] - error) <= 1e-15
+        assert abs(kernel_defect - defect) <= 1e-15
+        for theta, kernel_error in zip(thetas, kernel_errors):
+            theta %= TWO_PI
+            psi = symmetric_state(base, theta)
+            error = overlap_contract_error(overlap_with_symmetric(tilde, psi), k, n, theta)
+            assert abs(kernel_error - error) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])

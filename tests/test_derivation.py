@@ -25,19 +25,29 @@ from bornlab.derivation import (
     DEFAULT_THETAS,
     DEFECT_TOLERANCE,
     OVERLAP_TOLERANCE,
-    CertificateKernel,
-    ExactCertificate,
+    certify_specs,
     ledger_specs,
     read_specs,
 )
 
-from conftest import corrupt_entry, make_ledger_locked_candidate
+from conftest import corrupt_entry, float_certificates, lookup, make_ledger_locked_candidate
 from reference import full_certificate
 
 
-def derive(k: int, n: int, theta: float):
-    """P(e^{i theta} sqrt(K/N)) = K/N in the standard basis, certified at theta."""
-    return CertificateKernel().derive([(k, n, (theta,), "standard", None)])[0]
+def derive(k: int, n: int, theta: float) -> dict:
+    """The stored entry, full certificates included, of P(e^{i theta}
+    sqrt(K/N)) = K/N in the standard basis, certified at theta alone."""
+    return next(certify_specs([(k, n, (theta,), "standard", None)]).entry_json([0], True))
+
+
+def value(entry: dict) -> Fraction:
+    """The value an entry asserts."""
+    return Fraction(entry["value"]["fraction"])
+
+
+def fractions(ledger) -> set:
+    """The squared moduli K/N of the ledger's entries."""
+    return {Fraction(e["K"], e["N"]) for e in ledger.entries}
 
 
 def totient_sum(n_max: int) -> int:
@@ -53,27 +63,27 @@ def totient_sum(n_max: int) -> int:
 class TestDeriveP0:
     def test_value(self):
         c = build_ledger(1).entries[0]
-        assert c.asserted_value == Fraction(0)
-        assert c.modulus_squared == Fraction(0)
-        assert c.verified
+        assert value(c) == Fraction(0)
+        assert (c["K"], c["N"]) == (0, 1)
+        assert c["verified"]
 
     def test_ledger_lookup(self, ledger10):
-        assert ledger10.lookup(Fraction(0)).asserted_value == Fraction(0)
+        assert value(lookup(ledger10, Fraction(0))) == Fraction(0)
 
 
 class TestDeriveUniform:
     def test_n4(self):
         c = derive(1, 4, 0.0)
-        assert c.asserted_value == Fraction(1, 4)
-        assert c.modulus_squared == Fraction(1, 4)
-        assert c.verified
+        assert value(c) == Fraction(1, 4)
+        assert Fraction(c["K"], c["N"]) == Fraction(1, 4)
+        assert c["verified"]
 
     def test_n1(self):
         c = derive(1, 1, 2.0)
-        assert c.asserted_value == Fraction(1)
+        assert value(c) == Fraction(1)
 
     def test_n3_exact(self):
-        assert derive(1, 3, 1.0).asserted_value == Fraction(1, 3)
+        assert value(derive(1, 3, 1.0)) == Fraction(1, 3)
 
     def test_n0_rejected(self):
         with pytest.raises(ParameterError):
@@ -83,21 +93,21 @@ class TestDeriveUniform:
 class TestDeriveRational:
     def test_two_thirds(self):
         c = derive(2, 3, 0.5)
-        assert c.asserted_value == Fraction(2, 3)
-        assert c.verified
-        assert c.certificates[0]["kind"] == "partial_dft"
+        assert value(c) == Fraction(2, 3)
+        assert c["verified"]
+        assert c["certificates"][0]["kind"] == "partial_dft"
 
     def test_k_equals_n(self):
         c = derive(5, 5, 1.0)
-        assert c.asserted_value == Fraction(1)
-        assert c.certificates[0]["kind"] == "single_vector"
+        assert value(c) == Fraction(1)
+        assert c["certificates"][0]["kind"] == "single_vector"
 
     def test_k1_matches_uniform(self):
         # the K = 1 entry of a ledger is the uniform constraint, with the same bits
         a = derive(1, 7, 0.3)
-        b = build_ledger(7, [0.3]).lookup(Fraction(1, 7))
-        assert a.asserted_value == b.asserted_value == Fraction(1, 7)
-        assert a.certificates[0] == b.certificates[0]
+        b = lookup(build_ledger(7, [0.3]), Fraction(1, 7), full_certificates=True)
+        assert value(a) == value(b) == Fraction(1, 7)
+        assert a["certificates"][0] == b["certificates"][0]
 
     @pytest.mark.parametrize("k,n", [(0, 3), (4, 3), (-1, 2)])
     def test_out_of_range(self, k, n):
@@ -105,21 +115,21 @@ class TestDeriveRational:
             derive(k, n, 0.0)
 
     def test_equivalent_fractions_agree(self):
-        reduced = derive(1, 2, 0.0).asserted_value
+        reduced = value(derive(1, 2, 0.0))
         for m in (2, 3, 4):
-            assert derive(m, 2 * m, 0.0).asserted_value == reduced
+            assert value(derive(m, 2 * m, 0.0)) == reduced
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi, 5.5])
     def test_theta_independence(self, theta):
         c = derive(3, 5, theta)
-        assert c.asserted_value == Fraction(3, 5)
-        assert c.verified
+        assert value(c) == Fraction(3, 5)
+        assert c["verified"]
 
 
 class TestBuildLedger:
     def test_n_max_3_fractions(self):
         ledger = build_ledger(3)
-        assert {c.modulus_squared for c in ledger.entries} == {
+        assert fractions(ledger) == {
             Fraction(0),
             Fraction(1, 3),
             Fraction(1, 2),
@@ -128,7 +138,7 @@ class TestBuildLedger:
         }
 
     def test_n_max_1(self):
-        assert {c.modulus_squared for c in build_ledger(1).entries} == {Fraction(0), Fraction(1)}
+        assert fractions(build_ledger(1)) == {Fraction(0), Fraction(1)}
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
@@ -138,45 +148,45 @@ class TestBuildLedger:
         assert len(ledger64.entries) == 1 + totient_sum(64)
 
     def test_all_verified(self, ledger10):
-        assert ledger10.verified
+        assert all(e["verified"] for e in ledger10.entries)
         assert verify_ledger(ledger10) == []
 
     def test_constraint_without_certificates_fails_verify_ledger(self, ledger10):
         # nothing was checked, so nothing may read as verified: a NaN number
         # is one that was never computed
         bare = replace(ledger10, errors=np.full_like(ledger10.errors, np.nan))
-        assert not bare.verified
+        assert not any(e["verified"] for e in bare.entries)
         failures = verify_ledger(bare)
-        assert len(failures) == sum(len(c.theta_samples) for c in bare.entries)
+        assert len(failures) == sum(len(e["theta_samples"]) for e in bare.entries)
 
     def test_theta_samples_include_extra(self, ledger10):
-        c = ledger10.lookup(Fraction(1, 2))
-        assert len(c.theta_samples) == len(DEFAULT_THETAS) + 1
+        c = lookup(ledger10, Fraction(1, 2))
+        assert len(c["theta_samples"]) == len(DEFAULT_THETAS) + 1
 
     def test_monotone_refinement(self):
-        small = {c.modulus_squared for c in build_ledger(4).entries}
-        assert small <= {c.modulus_squared for c in build_ledger(8).entries}
+        assert fractions(build_ledger(4)) <= fractions(build_ledger(8))
 
     def test_rotated_bases(self):
         ledger = build_ledger(5, rotate_bases=True, seed=7)
-        assert ledger.verified
-        assert ledger.lookup(Fraction(2, 5)).base_kind == "haar"
+        assert verify_ledger(ledger) == []
+        assert lookup(ledger, Fraction(2, 5))["base_kind"] == "haar"
 
     def test_entries_in_n_k_order(self, ledger10):
         # P(0) first, then each N's reduced K, as ledger_specs enumerates them
-        assert [(c.K, c.N) for c in ledger10.entries] == [(0, 1)] + [
+        assert [(e["K"], e["N"]) for e in ledger10.entries] == [(0, 1)] + [
             (k, n) for n in range(1, 11) for k in range(1, n + 1) if math.gcd(k, n) == 1]
 
     @pytest.mark.parametrize("missing", [Fraction(1, 11), Fraction(3, 2), 0.3])
     def test_lookup_of_a_missing_fraction(self, ledger10, missing):
+        # past n_max, above 1, and a float that is no K/N: no entry holds them
         with pytest.raises(KeyError):
-            ledger10.lookup(missing)
+            lookup(ledger10, missing)
 
     def test_entries_hold_their_numbers_only(self):
         # an entry is a row of the ledger's columns: its spec, value, exact
-        # verdict and float numbers; its constraint, certificate dicts and proof
+        # verdict and float numbers; its stored dict, certificate dicts and proof
         # trace are built on read, so a ledger at 128 holds about 0.9 MB (3 MB
-        # as a tuple of constraints, 10 MB when each also stored those dicts)
+        # as a tuple of entry objects, 10 MB when each also stored those dicts)
         build_ledger(128)  # warm the per-K caches
         tracemalloc.start()
         try:
@@ -201,7 +211,7 @@ class TestUncertifiedLedger:
         assert specs == built.specs()[1:]
         assert built.specs()[0] == (0, 1, (0.0,), "standard", None)
         assert [Fraction(k, n) for k, n, *_ in built.specs()] == [
-            c.asserted_value for c in built.entries]
+            value(e) for e in built.entries]
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
@@ -261,19 +271,20 @@ class TestExactCertificate:
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_every_entry_carries_one(self, rotate):
-        for c in build_ledger(12, rotate_bases=rotate, seed=1).entries:
-            primes = prime_factors(c.K) if 0 < c.K < c.N else ()
-            assert c.exact_certificate == ExactCertificate(primes, True)
+        for c in build_ledger(12, rotate_bases=rotate, seed=1).json_entries(True):
+            primes = prime_factors(c["K"]) if 0 < c["K"] < c["N"] else ()
+            assert c["exact_certificate"] == {"primes": list(primes), "passed": True}
 
     def test_failed_identity_fails_its_entries(self, monkeypatch):
         monkeypatch.setattr(derivation, "roots_of_unity_vanish", lambda k: k != 6)
         c = derive(6, 7, 0.5)
-        assert all(cert["passed"] for cert in c.certificates)  # the floats cannot tell
-        assert not c.exact and not c.verified
+        assert all(cert["passed"] for cert in c["certificates"])  # the floats cannot tell
+        assert not c["exact_certificate"]["passed"] and not c["verified"]
         with pytest.raises(CertificateError, match="exact certificate failed at K=6, N=7"):
             build_ledger(7)
         ledger = derivation._derive(7)
-        assert verify_ledger(ledger) == [(6, 7, t) for t in ledger.lookup(Fraction(6, 7)).theta_samples]
+        thetas = lookup(ledger, Fraction(6, 7))["theta_samples"]
+        assert verify_ledger(ledger) == [(6, 7, t) for t in thetas]
 
 
 class TestFloatCertificate:
@@ -285,8 +296,8 @@ class TestFloatCertificate:
         with pytest.raises(CertificateError, match=failed):
             build_ledger(3)
         ledger = derivation._derive(3)
-        assert not ledger.verified
-        assert len(verify_ledger(ledger)) == sum(len(c.theta_samples) for c in ledger.entries)
+        assert not any(e["verified"] for e in ledger.entries)
+        assert len(verify_ledger(ledger)) == sum(len(e["theta_samples"]) for e in ledger.entries)
 
 
 class TestHaarBound:
@@ -294,48 +305,55 @@ class TestHaarBound:
     def test_dominates_the_full_construction(self, seed):
         # the per-entry N x N construction, built over the rotated base itself
         ledger = build_ledger(32, rotate_bases=True, seed=seed)
-        for c in ledger.entries[1:]:
-            defect, errors = full_certificate(c.spec)
-            assert len(errors) == len(c.certificates)
-            for cert, error in zip(c.certificates, errors):
-                assert cert["defect"] >= defect, (c.K, c.N)
-                assert cert["overlap_error"] >= error, (c.K, c.N, cert["theta"])
+        for spec, bound, bounds in float_certificates(ledger)[1:]:
+            defect, errors = full_certificate(spec)
+            assert len(errors) == len(bounds)
+            assert bound >= defect, spec[:2]
+            for theta, error_bound, error in zip(spec[2], bounds, errors):
+                assert error_bound >= error, (*spec[:2], theta)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_certifies_at_the_dimension_bound(self, seed):
         # the widest K at N = 512 takes the largest rounding term
         _, specs = ledger_specs(512, rotate_bases=True, seed=seed, dims=[512])
-        for c in CertificateKernel().derive([specs[0], specs[-1]]):
-            assert c.verified
-            for cert in c.certificates:
-                assert cert["defect"] <= DEFECT_TOLERANCE
-                assert cert["overlap_error"] <= OVERLAP_TOLERANCE
+        columns = certify_specs([specs[0], specs[-1]])
+        assert all(e["verified"] for e in columns.entry_json(range(2)))
+        assert (columns.defects <= DEFECT_TOLERANCE).all()
+        assert (columns.errors <= OVERLAP_TOLERANCE).all()
 
     def test_standard_numbers_plus_the_bound(self):
-        std, rot = CertificateKernel().derive([
+        columns = certify_specs([
             (3, 8, (0.4, 2.0), "standard", None), (3, 8, (0.4, 2.0), "haar", 17)])
         eps = derivation.haar_unitary(8, 17).defect
         extra = 8 * eps + derivation.rotation_rounding(3, 8)
-        for a, b in zip(std.certificates, rot.certificates):
-            assert b["defect"] == a["defect"] + extra
-            assert b["overlap_error"] == a["overlap_error"] + extra
+        std, rot = columns.defects.tolist()
+        assert rot == std + extra
+        errors = columns.errors.tolist()
+        for a, b in zip(errors[:2], errors[2:]):
+            assert b == a + extra
 
 
 class TestDigest:
     def test_hashes_verdicts_not_float_numbers(self):
-        c = derive(2, 5, 0.3)
-        moved = replace(c, defect=2 * c.defect,
-                        overlap_errors=tuple(e + 1e-15 for e in c.overlap_errors))
-        assert moved.certificate_digest() == c.certificate_digest()
-        failed = replace(c, overlap_errors=(2 * OVERLAP_TOLERANCE,))
-        assert [cert["passed"] for cert in failed.certificates] == [False]
+        spec, exact = (2, 5, (0.3,), "standard", None), ((2,), True)
+        c = certify_specs([spec])
+
+        def digest(columns):
+            return next(columns.entry_json([0]))["certificate_digest"]
+
+        moved = replace(c, defects=2 * c.defects, errors=c.errors + 1e-15)
+        assert digest(moved) == digest(c) == derivation._digest(spec, exact, [True])
+        failed = replace(c, errors=np.array([2 * OVERLAP_TOLERANCE]))
+        assert [cert["passed"] for cert in next(failed.entry_json([0], True))["certificates"]] == [
+            False]
         for changed in (
-            failed,
-            replace(c, exact_certificate=ExactCertificate((2,), False)),
-            replace(c, theta_samples=(math.nextafter(0.3, 1.0),)),
-            replace(c, base_kind="haar", base_seed=0),
+            digest(failed),
+            derivation._digest(spec, ((2,), False), [True]),
+            derivation._digest((2, 5, (math.nextafter(0.3, 1.0),), "standard", None), exact,
+                               [True]),
+            derivation._digest((2, 5, (0.3,), "haar", 0), exact, [True]),
         ):
-            assert changed.certificate_digest() != c.certificate_digest()
+            assert changed != digest(c)
 
 
 class TestCompareToBorn:
@@ -350,11 +368,8 @@ class TestCompareToBorn:
 class TestSerialization:
     def test_round_trip_preserves_verification(self, ledger10):
         rebuilt = ConstraintLedger.from_json(ledger10.to_json())
-        assert [c.modulus_squared for c in rebuilt.entries] == [
-            c.modulus_squared for c in ledger10.entries]
-        assert rebuilt.verified
-        assert [c.certificate_digest() for c in rebuilt.entries] == [
-            c.certificate_digest() for c in ledger10.entries]
+        assert rebuilt.entries == ledger10.entries  # K, N, value, digest, verdict of each
+        assert verify_ledger(rebuilt) == []
 
     def test_digest_tamper_detected(self, ledger10):
         payload = ledger10.to_json()
@@ -371,9 +386,9 @@ class TestSerialization:
         monkeypatch.setattr(derivation, "read_specs", refuse)
         built = build_ledger(7, rotate_bases=True, seed=3)
         rebuilt = ConstraintLedger.from_json(built.to_json())
-        assert rebuilt.entries == built.entries and rebuilt.verified
-        assert [c.certificate_digest() for c in rebuilt.entries] == [
-            c.certificate_digest() for c in built.entries]
+        assert rebuilt.entries == built.entries and verify_ledger(rebuilt) == []
+        for name, column in vars(built).items():  # the float numbers too
+            assert np.array_equal(getattr(rebuilt, name), column), name
         assert not hasattr(derivation, "_certified")
 
     def test_every_key_derive_writes_is_compared(self, ledger10, monkeypatch):
@@ -451,7 +466,7 @@ class TestReadSpecs:
         def refuse(*args):
             raise AssertionError("a certificate was derived")
 
-        monkeypatch.setattr(derivation.CertificateKernel, "certify", refuse)
+        monkeypatch.setattr(derivation, "certify_specs", refuse)
         payload = ledger10.to_json()
         for entry in payload["entries"]:
             entry.update(certificate_digest="0" * 64, verified=False, proof_trace=[])
@@ -473,10 +488,11 @@ class TestKernel:
     def test_batch_matches_one_entry_at_a_time(self):
         # ragged theta lists, shared K, mixed kinds: each row of the per-K
         # pass must give the bits of that entry derived alone
-        batch = CertificateKernel().derive(self.SPECS)
-        alone = [CertificateKernel().derive([spec])[0] for spec in self.SPECS]
-        assert [c.certificates for c in batch] == [c.certificates for c in alone]
-        assert [(c.K, c.N, c.theta_samples) for c in batch] == [
+        batch = list(certify_specs(self.SPECS).entry_json(range(len(self.SPECS)), True))
+        alone = [next(certify_specs([spec]).entry_json([0], True)) for spec in self.SPECS]
+        assert [c["certificates"] for c in batch] == [c["certificates"] for c in alone]
+        assert batch == alone
+        assert [(c["K"], c["N"], tuple(c["theta_samples"])) for c in batch] == [
             (k, n, thetas) for k, n, thetas, _, _ in self.SPECS
         ]
 
@@ -506,7 +522,7 @@ class TestCertificateProbes:
         # one block per K, and no partial-DFT basis, Haar-rotated or not
         calls = _counting(monkeypatch, derivation, "dft_block")
         calls_inside = _counting(monkeypatch, construction, "dft_block")
-        assert build_ledger(12, rotate_bases=True, seed=2).verified
+        assert verify_ledger(build_ledger(12, rotate_bases=True, seed=2)) == []
         assert calls_inside == []
         assert sorted(calls) == [(k,) for k in range(1, 12)]
 
@@ -542,6 +558,6 @@ class TestContinuityExtension:
 
 
 def test_proof_traces_present(ledger8):
-    c = ledger8.lookup(Fraction(3, 7))
-    assert any("3/7" in step for step in c.proof_trace)
-    assert len(c.proof_trace) >= 3
+    c = lookup(ledger8, Fraction(3, 7))
+    assert any("3/7" in step for step in c["proof_trace"])
+    assert len(c["proof_trace"]) >= 3

@@ -23,7 +23,7 @@ from bornlab.cli import main
 from bornlab.falsifier import MAX_STEP_SCALE, _ledger_phase, _ledger_residuals, expm, hill_climb
 
 import reference
-from conftest import make_ledger_locked_candidate, make_wrong_above_denominator
+from conftest import lookup, make_ledger_locked_candidate, make_wrong_above_denominator
 from reference import certificate
 
 
@@ -79,9 +79,9 @@ class TestRotatedLedger:
         w = falsify(candidate_from_expression("r"), quick_cfg(), ledger.specs()).witness
         assert w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
         assert (w.dimension, w.seed_chain) == (2, (0, 1, 2, 1))
-        c = ledger.lookup(0.5)
-        assert c.base_kind == "haar"
-        basis, state = certificate(1, 2, c.theta_samples[0], "haar", c.base_seed)
+        c = lookup(ledger, 0.5)
+        assert c["base_kind"] == "haar"
+        basis, state = certificate(1, 2, c["theta_samples"][0], "haar", c["base_seed"])
         assert w.state == state
         assert w.basis == basis
         standard, _ = certificate(1, 2, 0.0, "standard", None)
@@ -94,8 +94,8 @@ class TestRotatedLedger:
         w = falsify(candidate_from_expression("r"), cfg, ledger.specs()).witness
         shrunk = shrink_witness(w, ledger.specs(), cfg)
         assert shrunk.dimension == 2
-        c = ledger.lookup(0.5)
-        assert shrunk.basis == certificate(1, 2, c.theta_samples[0], "haar", c.base_seed)[0]
+        c = lookup(ledger, 0.5)
+        assert shrunk.basis == certificate(1, 2, c["theta_samples"][0], "haar", c["base_seed"])[0]
         assert abs(replay_witness(shrunk) - shrunk.residual) <= 1e-12
 
 
