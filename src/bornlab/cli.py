@@ -39,6 +39,8 @@ import os
 import re
 import sys
 import time
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -79,6 +81,9 @@ MAX_LEDGER_BYTES = 89 * 2**20
 MIN_TOLERANCE = 1e-12
 # stands in for a derive report's ledger entries, which _emit writes one at a time
 _ENTRIES = "\0entries"
+# what json.load reads with: NaN and Infinity accepted, strings strict
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace, json.decoder.WHITESPACE
 
 
 class _UsageError(Exception):
@@ -226,15 +231,110 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
+class _StoredEntries(Sequence):
+    """The entries array of a ledger file: the offset of each entry in the
+    file's text.  Entry i is decoded when it is read, and not kept."""
+
+    def __init__(self, text: str, starts: array):
+        self.text, self.starts = text, starts
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        return _DECODER.scan_once(self.text, self.starts[i])[0]
+
+
+def _scan(text: str, at: int):
+    """(value, end) of the JSON value at text[at], as json.loads decodes it."""
+    try:
+        return _DECODER.scan_once(text, at)
+    except StopIteration as stop:
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+
+
+def _walk(text: str, at: int, descend=("result", "ledger")):
+    """(value, end) of the JSON value at text[at], as ``_scan`` gives it, but
+    an object's members are read one at a time: an "entries" array is
+    indexed (``_index``), and the value of a key in ``descend`` is walked in
+    turn, with the keys after it.  The errors are json.loads' own."""
+    if text[at:at + 1] != "{":
+        return _scan(text, at)
+    members, end = {}, _SPACE.match(text, at + 1).end()
+    if text[end:end + 1] == "}":
+        return members, end + 1
+    while True:
+        if text[end:end + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, end)
+        key, end = json.decoder.scanstring(text, end + 1)
+        end = _SPACE.match(text, end).end()
+        if text[end:end + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+        end = _SPACE.match(text, end + 1).end()
+        if key == "entries" and text[end:end + 1] == "[":
+            members[key], end = _index(text, end)
+        elif key in descend:
+            members[key], end = _walk(text, end, descend[descend.index(key) + 1:])
+        else:
+            members[key], end = _scan(text, end)  # a later duplicate key wins, as in json
+        end = _SPACE.match(text, end).end()
+        if text[end:end + 1] == "}":
+            return members, end + 1
+        if text[end:end + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _SPACE.match(text, end + 1).end()
+
+
+def _index(text: str, at: int):
+    """(_StoredEntries, end) of the array at text[at]: each element is
+    decoded once, to find where it ends, and dropped."""
+    starts, end = array("q"), _SPACE.match(text, at + 1).end()
+    if text[end:end + 1] == "]":
+        return _StoredEntries(text, starts), end + 1
+    while True:
+        starts.append(end)
+        end = _SPACE.match(text, _scan(text, end)[1]).end()
+        if text[end:end + 1] == "]":
+            return _StoredEntries(text, starts), end + 1
+        if text[end:end + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _SPACE.match(text, end + 1).end()
+
+
+def _parse(text: str):
+    """json.loads(text), with each "entries" array of the objects ``_walk``
+    reads as ``_StoredEntries``: the whole text is parsed, and any syntax
+    error raised, before an entry is checked."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    payload, end = _walk(text, _SPACE.match(text).end())
+    end = _SPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return payload
+
+
+def _read_bounded(path: str) -> bytes:
+    """The bytes of the file at path, if it holds at most MAX_LEDGER_BYTES:
+    a file past the bound is refused before it is read, and a pipe, whose
+    size reads 0, once it has given one byte more."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size > MAX_LEDGER_BYTES:
+            raise ValueError(f"{size} bytes, past the bound of {MAX_LEDGER_BYTES}")
+        data = handle.read(MAX_LEDGER_BYTES + 1)
+    if len(data) > MAX_LEDGER_BYTES:
+        raise ValueError(f"more than {MAX_LEDGER_BYTES} bytes, past the bound of "
+                         f"{MAX_LEDGER_BYTES}")
+    return data
+
+
 def _read_ledger(path: str):
     """The ledger payload of a derive report (or of a bare ledger) on disk,
-    if the file holds at most MAX_LEDGER_BYTES."""
+    parsed by ``_parse`` from one text of the file (``_read_bounded``)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size > MAX_LEDGER_BYTES:
-                raise ValueError(f"{size} bytes, past the bound of {MAX_LEDGER_BYTES}")
-            payload = json.load(handle)
+        payload = _parse(_read_bounded(path).decode("utf-8"))  # the bytes go before the parse
     # ValueError covers a file past the bound, bad JSON, bad UTF-8 and integers
     # past Python's digit limit; RecursionError, nesting deeper than the decoder's
     except (OSError, ValueError, RecursionError) as exc:

@@ -143,16 +143,19 @@ def certificate_probes(specs: Iterable[Spec]):
 
     For K < N the partial-DFT basis, built once, and the symmetric state of
     each theta; for K = N the base itself and its first vector, phased by
-    e^{i theta}.  A base is rebuilt, standard or Haar-rotated, only when
-    (N, base_kind, base_seed) changes, so callers group specs by N.
+    e^{i theta}.  Each base, standard or Haar-rotated, is built once per
+    call, at the first spec of its (N, base_kind, base_seed), and kept for
+    the rest: specs in any order cost one base per (N, kind, seed), and the
+    sum of their N^2 entries in memory.
     """
-    key = base = None
+    bases = {}
     for spec in specs:
         k, n, thetas, kind, sub = spec
         if k == 0:
             continue
-        if key != (n, kind, sub):
-            key, base = (n, kind, sub), _rebuild_base(n, kind, sub)
+        if (n, kind, sub) not in bases:
+            bases[n, kind, sub] = _rebuild_base(n, kind, sub)
+        base = bases[n, kind, sub]
         if k == n:
             yield spec, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
                                for t in thetas]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -125,9 +126,11 @@ class _Columns:
         ``_spec_json``, digest, verdict and proof trace.  With full_certificates
         it also carries the certificates its digest covers: the exact one
         (primes, verdict), and the float one at each theta (``_certificates``).
-        ``order`` is read twice."""
+        ``order`` is read two or three times."""
         values, exact, offsets = self.values.tolist(), self.exact.tolist(), self.offsets.tolist()
         verdicts = self.verdicts().tolist()
+        # one pass for every entry's construction, so each base is built once
+        probes = certificate_probes(self._specs(order)) if full_certificates else None
         for i, spec in zip(order, self._specs(order)):
             (k, n, *_), ok = spec, verdicts[offsets[i]:offsets[i + 1]]
             entry = dict(_spec_json(spec, values[i]),
@@ -135,19 +138,20 @@ class _Columns:
                          verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
             if full_certificates:
                 entry["exact_certificate"] = {"primes": list(_primes(k, n)), "passed": exact[i]}
-                entry["certificates"] = self._certificates(i, spec, ok)
+                entry["certificates"] = self._certificates(i, spec, ok, probes)
             yield entry
 
-    def _certificates(self, i: int, spec: Spec, verdicts: list[bool]) -> list[dict]:
+    def _certificates(self, i: int, spec: Spec, verdicts: list[bool], probes) -> list[dict]:
         """Entry i's float certificate at each theta, theta reduced mod 2 pi,
-        with the basis, state and overlaps it was computed from, built for
-        this entry alone (``certificate_probes``); P(0)'s have none."""
+        with the basis, state and overlaps it was computed from, the next of
+        ``probes`` (``certificate_probes``); P(0)'s have none, and take none."""
         k, n, thetas, *_ = spec
         defect, errors = self.defects[i].item(), self.errors[self.offsets[i]:self.offsets[i + 1]]
         certs = [{"kind": _kind(k, n), "theta": t % TWO_PI, "defect": defect,
                   "overlap_error": e, "passed": ok}
                  for t, e, ok in zip(thetas, errors.tolist(), verdicts)]
-        for _, basis, states in certificate_probes([spec]):
+        if k:
+            _, basis, states = next(probes)
             rows = basis.to_json()  # one basis for every theta
             for cert, state in zip(certs, states):
                 cert.update(basis=rows, state=state.to_json(),
@@ -314,11 +318,13 @@ def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
     return thetas, specs
 
 
-def _check_stored(stored: list, keys, derived: Iterable[dict]) -> None:
+def _check_stored(stored: Sequence, keys, derived: Iterable[dict]) -> None:
     """Check the stored entries, in Farey order, against the derived JSON
     entries of float K/N ``keys``, in (N, K) order: every key, of the same
     JSON type, one entry at a time; raise CertificateError at the first
-    mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out."""
+    mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out.  Each
+    stored entry is read once, when it is compared, so a reader that
+    decodes it then holds one at a time."""
     place = np.argsort(_farey_order(keys)).tolist()  # each entry's in the file
     for entry, farey in zip(derived, place):
         raw = stored[farey]
@@ -336,7 +342,7 @@ def _farey_order(keys) -> list[int]:
     return np.argsort(np.asarray(keys, dtype=np.float64), kind="stable").tolist()
 
 
-def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
+def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
     """(n_max, seed, rotate_bases, theta_base, entries) of a serialized
     ledger; raise CertificateError on any fault, before any entry is read.
 
@@ -356,7 +362,9 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], list]:
     if not all(type(t) in (int, float) and _finite(t) for t in theta_base):
         raise CertificateError("ledger: theta_base must hold finite numbers only")
     theta_base = tuple(map(float, theta_base))
-    entries = _field(payload, "entries", list, "ledger")
+    entries = payload.get("entries")  # a list, or the lazily decoded entries of cli's reader
+    if isinstance(entries, str) or not isinstance(entries, Sequence):
+        raise CertificateError("ledger: entries is missing or not of type list")
     if not 1 <= n_max <= MAX_DIMENSION:
         raise CertificateError(f"ledger n_max must lie in 1..{MAX_DIMENSION}")
     if seed < 0:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -373,17 +374,40 @@ class TestMalformedLedger:
     @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
     def test_oversized_file_refused_before_it_is_read(self, tmp_path, capsys, monkeypatch,
                                                       argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the file was read")
+        class Unread(io.BufferedReader):
+            def read(self, *args):
+                raise AssertionError("the file was read")
 
         path = oversized_ledger(tmp_path)
-        monkeypatch.setattr(json, "load", refuse)
+        monkeypatch.setattr(cli, "open", lambda name, *args, **kwargs: Unread(io.FileIO(name)),
+                            raising=False)
         capsys.readouterr()
         assert main([*argv, path]) == 66
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"input error: cannot read ledger {path!r}: "
                               f"{MAX_LEDGER_BYTES + 1} bytes, past the bound")
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    def test_piped_file_past_the_bound_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # a pipe's size reads 0, so the bound holds for the bytes read as well
+        run(tmp_path, "derive", "--n-max", "4", name="ledger.json")
+        data = (tmp_path / "ledger.json").read_bytes()
+        for bound, code in ((len(data), 0), (len(data) - 1, 66)):
+            monkeypatch.setattr(cli, "MAX_LEDGER_BYTES", bound)
+            read, write = os.pipe()
+            path = f"/dev/fd/{read}"
+            try:
+                os.write(write, data)  # a few kB: the pipe's buffer holds them all
+                os.close(write)
+                capsys.readouterr()
+                assert main([*argv, path]) == code
+            finally:
+                os.close(read)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: cannot read ledger {path!r}: more than {bound} bytes, "
+                       f"past the bound of {bound}\n")
 
     @pytest.mark.parametrize("key, value, error", [
         ("n_max", 10**6, "ledger n_max must lie in 1..512"),
@@ -492,6 +516,129 @@ class TestMalformedLedger:
         assert code == 2
         assert payload["result"]["passed"] is False
         schema_validator("compare.schema.json").validate(payload)
+
+
+def _reordered(doc):
+    """The report with its ledger's header keys before its entries."""
+    ledger = doc["result"]["ledger"]
+    doc["result"]["ledger"] = dict(sorted(ledger.items(), key=lambda item: item[0] == "entries"))
+    return json.dumps(doc)
+
+
+def _duplicate_entries(before: str, value: str):
+    """The report with a second "entries" key in its ledger, just before the
+    key ``before``."""
+    def text(doc):
+        head, marker, tail = json.dumps(doc).partition(f'"{before}": ')
+        return head + f'"entries": {value}, ' + marker + tail
+    return text
+
+
+def _cut_after_tamper(doc):
+    """The report with a tampered digest at entry 2, cut off inside the last entry."""
+    doc["result"]["ledger"]["entries"][2]["certificate_digest"] = "f" * 64
+    text = json.dumps(doc)
+    return text[:text.rindex('"certificate_digest"', 0, text.index('"format_version"'))]
+
+
+# Each turns a fresh n_max = 4 report into the text of a file, with the exit
+# codes of certify and compare: json.load's reading of the text, entry by entry
+READER_CASES = {
+    "indent-2": (lambda doc: json.dumps(doc, indent=2), 0),
+    "header-before-entries": (_reordered, 0),
+    "bare-ledger": (lambda doc: json.dumps(doc["result"]["ledger"]), 0),
+    # the last of two keys wins
+    "duplicate-entries-emptied": (_duplicate_entries("format_version", "[]"), 2),
+    "duplicate-entries-restored": (_duplicate_entries("entries", "[5]"), 0),
+    "nan-theta-base": (lambda doc: json.dumps(doc).replace(
+        '"theta_base": [0.0', '"theta_base": [NaN', 1), 2),
+    "trailing-data": (lambda doc: json.dumps(doc) + " {}", 66),
+    "trailing-whitespace": (lambda doc: json.dumps(doc) + "\n\r\t ", 0),
+    "utf-8-bom": (lambda doc: "\ufeff" + json.dumps(doc), 66),
+    "cut-mid-entry-after-tamper": (_cut_after_tamper, 66),
+}
+
+
+class TestLedgerReader:
+    @pytest.fixture()
+    def report(self, tmp_path):
+        run(tmp_path, "derive", "--n-max", "4", name="ledger.json")
+        return (tmp_path / "ledger.json").read_text()
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_reads_as_json_load(self, tmp_path, capsys, report, argv, case):
+        text, want = READER_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(text(json.loads(report)), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == want
+        out, err = capsys.readouterr()
+        if want == 66:  # a syntax error anywhere, before any entry is checked
+            assert out == "" and err.count("\n") == 1
+        else:
+            assert "Traceback" not in err and json.loads(out)
+
+    def test_one_stored_entry_decoded_at_a_time(self, tmp_path, monkeypatch, report):
+        # each stored entry carries a marker key, which the comparison passes over;
+        # before each derived entry is compared, count the stored ones alive
+        path = tmp_path / "marked.json"
+        path.write_text(report.replace('"K": ', '"stored_marker": true, "K": '))
+        count = report.count('"K": ')
+        alive, check = [], derivation._check_stored
+
+        def watched(stored, keys, derived):
+            def entries():
+                for entry in derived:
+                    alive.append(sum(type(o) is dict and "stored_marker" in o
+                                     for o in gc.get_objects()))
+                    yield entry
+            return check(stored, keys, entries())
+
+        monkeypatch.setattr(derivation, "_check_stored", watched)
+        assert main(["certify", str(path), "-o", str(tmp_path / "c.json")]) == 0
+        assert main(["compare", "-p", "r^2", str(path), "-o", str(tmp_path / "k.json")]) == 0
+        assert len(alive) == 2 * count
+        assert max(alive) == 1  # the entry compared last; json.load held all 7
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_parse_agrees_with_json_loads(self, data):
+        # any mutation of a report's text: the same value, entries listed, or
+        # the same error
+        text = data.draw(st.sampled_from(_READER_TEXTS), label="text")
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            at = data.draw(st.integers(0, len(text)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            put = data.draw(st.sampled_from(["", *' \n{}[],:"0-.eEN\\', "NaN", "\ufeff"]))
+            text = text[:at] + put + text[at + cut:]
+        assert _outcome(cli._parse, text) == _outcome(json.loads, text)
+
+
+def _listed(value):
+    """value with every stored-entries sequence of the reader made a list."""
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, (list, cli._StoredEntries)):
+        return [_listed(item) for item in value]
+    return value
+
+
+def _outcome(parse, text):
+    try:
+        return json.dumps(_listed(parse(text)))
+    except (ValueError, RecursionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reader_texts():
+    doc = {"tool": "bornlab", "config": {"n_max": 2, "theta": [1.5]},
+           "result": {"entry_count": 3, "ledger": build_ledger(2).to_json()}}
+    return [json.dumps(doc), json.dumps(doc, indent=1), json.dumps(doc["result"]["ledger"]),
+            '{"result": {"ledger": {"entries": [{"K": 1}, [], 2]}, "ledger": []}, "result": 5}']
+
+
+_READER_TEXTS = _reader_texts()
 
 
 class TestFalsify:

@@ -518,6 +518,13 @@ class TestCertificateProbes:
         assert calls == list(dict.fromkeys((n, kind, sub) for _, n, _, kind, sub in specs[1:]))
         assert len(calls) == 6
 
+    def test_full_certificates_build_each_base_once(self, monkeypatch):
+        # the entries stream in Farey order, so N changes from one to the next
+        calls = _counting(monkeypatch, construction, "_rebuild_base")
+        ledger = build_ledger(16, rotate_bases=True, seed=2)
+        assert sum(1 for _ in ledger.json_entries(full_certificates=True)) == len(ledger)
+        assert sorted(n for n, _, _ in calls) == list(range(1, 17))  # it was 80
+
     def test_kernel_builds_each_dft_block_once(self, monkeypatch):
         # one block per K, and no partial-DFT basis, Haar-rotated or not
         calls = _counting(monkeypatch, derivation, "dft_block")
