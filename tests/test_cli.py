@@ -599,7 +599,7 @@ class TestLedgerReader:
         assert main(["certify", str(path), "-o", str(tmp_path / "c.json")]) == 0
         assert main(["compare", "-p", "r^2", str(path), "-o", str(tmp_path / "k.json")]) == 0
         assert len(alive) == 2 * count
-        assert max(alive) == 1  # the entry compared last; json.load held all 7
+        assert max(alive) == 1  # the entry compared last
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())

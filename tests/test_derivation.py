@@ -523,7 +523,7 @@ class TestCertificateProbes:
         calls = _counting(monkeypatch, construction, "_rebuild_base")
         ledger = build_ledger(16, rotate_bases=True, seed=2)
         assert sum(1 for _ in ledger.json_entries(full_certificates=True)) == len(ledger)
-        assert sorted(n for n, _, _ in calls) == list(range(1, 17))  # it was 80
+        assert sorted(n for n, _, _ in calls) == list(range(1, 17))
 
     def test_kernel_builds_each_dft_block_once(self, monkeypatch):
         # one block per K, and no partial-DFT basis, Haar-rotated or not
