@@ -31,6 +31,7 @@ from .hilbert import (
     inner_product,
     matrix_to_pairs,
     random_state,
+    random_states,
     vector_to_pairs,
 )
 
@@ -234,7 +235,7 @@ def random_probes(p: CandidateDistribution, key: tuple, n: int, trials: int):
     Each residual has the bits of scoring its trial alone."""
     for ts, subs in _seeded_chunks((*key, n), trials):
         unitaries = haar_unitaries(n, subs)  # each validated as a unitary
-        states = np.array([random_state(n, sub + 1).amplitudes for sub in subs])
+        states = random_states(n, [sub + 1 for sub in subs])  # and each as a state
         yield ts, subs, unitaries, states, check_normalization(p, unitaries, states)
 
 

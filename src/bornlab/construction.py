@@ -108,15 +108,17 @@ def entry_overlaps(specs) -> tuple[np.ndarray, np.ndarray]:
     thetas, ...), in order, theta reduced modulo 2 pi as the constructions
     reduce it.  The other K - 1 overlaps are 0; the exact certificate proves
     all N for every theta, and any base has them by unitary invariance."""
-    first, symmetric = [], []
+    rows = sum(len(spec[2]) for spec in specs)
+    first, symmetric = np.empty(rows, np.complex128), np.empty(rows, np.complex128)
+    row = 0  # filled in place: a list of complex objects takes 40 bytes a row
     for k, n, thetas, *_ in specs:
         modulus, root = math.sqrt(k / n), math.sqrt(n)
         for theta in thetas:
             t = float(theta) % TWO_PI
             phase = complex(math.cos(t), math.sin(t))
-            first.append(phase * modulus)
-            symmetric.append(phase / root)
-    return np.array(first, dtype=np.complex128), np.array(symmetric, dtype=np.complex128)
+            first[row], symmetric[row] = phase * modulus, phase / root
+            row += 1
+    return first, symmetric
 
 
 def overlap_contract_error(overlaps: np.ndarray, K: int, n: int, theta: float) -> float:

@@ -195,7 +195,7 @@ def certify_specs(specs: list[Spec]) -> _Columns:
     owners = np.repeat(np.arange(len(ks)), np.diff(offsets))
     row_ks, errors = ks[owners], np.zeros(len(thetas))
     gram, vanish = np.zeros(ks.max(initial=0) + 1), np.zeros(ks.max(initial=0) + 1, bool)
-    for k in np.unique(ks[ks > 0]).tolist():
+    for k in (np.flatnonzero(np.bincount(ks)[1:]) + 1).tolist():  # each K > 0, ascending
         block, rows = dft_block(k), np.flatnonzero(row_ks == k)
         gram[k], row_sums = orthonormality_defect(block), block.conj().sum(axis=1)
         vanish[k] = roots_of_unity_vanish(k)  # once per K, read where K < N
@@ -496,7 +496,7 @@ def continuity_extension_check(
         raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
     counts = [len(spec[2]) for spec in specs]
     owners = np.repeat(np.arange(len(specs)), counts)  # the spec of each row
-    first, _ = entry_overlaps(specs)
+    first = entry_overlaps(specs)[0]  # the symmetric overlaps go at once
     targets = np.repeat([k / n for k, n, *_ in specs], counts)
     rational = np.abs(evaluate(p, first) - targets)
     r = _worst_index(rational)

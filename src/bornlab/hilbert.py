@@ -237,13 +237,40 @@ def _gram_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj() @ m.T - np.eye(m.shape[0]))))
 
 
-def random_state(n: int, seed: int) -> StateVector:
-    """Haar-uniform state on the unit sphere of C^n, deterministic per seed."""
+def random_states(n: int, seeds) -> np.ndarray:
+    """Haar-uniform states on the unit sphere of C^n, one per seed, as a
+    read-only (len(seeds), n) stack of amplitudes.  The stack is checked at
+    once, as StateVector checks one state: finite and of unit norm.  Row i
+    is bit for bit the state that seeds[i] alone gives."""
+    states = _random_rows(n, seeds)
+    if not np.isfinite(states).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    norm_sq = np.sum(states.real**2 + states.imag**2, axis=-1)
+    off = np.flatnonzero(np.abs(norm_sq - 1.0) > NORM_TOLERANCE)
+    if off.size:
+        raise ValueError(f"state is not normalized: <v|v> = {norm_sq[off[0]].item()!r}")
+    states.setflags(write=False)
+    return states
+
+
+def _random_rows(n: int, seeds) -> np.ndarray:
+    """The unchecked rows of :func:`random_states`: each seed's Gaussian
+    vector over its own 1-D norm (a stacked norm sums in another order)."""
     if n < 1:
         raise DimensionError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return StateVector(z / np.linalg.norm(z))
+    states = np.empty((len(seeds), n), dtype=np.complex128)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        states[i] = z / np.linalg.norm(z)
+    return states
+
+
+def random_state(n: int, seed: int) -> StateVector:
+    """Haar-uniform state on the unit sphere of C^n, deterministic per seed:
+    the stack-of-one case of :func:`random_states`, checked once, by
+    ``StateVector``."""
+    return StateVector(_random_rows(n, [seed])[0])
 
 
 def standard_basis(n: int) -> OrthonormalBasis:

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -199,6 +201,13 @@ class TestCertify:
         code, payload = run(tmp_path, "certify", str(path))
         assert code == 2
         assert not payload["result"]["verified"]
+
+    def test_n_max_1_ledger_verifies(self, tmp_path):
+        # the smallest ledger, P(0) and P(1), lies inside the header's bounds
+        run(tmp_path, "derive", "--n-max", "1", name="l1.json")
+        code, payload = run(tmp_path, "certify", str(tmp_path / "l1.json"))
+        assert (code, payload["result"]["verified"], payload["result"]["entry_count"]) == (0, True, 2)
+        assert run(tmp_path, "compare", "-p", "r^2", str(tmp_path / "l1.json"))[0] == 0
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.json")]) == 66
@@ -556,6 +565,11 @@ READER_CASES = {
     "trailing-whitespace": (lambda doc: json.dumps(doc) + "\n\r\t ", 0),
     "utf-8-bom": (lambda doc: "\ufeff" + json.dumps(doc), 66),
     "cut-mid-entry-after-tamper": (_cut_after_tamper, 66),
+    "crlf-line-ends": (lambda doc: json.dumps(doc, indent=1).replace("\n", "\r\n"), 0),
+    # characters of two, three and four bytes in every entry: byte spans are not character spans
+    "non-ascii-strings": (lambda doc: json.dumps(doc).replace(
+        '"K": ', '"note": "\u00e9\u20ac\U0001d53b", "K": '), 0),
+    "bad-utf-8": (lambda doc: json.dumps(doc).replace("bornlab", "born\udcfflab", 1), 66),
 }
 
 
@@ -567,17 +581,75 @@ class TestLedgerReader:
 
     @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
     @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_reads_as_json_load(self, tmp_path, capsys, report, argv, case):
+    def test_reads_as_json_load(self, tmp_path, capsys, monkeypatch, report, argv, case):
         text, want = READER_CASES[case]
         path = tmp_path / "doc.json"
-        path.write_text(text(json.loads(report)), encoding="utf-8")
-        capsys.readouterr()
-        assert main([*argv, str(path)]) == want
-        out, err = capsys.readouterr()
+        path.write_text(text(json.loads(report)), encoding="utf-8", errors="surrogateescape")
+        size, windows, text = path.stat().st_size, [], cli._Text
+        monkeypatch.setattr(cli, "_Text", lambda *args: windows.append(args[2]) or text(*args))
+        outcomes = []
+        for window in (size, 1, 3, 5):
+            monkeypatch.setattr(cli, "_WINDOW", window)
+            capsys.readouterr()
+            code = main([*argv, str(path)])
+            out, err = capsys.readouterr()
+            outcomes.append((code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out), err))
+        assert outcomes[0][0] == want
         if want == 66:  # a syntax error anywhere, before any entry is checked
-            assert out == "" and err.count("\n") == 1
+            assert outcomes[0][1] == "" and outcomes[0][2].count("\n") == 1
         else:
-            assert "Traceback" not in err and json.loads(out)
+            assert "Traceback" not in outcomes[0][2] and json.loads(outcomes[0][1])
+        # windows of a few bytes put their edges inside strings, numbers,
+        # "\r\n" and the BOM: the same report, error and exit code as one
+        # window, and the file is parsed again whole only to raise an error
+        assert outcomes[1:] == outcomes[:1] * 3
+        again = [size] if want == 66 else []
+        assert windows == [size] + again + [w for w in (1, 3, 5) for w in [w] + again]
+
+    def test_whole_text_never_held(self, tmp_path, monkeypatch):
+        # reading the whole file would hold its bytes and text at once, and
+        # then its text while the entries are checked; in windows of 4 kB the
+        # peak of the read, and what it leaves held, stay below half the file
+        run(tmp_path, "derive", "--n-max", "64", name="l64.json")
+        path = str(tmp_path / "l64.json")
+        size, seen, header = os.path.getsize(path), [], derivation._header
+
+        def watched(payload):  # the first step after the read, in certify and compare
+            seen.append(tracemalloc.get_traced_memory())
+            return header(payload)
+
+        monkeypatch.setattr(cli, "_WINDOW", 4096)
+        monkeypatch.setattr(derivation, "_header", watched)
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            tracemalloc.start()
+            try:
+                assert main([*argv, path, "-o", os.devnull]) == 0
+            finally:
+                tracemalloc.stop()
+            held, peak = seen.pop()
+            assert size > 500_000 and held < size / 2 and peak < size / 2
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    @pytest.mark.parametrize("rewrite", [lambda text: " " + text, lambda text: text[1:]],
+                             ids=["longer", "shorter"])
+    def test_file_rewritten_after_indexing_exits_66(self, tmp_path, capsys, monkeypatch,
+                                                   report, argv, rewrite):
+        # the stored entries are read from the file as they are checked: a
+        # file rewritten in between is an input error.  One byte shorter, each
+        # entry's span starts with a whole JSON string, "K", and goes on.
+        path = tmp_path / "doc.json"
+        path.write_text(report)
+        check = derivation._check_stored
+
+        def rewritten(*args):
+            path.write_text(rewrite(report))
+            return check(*args)
+
+        monkeypatch.setattr(derivation, "_check_stored", rewritten)
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == 66
+        assert capsys.readouterr() == ("", f"input error: cannot read ledger {str(path)!r}: "
+                                           "the file changed while it was read\n")
 
     def test_one_stored_entry_decoded_at_a_time(self, tmp_path, monkeypatch, report):
         # each stored entry carries a marker key, which the comparison passes over;
@@ -601,6 +673,18 @@ class TestLedgerReader:
         assert len(alive) == 2 * count
         assert max(alive) == 1  # the entry compared last
 
+    @pytest.mark.parametrize("which", [0, 3])
+    def test_every_first_window_edge(self, which):
+        # the first window's edge at each byte in turn: inside "\r\n" and
+        # inside numbers, such as a member's "1.|0" or "1e|-05", which would
+        # read as 1: the windowed pass alone gives json.loads' value
+        text = '{"spread": 1.0e-05, "scale": -2.5E+3, ' + _READER_TEXTS[which][1:]
+        data = text.replace(", ", ",\r\n").encode()
+        want = _outcome(json.loads, data.decode())
+        for window in range(1, len(data) + 1):
+            src = cli._Text(_reads(data), len(data), window)
+            assert _outcome(lambda _: cli._walk_text(src), None) == want, window
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_parse_agrees_with_json_loads(self, data):
@@ -612,7 +696,16 @@ class TestLedgerReader:
             cut = data.draw(st.integers(0, 2), label="cut")
             put = data.draw(st.sampled_from(["", *' \n{}[],:"0-.eEN\\', "NaN", "\ufeff"]))
             text = text[:at] + put + text[at + cut:]
-        assert _outcome(cli._parse, text) == _outcome(json.loads, text)
+        want, data = _outcome(json.loads, text), text.encode()
+        read = _reads(data)
+        assert _outcome(lambda _: cli._parse(read, len(data)), text) == want
+        # in windows of a few bytes, the windowed pass alone agrees, or fails
+        # where json.loads does
+        for window in (1, 2, 3, 7):
+            got = _outcome(lambda _: cli._walk_text(cli._Text(read, len(data), window)), text)
+            assert got == want if want[0] == "value" else got[0] != "value"
+            with mock.patch.object(cli, "_WINDOW", window):
+                assert _outcome(lambda _: cli._parse(read, len(data)), text) == want
 
 
 def _listed(value):
@@ -626,9 +719,14 @@ def _listed(value):
 
 def _outcome(parse, text):
     try:
-        return json.dumps(_listed(parse(text)))
+        return "value", json.dumps(_listed(parse(text)))
     except (ValueError, RecursionError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return type(exc).__name__, str(exc)
+
+
+def _reads(data: bytes):
+    """read(offset, size) of data, as the reader reads a file."""
+    return lambda at, size: data[at:at + size]
 
 
 def _reader_texts():
@@ -939,13 +1037,41 @@ def test_no_subcommand_imports_scipy(tmp_path):
         "    assert main(argv) == code, argv\n"
         "print(sys.modules['scipy'])\n"
     )
-    src = os.path.dirname(os.path.dirname(bornlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
-    )
+    done = _run_script(script, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "None"
+
+
+def test_ledger_commands_import_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB and 9 ms at import, and np.unique imports it;
+    # with its entry in sys.modules set to None, any import of it fails
+    script = (
+        "import os, sys\n"
+        "sys.modules['numpy.ma'] = None\n"
+        "from bornlab.cli import main\n"
+        "ledger, null = os.path.join(sys.argv[1], 'l.json'), os.devnull\n"
+        "runs = [\n"
+        "    (['derive', '--n-max', '8', '-o', ledger], 0),\n"
+        "    (['derive', '--n-max', '4', '--rotate-bases', '--full-certificates', '-o', null], 0),\n"
+        "    (['certify', ledger, '-o', null], 0),\n"
+        "    (['compare', '-p', 'r^2', ledger, '-o', null], 0),\n"
+        "    (['compare', '-p', 'r', ledger, '-o', null], 1),\n"
+        "]\n"
+        "for argv, code in runs:\n"
+        "    assert main(argv) == code, argv\n"
+        "print(sys.modules['numpy.ma'])\n"
+    )
+    done = _run_script(script, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
+
+
+def _run_script(script: str, *args):
+    """python -c script args, in a fresh process that imports this checkout's bornlab."""
+    src = os.path.dirname(os.path.dirname(bornlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True)
 
 
 class TestSimulate:

@@ -264,6 +264,17 @@ class TestExactCertificate:
                 ]
             assert product == [-1] + [0] * (n - 1) + [1], n
 
+    def test_wrong_cyclotomic_polynomial_fails(self, monkeypatch):
+        # with Phi_(K+1) in place of Phi_K the identity is false, so a check
+        # that passed anyway would certify nothing
+        phi = construction.cyclotomic
+        monkeypatch.setattr(construction, "cyclotomic", lambda k: phi(k + 1))
+        roots_of_unity_vanish.cache_clear()
+        try:
+            assert [roots_of_unity_vanish(k) for k in (4, 6, 8, 9, 12, 15)] == [False] * 6
+        finally:
+            roots_of_unity_vanish.cache_clear()
+
     def test_prime_factors(self):
         assert [prime_factors(k) for k in (1, 2, 12, 97, 360, 512)] == [
             (), (2,), (2, 3), (97,), (2, 3, 5), (2,)
@@ -298,6 +309,15 @@ class TestFloatCertificate:
         ledger = derivation._derive(3)
         assert not any(e["verified"] for e in ledger.entries)
         assert len(verify_ledger(ledger)) == sum(len(e["theta_samples"]) for e in ledger.entries)
+
+
+    @pytest.mark.parametrize("column, tolerance", [
+        ("defects", DEFECT_TOLERANCE), ("errors", OVERLAP_TOLERANCE)])
+    def test_tolerance_is_inclusive(self, column, tolerance):
+        # a number at its tolerance passes, and the next float up fails
+        columns = certify_specs([(1, 2, (0.5,), "standard", None)] * 2)
+        numbers = np.array([tolerance, math.nextafter(tolerance, math.inf)])
+        assert replace(columns, **{column: numbers}).verdicts().tolist() == [True, False]
 
 
 class TestHaarBound:

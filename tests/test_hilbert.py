@@ -225,3 +225,24 @@ class TestRandomState:
     def test_zero_dimension(self):
         with pytest.raises(DimensionError):
             random_state(0, 1)
+        with pytest.raises(DimensionError):
+            hilbert.random_states(0, [1])
+
+    def test_stack_rows_are_each_seed_alone(self):
+        seeds = [3, 11, 2**63 - 1]
+        stack = hilbert.random_states(6, seeds)
+        assert stack.shape == (3, 6) and not stack.flags.writeable
+        for row, seed in zip(stack, seeds):
+            assert row.tobytes() == random_state(6, seed).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("value, error", [
+        (0.5, r"state is not normalized: <v\|v> = 0\.75"),
+        (math.nan, "amplitudes must be finite"),
+    ])
+    def test_stack_checked_as_states(self, monkeypatch, value, error):
+        # each row is checked as StateVector checks one state
+        rows = hilbert._random_rows
+        monkeypatch.setattr(hilbert, "_random_rows",
+                            lambda n, seeds: np.vstack([rows(n, seeds[:1]), np.full(n, value)]))
+        with pytest.raises(ValueError, match=error):
+            hilbert.random_states(3, [1, 2])
