@@ -312,6 +312,8 @@ class _Text:
             end = _SPACE.match(self.text, pos - self.start).end()
             if end < len(self.text) or self.done:
                 return self.start + end, self.text[end:end + 1]
+            pos = self.start + end
+            self.drop(pos)  # whitespace is not kept, however long it runs
             self.grow()
 
     def scan(self, pos: int, scan=_scan):

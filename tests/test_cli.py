@@ -606,12 +606,18 @@ class TestLedgerReader:
         again = [size] if want == 66 else []
         assert windows == [size] + again + [w for w in (1, 3, 5) for w in [w] + again]
 
-    def test_whole_text_never_held(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("pad", [0, 600_000])
+    def test_whole_text_never_held(self, tmp_path, monkeypatch, pad):
         # reading the whole file would hold its bytes and text at once, and
         # then its text while the entries are checked; in windows of 4 kB the
-        # peak of the read, and what it leaves held, stay below half the file
+        # peak of the read, and what it leaves held, stay below half the
+        # file, also when whitespace before and after the report outruns them
         run(tmp_path, "derive", "--n-max", "64", name="l64.json")
         path = str(tmp_path / "l64.json")
+        with open(path, "r+") as handle:
+            text = handle.read()
+            handle.seek(0)
+            handle.write(" " * pad + text + "\n" * pad)
         size, seen, header = os.path.getsize(path), [], derivation._header
 
         def watched(payload):  # the first step after the read, in certify and compare
