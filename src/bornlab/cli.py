@@ -250,10 +250,10 @@ class _StoredEntries(Sequence):
         start, end = self.spans[2 * i], self.spans[2 * i + 1]
         try:
             text = self.read(start, end - start).decode("utf-8")
-            value, end = _scan(text, 0)
+            value, end = _DECODER.scan_once(text, 0)
             if end == len(text):
                 return value
-        except ValueError:
+        except (ValueError, StopIteration):
             pass
         raise ValueError("the file changed while it was read")
 
@@ -373,9 +373,17 @@ def _index(src: _Text, at: int):
     spans, (end, char) = array("q"), src.skip(at + 1)
     if char != "]":
         while True:
-            start = src.drop(end)
+            # since the last drop, only ASCII: whitespace, "," or '"entries": ['
+            start = src.byte + end - src.kept
             end = src.scan(end)[1]
             spans.extend((start, src.drop(end)))
+            text, base = src.text, src.start
+            after = _SPACE.match(text, end - base).end()
+            if text[after:after + 1] == ",":  # mostly, with the next value in the window
+                after = _SPACE.match(text, after + 1).end()
+                if after < len(text):
+                    end = base + after
+                    continue
             end, char = src.skip(end)
             if char == "]":
                 break

@@ -681,11 +681,12 @@ class TestLedgerReader:
 
     @pytest.mark.parametrize("which", [0, 3])
     def test_every_first_window_edge(self, which):
-        # the first window's edge at each byte in turn: inside "\r\n" and
-        # inside numbers, such as a member's "1.|0" or "1e|-05", which would
-        # read as 1: the windowed pass alone gives json.loads' value
+        # the first window's edge at each byte in turn: inside runs of
+        # whitespace and "\r\n", and inside numbers, such as a member's
+        # "1.|0" or "1e|-05", which would read as 1: the windowed pass alone
+        # gives json.loads' value
         text = '{"spread": 1.0e-05, "scale": -2.5E+3, ' + _READER_TEXTS[which][1:]
-        data = text.replace(", ", ",\r\n").encode()
+        data = text.replace(", ", ",\r\n\t ").encode()
         want = _outcome(json.loads, data.decode())
         for window in range(1, len(data) + 1):
             src = cli._Text(_reads(data), len(data), window)
