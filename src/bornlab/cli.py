@@ -235,10 +235,15 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
+class _Unreadable(Exception):
+    """A stored entry of a ledger file that no longer reads as it was indexed."""
+
+
 class _StoredEntries(Sequence):
     """The entries array of a ledger file: the byte span of each entry,
     read(offset, size) giving the file's bytes.  Entry i is read and decoded
-    when it is read, and not kept."""
+    when it is read, and not kept; in turn, the file is read forward
+    _WINDOW bytes at a time.  A fault raises _Unreadable."""
 
     def __init__(self, read, spans: array):
         self.read, self.spans = read, spans
@@ -247,15 +252,28 @@ class _StoredEntries(Sequence):
         return len(self.spans) // 2
 
     def __getitem__(self, i):
-        start, end = self.spans[2 * i], self.spans[2 * i + 1]
+        return next(self._entries((self.spans[2 * i], self.spans[2 * i + 1]), 0))
+
+    def __iter__(self):
+        return self._entries(self.spans, _WINDOW)
+
+    def _entries(self, spans, window: int):
+        """The entry of each (start, end) pair of spans, read in at least
+        window bytes at a time."""
+        data, base = b"", 0  # the bytes read last, from offset base
         try:
-            text = self.read(start, end - start).decode("utf-8")
-            value, end = _DECODER.scan_once(text, 0)
-            if end == len(text):
-                return value
+            for start, end in zip(spans[::2], spans[1::2]):
+                if end - base > len(data):
+                    data, base = self.read(start, max(window, end - start)), start
+                text = data[start - base:end - base].decode("utf-8")
+                value, at = _DECODER.scan_once(text, 0)
+                if at != len(text):
+                    raise ValueError(text)
+                yield value
+        except OSError as exc:
+            raise _Unreadable(exc) from None
         except (ValueError, StopIteration):
-            pass
-        raise ValueError("the file changed while it was read")
+            raise _Unreadable("the file changed while it was read") from None
 
 
 def _scan(text: str, at: int):
@@ -373,17 +391,9 @@ def _index(src: _Text, at: int):
     spans, (end, char) = array("q"), src.skip(at + 1)
     if char != "]":
         while True:
-            # since the last drop, only ASCII: whitespace, "," or '"entries": ['
-            start = src.byte + end - src.kept
+            start = src.drop(end)
             end = src.scan(end)[1]
             spans.extend((start, src.drop(end)))
-            text, base = src.text, src.start
-            after = _SPACE.match(text, end - base).end()
-            if text[after:after + 1] == ",":  # mostly, with the next value in the window
-                after = _SPACE.match(text, after + 1).end()
-                if after < len(text):
-                    end = base + after
-                    continue
             end, char = src.skip(end)
             if char == "]":
                 break
@@ -440,18 +450,21 @@ def _reader(handle):
 def _read_ledger(path: str):
     """The ledger payload of a derive report (or of a bare ledger) on disk,
     parsed by ``_parse``, while the file is open for its stored entries."""
-    try:
-        with open(path, "rb") as handle:
-            payload = _parse(*_reader(handle))
-            for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
-                if isinstance(payload, dict):
-                    payload = payload.get(key, payload)
+    with contextlib.ExitStack() as stack:
+        try:
+            payload = _parse(*_reader(stack.enter_context(open(path, "rb"))))
+        # ValueError covers a file past the bound, bad JSON, bad UTF-8 and
+        # integers past Python's digit limit; RecursionError, nesting deeper
+        # than the decoder's
+        except (OSError, ValueError, RecursionError) as exc:
+            raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
+        for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
+            if isinstance(payload, dict):
+                payload = payload.get(key, payload)
+        try:
             yield payload
-    # ValueError covers a file past the bound, bad JSON, bad UTF-8, integers
-    # past Python's digit limit and a stored entry that no longer decodes;
-    # RecursionError, nesting deeper than the decoder's
-    except (OSError, ValueError, RecursionError) as exc:
-        raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
+        except _Unreadable as exc:  # a stored entry, read as it is checked
+            raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:

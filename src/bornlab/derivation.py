@@ -296,7 +296,7 @@ class ConstraintLedger(_Columns):
         the extra ones of ``--full-certificates``; raise CertificateError on any fault."""
         n_max, seed, rotate_bases, theta_base, stored = _header(payload)
         ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        _check_stored(stored, ledger.ks / ledger.ns, ledger.entry_json(range(len(ledger))))
+        _check_stored(stored, ledger.ks / ledger.ns, ledger.entry_json)
         return ledger
 
 
@@ -314,25 +314,29 @@ def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
     thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
     specs.insert(0, _P_ZERO)
     _check_stored(stored, [k / n for k, n, *_ in specs],
-                  (_spec_json(spec, spec[:2]) for spec in specs))
+                  lambda order: (_spec_json(specs[i], specs[i][:2]) for i in order))
     return thetas, specs
 
 
-def _check_stored(stored: Sequence, keys, derived: Iterable[dict]) -> None:
+def _check_stored(stored: Sequence, keys, derive) -> None:
     """Check the stored entries, in Farey order, against the derived JSON
-    entries of float K/N ``keys``, in (N, K) order: every key, of the same
-    JSON type, one entry at a time; raise CertificateError at the first
-    mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out.  Each
-    stored entry is read once, when it is compared, so a reader that
-    decodes it then holds one at a time."""
-    place = np.argsort(_farey_order(keys)).tolist()  # each entry's in the file
-    for entry, farey in zip(derived, place):
-        raw = stored[farey]
+    entries of float K/N ``keys``, in (N, K) order, that derive(indices)
+    gives: every key, of the same JSON type; raise CertificateError at the
+    first mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out.
+    The stored entries are read once each, in turn, so a reader that
+    decodes each then holds one at a time and reads its file forward."""
+    order = _farey_order(keys)
+    first = len(order), ""  # the (N, K) index and fault of the first mismatch
+    for at, entry, raw in zip(order, derive(order), stored):
         for key, want in entry.items():
             value = raw.get(key, _OPTIONAL_FIELDS.get(key)) if isinstance(raw, dict) else None
             # of the same type too: 1 == True, but 1 is no JSON boolean
             if value != want or type(value) is not type(want):
-                raise CertificateError(f"{key} mismatch at K={entry['K']}, N={entry['N']}")
+                if at < first[0]:
+                    first = at, f"{key} mismatch at K={entry['K']}, N={entry['N']}"
+                break
+    if first[1]:
+        raise CertificateError(first[1])
 
 
 def _farey_order(keys) -> list[int]:

@@ -32,6 +32,17 @@ def _complex_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def _unit_states(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, a state or a stack of them as rows, once each
+    state has unit norm: |<v|v> - 1| <= NORM_TOLERANCE."""
+    for row in arr if arr.ndim == 2 else [arr]:
+        norm_sq = float(np.real(np.vdot(row, row)))
+        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+            raise ValueError(f"state is not normalized: <v|v> = {norm_sq!r}")
+    arr.setflags(write=False)
+    return arr
+
+
 def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -55,12 +66,7 @@ class StateVector:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        arr = _complex_array(amplitudes, 1)
-        norm_sq = float(np.real(np.vdot(arr, arr)))
-        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
-            raise ValueError(f"state is not normalized: <v|v> = {norm_sq!r}")
-        arr.setflags(write=False)
-        self.amplitudes = arr
+        self.amplitudes = _unit_states(_complex_array(amplitudes, 1))
 
     @property
     def dim(self) -> int:
@@ -239,18 +245,10 @@ def _gram_defect(m: np.ndarray) -> float:
 
 def random_states(n: int, seeds) -> np.ndarray:
     """Haar-uniform states on the unit sphere of C^n, one per seed, as a
-    read-only (len(seeds), n) stack of amplitudes.  The stack is checked at
-    once, as StateVector checks one state: finite and of unit norm.  Row i
-    is bit for bit the state that seeds[i] alone gives."""
-    states = _random_rows(n, seeds)
-    if not np.isfinite(states).all():
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    norm_sq = np.sum(states.real**2 + states.imag**2, axis=-1)
-    off = np.flatnonzero(np.abs(norm_sq - 1.0) > NORM_TOLERANCE)
-    if off.size:
-        raise ValueError(f"state is not normalized: <v|v> = {norm_sq[off[0]].item()!r}")
-    states.setflags(write=False)
-    return states
+    read-only (len(seeds), n) stack of amplitudes, checked as StateVector
+    checks one state.  Row i is bit for bit the state that seeds[i] alone
+    gives."""
+    return _unit_states(_complex_array(_random_rows(n, seeds), 2))
 
 
 def _random_rows(n: int, seeds) -> np.ndarray:

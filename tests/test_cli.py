@@ -387,9 +387,13 @@ class TestMalformedLedger:
             def read(self, *args):
                 raise AssertionError("the file was read")
 
+        def pread(*args):
+            raise AssertionError("the file was read")
+
         path = oversized_ledger(tmp_path)
         monkeypatch.setattr(cli, "open", lambda name, *args, **kwargs: Unread(io.FileIO(name)),
                             raising=False)
+        monkeypatch.setattr(cli.os, "pread", pread)  # how a regular file is read
         capsys.readouterr()
         assert main([*argv, path]) == 66
         out, err = capsys.readouterr()
@@ -657,6 +661,40 @@ class TestLedgerReader:
         assert capsys.readouterr() == ("", f"input error: cannot read ledger {str(path)!r}: "
                                            "the file changed while it was read\n")
 
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    def test_read_fault_while_checking_exits_66(self, tmp_path, capsys, monkeypatch, report,
+                                                argv):
+        path = tmp_path / "doc.json"
+        path.write_text(report)
+        check = derivation._check_stored
+
+        def failing(*args):
+            raise OSError(5, "Input/output error")
+
+        def check_failing(*args):
+            monkeypatch.setattr(cli.os, "pread", failing)
+            return check(*args)
+
+        monkeypatch.setattr(derivation, "_check_stored", check_failing)
+        capsys.readouterr()
+        assert main([*argv, str(path)]) == 66
+        assert capsys.readouterr() == ("", f"input error: cannot read ledger {str(path)!r}: "
+                                           "[Errno 5] Input/output error\n")
+
+    @pytest.mark.parametrize("argv", [["certify"], ["compare", "-p", "r^2"]])
+    def test_fault_after_the_read_is_no_input_error(self, tmp_path, monkeypatch, report, argv):
+        # only reading the file is an input error: a fault of the derivation
+        # or of the check, once the file is parsed, surfaces as it is
+        path = tmp_path / "doc.json"
+        path.write_text(report)
+
+        def fault(*args):
+            raise ValueError("a fault of the check")
+
+        monkeypatch.setattr(derivation, "_check_stored", fault)
+        with pytest.raises(ValueError, match="^a fault of the check$"):
+            main([*argv, str(path)])
+
     def test_one_stored_entry_decoded_at_a_time(self, tmp_path, monkeypatch, report):
         # each stored entry carries a marker key, which the comparison passes over;
         # before each derived entry is compared, count the stored ones alive
@@ -665,13 +703,13 @@ class TestLedgerReader:
         count = report.count('"K": ')
         alive, check = [], derivation._check_stored
 
-        def watched(stored, keys, derived):
-            def entries():
-                for entry in derived:
+        def watched(stored, keys, derive):
+            def entries(order):
+                for entry in derive(order):
                     alive.append(sum(type(o) is dict and "stored_marker" in o
                                      for o in gc.get_objects()))
                     yield entry
-            return check(stored, keys, entries())
+            return check(stored, keys, entries)
 
         monkeypatch.setattr(derivation, "_check_stored", watched)
         assert main(["certify", str(path), "-o", str(tmp_path / "c.json")]) == 0

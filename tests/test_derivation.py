@@ -427,6 +427,17 @@ class TestSerialization:
         with pytest.raises(CertificateError):
             ConstraintLedger.from_json(payload)
 
+    def test_first_mismatch_in_n_k_order(self, ledger10):
+        # the stored entries are read in the file's Farey order, 1/3 before
+        # 1/2; the fault raised is still the first in (N, K) order
+        payload = ledger10.to_json()
+        for entry in payload["entries"]:
+            if entry["K"] == 1 and entry["N"] in (2, 3):
+                entry["theta_samples"] = []
+        for read in (ConstraintLedger.from_json, read_specs):
+            with pytest.raises(CertificateError, match="^theta_samples mismatch at K=1, N=2$"):
+                read(payload)
+
     @pytest.mark.parametrize(
         "make,digest",
         [
