@@ -87,7 +87,7 @@ _ENTRIES = "\0entries"
 # what json.load reads with: NaN and Infinity accepted, strings strict
 _DECODER = json.JSONDecoder()
 _SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace, json.decoder.WHITESPACE
-_WINDOW = 1 << 20  # bytes of a ledger file decoded at a time (``_Text``)
+_WINDOW = 1 << 16  # bytes of a ledger file decoded, or read back, at a time
 
 
 class _UsageError(Exception):
