@@ -294,10 +294,11 @@ def check_n_independence(
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    specs = [(k, n, (theta,)) for n in dims for k in range(1, n + 1)]
-    first, _ = entry_overlaps(specs)
+    ks = np.concatenate([np.arange(1, n + 1) for n in dims])  # every K <= N, unreduced
+    ns = np.repeat(dims, dims)
+    first, _ = entry_overlaps(ks, ns, theta)
     by_fraction: dict[Fraction, list[tuple[int, float]]] = {}
-    for (k, n, _), value in zip(specs, evaluate(p, first).tolist()):
+    for k, n, value in zip(ks.tolist(), ns.tolist(), evaluate(p, first).tolist()):
         by_fraction.setdefault(Fraction(k, n), []).append((n, value))
     max_residual = 0.0
     worst = {"candidate": p.name, "overlap_only": True}

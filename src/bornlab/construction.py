@@ -12,9 +12,9 @@ Given any orthonormal basis of C^N this module builds
 
 Together these pin the probability of an overlap of modulus sqrt(K/N)
 to exactly K/N; the ledger in :mod:`bornlab.derivation` is built on top.
-:func:`entry_overlaps` gives their overlaps in closed form, and
-:func:`certificate_probes` the N x N matrices, for a witness or a full
-certificate.
+Ledger entries are held in columns (:class:`Specs`); :func:`entry_overlaps`
+gives their overlaps in closed form, and :func:`certificate_probes` the
+N x N matrices, for a witness or a full certificate.
 
 Every inner product of the two constructions reduces to one identity of
 the K-th roots of unity, which :func:`roots_of_unity_vanish` checks in
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -35,8 +35,32 @@ from .hilbert import OrthonormalBasis, StateVector, haar_unitary, standard_basis
 
 TWO_PI = 2.0 * math.pi
 
-# (K, N, theta samples, base_kind, base_seed): one ledger entry's construction
-Spec = tuple[int, int, tuple[float, ...], str, Optional[int]]
+
+@dataclass(frozen=True, eq=False)
+class Specs:
+    """The constructions of ledger entries in columns, in order.  Entry i
+    has the modulus sqrt(ks[i] / ns[i]) in C^ns[i], the base of the Haar
+    unitary of seed seeds[i] or, where that is -1, the standard basis, and
+    the theta samples thetas[offsets[i]:offsets[i + 1]]: its theta rows."""
+
+    ks: np.ndarray
+    ns: np.ndarray
+    seeds: np.ndarray
+    thetas: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def owners(self) -> np.ndarray:
+        """The entry of each theta row."""
+        return np.repeat(np.arange(len(self.ks)), np.diff(self.offsets))
+
+    def select(self, keep: np.ndarray) -> "Specs":
+        """The specs of the entries where the boolean ``keep`` holds, in order."""
+        counts = np.diff(self.offsets)[keep]
+        return Specs(self.ks[keep], self.ns[keep], self.seeds[keep],
+                     self.thetas[keep[self.owners()]], np.r_[0, np.cumsum(counts)])
 
 
 @dataclass(frozen=True)
@@ -102,68 +126,66 @@ def overlap_with_symmetric(tilde: PartialDftBasis, psi_star: SymmetricState) -> 
     return tilde.vectors.matrix.conj() @ psi_star.state.amplitudes
 
 
-def entry_overlaps(specs) -> tuple[np.ndarray, np.ndarray]:
+def entry_overlaps(ks, ns, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The first and the symmetric overlap, e^{i theta} sqrt(K/N) and
-    e^{i theta}/sqrt(N), of each (K, N, theta) row of the specs (K, N,
-    thetas, ...), in order, theta reduced modulo 2 pi as the constructions
-    reduce it.  The other K - 1 overlaps are 0; the exact certificate proves
-    all N for every theta, and any base has them by unitary invariance."""
-    rows = sum(len(spec[2]) for spec in specs)
-    first, symmetric = np.empty(rows, np.complex128), np.empty(rows, np.complex128)
-    row = 0  # filled in place: a list of complex objects takes 40 bytes a row
-    for k, n, thetas, *_ in specs:
-        modulus, root = math.sqrt(k / n), math.sqrt(n)
-        for theta in thetas:
-            t = float(theta) % TWO_PI
-            phase = complex(math.cos(t), math.sin(t))
-            first[row], symmetric[row] = phase * modulus, phase / root
-            row += 1
-    return first, symmetric
+    e^{i theta}/sqrt(N), of each (K, N, theta) row, broadcast, theta reduced
+    modulo 2 pi as the constructions reduce it.  The other K - 1 overlaps are
+    0; the exact certificate proves all N for every theta, and any base has
+    them by unitary invariance.  Each has the bits of one Python complex at
+    a time: numpy's complex / float would multiply by a reciprocal."""
+    t = np.remainder(np.broadcast_to(thetas, np.broadcast(ks, ns, thetas).shape), TWO_PI)
+    phase = np.empty(t.shape, np.complex128)
+    phase.real, phase.imag = np.cos(t), np.sin(t)
+    del t
+    first = phase * np.sqrt(np.divide(ks, ns))
+    root = np.sqrt(ns)
+    phase.real /= root
+    phase.imag /= root
+    return first, phase
 
 
 def overlap_contract_error(overlaps: np.ndarray, K: int, n: int, theta: float) -> float:
     """Max deviation of computed overlaps from the three-block contract."""
-    (first,), (symmetric,) = entry_overlaps([(K, n, (theta,))])
+    first, symmetric = entry_overlaps(K, n, theta)
     expected = np.full(n, symmetric)
     expected[0] = first
     expected[1:K] = 0.0
     return float(np.max(np.abs(overlaps - expected)))
 
 
-def _rebuild_base(n: int, kind: str, sub: Optional[int]) -> OrthonormalBasis:
-    """The standard basis, or the rows of U^T for the Haar unitary U of seed sub:
-    each standard vector moved by U."""
-    if kind == "standard":
+def _rebuild_base(n: int, seed: int) -> OrthonormalBasis:
+    """The standard basis for seed -1, else the rows of U^T for the Haar
+    unitary U of that seed: each standard vector moved by U."""
+    if seed < 0:
         return standard_basis(n)
-    return OrthonormalBasis(haar_unitary(n, int(sub)).matrix.T.copy())
+    return OrthonormalBasis(haar_unitary(n, seed).matrix.T.copy())
 
 
-def certificate_probes(specs: Iterable[Spec]):
-    """(spec, basis, states) behind the certificates of each spec with K > 0,
-    in order: the one place a certificate's N x N construction is built,
-    for a falsifier witness and ``--full-certificates``.
+def certificate_probes(specs: Specs, entries: Iterable[int]):
+    """(entry, basis, states) behind the certificates of each of the given
+    entries with K > 0, in order: the one place a certificate's N x N
+    construction is built, for a falsifier witness and ``--full-certificates``.
 
-    For K < N the partial-DFT basis, built once, and the symmetric state of
-    each theta; for K = N the base itself and its first vector, phased by
-    e^{i theta}.  Each base, standard or Haar-rotated, is built once per
-    call, at the first spec of its (N, base_kind, base_seed), and kept for
-    the rest: specs in any order cost one base per (N, kind, seed), and the
-    sum of their N^2 entries in memory.
+    For K < N the partial-DFT basis and the symmetric state of each theta;
+    for K = N the base itself and its first vector, phased by e^{i theta}.
+    Each base, standard or Haar-rotated, is built once per call, at the
+    first entry of its (N, seed): one base per (N, seed) in any order.
     """
     bases = {}
-    for spec in specs:
-        k, n, thetas, kind, sub = spec
+    for i in entries:
+        k, n, seed = (int(column[i]) for column in (specs.ks, specs.ns, specs.seeds))
         if k == 0:
             continue
-        if (n, kind, sub) not in bases:
-            bases[n, kind, sub] = _rebuild_base(n, kind, sub)
-        base = bases[n, kind, sub]
+        if (n, seed) not in bases:
+            bases[n, seed] = _rebuild_base(n, seed)
+        base = bases[n, seed]
+        thetas = specs.thetas[specs.offsets[i]:specs.offsets[i + 1]].tolist()
         if k == n:
-            yield spec, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
-                               for t in thetas]
+            yield i, base, [StateVector(np.exp(1j * (t % TWO_PI)) * base.matrix[0])
+                            for t in thetas]
         else:
-            yield spec, partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state
-                                                             for t in thetas]
+            yield i, partial_dft_basis(base, k).vectors, [symmetric_state(base, t).state
+                                                          for t in thetas]
 
 
 @functools.lru_cache(maxsize=None)

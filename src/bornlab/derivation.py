@@ -8,9 +8,10 @@ for all reduced fractions K/N with N <= n_max.  Each is certified by a
 concrete symmetric state and partial-DFT basis whose overlaps realize
 the modulus: exactly, by an identity of the K-th roots of unity that
 covers every theta, and as a float cross-check at sampled thetas.
-Asserted values are exact integer fractions.  The ledger is kept in
-columns in (N, K) order, written one entry at a time in Farey order, and
-its specs are the probes of the falsifier and the continuity probe.
+Asserted values are exact integer fractions.  A ledger is its specs
+(``construction.Specs``) in (N, K) order with its certificates in columns
+beside them, written one entry at a time in Farey order; its specs are
+the probes of the falsifier and the continuity probe.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .axioms import CandidateDistribution, _worst_index, evaluate
 from .construction import (
     TWO_PI,
-    Spec,
+    Specs,
     certificate_probes,
     dft_block,
     entry_overlaps,
@@ -50,16 +51,16 @@ FORMAT_VERSION = 4
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def _digest(spec: Spec, exact, verdicts: list[bool]) -> str:
+def _digest(spec: dict, exact, verdicts: list[bool]) -> str:
     """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
     the exact certificate (primes, passed), the float64 bits of the theta
-    samples and the kind and pass/fail verdict of each float certificate.
-    No float certificate number enters it, so it is the same on every BLAS,
-    thread count and CPU."""
-    k, n, thetas, kind, sub = spec
+    samples of the stored ``spec`` and the kind and pass/fail verdict of each
+    float certificate.  No float certificate number enters it, so it is the
+    same on every BLAS, thread count and CPU."""
+    k, n, thetas = spec["K"], spec["N"], spec["theta_samples"]
     primes, passed = exact
-    head = "%d %d %s %s %s %d %d|" % (k, n, kind, sub, ",".join(map(str, primes)), passed,
-                                      len(thetas))
+    head = "%d %d %s %s %s %d %d|" % (k, n, spec["base_kind"], spec["base_seed"],
+                                      ",".join(map(str, primes)), passed, len(thetas))
     tail = "|" + " ".join(map((_kind(k, n) + ":%d").__mod__, verdicts))
     packed = struct.pack(f"<{len(thetas)}d", *thetas)
     return hashlib.sha256(head.encode() + packed + tail.encode()).hexdigest()
@@ -83,43 +84,21 @@ def rotation_rounding(k, n):
 
 
 @dataclass(frozen=True, eq=False)
-class _Columns:
-    """Entries in columns, in order.  Entry i has the spec (ks[i], ns[i],
-    thetas[offsets[i]:offsets[i + 1]], the Haar base of seed seeds[i] or,
-    where that is -1, the standard basis) and asserts P = values[i, 0] /
+class _Columns(Specs):
+    """Certified specs, in order.  Entry i asserts P = values[i, 0] /
     values[i, 1]; its exact certificate passed if exact[i], and its float
     cross-check has the Gram defect defects[i] and the overlap error
-    errors[j] at each of its thetas j."""
+    errors[j] at each of its theta rows j."""
 
-    ks: np.ndarray
-    ns: np.ndarray
-    seeds: np.ndarray
-    thetas: np.ndarray
-    offsets: np.ndarray
     values: np.ndarray
     exact: np.ndarray
     defects: np.ndarray
     errors: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.ks)
-
-    def owners(self) -> np.ndarray:
-        """The entry of each theta sample."""
-        return np.repeat(np.arange(len(self.ks)), np.diff(self.offsets))
-
     def verdicts(self) -> np.ndarray:
         """Whether the float certificate at each theta sample passed."""
         ok = self.defects <= DEFECT_TOLERANCE
         return ok[self.owners()] & (self.errors <= OVERLAP_TOLERANCE)
-
-    def _specs(self, order) -> Iterator[Spec]:
-        """The spec of each entry in ``order``."""
-        ks, ns, seeds, offsets = (a.tolist() for a in (self.ks, self.ns, self.seeds, self.offsets))
-        for i in order:
-            sub = seeds[i]
-            yield (ks[i], ns[i], tuple(self.thetas[offsets[i]:offsets[i + 1]].tolist()),
-                   "standard" if sub < 0 else "haar", None if sub < 0 else sub)
 
     def entry_json(self, order, full_certificates: bool = False) -> Iterator[dict]:
         """Each entry in ``order`` as a ledger stores it, one at a time: its
@@ -127,25 +106,24 @@ class _Columns:
         it also carries the certificates its digest covers: the exact one
         (primes, verdict), and the float one at each theta (``_certificates``).
         ``order`` is read two or three times."""
-        values, exact, offsets = self.values.tolist(), self.exact.tolist(), self.offsets.tolist()
+        exact, offsets = self.exact.tolist(), self.offsets.tolist()
         verdicts = self.verdicts().tolist()
         # one pass for every entry's construction, so each base is built once
-        probes = certificate_probes(self._specs(order)) if full_certificates else None
-        for i, spec in zip(order, self._specs(order)):
-            (k, n, *_), ok = spec, verdicts[offsets[i]:offsets[i + 1]]
-            entry = dict(_spec_json(spec, values[i]),
-                         certificate_digest=_digest(spec, (_primes(k, n), exact[i]), ok),
+        probes = certificate_probes(self, order) if full_certificates else None
+        for i, entry in zip(order, _spec_json(self, order, self.values.tolist())):
+            k, n, ok = entry["K"], entry["N"], verdicts[offsets[i]:offsets[i + 1]]
+            entry.update(certificate_digest=_digest(entry, (_primes(k, n), exact[i]), ok),
                          verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
             if full_certificates:
                 entry["exact_certificate"] = {"primes": list(_primes(k, n)), "passed": exact[i]}
-                entry["certificates"] = self._certificates(i, spec, ok, probes)
+                entry["certificates"] = self._certificates(i, entry, ok, probes)
             yield entry
 
-    def _certificates(self, i: int, spec: Spec, verdicts: list[bool], probes) -> list[dict]:
+    def _certificates(self, i: int, spec: dict, verdicts: list[bool], probes) -> list[dict]:
         """Entry i's float certificate at each theta, theta reduced mod 2 pi,
         with the basis, state and overlaps it was computed from, the next of
         ``probes`` (``certificate_probes``); P(0)'s have none, and take none."""
-        k, n, thetas, *_ = spec
+        k, n, thetas = spec["K"], spec["N"], spec["theta_samples"]
         defect, errors = self.defects[i].item(), self.errors[self.offsets[i]:self.offsets[i + 1]]
         certs = [{"kind": _kind(k, n), "theta": t % TWO_PI, "defect": defect,
                   "overlap_error": e, "passed": ok}
@@ -167,10 +145,10 @@ def _primes(k: int, n: int) -> tuple[int, ...]:
     return prime_factors(k) if 0 < k < n else ()
 
 
-def certify_specs(specs: list[Spec]) -> _Columns:
-    """The specs in columns, certified in one array pass per K: exactly, for
-    every theta, and as a float cross-check at each theta.  K = 0 is P(0),
-    by its orthogonal pair.
+def certify_specs(specs: Specs) -> _Columns:
+    """The specs certified in one array pass per K: exactly, for every
+    theta, and as a float cross-check at each theta.  K = 0 is P(0), by its
+    orthogonal pair.
 
     In the standard basis the partial-DFT basis is exactly blockdiag(F_K,
     I), F_K = dft_block(K): its Gram defect is F_K's, and its overlaps with
@@ -182,17 +160,14 @@ def certify_specs(specs: list[Spec]) -> _Columns:
     seed), plus ``rotation_rounding`` for forming the construction in
     floats.  No N x N partial-DFT basis or symmetric state is built.
 
-    Each (entry, theta) pair is one row of its K's pass: the same
-    arithmetic, and bits, as one entry at a time.  A K = N entry's state
-    is its base's first vector, so its standard numbers are 0."""
-    ks, ns = (np.array([spec[i] for spec in specs], dtype=np.int64) for i in (0, 1))
+    Each theta row is one row of its K's pass: the same arithmetic, and
+    bits, as one entry at a time.  A K = N entry's state is its base's
+    first vector, so its standard numbers are 0."""
+    ks, ns, seeds, thetas = specs.ks, specs.ns, specs.seeds, specs.thetas
     bad = np.flatnonzero(((ks < 1) | (ks > ns)) & ((ks != 0) | (ns != 1)))  # P(0) is (0, 1)
     if bad.size:
         raise ParameterError(f"require 1 <= K <= N, got K={ks[bad[0]]}, N={ns[bad[0]]}")
-    seeds = np.array([-1 if s[3] == "standard" else s[4] for s in specs], dtype=np.int64)
-    thetas = np.array([t for spec in specs for t in spec[2]], dtype=np.float64)
-    offsets = np.r_[0, np.cumsum([len(spec[2]) for spec in specs], dtype=np.int64)]
-    owners = np.repeat(np.arange(len(ks)), np.diff(offsets))
+    owners = specs.owners()
     row_ks, errors = ks[owners], np.zeros(len(thetas))
     gram, vanish = np.zeros(ks.max(initial=0) + 1), np.zeros(ks.max(initial=0) + 1, bool)
     for k in (np.flatnonzero(np.bincount(ks)[1:]) + 1).tolist():  # each K > 0, ascending
@@ -205,9 +180,7 @@ def certify_specs(specs: list[Spec]) -> _Columns:
         overlaps[:, 0] -= phase * np.sqrt(k / n_rows)
         errors[rows] = np.where(n_rows == k, 0.0, np.max(np.abs(overlaps), axis=1))
     defects = np.where(ks < ns, gram[ks], 0.0)
-    # exact: a/b = K/N for (K/sqrt(K N))^2 and for the normalization 1 - (N - K)/N
-    exact = ((ks == ns) | vanish[ks]) & (ks * ks * ns == ks * ns * ks) & (
-        (ns - (ns - ks)) * ns == ns * ks)
+    exact = (ks == ns) | vanish[ks]
     base = standard_basis(2)
     overlap = complex(np.vdot(base.matrix[0], base.matrix[1]))  # exactly 0
     exact[ks == 0], defects[ks == 0] = overlap == 0, orthonormality_defect(base)
@@ -217,7 +190,7 @@ def certify_specs(specs: list[Spec]) -> _Columns:
         at = haar & (ns == n) & (seeds == sub)
         extra[at] = n * haar_unitary(n, sub).defect + rotation_rounding(ks[at], n)
     values = np.stack([ks, ns], axis=1) // np.gcd(ks, ns)[:, None]
-    return _Columns(ks, ns, seeds, thetas, offsets, values, exact, defects + extra,
+    return _Columns(ks, ns, seeds, thetas, specs.offsets, values, exact, defects + extra,
                     errors + extra[owners])
 
 
@@ -240,20 +213,20 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
             *([dft] if k > 1 else []), f"hence P(e^(i*theta)*sqrt({k}/{n})) = {k}/{n}")
 
 
-# P(0) = 0, by the orthogonal pair of C^2's standard basis (``certify_specs``)
-_P_ZERO: Spec = (0, 1, (0.0,), "standard", None)
-
-
 # entry fields a ledger may leave out, with the values read in their place
 _OPTIONAL_FIELDS = {"base_kind": "standard", "base_seed": None}
 
 
-def _spec_json(spec: Spec, value: tuple[int, int]) -> dict:
-    """The stored fields of an entry that no certificate enters: its spec and value."""
-    k, n, thetas, kind, sub = spec
-    num, den = value
-    return {"K": k, "N": n, "value": {"fraction": "%d/%d" % (num, den), "decimal": repr(num / den)},
-            "theta_samples": list(thetas), "base_kind": kind, "base_seed": sub}
+def _spec_json(specs: Specs, order, values: list) -> Iterator[dict]:
+    """The stored fields that no certificate enters of each entry in
+    ``order``, one at a time: its spec and its (numerator, denominator) values[i]."""
+    ks, ns, seeds, offsets = (a.tolist() for a in (specs.ks, specs.ns, specs.seeds, specs.offsets))
+    for i in order:
+        (num, den), sub = values[i], seeds[i]  # seed -1: the standard basis
+        yield {"K": ks[i], "N": ns[i], "value": {"fraction": "%d/%d" % (num, den),
+                                                 "decimal": repr(num / den)},
+               "theta_samples": specs.thetas[offsets[i]:offsets[i + 1]].tolist(),
+               "base_kind": "standard" if sub < 0 else "haar", "base_seed": None if sub < 0 else sub}
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,11 +243,6 @@ class ConstraintLedger(_Columns):
     def entries(self) -> tuple[dict, ...]:
         """The stored entry of each constraint, in (N, K) order."""
         return tuple(self.entry_json(range(len(self))))
-
-    def specs(self) -> list[Spec]:
-        """The spec of each constraint, in order: the ledger probes of
-        ``falsify`` and ``continuity_extension_check``."""
-        return list(self._specs(range(len(self))))
 
     def json_entries(self, full_certificates: bool = False) -> Iterator[dict]:
         """The serialized entries in Farey order, one at a time (``entry_json``)."""
@@ -300,7 +268,7 @@ class ConstraintLedger(_Columns):
         return ledger
 
 
-def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
+def read_specs(payload) -> tuple[tuple[float, ...], Specs]:
     """The theta base and the specs of a serialized ledger, from its header
     (``_header``, ``ledger_specs``) in (N, K) order, P(0)'s first; raise
     CertificateError on any fault.
@@ -312,9 +280,8 @@ def read_specs(payload) -> tuple[tuple[float, ...], list[Spec]]:
     """
     n_max, seed, rotate_bases, theta_base, stored = _header(payload)
     thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
-    specs.insert(0, _P_ZERO)
-    _check_stored(stored, [k / n for k, n, *_ in specs],
-                  lambda order: (_spec_json(specs[i], specs[i][:2]) for i in order))
+    values = np.stack([specs.ks, specs.ns], axis=1).tolist()  # each K/N is reduced
+    _check_stored(stored, specs.ks / specs.ns, lambda order: _spec_json(specs, order, values))
     return thetas, specs
 
 
@@ -383,10 +350,9 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
 
 
 def _derive(n_max: int, theta_samples=None, rotate_bases=False, seed=0) -> ConstraintLedger:
-    """The ledger of ``ledger_specs`` after P(0), all derived in one kernel pass."""
+    """The ledger of ``ledger_specs``, all derived in one kernel pass."""
     thetas, specs = ledger_specs(n_max, theta_samples, rotate_bases, seed)
-    columns = certify_specs([_P_ZERO] + specs)
-    return ConstraintLedger(**vars(columns), n_max=n_max, seed=seed,
+    return ConstraintLedger(**vars(certify_specs(specs)), n_max=n_max, seed=seed,
                             rotate_bases=rotate_bases, theta_base=thetas)
 
 
@@ -412,9 +378,10 @@ def ledger_specs(
     rotate_bases: bool = False,
     seed: int = 0,
     dims: Optional[Iterable[int]] = None,
-) -> tuple[tuple[float, ...], list[Spec]]:
-    """The theta base and the spec of every reduced K/N with N <= n_max, in
-    (N, K) order: the entries of a ledger, before any certificate.
+) -> tuple[tuple[float, ...], Specs]:
+    """The theta base and the specs of a ledger, before any certificate: P(0)
+    first, as (0, 1) in the standard basis at theta 0, then every reduced
+    K/N with N <= n_max, in (N, K) order.
 
     Each entry is probed at the base theta samples plus one seeded-random
     theta; with rotate_bases, each N gets a Haar-rotated base seeded by
@@ -426,16 +393,22 @@ def ledger_specs(
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     thetas = tuple(DEFAULT_THETAS if theta_samples is None else map(float, theta_samples))
-    kind = "haar" if rotate_bases else "standard"
     ns = range(1, n_max + 1) if dims is None else sorted(n for n in set(dims) if 1 <= n <= n_max)
-    specs = []
+    ks, seeds, extras = [np.zeros(1, np.int64)], [-1], [np.zeros(0)]
     for n in ns:
         key = np.random.SeedSequence([seed, n])
-        sub = int(key.generate_state(1)[0]) if rotate_bases else None
-        ks = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-        extras = np.random.default_rng(key.spawn(1)[0]).uniform(0.0, TWO_PI, len(ks))
-        specs.extend((k, n, thetas + (extra,), kind, sub) for k, extra in zip(ks, extras.tolist()))
-    return thetas, specs
+        ks.append(np.flatnonzero(np.gcd(np.arange(1, n + 1), n) == 1) + 1)
+        seeds.append(int(key.generate_state(1)[0]) if rotate_bases else -1)
+        extras.append(np.random.default_rng(key.spawn(1)[0]).uniform(0.0, TWO_PI, len(ks[-1])))
+    counts = [len(k) for k in ks]
+    width, rows = len(thetas) + 1, sum(counts) - 1
+    samples = np.zeros(1 + rows * width)  # P(0)'s one theta, then width per entry
+    grid = samples[1:].reshape(rows, width)
+    grid[:, :-1], grid[:, -1] = thetas, np.concatenate(extras)
+    return thetas, Specs(np.concatenate(ks, dtype=np.int64),
+                         np.repeat(np.array([1, *ns], np.int64), counts),
+                         np.repeat(np.array(seeds, np.int64), counts), samples,
+                         np.r_[0, 1 + width * np.arange(rows + 1)])
 
 
 def build_ledger(
@@ -482,29 +455,28 @@ def verify_ledger(ledger: ConstraintLedger) -> list[tuple[int, int, float]]:
 def continuity_extension_check(
     p: CandidateDistribution,
     theta_base: tuple[float, ...],
-    specs: list[Spec],
+    specs: Specs,
     grid_size: int,
 ) -> dict:
     """Quantitative form of the density argument.
 
-    max_rational_residual probes p at every spec's first overlap,
-    e^{i theta} sqrt(K/N) at each of its theta samples (``entry_overlaps``),
-    against K/N, the value the ledger asserts there;
-    max_grid_deviation_from_born probes p against |z|^2 on a uniform
-    modulus grid on [0, 1] times the base theta samples.  A continuous
-    candidate with a small rational residual on a dense ledger must have
-    a small grid deviation; a discontinuous one can pass the first probe
-    and fail the second.
+    max_rational_residual probes p at every entry's first overlap,
+    e^{i theta} sqrt(K/N) at each of its theta rows (``entry_overlaps``),
+    against K/N, the value the ledger asserts there, and names the worst
+    row's K, N and theta as sampled; max_grid_deviation_from_born probes p
+    against |z|^2 on a uniform modulus grid on [0, 1] times the base theta
+    samples.  A continuous candidate with a small rational residual on a
+    dense ledger must have a small grid deviation; a discontinuous one can
+    pass the first probe and fail the second.
     """
     if grid_size < 2:
         raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
-    counts = [len(spec[2]) for spec in specs]
-    owners = np.repeat(np.arange(len(specs)), counts)  # the spec of each row
-    first = entry_overlaps(specs)[0]  # the symmetric overlaps go at once
-    targets = np.repeat([k / n for k, n, *_ in specs], counts)
-    rational = np.abs(evaluate(p, first) - targets)
+    counts = np.diff(specs.offsets)  # the rows of an entry share its K and N
+    values = evaluate(p, entry_overlaps(np.repeat(specs.ks, counts), np.repeat(specs.ns, counts),
+                                        specs.thetas)[0])
+    rational = np.abs(values - np.repeat(specs.ks / specs.ns, counts))
     r = _worst_index(rational)
-    worst = None if r is None else specs[owners[r]]
+    i = None if r is None else np.searchsorted(specs.offsets, r, side="right") - 1  # r's entry
     moduli = np.linspace(0.0, 1.0, grid_size)
     thetas = np.array(theta_base, dtype=np.float64)
     grid_zs = np.outer(moduli, [complex(math.cos(t), math.sin(t)) for t in thetas])
@@ -514,8 +486,7 @@ def continuity_extension_check(
         "candidate": p.name,
         "max_rational_residual": 0.0 if r is None else float(rational[r]),
         "worst_rational": None if r is None else {
-            "K": worst[0], "N": worst[1],
-            "theta": [theta for spec in specs for theta in spec[2]][r],
+            "K": specs.ks[i].item(), "N": specs.ns[i].item(), "theta": specs.thetas[r].item(),
         },
         "max_grid_deviation_from_born": 0.0 if g is None else float(grid.flat[g]),
         "worst_grid": None if g is None else {

@@ -36,7 +36,7 @@ from .axioms import (
     evaluate,
     random_probes,
 )
-from .construction import Spec, certificate_probes, entry_overlaps
+from .construction import Specs, certificate_probes, entry_overlaps
 from .errors import ParameterError
 from .hilbert import OrthonormalBasis, StateVector, haar_unitary, random_state, standard_basis
 
@@ -149,39 +149,39 @@ def replay_witness(w: Witness, p: Optional[CandidateDistribution] = None) -> flo
     return check_normalization(p, w.basis, w.state)
 
 
-def _ledger_witness(p, specs, dims, cfg) -> tuple[Optional[Witness], int]:
-    """The first certificate of a K > 0 spec with N in dims, in the specs'
+def _ledger_witness(p, specs: Specs, dims, cfg) -> tuple[Optional[Witness], int]:
+    """The first certificate of a K > 0 entry with N in dims, in the specs'
     (N, K) order and then theta order, whose closed-form residual reaches
     the threshold, and the number scored up to it (all, if none does).  Only
     the witness's basis and state are built (``certificate_probes``), and
     its residual is scored on them, so that ``replay_witness`` reproduces it
     bit for bit."""
-    specs = [spec for spec in specs if spec[0] > 0 and spec[1] in dims]
-    rows, residuals = _ledger_residuals(p, specs)
+    specs = specs.select((specs.ks > 0) & np.isin(specs.ns, list(dims)))
+    residuals = _ledger_residuals(p, specs)
     hits = np.flatnonzero(residuals >= cfg.violation_threshold)
     if hits.size == 0:
-        return None, len(rows)
-    (k, n, _, kind, sub), theta = rows[hits[0]]
-    [(_, basis, [state])] = certificate_probes([(k, n, (theta,), kind, sub)])
+        return None, len(residuals)
+    row = int(hits[0])
+    [(i, basis, states)] = certificate_probes(specs, [int(specs.owners()[row])])
+    state = states[row - specs.offsets[i]]
     witness = _witness(p, Axiom.NORMALIZATION, basis, state, check_normalization(p, basis, state),
-                       (cfg.seed, 1, n, k), ConstructionTag.LEDGER_CERTIFICATE)
-    return witness, int(hits[0]) + 1
+                       (cfg.seed, 1, int(specs.ns[i]), int(specs.ks[i])),
+                       ConstructionTag.LEDGER_CERTIFICATE)
+    return witness, row + 1
 
 
-def _ledger_residuals(p, specs) -> tuple[list, np.ndarray]:
-    """The (spec, theta) rows of the specs, in order, and the normalization
-    residual of each row's construction from its exact overlaps z1 and zs
+def _ledger_residuals(p, specs: Specs) -> np.ndarray:
+    """The normalization residual of the construction of each theta row of
+    the specs, in order, from its exact overlaps z1 and zs
     (``entry_overlaps``): |P(z1) + (K - 1) P(0) + (N - K) P(zs) - 1|, from
     one ``evaluate`` call."""
-    rows = [(spec, theta) for spec in specs for theta in spec[2]]
-    first, symmetric = entry_overlaps(specs)
-    values = evaluate(p, np.concatenate([first, symmetric, [0.0]]))
-    ks = np.array([spec[0] for spec, _ in rows])
-    ns = np.array([spec[1] for spec, _ in rows])
+    owners = specs.owners()
+    ks, ns, rows = specs.ks[owners], specs.ns[owners], len(owners)
+    values = evaluate(p, np.concatenate([*entry_overlaps(ks, ns, specs.thetas), [0.0]]))
     # a term of count 0 is 0, even where P is inf there
-    zeros = np.multiply(ks - 1, values[-1], out=np.zeros(len(rows)), where=ks > 1)
-    tails = np.multiply(ns - ks, values[len(rows):-1], out=np.zeros(len(rows)), where=ns > ks)
-    return rows, np.abs(values[:len(rows)] + zeros + tails - 1.0)
+    zeros = np.multiply(ks - 1, values[-1], out=np.zeros(rows), where=ks > 1)
+    tails = np.multiply(ns - ks, values[rows:-1], out=np.zeros(rows), where=ns > ks)
+    return np.abs(values[:rows] + zeros + tails - 1.0)
 
 
 def _ledger_phase(p, cfg, specs) -> tuple[Optional[Witness], int]:
@@ -295,12 +295,12 @@ def _optimizer_phase(p, cfg) -> tuple[Optional[Witness], int, dict]:
     return None, probes, traces
 
 
-def falsify(p: CandidateDistribution, cfg: FalsifierConfig, specs: list[Spec]) -> FalsifyResult:
+def falsify(p: CandidateDistribution, cfg: FalsifierConfig, specs: Specs) -> FalsifyResult:
     """Search for a concrete axiom violation; None witness is a valid outcome.
 
-    The ledger phase probes the specs (``derivation.ledger_specs``) whose N
-    is in cfg.n_range, and each N there must have one."""
-    missing = set(cfg.n_range).difference(spec[1] for spec in specs)
+    The ledger phase probes the specs of K > 0 (``derivation.ledger_specs``,
+    or a ledger) whose N is in cfg.n_range, and each N there must have one."""
+    missing = set(cfg.n_range).difference(specs.ns[specs.ks > 0].tolist())
     if missing:
         raise ParameterError(f"no ledger spec of N = {min(missing)}, which the config asks for")
     witness, ledger_probes = _ledger_phase(p, cfg, specs)
@@ -312,7 +312,7 @@ def falsify(p: CandidateDistribution, cfg: FalsifierConfig, specs: list[Spec]) -
     return FalsifyResult(witness, probes)
 
 
-def shrink_witness(w: Witness, specs: list[Spec], cfg: FalsifierConfig) -> Witness:
+def shrink_witness(w: Witness, specs: Specs, cfg: FalsifierConfig) -> Witness:
     """Smallest-dimension ledger-certificate witness for the same candidate.
 
     Scans the ledger specs in ascending (N, K) order and returns the

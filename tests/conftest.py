@@ -4,10 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from referencing import Registry, Resource
 
 from bornlab import CandidateDistribution, build_ledger
+from bornlab.construction import Specs
+
+from reference import spec_rows
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -90,8 +94,24 @@ def lookup(ledger, fraction, full_certificates=False) -> dict:
 
 
 def float_certificates(ledger) -> list:
-    """(spec, defect, overlap errors) of each entry of the ledger, in (N, K)
-    order, read from its columns."""
+    """((K, N, thetas, seed), defect, overlap errors) of each entry of the
+    ledger, in (N, K) order, read from its columns."""
     offsets = ledger.offsets.tolist()
     return [(spec, ledger.defects[i].item(), ledger.errors[offsets[i]:offsets[i + 1]].tolist())
-            for i, spec in enumerate(ledger.specs())]
+            for i, spec in enumerate(spec_rows(ledger))]
+
+
+def make_specs(rows) -> Specs:
+    """The Specs of (K, N, thetas, seed) rows, seed -1 the standard basis."""
+    rows = list(rows)
+    ks, ns, seeds = (np.array([row[i] for row in rows], np.int64) for i in (0, 1, 3))
+    thetas = np.array([t for row in rows for t in row[2]], np.float64)
+    offsets = np.r_[0, np.cumsum([len(row[2]) for row in rows], dtype=np.int64)]
+    return Specs(ks, ns, seeds, thetas, offsets)
+
+
+def assert_same_specs(a, b) -> None:
+    """The five columns of two Specs hold the same bits, of the same dtypes."""
+    for name in ("ks", "ns", "seeds", "thetas", "offsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name

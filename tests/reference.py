@@ -5,7 +5,9 @@ climbs one probe at a time: the ledger scan builds each certificate's
 N x N construction and scores it alone, and each N-independence overlap
 is formed on its own in closed form.  The guard tests require the
 package's stacked and closed-form paths to give the same results, bit
-for bit.  ``full_certificate``
+for bit.  ``spec_rows`` reads a ledger's spec columns back one entry at
+a time, ``entry_overlaps`` forms each closed-form overlap on its own and
+``worst_rational`` scans them row by row.  ``full_certificate``
 builds one ledger entry's N x N construction, against which the
 certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
@@ -46,6 +48,7 @@ from bornlab.axioms import (
 from bornlab.hilbert import matrix_to_pairs
 from bornlab.construction import (
     TWO_PI,
+    Specs,
     certificate_probes,
     overlap_contract_error,
     partial_dft_basis,
@@ -100,11 +103,46 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     return u, state, best, trace
 
 
-def certificate(k, n, theta, kind, sub):
-    """(basis, state) behind one ledger certificate, built from the constructions."""
+def spec_rows(specs) -> list:
+    """(K, N, thetas, seed) of each entry of the specs, in order."""
+    bounds = zip(specs.offsets[:-1].tolist(), specs.offsets[1:].tolist())
+    return [(k, n, tuple(specs.thetas[a:b].tolist()), seed)
+            for k, n, seed, (a, b) in zip(specs.ks.tolist(), specs.ns.tolist(),
+                                          specs.seeds.tolist(), bounds)]
+
+
+def entry_overlaps(rows):
+    """The first and the symmetric overlap of each (K, N, theta) row, one
+    Python complex at a time, theta reduced modulo 2 pi."""
+    first, symmetric = [], []
+    for k, n, theta in rows:
+        t = float(theta) % TWO_PI
+        phase = complex(math.cos(t), math.sin(t))
+        first.append(phase * math.sqrt(k / n))
+        symmetric.append(phase / math.sqrt(n))
+    return np.array(first, np.complex128), np.array(symmetric, np.complex128)
+
+
+def worst_rational(p, specs):
+    """(K, N, theta) of the first row of the specs with the largest
+    |P(e^{i theta} sqrt(K/N)) - K/N|, scanned one row at a time; None if
+    every residual is 0."""
+    worst, best = None, 0.0
+    for k, n, thetas, _ in spec_rows(specs):
+        for theta in thetas:
+            [z], _ = entry_overlaps([(k, n, theta)])
+            residual = abs(float(evaluate(p, [z])[0]) - k / n)
+            if residual > best:
+                worst, best = (k, n, theta), residual
+    return worst
+
+
+def certificate(k, n, theta, seed):
+    """(basis, state) behind one ledger certificate, built from the
+    constructions; seed -1 is the standard basis."""
     base = standard_basis(n)
-    if kind == "haar":
-        base = rotate_basis(haar_unitary(n, sub), base)
+    if seed >= 0:
+        base = rotate_basis(haar_unitary(n, seed), base)
     if k == n:
         return base, StateVector(np.exp(1j * (theta % TWO_PI)) * base.matrix[0])
     return partial_dft_basis(base, k).vectors, symmetric_state(base, theta).state
@@ -115,11 +153,11 @@ def ledger_scan(p, ledger, dims, seed, threshold):
     entry with N in dims, in (N, K, theta) order, whose residual reaches the
     threshold: each certificate's basis built and scored on its own."""
     probes = 0
-    for k, n, thetas, kind, sub in ledger.specs():
+    for k, n, thetas, base_seed in spec_rows(ledger):
         if k == 0 or n not in dims:
             continue
         for theta in thetas:
-            basis, state = certificate(k, n, theta, kind, sub)
+            basis, state = certificate(k, n, theta, base_seed)
             probes += 1
             residual = normalization(p, basis.matrix, state.amplitudes)
             if residual >= threshold:
@@ -194,13 +232,15 @@ def geometric_series_overlap(j: int, m: int, K: int) -> complex:
 
 
 def full_certificate(spec):
-    """(defect, overlap errors) of one ledger entry (K, N, thetas, base_kind,
-    base_seed), from its N x N partial-DFT basis and one symmetric state per
-    theta, each built over the entry's own base, standard or Haar-rotated.
-    For K = N the state is the base's first vector, and the defect is 0."""
-    k, n, thetas, kind, sub = spec
+    """(defect, overlap errors) of one ledger entry (K, N, thetas, seed),
+    from its N x N partial-DFT basis and one symmetric state per theta, each
+    built over the entry's own base, standard or Haar-rotated.  For K = N
+    the state is the base's first vector, and the defect is 0."""
+    k, n, thetas, seed = spec
     thetas = tuple(t % TWO_PI for t in thetas)
-    [(_, basis, states)] = certificate_probes([(k, n, thetas, kind, sub)])
+    specs = Specs(np.array([k]), np.array([n]), np.array([seed]), np.array(thetas, np.float64),
+                  np.array([0, len(thetas)]))
+    [(_, basis, states)] = certificate_probes(specs, [0])
     defect = orthonormality_defect(basis) if k < n else 0.0
     errors = [overlap_contract_error(basis.matrix.conj() @ state.amplitudes, k, n, t)
               for state, t in zip(states, thetas)]

@@ -123,7 +123,7 @@ def test_criterion_4_falsification_completeness(ledger8):
     ok = True
     details = []
     for expr, (axiom, expected_residual) in expectations.items():
-        result = falsify(candidate_from_expression(expr), cfg, ledger8.specs())
+        result = falsify(candidate_from_expression(expr), cfg, ledger8)
         w = result.witness
         if w is None:
             ok = False
@@ -164,7 +164,7 @@ def test_criterion_5_frequentist_check():
 
 
 def test_criterion_6_continuity_probe(ledger64):
-    probes = ledger64.theta_base, ledger64.specs()
+    probes = ledger64.theta_base, ledger64
     born = continuity_extension_check(born_candidate(), *probes, 256)
     absr = continuity_extension_check(candidate_from_expression("r"), *probes, 256)
     fixture = continuity_extension_check(make_ledger_locked_candidate(64), *probes, 256)

@@ -824,7 +824,7 @@ class TestFalsify:
     def test_same_result_without_deriving_a_certificate(self, tmp_path, monkeypatch, candidate):
         cfg = FalsifierConfig(n_range=(2, 3, 4, 5), random_trials=3, optimizer_steps=5, seed=4)
         ledger = build_ledger(5, [0.5, 4.0], seed=4)
-        want = falsify(candidate_from_expression(candidate), cfg, ledger.specs()).to_json()
+        want = falsify(candidate_from_expression(candidate), cfg, ledger).to_json()
 
         def refuse(*args):
             raise AssertionError("falsify derived a certificate")
@@ -845,7 +845,7 @@ class TestFalsify:
 
         def counted(*args, **kwargs):
             thetas, specs = ledger_specs(*args, **kwargs)
-            made.extend(spec[:2] for spec in specs)
+            made.extend(zip(specs.ks.tolist(), specs.ns.tolist()))
             return thetas, specs
 
         monkeypatch.setattr(cli, "ledger_specs", counted)
@@ -854,7 +854,8 @@ class TestFalsify:
                             "--seed", "5")
         assert code == (0 if want["falsified"] else 1)
         assert payload["result"] == want
-        assert made == [spec[:2] for spec in full if spec[1] in (3, 7)]
+        assert made == [(k, n) for k, n in zip(full.ks.tolist(), full.ns.tolist())
+                        if n in (3, 7) or k == 0]  # P(0) first
 
 
 # Each must exit 64 with a one-line usage error on stderr.

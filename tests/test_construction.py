@@ -14,9 +14,17 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.construction import TWO_PI, _rebuild_base, dft_block, overlap_contract_error
+from bornlab.construction import (
+    TWO_PI,
+    _rebuild_base,
+    dft_block,
+    entry_overlaps,
+    overlap_contract_error,
+)
+from bornlab.derivation import ledger_specs
 from conftest import float_certificates
-from reference import geometric_series_overlap, rotate_basis
+from reference import geometric_series_overlap, rotate_basis, spec_rows
+import reference
 
 
 class TestSymmetricState:
@@ -213,7 +221,7 @@ def test_dft_block_rounding_at_the_dimension_bound(k):
 
 
 def test_kernel_certificates_match_full_construction(ledger64):
-    for (k, n, thetas, _, _), kernel_defect, kernel_errors in float_certificates(ledger64):
+    for (k, n, thetas, _), kernel_defect, kernel_errors in float_certificates(ledger64):
         if k == 0 or k == n:
             continue
         base = standard_basis(n)
@@ -231,7 +239,41 @@ def test_kernel_certificates_match_full_construction(ledger64):
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
 def test_haar_base_is_the_rotated_standard_basis(n, seed):
     # the rows of U^T, bit for bit the product I U^T that rotate_basis forms
-    base = _rebuild_base(n, "haar", seed)
+    base = _rebuild_base(n, seed)
     rotated = rotate_basis(haar_unitary(n, seed), standard_basis(n))
     assert base.matrix.tobytes() == rotated.matrix.tobytes()
     assert base.matrix.flags.c_contiguous
+
+
+# 1e308 and -1e-20 (whose remainder rounds up to 2 pi itself) among them
+ENTRY_THETAS = (0.0, 1.0, math.pi, 5.5, 1e308, -1e-20, -1e-300, TWO_PI, -TWO_PI, 7.25,
+                -0.5, 100.0, 1e-300, 3 * math.pi, 2.0**60, -(2.0**40))
+
+
+def _same_bits(column: np.ndarray, rows: np.ndarray) -> bool:
+    return column.shape == rows.shape and np.array_equal(column.view(np.int64),
+                                                         rows.view(np.int64))
+
+
+def test_entry_overlaps_match_one_row_at_a_time():
+    # the column form against one Python complex per row (math.cos, math.sin,
+    # complex * float and complex / float), bit for bit
+    assert -1e-20 % TWO_PI == TWO_PI
+    _, specs = ledger_specs(64, ENTRY_THETAS, rotate_bases=True, seed=3)
+    owners = specs.owners()
+    first, symmetric = entry_overlaps(specs.ks[owners], specs.ns[owners], specs.thetas)
+    rows = [(k, n, t) for k, n, thetas, _ in spec_rows(specs) for t in thetas]
+    want_first, want_symmetric = reference.entry_overlaps(rows)
+    assert _same_bits(first, want_first) and _same_bits(symmetric, want_symmetric)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.5, 1e308, -1e-20])
+def test_entry_overlaps_of_unreduced_rows(theta):
+    # check_n_independence's rows: every K = 1..N of each N, at one theta
+    dims = list(range(1, 41))
+    ks = np.concatenate([np.arange(1, n + 1) for n in dims])
+    ns = np.repeat(dims, dims)
+    first, symmetric = entry_overlaps(ks, ns, theta)
+    want_first, want_symmetric = reference.entry_overlaps(
+        [(k, n, theta) for k, n in zip(ks.tolist(), ns.tolist())])
+    assert _same_bits(first, want_first) and _same_bits(symmetric, want_symmetric)

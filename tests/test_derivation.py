@@ -14,6 +14,7 @@ from bornlab import (
     ParameterError,
     born_candidate,
     build_ledger,
+    candidate_from_expression,
     compare_to_born,
     continuity_extension_check,
     construction,
@@ -30,14 +31,22 @@ from bornlab.derivation import (
     read_specs,
 )
 
-from conftest import corrupt_entry, float_certificates, lookup, make_ledger_locked_candidate
-from reference import full_certificate
+from conftest import (
+    assert_same_specs,
+    corrupt_entry,
+    float_certificates,
+    lookup,
+    make_ledger_locked_candidate,
+    make_specs,
+)
+import reference
+from reference import full_certificate, spec_rows
 
 
 def derive(k: int, n: int, theta: float) -> dict:
     """The stored entry, full certificates included, of P(e^{i theta}
     sqrt(K/N)) = K/N in the standard basis, certified at theta alone."""
-    return next(certify_specs([(k, n, (theta,), "standard", None)]).entry_json([0], True))
+    return next(certify_specs(make_specs([(k, n, (theta,), -1)])).entry_json([0], True))
 
 
 def value(entry: dict) -> Fraction:
@@ -208,22 +217,35 @@ class TestUncertifiedLedger:
         built = build_ledger(7, **kwargs)
         thetas, specs = ledger_specs(7, **kwargs)
         assert thetas == built.theta_base
-        assert specs == built.specs()[1:]
-        assert built.specs()[0] == (0, 1, (0.0,), "standard", None)
-        assert [Fraction(k, n) for k, n, *_ in built.specs()] == [
+        assert_same_specs(specs, built)
+        assert spec_rows(specs)[0] == (0, 1, (0.0,), -1)  # P(0), in the standard basis
+        assert [Fraction(k, n) for k, n, *_ in spec_rows(built)] == [
             value(e) for e in built.entries]
 
     def test_n_max_0_rejected(self):
         with pytest.raises(ParameterError):
             ledger_specs(0)
 
+    def test_specs_are_columns(self):
+        # five columns: 318,965 entries hold 12.8 MB of float64 thetas and 7.7
+        # MB of K, N and seed; a tuple per entry held 67 MB
+        ledger_specs(16)  # warm the imports
+        tracemalloc.start()
+        try:
+            _, specs = ledger_specs(1024)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(specs) == 1 + totient_sum(1024)
+        assert held <= 25e6
+
     def test_dims_keep_their_specs(self):
         # the entries of the listed N, with the bits of the full enumeration
         _, full = ledger_specs(12, rotate_bases=True, seed=5)
         _, some = ledger_specs(12, rotate_bases=True, seed=5, dims=[9, 3, 9, 40])
-        assert some == [spec for spec in full if spec[1] in (3, 9)]
+        assert_same_specs(some, full.select((full.ks == 0) | np.isin(full.ns, [3, 9])))
         _, specs = ledger_specs(12, seed=5, dims=[4])
-        assert [(k, n) for k, n, *_ in specs] == [(1, 4), (3, 4)]
+        assert [(k, n) for k, n, *_ in spec_rows(specs)] == [(0, 1), (1, 4), (3, 4)]
 
     def test_extra_thetas_are_one_stream_per_n(self):
         # each N's extra thetas, in K order, come from the first spawned child
@@ -231,7 +253,7 @@ class TestUncertifiedLedger:
         # own key, since SeedSequence pads its entropy with zeros
         _, specs = ledger_specs(12, rotate_bases=True, seed=5)
         for n in range(1, 13):
-            extras = [thetas[-1] for _, m, thetas, _, _ in specs if m == n]
+            extras = [thetas[-1] for k, m, thetas, _ in spec_rows(specs) if m == n and k]
             base = np.random.SeedSequence([5, n])
             child = np.random.default_rng(base.spawn(1)[0]).uniform(0.0, 2 * math.pi, len(extras))
             assert extras == child.tolist()
@@ -315,7 +337,7 @@ class TestFloatCertificate:
         ("defects", DEFECT_TOLERANCE), ("errors", OVERLAP_TOLERANCE)])
     def test_tolerance_is_inclusive(self, column, tolerance):
         # a number at its tolerance passes, and the next float up fails
-        columns = certify_specs([(1, 2, (0.5,), "standard", None)] * 2)
+        columns = certify_specs(make_specs([(1, 2, (0.5,), -1)] * 2))
         numbers = np.array([tolerance, math.nextafter(tolerance, math.inf)])
         assert replace(columns, **{column: numbers}).verdicts().tolist() == [True, False]
 
@@ -336,14 +358,15 @@ class TestHaarBound:
     def test_certifies_at_the_dimension_bound(self, seed):
         # the widest K at N = 512 takes the largest rounding term
         _, specs = ledger_specs(512, rotate_bases=True, seed=seed, dims=[512])
-        columns = certify_specs([specs[0], specs[-1]])
+        keep = np.zeros(len(specs), bool)
+        keep[[1, -1]] = True  # after P(0), the first and the last K of N = 512
+        columns = certify_specs(specs.select(keep))
         assert all(e["verified"] for e in columns.entry_json(range(2)))
         assert (columns.defects <= DEFECT_TOLERANCE).all()
         assert (columns.errors <= OVERLAP_TOLERANCE).all()
 
     def test_standard_numbers_plus_the_bound(self):
-        columns = certify_specs([
-            (3, 8, (0.4, 2.0), "standard", None), (3, 8, (0.4, 2.0), "haar", 17)])
+        columns = certify_specs(make_specs([(3, 8, (0.4, 2.0), -1), (3, 8, (0.4, 2.0), 17)]))
         eps = derivation.haar_unitary(8, 17).defect
         extra = 8 * eps + derivation.rotation_rounding(3, 8)
         std, rot = columns.defects.tolist()
@@ -355,8 +378,9 @@ class TestHaarBound:
 
 class TestDigest:
     def test_hashes_verdicts_not_float_numbers(self):
-        spec, exact = (2, 5, (0.3,), "standard", None), ((2,), True)
-        c = certify_specs([spec])
+        exact = ((2,), True)
+        spec = {"K": 2, "N": 5, "theta_samples": [0.3], "base_kind": "standard", "base_seed": None}
+        c = certify_specs(make_specs([(2, 5, (0.3,), -1)]))
 
         def digest(columns):
             return next(columns.entry_json([0]))["certificate_digest"]
@@ -369,9 +393,9 @@ class TestDigest:
         for changed in (
             digest(failed),
             derivation._digest(spec, ((2,), False), [True]),
-            derivation._digest((2, 5, (math.nextafter(0.3, 1.0),), "standard", None), exact,
+            derivation._digest(dict(spec, theta_samples=[math.nextafter(0.3, 1.0)]), exact,
                                [True]),
-            derivation._digest((2, 5, (0.3,), "haar", 0), exact, [True]),
+            derivation._digest(dict(spec, base_kind="haar", base_seed=0), exact, [True]),
         ):
             assert changed != digest(c)
 
@@ -415,8 +439,8 @@ class TestSerialization:
         # no hand-kept field list: a key that derive would add must be stored too
         payload = ledger10.to_json()
         real = derivation._spec_json
-        monkeypatch.setattr(derivation, "_spec_json",
-                            lambda spec, value: dict(real(spec, value), extra=spec[1]))
+        monkeypatch.setattr(derivation, "_spec_json", lambda *args: (
+            dict(entry, extra=entry["N"]) for entry in real(*args)))
         with pytest.raises(CertificateError, match="^extra mismatch at K=0, N=1$"):
             ConstraintLedger.from_json(payload)
 
@@ -490,7 +514,9 @@ class TestReadSpecs:
                              ids=["standard-n10", "rotated-n7-seed3"])
     def test_reads_the_specs_of_the_header(self, make):
         ledger = make()
-        assert read_specs(ledger.to_json()) == (ledger.theta_base, ledger.specs())
+        thetas, specs = read_specs(ledger.to_json())
+        assert thetas == ledger.theta_base
+        assert_same_specs(specs, ledger)
 
     def test_reads_no_certificate(self, ledger10, monkeypatch):
         # no certificate is derived, and none of the stored ones is read
@@ -501,30 +527,33 @@ class TestReadSpecs:
         payload = ledger10.to_json()
         for entry in payload["entries"]:
             entry.update(certificate_digest="0" * 64, verified=False, proof_trace=[])
-        assert read_specs(payload) == (ledger10.theta_base, ledger10.specs())
+        thetas, specs = read_specs(payload)
+        assert thetas == ledger10.theta_base
+        assert_same_specs(specs, ledger10)
 
 
 class TestKernel:
     SPECS = [
-        (1, 2, (0.0,), "standard", None),
-        (1, 3, (0.5, 1.5, 7.0), "standard", None),
-        (2, 3, (), "standard", None),
-        (2, 5, (-1.0, 3.0), "standard", None),
-        (1, 1, (0.2, 0.4), "standard", None),
-        (2, 7, (0.3,), "haar", 11),
-        (3, 7, (0.3, 4.0, 5.0), "haar", 11),
-        (1, 2, (1.0, 2.0), "standard", None),
+        (1, 2, (0.0,), -1),
+        (1, 3, (0.5, 1.5, 7.0), -1),
+        (2, 3, (), -1),
+        (2, 5, (-1.0, 3.0), -1),
+        (1, 1, (0.2, 0.4), -1),
+        (2, 7, (0.3,), 11),
+        (3, 7, (0.3, 4.0, 5.0), 11),
+        (1, 2, (1.0, 2.0), -1),
     ]
 
     def test_batch_matches_one_entry_at_a_time(self):
         # ragged theta lists, shared K, mixed kinds: each row of the per-K
         # pass must give the bits of that entry derived alone
-        batch = list(certify_specs(self.SPECS).entry_json(range(len(self.SPECS)), True))
-        alone = [next(certify_specs([spec]).entry_json([0], True)) for spec in self.SPECS]
+        batch = list(certify_specs(make_specs(self.SPECS)).entry_json(range(len(self.SPECS)), True))
+        alone = [next(certify_specs(make_specs([spec])).entry_json([0], True))
+                 for spec in self.SPECS]
         assert [c["certificates"] for c in batch] == [c["certificates"] for c in alone]
         assert batch == alone
         assert [(c["K"], c["N"], tuple(c["theta_samples"])) for c in batch] == [
-            (k, n, thetas) for k, n, thetas, _, _ in self.SPECS
+            (k, n, thetas) for k, n, thetas, _ in self.SPECS
         ]
 
 
@@ -541,12 +570,12 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 class TestCertificateProbes:
-    def test_base_rebuilt_once_per_n_kind_seed(self, monkeypatch):
+    def test_base_rebuilt_once_per_n_seed(self, monkeypatch):
         calls = _counting(monkeypatch, construction, "_rebuild_base")
-        specs = build_ledger(6, rotate_bases=True, seed=2).specs()
-        probes = list(construction.certificate_probes(specs))
-        assert [spec for spec, _, _ in probes] == specs[1:]  # P(0) has no construction
-        assert calls == list(dict.fromkeys((n, kind, sub) for _, n, _, kind, sub in specs[1:]))
+        ledger = build_ledger(6, rotate_bases=True, seed=2)
+        probes = list(construction.certificate_probes(ledger, range(len(ledger))))
+        assert [i for i, _, _ in probes] == list(range(1, len(ledger)))  # P(0) has none
+        assert calls == list(dict.fromkeys((n, seed) for _, n, _, seed in spec_rows(ledger)[1:]))
         assert len(calls) == 6
 
     def test_full_certificates_build_each_base_once(self, monkeypatch):
@@ -554,7 +583,7 @@ class TestCertificateProbes:
         calls = _counting(monkeypatch, construction, "_rebuild_base")
         ledger = build_ledger(16, rotate_bases=True, seed=2)
         assert sum(1 for _ in ledger.json_entries(full_certificates=True)) == len(ledger)
-        assert sorted(n for n, _, _ in calls) == list(range(1, 17))
+        assert sorted(n for n, _ in calls) == list(range(1, 17))
 
     def test_kernel_builds_each_dft_block_once(self, monkeypatch):
         # one block per K, and no partial-DFT basis, Haar-rotated or not
@@ -567,7 +596,7 @@ class TestCertificateProbes:
 
 def probes(ledger):
     """The theta base and specs that ``continuity_extension_check`` probes."""
-    return ledger.theta_base, ledger.specs()
+    return ledger.theta_base, ledger
 
 
 class TestContinuityExtension:
@@ -589,6 +618,20 @@ class TestContinuityExtension:
         report = continuity_extension_check(fixture, *probes(ledger10), 128)
         assert report["max_rational_residual"] <= 1e-12
         assert report["max_grid_deviation_from_born"] >= 0.5
+
+    def test_worst_rational_is_the_worst_row_as_sampled(self):
+        # a bump in r and phi on the extra theta of 7/9: every other row of
+        # 7/9 has the same modulus, so only the phase tells them apart
+        ledger = build_ledger(12, (0.0, 1.0, 7.5, -2.0), seed=4)
+        i = int(np.flatnonzero((ledger.ks == 7) & (ledger.ns == 9))[0])
+        theta = ledger.thetas[ledger.offsets[i + 1] - 1].item()
+        modulus, phase = math.sqrt(7 / 9), math.atan2(math.sin(theta), math.cos(theta))
+        p = candidate_from_expression(
+            f"r^2 + 0.5*exp(0-1000*((r-{modulus!r})^2 + (phi-{phase!r})^2))")
+        worst = continuity_extension_check(p, *probes(ledger), 16)["worst_rational"]
+        assert (worst["K"], worst["N"], worst["theta"]) == reference.worst_rational(p, ledger)
+        assert (worst["K"], worst["N"], worst["theta"]) == (7, 9, theta)
+        assert ledger.offsets[i] < ledger.offsets[i + 1] - 1  # not the entry's first theta
 
     def test_grid_size_validated(self, ledger10):
         with pytest.raises(ParameterError):

@@ -23,8 +23,8 @@ from bornlab.cli import main
 from bornlab.falsifier import MAX_STEP_SCALE, _ledger_phase, _ledger_residuals, expm, hill_climb
 
 import reference
-from conftest import lookup, make_ledger_locked_candidate, make_wrong_above_denominator
-from reference import certificate
+from conftest import lookup, make_ledger_locked_candidate, make_specs, make_wrong_above_denominator
+from reference import certificate, spec_rows
 
 
 def quick_cfg(**overrides):
@@ -40,7 +40,7 @@ def quick_cfg(**overrides):
 
 class TestLedgerPhase:
     def test_abs_candidate_witness_at_n2(self, ledger8):
-        result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8.specs())
+        result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8)
         w = result.witness
         assert w is not None
         assert w.dimension == 2
@@ -49,18 +49,18 @@ class TestLedgerPhase:
         assert w.residual == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
     def test_quartic_witness_residual(self, ledger8):
-        result = falsify(candidate_from_expression("r^4"), quick_cfg(), ledger8.specs())
+        result = falsify(candidate_from_expression("r^4"), quick_cfg(), ledger8)
         assert result.witness.dimension == 2
         assert result.witness.residual == pytest.approx(0.5, abs=1e-12)
 
     def test_offset_candidate_caught_by_orthogonality(self, ledger8):
-        result = falsify(candidate_from_expression("r^2 + 0.05"), quick_cfg(), ledger8.specs())
+        result = falsify(candidate_from_expression("r^2 + 0.05"), quick_cfg(), ledger8)
         assert result.witness.axiom is Axiom.ORTHOGONALITY
         assert result.witness.residual == pytest.approx(0.05, abs=1e-12)
 
     def test_phase_dependent_candidate_caught(self, ledger8):
         result = falsify(
-            candidate_from_expression("r^2*(1 + 0.1*sin(phi))"), quick_cfg(), ledger8.specs()
+            candidate_from_expression("r^2*(1 + 0.1*sin(phi))"), quick_cfg(), ledger8
         )
         assert result.witness is not None
         assert result.witness.residual >= 0.01
@@ -68,7 +68,7 @@ class TestLedgerPhase:
     def test_power_2_1_candidate(self, ledger8):
         # N * N^(-p/2) - 1 at p = 2.1 grows with N; the certificate at the
         # largest in-range dimension must see at least the N=8 residual
-        result = falsify(candidate_from_expression("r^2.1"), quick_cfg(), ledger8.specs())
+        result = falsify(candidate_from_expression("r^2.1"), quick_cfg(), ledger8)
         assert result.witness is not None
         assert result.witness.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
 
@@ -76,32 +76,32 @@ class TestLedgerPhase:
 class TestRotatedLedger:
     def test_witness_comes_from_the_rotated_base(self):
         ledger = build_ledger(8, rotate_bases=True, seed=3)
-        w = falsify(candidate_from_expression("r"), quick_cfg(), ledger.specs()).witness
+        w = falsify(candidate_from_expression("r"), quick_cfg(), ledger).witness
         assert w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
         assert (w.dimension, w.seed_chain) == (2, (0, 1, 2, 1))
         c = lookup(ledger, 0.5)
         assert c["base_kind"] == "haar"
-        basis, state = certificate(1, 2, c["theta_samples"][0], "haar", c["base_seed"])
+        basis, state = certificate(1, 2, c["theta_samples"][0], c["base_seed"])
         assert w.state == state
         assert w.basis == basis
-        standard, _ = certificate(1, 2, 0.0, "standard", None)
+        standard, _ = certificate(1, 2, 0.0, -1)
         assert not np.allclose(w.basis.matrix, standard.matrix)
         assert abs(replay_witness(w) - w.residual) <= 1e-12
 
     def test_shrink_uses_the_rotated_base(self):
         ledger = build_ledger(8, rotate_bases=True, seed=3)
         cfg = quick_cfg(n_range=(8,))
-        w = falsify(candidate_from_expression("r"), cfg, ledger.specs()).witness
-        shrunk = shrink_witness(w, ledger.specs(), cfg)
+        w = falsify(candidate_from_expression("r"), cfg, ledger).witness
+        shrunk = shrink_witness(w, ledger, cfg)
         assert shrunk.dimension == 2
         c = lookup(ledger, 0.5)
-        assert shrunk.basis == certificate(1, 2, c["theta_samples"][0], "haar", c["base_seed"])[0]
+        assert shrunk.basis == certificate(1, 2, c["theta_samples"][0], c["base_seed"])[0]
         assert abs(replay_witness(shrunk) - shrunk.residual) <= 1e-12
 
 
 class TestCleanRun:
     def test_born_produces_no_witness(self, ledger8):
-        result = falsify(born_candidate(), quick_cfg(n_range=(2, 3, 4)), ledger8.specs())
+        result = falsify(born_candidate(), quick_cfg(n_range=(2, 3, 4)), ledger8)
         assert result.witness is None
         assert result.probes["ledger"] > 0
         assert result.probes["random"] > 0
@@ -111,12 +111,12 @@ class TestCleanRun:
 class TestWitnessReplay:
     def test_replay_matches_recorded_residual(self, ledger8):
         for expr in ("r", "r^4", "r^2 + 0.05"):
-            result = falsify(candidate_from_expression(expr), quick_cfg(), ledger8.specs())
+            result = falsify(candidate_from_expression(expr), quick_cfg(), ledger8)
             w = result.witness
             assert abs(replay_witness(w) - w.residual) <= 1e-12
 
     def test_replay_with_explicit_candidate(self, ledger8):
-        result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8.specs())
+        result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8)
         replayed = replay_witness(result.witness, candidate_from_expression("r"))
         assert abs(replayed - result.witness.residual) <= 1e-12
 
@@ -124,8 +124,8 @@ class TestWitnessReplay:
 class TestDeterminism:
     def test_identical_runs_identical_witness(self, ledger8):
         cfg = quick_cfg()
-        a = falsify(candidate_from_expression("r"), cfg, ledger8.specs())
-        b = falsify(candidate_from_expression("r"), cfg, ledger8.specs())
+        a = falsify(candidate_from_expression("r"), cfg, ledger8)
+        b = falsify(candidate_from_expression("r"), cfg, ledger8)
         assert a.to_json() == b.to_json()
         assert a.witness.state.amplitudes.tobytes() == b.witness.state.amplitudes.tobytes()
 
@@ -133,25 +133,25 @@ class TestDeterminism:
 class TestShrink:
     def test_shrink_to_n2(self, ledger8):
         cfg = quick_cfg(n_range=(8,))
-        result = falsify(candidate_from_expression("r"), cfg, ledger8.specs())
+        result = falsify(candidate_from_expression("r"), cfg, ledger8)
         assert result.witness.dimension == 8
-        shrunk = shrink_witness(result.witness, ledger8.specs(), cfg)
+        shrunk = shrink_witness(result.witness, ledger8, cfg)
         assert shrunk.dimension == 2
         assert shrunk.residual == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
     def test_idempotent(self, ledger8):
         cfg = quick_cfg()
-        result = falsify(candidate_from_expression("r"), cfg, ledger8.specs())
-        once = shrink_witness(result.witness, ledger8.specs(), cfg)
-        twice = shrink_witness(once, ledger8.specs(), cfg)
+        result = falsify(candidate_from_expression("r"), cfg, ledger8)
+        once = shrink_witness(result.witness, ledger8, cfg)
+        twice = shrink_witness(once, ledger8, cfg)
         assert once.to_json() == twice.to_json()
 
     def test_fixture_wrong_only_above_denominator_5(self, ledger8):
         fixture = make_wrong_above_denominator(5)
         cfg = quick_cfg(n_range=(8,), random_trials=0, optimizer_steps=0)
-        result = falsify(fixture, cfg, ledger8.specs())
+        result = falsify(fixture, cfg, ledger8)
         assert result.witness is not None
-        shrunk = shrink_witness(result.witness, ledger8.specs(), cfg)
+        shrunk = shrink_witness(result.witness, ledger8, cfg)
         assert shrunk.dimension == 5
 
 
@@ -256,7 +256,7 @@ class TestStackedPhasesMatchPerProbe:
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_random_witness_after_trial_zero(self, ledger8, seed):
         cfg = quick_cfg(n_range=(2, 3), random_trials=200, optimizer_steps=0, seed=seed)
-        result = falsify(band_candidate(), cfg, ledger8.specs())
+        result = falsify(band_candidate(), cfg, ledger8)
         want, probes = reference.random_phase(band_candidate(), cfg)
         assert result.witness.construction_tag is ConstructionTag.RANDOM_BASIS
         assert result.witness.to_json() == want
@@ -266,7 +266,7 @@ class TestStackedPhasesMatchPerProbe:
     def test_random_witness_of_the_ledger_locked_candidate(self, ledger8):
         p = make_ledger_locked_candidate(8)
         cfg = quick_cfg(n_range=(2, 3), random_trials=50, optimizer_steps=0)
-        result = falsify(p, cfg, ledger8.specs())
+        result = falsify(p, cfg, ledger8)
         want, probes = reference.random_phase(p, cfg)
         assert result.witness.to_json() == want
         assert result.probes["random"] == probes
@@ -274,7 +274,7 @@ class TestStackedPhasesMatchPerProbe:
     def test_optimizer_witness(self, ledger8):
         p = make_ledger_locked_candidate(8)
         cfg = quick_cfg(n_range=(2, 3), random_trials=0, optimizer_steps=500, seed=1)
-        result = falsify(p, cfg, ledger8.specs())
+        result = falsify(p, cfg, ledger8)
         want, probes = reference.optimizer_phase(p, cfg)
         assert result.witness.construction_tag is ConstructionTag.OPTIMIZED_BASIS
         assert result.witness.to_json() == want
@@ -282,7 +282,7 @@ class TestStackedPhasesMatchPerProbe:
 
     def test_clean_run_probe_counts(self, ledger8):
         cfg = quick_cfg(n_range=(2, 3, 5, 8), random_trials=45, optimizer_steps=130)
-        result = falsify(born_candidate(), cfg, ledger8.specs())
+        result = falsify(born_candidate(), cfg, ledger8)
         assert result.witness is None
         assert result.probes["random"] == reference.random_phase(born_candidate(), cfg)[1]
         assert result.probes["optimizer"] == reference.optimizer_phase(born_candidate(), cfg)[1]
@@ -292,14 +292,14 @@ class TestStackedPhasesMatchPerProbe:
         # each closed-form residual is its constructed certificate's, up to rounding
         ledger = build_ledger(24, (-7.5, -0.3, 0.0, 1.0, 7.0, 100.0), rotate, seed=3)
         p = candidate_from_expression("r^2.2")
-        specs = ledger.specs()[1:]
-        rows, residuals = _ledger_residuals(p, specs)
-        assert [(spec[:2], theta) for spec, theta in rows] == [
-            ((k, n), theta) for k, n, thetas, *_ in specs for theta in thetas]
-        for (spec, theta), residual in zip(rows, residuals.tolist()):
-            basis, state = certificate(spec[0], spec[1], theta, *spec[3:])
+        specs = ledger.select(ledger.ks > 0)
+        residuals = _ledger_residuals(p, specs)
+        rows = [(k, n, theta, seed) for k, n, thetas, seed in spec_rows(specs) for theta in thetas]
+        assert len(rows) == len(residuals)
+        for (k, n, theta, seed), residual in zip(rows, residuals.tolist()):
+            basis, state = certificate(k, n, theta, seed)
             constructed = reference.normalization(p, basis.matrix, state.amplitudes)
-            assert abs(residual - constructed) <= 1e-14, (spec[:2], theta)
+            assert abs(residual - constructed) <= 1e-14, (k, n, theta)
 
 
     @pytest.mark.parametrize("expr", ["1/r", "1/(1-r)"])
@@ -307,12 +307,13 @@ class TestStackedPhasesMatchPerProbe:
         # K = 1 has no zero overlap and K = N no symmetric one; an undefined
         # P(0) or P(e^{i theta}) times that count 0 must not give nan
         p = candidate_from_expression(expr)
-        specs = [(1, 1, (0.0, 1.0), "standard", None), (1, 2, (0.0, 1.0), "standard", None)]
+        rows = [(1, 1, 0.0), (1, 1, 1.0), (1, 2, 0.0), (1, 2, 1.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows, residuals = _ledger_residuals(p, specs)
-        for (spec, theta), residual in zip(rows, residuals.tolist()):
-            basis, state = certificate(spec[0], spec[1], theta, *spec[3:])
+            residuals = _ledger_residuals(p, make_specs([(1, 1, (0.0, 1.0), -1),
+                                                         (1, 2, (0.0, 1.0), -1)]))
+        for (k, n, theta), residual in zip(rows, residuals.tolist()):
+            basis, state = certificate(k, n, theta, -1)
             constructed = reference.normalization(p, basis.matrix, state.amplitudes)
             assert residual == constructed or abs(residual - constructed) <= 1e-14
 
@@ -341,7 +342,7 @@ class TestLedgerPhaseMatchesReference:
     def test_witness_and_probes(self, ledger, name):
         p = LEDGER_CANDIDATES[name]
         cfg = quick_cfg()
-        witness, probes = _ledger_phase(p, cfg, ledger.specs())
+        witness, probes = _ledger_phase(p, cfg, ledger)
         assert (witness and witness.to_json(), probes) == reference.ledger_phase(p, cfg, ledger)
         if witness:
             assert abs(replay_witness(witness) - witness.residual) <= 1e-12
@@ -350,14 +351,14 @@ class TestLedgerPhaseMatchesReference:
     def test_shrink(self, ledger, name):
         p = LEDGER_CANDIDATES[name]
         cfg = quick_cfg(n_range=(8,), random_trials=20, optimizer_steps=50)
-        w = falsify(p, cfg, ledger.specs()).witness
+        w = falsify(p, cfg, ledger).witness
         scan, _ = reference.ledger_scan(p, ledger, range(1, 9), 0, cfg.violation_threshold)
         if w.axiom is Axiom.ORTHOGONALITY or scan is None or (
             scan["dimension"] == w.dimension
             and w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
         ):
             scan = w.to_json()
-        assert shrink_witness(w, ledger.specs(), cfg).to_json() == scan
+        assert shrink_witness(w, ledger, cfg).to_json() == scan
 
 
 def test_clean_ledger_phase_builds_no_basis(monkeypatch, capsys):
@@ -396,11 +397,11 @@ class TestConfigValidation:
 
     def test_range_beyond_ledger_rejected(self, ledger8):
         with pytest.raises(ParameterError):
-            falsify(born_candidate(), quick_cfg(n_range=(16,)), ledger8.specs())
+            falsify(born_candidate(), quick_cfg(n_range=(16,)), ledger8)
 
 
 def test_witness_json_embeds_replay_inputs(ledger8):
-    result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8.specs())
+    result = falsify(candidate_from_expression("r"), quick_cfg(), ledger8)
     doc = result.witness.to_json()
     assert doc["candidate"] == "r"
     assert len(doc["basis"]) == doc["dimension"]
