@@ -570,7 +570,7 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 class TestCertificateProbes:
-    def test_base_rebuilt_once_per_n_seed(self, monkeypatch):
+    def test_base_rebuilt_once_per_n_kind_seed(self, monkeypatch):
         calls = _counting(monkeypatch, construction, "_rebuild_base")
         ledger = build_ledger(6, rotate_bases=True, seed=2)
         probes = list(construction.certificate_probes(ledger, range(len(ledger))))
@@ -619,19 +619,21 @@ class TestContinuityExtension:
         assert report["max_rational_residual"] <= 1e-12
         assert report["max_grid_deviation_from_born"] >= 0.5
 
-    def test_worst_rational_is_the_worst_row_as_sampled(self):
-        # a bump in r and phi on the extra theta of 7/9: every other row of
-        # 7/9 has the same modulus, so only the phase tells them apart
+    @pytest.mark.parametrize("at", [4, 0, 2], ids=["extra", "first", "unreduced"])
+    def test_worst_rational_is_the_worst_row_as_sampled(self, at):
+        # a bump in r and phi on one theta row of 7/9: every other row of 7/9
+        # has the same modulus, so only the phase tells them apart; its theta
+        # is reported as stored (7.5, not 7.5 - 2 pi), its entry also when
+        # the row is the entry's first
         ledger = build_ledger(12, (0.0, 1.0, 7.5, -2.0), seed=4)
         i = int(np.flatnonzero((ledger.ks == 7) & (ledger.ns == 9))[0])
-        theta = ledger.thetas[ledger.offsets[i + 1] - 1].item()
+        theta = ledger.thetas[ledger.offsets[i] + at].item()  # row 4: the seeded extra theta
         modulus, phase = math.sqrt(7 / 9), math.atan2(math.sin(theta), math.cos(theta))
         p = candidate_from_expression(
             f"r^2 + 0.5*exp(0-1000*((r-{modulus!r})^2 + (phi-{phase!r})^2))")
         worst = continuity_extension_check(p, *probes(ledger), 16)["worst_rational"]
         assert (worst["K"], worst["N"], worst["theta"]) == reference.worst_rational(p, ledger)
         assert (worst["K"], worst["N"], worst["theta"]) == (7, 9, theta)
-        assert ledger.offsets[i] < ledger.offsets[i + 1] - 1  # not the entry's first theta
 
     def test_grid_size_validated(self, ledger10):
         with pytest.raises(ParameterError):
