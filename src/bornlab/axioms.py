@@ -101,9 +101,9 @@ def evaluate(p: CandidateDistribution, zs) -> np.ndarray:
     """p at every overlap in zs: floats, inf wherever _safe_eval gives inf.
 
     Every residual in the package goes through here.  Candidates with an
-    ``array_fn`` (all DSL candidates) evaluate the whole array at once;
-    plain Python candidates loop over it on the scalar path.  Raises
-    DomainError if any |z| > 1 + 1e-9.
+    ``array_fn`` (all DSL candidates) evaluate the whole array at once with
+    their compiled tree; plain Python candidates loop over it one overlap
+    at a time.  Raises DomainError if any |z| > 1 + 1e-9.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     moduli = np.hypot(zs.real, zs.imag)
@@ -125,7 +125,10 @@ def _worst_index(residuals: np.ndarray) -> Optional[int]:
 
 
 def _reason(p: CandidateDistribution, z: complex, value: float) -> Optional[str]:
-    """Why p(z) is undefined, re-evaluated on the scalar path; None if value is finite."""
+    """Why p(z) is undefined, from p at that one overlap; None if value is finite.
+
+    For a DSL candidate that is dsl.eval_expr, the compiled tree's guards
+    at z: the first undefined operation, or the non-finite value."""
     return None if math.isfinite(value) else _safe_eval(p, z)[1]
 
 

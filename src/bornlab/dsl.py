@@ -30,8 +30,9 @@ VARIABLES = ("r", "phi", "re", "im")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("abs", "sqrt", "sin", "cos", "exp", "ln")
 # The parser recurses once per level of nesting (a parenthesis, call, unary
-# minus or "^" exponent inside another); _eval, _compile and pretty once per
-# tree level, and a tree is at most MAX_NESTING + MAX_TOKENS / 2 levels deep.
+# minus or "^" exponent inside another); _compile, a compiled tree and pretty
+# once per tree level, and a tree is at most MAX_NESTING + MAX_TOKENS / 2
+# levels deep.
 MAX_NESTING = 100
 MAX_TOKENS = 1000
 
@@ -279,94 +280,31 @@ def parse_candidate(source: str) -> Expr:
 
 
 # --- evaluation ------------------------------------------------------------
-
-
-def _apply_func(name: str, x: float) -> float:
-    if name == "abs":
-        return abs(x)
-    if name == "sqrt":
-        if x < 0.0:
-            raise EvalError(f"sqrt of negative value {x!r}")
-        return math.sqrt(x)
-    if name in ("sin", "cos"):
-        if math.isinf(x):
-            raise EvalError(f"{name} of {x!r}")
-        return math.sin(x) if name == "sin" else math.cos(x)
-    if name == "exp":
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise EvalError(f"exp overflow at {x!r}")
-    if name == "ln":
-        if x <= 0.0:
-            raise EvalError(f"ln of non-positive value {x!r}")
-        return math.log(x)
-    raise EvalError(f"unknown function {name!r}")
-
-
-def _pow(a: float, b: float) -> float:
-    if a == 0.0 and b < 0.0:
-        raise EvalError("zero raised to a negative power")
-    if a < 0.0 and not (math.isfinite(b) and b == int(b)):
-        # real-valued candidates only: no complex excursions
-        raise EvalError(f"negative base {a!r} with non-integer exponent {b!r}")
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(str(exc))
-
-
-def eval_expr(e: Expr, z: complex) -> float:
-    """Evaluate an expression at overlap z.
-
-    Environment: r = |z|, phi = arg(z) with arg(0) defined as 0,
-    re = Re(z), im = Im(z).  Undefined operations raise EvalError.
-    """
-    z = complex(z)
-    env = {
-        "r": abs(z),
-        "phi": 0.0 if z == 0 else math.atan2(z.imag, z.real),
-        "re": z.real,
-        "im": z.imag,
-    }
-    return _eval(e, env)
-
-
-def _eval(e: Expr, env: dict) -> float:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Call):
-        return _apply_func(e.func, _eval(e.arg, env))
-    if isinstance(e, Bin):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        if e.op == "^":
-            return _pow(a, b)
-    raise EvalError(f"malformed expression node {e!r}")
-
-
-# --- vectorised evaluation -------------------------------------------------
 #
-# A compiled node maps (z, bad) to the node's values at every overlap in
-# the array z.  It ORs into the boolean array ``bad`` each position where
-# the scalar evaluator above raises (EvalError, or a math domain error such
-# as sin(inf)), so both paths leave the same overlaps undefined.
+# A compiled node maps (z, undefined) to the node's values at every overlap
+# in the array z.  Each guard flags in ``undefined`` the overlaps where its
+# operation is undefined; at a single overlap it also keeps the reason of the
+# first failure in evaluation order, which eval_expr raises as EvalError.
+
+
+class _Undefined:
+    """Where the guards of one evaluation failed: ``mask`` over the overlaps
+    and, when there is a single overlap, the first failure's ``reason``."""
+
+    __slots__ = ("mask", "reason")
+
+    def __init__(self, shape):
+        self.mask = np.zeros(shape, dtype=bool)
+        self.reason = None
+
+    def flag(self, failed, reason: str, *values):
+        """OR failed into the mask; at a single overlap that fails first, keep
+        reason formatted with values as Python floats (numpy's repr of a
+        scalar is np.float64(...))."""
+        self.mask |= failed
+        if self.mask.size == 1 and failed and self.reason is None:
+            self.reason = reason.format(*(v.item() for v in values))
+
 
 _VARIABLES = {
     # np.hypot matches abs(complex) bit for bit; np.abs does not
@@ -377,69 +315,71 @@ _VARIABLES = {
 }
 
 
-def _array_sqrt(x, bad):
-    bad |= x < 0.0
+def _array_sqrt(x, undefined):
+    undefined.flag(x < 0.0, "sqrt of negative value {!r}", x)
     return np.sqrt(x)
 
 
-def _array_periodic(func):
-    def apply(x, bad):
-        bad |= np.isinf(x)
+def _array_periodic(func, name):
+    def apply(x, undefined):
+        undefined.flag(np.isinf(x), name + " of {!r}", x)
         return func(x)
 
     return apply
 
 
-def _array_exp(x, bad):
+def _array_exp(x, undefined):
     values = np.exp(x)
-    _flag_overflow(values, bad, x)
+    _flag_overflow(values, undefined, "exp overflow at {!r}", x)
     return values
 
 
-def _flag_overflow(values, bad, *args):
-    """Flag an inf that came from finite arguments (math raises OverflowError)."""
+def _flag_overflow(values, undefined, reason, *args):
+    """Flag an inf that came from finite arguments, an overflow; reason is
+    formatted with the arguments."""
     overflow = np.isinf(values)
     if overflow.any():  # rare: test the cheap guard first
         for arg in args:
             overflow = overflow & np.isfinite(arg)
-        bad |= overflow
+        undefined.flag(overflow, reason, *args)
 
 
-def _array_ln(x, bad):
-    bad |= x <= 0.0
+def _array_ln(x, undefined):
+    undefined.flag(x <= 0.0, "ln of non-positive value {!r}", x)
     return np.log(x)
 
 
 _ARRAY_FUNCS = {
-    "abs": lambda x, bad: np.abs(x),
+    "abs": lambda x, undefined: np.abs(x),
     "sqrt": _array_sqrt,
-    "sin": _array_periodic(np.sin),
-    "cos": _array_periodic(np.cos),
+    "sin": _array_periodic(np.sin, "sin"),
+    "cos": _array_periodic(np.cos, "cos"),
     "exp": _array_exp,
     "ln": _array_ln,
 }
 
 
-def _array_divide(a, b, bad):
-    bad |= b == 0.0
+def _array_divide(a, b, undefined):
+    undefined.flag(b == 0.0, "division by zero")
     return np.divide(a, b)
 
 
-def _array_pow(a, b, bad):
-    nonpositive = a <= 0.0
-    if nonpositive.any():  # rare: test the cheap guard first
-        zero_to_negative = (a == 0.0) & (b < 0.0)
+def _array_pow(a, b, undefined):
+    # real-valued candidates only: no complex excursions
+    if (a <= 0.0).any():  # rare: test the cheap guard first
+        undefined.flag((a == 0.0) & (b < 0.0), "zero raised to a negative power")
         non_integer = np.isinf(b) | (b != np.floor(b))
-        bad |= nonpositive & (zero_to_negative | (a < 0.0) & non_integer)
+        undefined.flag((a < 0.0) & non_integer,
+                       "negative base {!r} with non-integer exponent {!r}", a, b)
     values = np.power(a, b)
-    _flag_overflow(values, bad, a, b)
+    _flag_overflow(values, undefined, "math range error", a, b)
     return values
 
 
 _ARRAY_OPS = {
-    "+": lambda a, b, bad: np.add(a, b),
-    "-": lambda a, b, bad: np.subtract(a, b),
-    "*": lambda a, b, bad: np.multiply(a, b),
+    "+": lambda a, b, undefined: np.add(a, b),
+    "-": lambda a, b, undefined: np.subtract(a, b),
+    "*": lambda a, b, undefined: np.multiply(a, b),
     "/": _array_divide,
     "^": _array_pow,
 }
@@ -448,41 +388,60 @@ _ARRAY_OPS = {
 def compile_expr(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """Compile an expression once into a function of an array of overlaps.
 
-    The function returns eval_expr's value at every overlap as float64,
-    with inf wherever eval_expr raises or gives a non-finite value.
-    Values may differ from eval_expr's in the last bits, where numpy's
-    transcendental functions round differently from math's.
+    Environment: r = |z|, phi = arg(z) with arg(0) defined as 0,
+    re = Re(z), im = Im(z).  The function returns the value at every
+    overlap as float64, with inf wherever an operation is undefined or the
+    value is not finite.
     """
     node = _compile(e)
 
     def evaluate(zs) -> np.ndarray:
-        z = np.asarray(zs, dtype=np.complex128)
-        bad = np.zeros(z.shape, dtype=bool)
-        values = np.empty(z.shape)
-        with np.errstate(all="ignore"):
-            values[...] = node(z, bad)
-        values[bad | ~np.isfinite(values)] = math.inf
+        values, undefined = _run(node, np.asarray(zs, dtype=np.complex128))
+        values[undefined.mask | ~np.isfinite(values)] = math.inf
         return values
 
     return evaluate
 
 
+def eval_expr(e: Expr, z: complex) -> float:
+    """Evaluate an expression at one overlap z: compile_expr's tree and bits.
+
+    Raises EvalError with the first undefined operation's reason, in
+    evaluation order; otherwise returns the value, finite or not.  The
+    overlap is a one-element array, not a 0-d one: numpy's power of two
+    0-d operands can round differently in the last bit.
+    """
+    values, undefined = _run(_compile(e), np.array([complex(z)]))
+    if undefined.reason is not None:
+        raise EvalError(undefined.reason)
+    return float(values[0])
+
+
+def _run(node, z: np.ndarray):
+    """A compiled node's values at the overlaps z, and where they are undefined."""
+    undefined = _Undefined(z.shape)
+    values = np.empty(z.shape)
+    with np.errstate(all="ignore"):
+        values[...] = node(z, undefined)
+    return values, undefined
+
+
 def _compile(e: Expr):
     if isinstance(e, (Lit, Const)):
         value = np.float64(e.value if isinstance(e, Lit) else CONSTANTS[e.name])
-        return lambda z, bad: value
+        return lambda z, undefined: value
     if isinstance(e, Var):
         variable = _VARIABLES[e.name]
-        return lambda z, bad: variable(z)
+        return lambda z, undefined: variable(z)
     if isinstance(e, Neg):
         arg = _compile(e.arg)
-        return lambda z, bad: np.negative(arg(z, bad))
+        return lambda z, undefined: np.negative(arg(z, undefined))
     if isinstance(e, Call):
         func, arg = _ARRAY_FUNCS[e.func], _compile(e.arg)
-        return lambda z, bad: func(arg(z, bad), bad)
+        return lambda z, undefined: func(arg(z, undefined), undefined)
     if isinstance(e, Bin):
         op, left, right = _ARRAY_OPS[e.op], _compile(e.left), _compile(e.right)
-        return lambda z, bad: op(left(z, bad), right(z, bad), bad)
+        return lambda z, undefined: op(left(z, undefined), right(z, undefined), undefined)
     raise EvalError(f"malformed expression node {e!r}")
 
 

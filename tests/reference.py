@@ -16,7 +16,9 @@ form of a Haar-rotated base.  ``simulate_fractions`` reads its Born
 weights back through a Gram-checked d x d standard basis, and
 ``lookup_counts`` draws every outcome and looks each up in the cumulative
 sum, against which the sampler's multinomial counts are checked in
-distribution.
+distribution.  ``eval_expr`` interprets a candidate's syntax tree with
+Python floats and ``math``, one overlap at a time, against which the
+compiled tree's undefined overlaps, values and reasons are checked.
 """
 
 import cmath
@@ -45,6 +47,7 @@ from bornlab.axioms import (
     check_orthogonality_axiom,
     evaluate,
 )
+from bornlab.dsl import CONSTANTS, Bin, Call, Const, Lit, Neg, Var
 from bornlab.hilbert import matrix_to_pairs
 from bornlab.construction import (
     TWO_PI,
@@ -364,3 +367,79 @@ def lookup_counts(probabilities, n_samples, seed):
         cells = np.searchsorted(cdf, draws, side="right")
         counts += np.bincount(cells, minlength=len(probabilities))
     return counts
+
+
+def _apply_func(name: str, x: float) -> float:
+    if name == "abs":
+        return abs(x)
+    if name == "sqrt":
+        if x < 0.0:
+            raise EvalError(f"sqrt of negative value {x!r}")
+        return math.sqrt(x)
+    if name in ("sin", "cos"):
+        if math.isinf(x):
+            raise EvalError(f"{name} of {x!r}")
+        return math.sin(x) if name == "sin" else math.cos(x)
+    if name == "exp":
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvalError(f"exp overflow at {x!r}")
+    if name == "ln":
+        if x <= 0.0:
+            raise EvalError(f"ln of non-positive value {x!r}")
+        return math.log(x)
+    raise EvalError(f"unknown function {name!r}")
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise EvalError("zero raised to a negative power")
+    if a < 0.0 and not (math.isfinite(b) and b == int(b)):
+        raise EvalError(f"negative base {a!r} with non-integer exponent {b!r}")
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(str(exc))
+
+
+def eval_expr(e, z: complex) -> float:
+    """``dsl.eval_expr`` as a tree walk over Python floats and ``math``,
+    raising EvalError at the first undefined operation."""
+    z = complex(z)
+    env = {
+        "r": abs(z),
+        "phi": 0.0 if z == 0 else math.atan2(z.imag, z.real),
+        "re": z.real,
+        "im": z.imag,
+    }
+    return _eval(e, env)
+
+
+def _eval(e, env: dict) -> float:
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Const):
+        return CONSTANTS[e.name]
+    if isinstance(e, Neg):
+        return -_eval(e.arg, env)
+    if isinstance(e, Call):
+        return _apply_func(e.func, _eval(e.arg, env))
+    if isinstance(e, Bin):
+        a = _eval(e.left, env)
+        b = _eval(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero")
+            return a / b
+        if e.op == "^":
+            return _pow(a, b)
+    raise EvalError(f"malformed expression node {e!r}")

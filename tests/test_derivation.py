@@ -341,6 +341,17 @@ class TestFloatCertificate:
         numbers = np.array([tolerance, math.nextafter(tolerance, math.inf)])
         assert replace(columns, **{column: numbers}).verdicts().tolist() == [True, False]
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_unreduced_k_equals_n_is_exact(self, k):
+        # a K = N entry's state is its base's first vector, so the kernel
+        # gives it no DFT block's defect: the reduced ledger's only K = N
+        # entry is 1/1, and F_1's defect is 0 anyway
+        spec = (k, k, (0.5, 2.0), -1)
+        columns = certify_specs(make_specs([spec]))
+        assert full_certificate(spec) == (0.0, [0.0, 0.0])
+        assert columns.defects.tolist() == [0.0]
+        assert columns.errors.tolist() == [0.0, 0.0]
+
 
 class TestHaarBound:
     @pytest.mark.parametrize("seed", [0, 2, 3])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -26,6 +27,8 @@ from bornlab.dsl import (
     pretty,
 )
 from bornlab.errors import EvalError, ParseError, UnknownNameError
+
+import reference
 
 
 class TestParsing:
@@ -105,29 +108,52 @@ class TestEvaluation:
         assert eval_expr(parse_candidate("ln(e)"), 0.1) == pytest.approx(1.0)
 
     def test_division_by_zero(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="^division by zero$"):
             eval_expr(parse_candidate("1/r"), 0.0)
 
     def test_ln_of_nonpositive(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match=r"^ln of non-positive value 0\.0$"):
             eval_expr(parse_candidate("ln(r)"), 0.0)
 
     def test_negative_base_fractional_exponent(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError,
+                           match=r"^negative base -2\.0 with non-integer exponent 0\.5$"):
             eval_expr(parse_candidate("(0 - 2)^0.5"), 0.1)
 
     def test_zero_to_negative_power(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match="^zero raised to a negative power$"):
             eval_expr(parse_candidate("r^(0-1)"), 0.0)
 
-    @pytest.mark.parametrize("source", ["sin(1e999)", "cos(0-1e999)", "sin(1e999*r)"])
+    PERIODIC_OF_INFINITY = {"sin(1e999)": "sin of inf", "cos(0-1e999)": "cos of -inf",
+                            "sin(1e999*r)": "sin of inf"}
+
+    @pytest.mark.parametrize("source", sorted(PERIODIC_OF_INFINITY))
     def test_periodic_of_infinity(self, source):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError, match=f"^{self.PERIODIC_OF_INFINITY[source]}$"):
             eval_expr(parse_candidate(source), 0.5)
 
     def test_negative_base_nan_exponent(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError,
+                           match=r"^negative base -1\.0 with non-integer exponent nan$"):
             eval_expr(parse_candidate("(0-1)^(1e999-1e999)"), 0.1)
+
+    def test_exp_overflow(self):
+        with pytest.raises(EvalError, match=r"^exp overflow at 1000\.0$"):
+            eval_expr(parse_candidate("exp(1000*r)"), 1.0)
+
+    def test_pow_overflow(self):
+        with pytest.raises(EvalError, match="^math range error$"):
+            eval_expr(parse_candidate("10^(400*r)"), 1.0)
+
+    def test_bits_of_the_compiled_tree(self):
+        # numpy's power of two 0-d operands gave 0.12233720517668391 here, the
+        # compiled tree over an array of overlaps 0.1223372051766839
+        tree = parse_candidate("8.174128210267376^(0 - r)")
+        assert eval_expr(tree, 1.0) == compile_expr(tree)([1.0, 0.5])[0]
+
+    def test_non_finite_value_is_returned(self):
+        assert eval_expr(parse_candidate("1e999*r"), 0.5) == math.inf
+        assert math.isnan(eval_expr(parse_candidate("1e999 - 1e999"), 0.5))
 
     def test_purity_bit_identical(self):
         tree = parse_candidate("r^2 + 0.1*sin(phi) - exp(im)/3")
@@ -170,7 +196,7 @@ NESTED = {  # each shape, nested the given number of levels deep
 
 class TestBounds:
     """MAX_NESTING bounds the parser's recursion, and with MAX_TOKENS the
-    depth of the tree that eval_expr, compile_expr and pretty recurse on,
+    depth of the tree that compile_expr, eval_expr and pretty recurse on,
     so what parses does not depend on the caller's stack."""
 
     @staticmethod
@@ -178,7 +204,8 @@ class TestBounds:
         tree = parse_candidate(source)
         z = 0.6 + 0.3j
         compiled = compile_expr(tree)(np.array([z]))[0]
-        assert compiled == pytest.approx(eval_expr(tree, z), rel=1e-12)
+        assert eval_expr(tree, z) == compiled
+        assert compiled == pytest.approx(reference.eval_expr(tree, z), rel=1e-12)
         assert pretty(parse_candidate(pretty(tree))) == pretty(tree)
 
     @pytest.mark.parametrize("shape", sorted(NESTED))
@@ -239,7 +266,7 @@ def test_fuzz_never_crashes():
             pass
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet="r phi+-*/^().0123456789esincoabqtl", max_size=30))
 def test_fuzz_structured(source):
     try:
@@ -276,25 +303,27 @@ class TestCompiled:
     def test_undefined_is_inf(self, source, z):
         tree = parse_candidate(source)
         assert compile_expr(tree)([z, 0.5 + 0.5j])[0] == math.inf
-        scalar = CandidateDistribution(source, lambda z: eval_expr(tree, z))
-        assert evaluate(scalar, [z])[0] == math.inf
+        for scalar_path in (eval_expr, reference.eval_expr):
+            scalar = CandidateDistribution(source, lambda z: scalar_path(tree, z))
+            assert evaluate(scalar, [z])[0] == math.inf
 
     @pytest.mark.parametrize(
         "source", ["sin(1e999)", "cos(0-1e999)", "sin(1e999*r)", "(0-1)^(1e999-1e999)",
                    "(0-1)^(1e999*r - 1e999*r)", "(re - 1)^(ln(r) - ln(r))"],
     )
     def test_same_overlaps_undefined_as_eval_error(self, source):
-        # the scalar path raises EvalError (no other error) or gives a
-        # non-finite value exactly where the compiled path gives inf
+        # eval_expr and the reference interpreter raise EvalError (no other
+        # error) or give a non-finite value exactly where compile_expr gives inf
         zs = [0j, 0.5 + 0j, 0.3 + 0.4j, -1j, -0.6 + 0j]
         tree = parse_candidate(source)
-        undefined = []
-        for z in zs:
-            try:
-                undefined.append(not math.isfinite(eval_expr(tree, z)))
-            except EvalError:
-                undefined.append(True)
-        assert np.isinf(compile_expr(tree)(zs)).tolist() == undefined
+        for scalar_path in (eval_expr, reference.eval_expr):
+            undefined = []
+            for z in zs:
+                try:
+                    undefined.append(not math.isfinite(scalar_path(tree, z)))
+                except EvalError:
+                    undefined.append(True)
+            assert np.isinf(compile_expr(tree)(zs)).tolist() == undefined
 
     def test_constant_expression_fills_the_shape(self):
         values = compile_expr(parse_candidate("pi/4"))(np.zeros((2, 3)))
@@ -348,10 +377,41 @@ _OVERLAPS = st.lists(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_EXPRESSIONS, _OVERLAPS)
 def test_compiled_agrees_with_scalar_path(tree, zs):
-    # the two paths of axioms.evaluate: the same undefined overlaps, and
+    # against the reference interpreter: the same undefined overlaps, and
     # values equal up to the last bits of numpy's vs math's functions
-    scalar = evaluate(CandidateDistribution("t", lambda z: eval_expr(tree, z)), zs)
+    scalar = evaluate(CandidateDistribution("t", lambda z: reference.eval_expr(tree, z)), zs)
     compiled = evaluate(CandidateDistribution("t", None, compile_expr(tree)), zs)
     assert np.isinf(compiled).tolist() == np.isinf(scalar).tolist()
     defined = np.isfinite(scalar)
     assert np.allclose(compiled[defined], scalar[defined], rtol=1e-9, atol=1e-9)
+
+
+_NUMBER = re.compile(r"-?(?:\binf\b|\bnan\b|\d+(?:\.\d*)?(?:e[+-]?\d+)?)")
+
+
+def _outcome(scalar_path, tree, z):
+    """(value, None), or (None, (reason with each number as "#", its numbers))."""
+    try:
+        return scalar_path(tree, z), None
+    except EvalError as exc:
+        reason = str(exc)
+        return None, (_NUMBER.sub("#", reason), [float(x) for x in _NUMBER.findall(reason)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_EXPRESSIONS, _OVERLAPS)
+def test_eval_expr_is_the_compiled_tree_at_one_overlap(tree, zs):
+    # eval_expr gives compile_expr's bits where it returns a finite value,
+    # and raises where the reference interpreter raises, with its reason
+    compiled = compile_expr(tree)(zs)
+    for z, bits in zip(zs, compiled.tolist()):
+        value, reason = _outcome(eval_expr, tree, z)
+        if value is not None and math.isfinite(value):
+            assert struct.pack("d", value) == struct.pack("d", bits)
+        else:
+            assert bits == math.inf
+        _, expected = _outcome(reference.eval_expr, tree, z)
+        assert (reason is None) == (expected is None)
+        if expected is not None:
+            assert reason[0] == expected[0]
+            assert np.allclose(reason[1], expected[1], rtol=1e-9, atol=0, equal_nan=True)
