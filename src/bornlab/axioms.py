@@ -32,6 +32,7 @@ from .hilbert import (
     matrix_to_pairs,
     random_state,
     random_states,
+    standard_basis,
     vector_to_pairs,
 )
 
@@ -195,6 +196,14 @@ def check_normalization(p: CandidateDistribution, basis, state):
     return float(residuals) if residuals.ndim == 0 else residuals
 
 
+def orthogonality_residuals(p: CandidateDistribution, basis: OrthonormalBasis):
+    """(gram, values, residuals) of a basis: its Gram matrix <v_i|v_j>, p at
+    each entry of it, and |p(<v_i|v_j>) - delta_ij|."""
+    gram = basis.matrix.conj() @ basis.matrix.T
+    values = evaluate(p, gram)
+    return gram, values, np.abs(values - np.eye(basis.dim))
+
+
 def check_orthogonality_axiom(
     p: CandidateDistribution, basis: OrthonormalBasis, tolerance: float = 1e-9
 ) -> AxiomReport:
@@ -202,9 +211,7 @@ def check_orthogonality_axiom(
 
     In particular enforces p(0) = 0 and p(1) = 1.
     """
-    gram = basis.matrix.conj() @ basis.matrix.T
-    values = evaluate(p, gram)
-    residuals = np.abs(values - np.eye(basis.dim))
+    gram, values, residuals = orthogonality_residuals(p, basis)
     index = _worst_index(residuals)
     if index is None:
         return AxiomReport(Axiom.ORTHOGONALITY, 0.0, {"candidate": p.name}, tolerance)
@@ -232,14 +239,24 @@ def _seeded_chunks(key: tuple, trials: int):
 
 
 def random_probes(p: CandidateDistribution, key: tuple, n: int, trials: int):
-    """(trials, seeds, unitaries, states, residuals) of Haar-random normalization
-    probes, RANDOM_CHUNK at a time: trial t's basis is the Haar unitary of its
-    seed, drawn from (*key, n, t), and its state ``random_state(n, seed + 1)``.
-    Each residual has the bits of scoring its trial alone."""
-    for ts, subs in _seeded_chunks((*key, n), trials):
-        unitaries = haar_unitaries(n, subs)  # each validated as a unitary
-        states = random_states(n, [sub + 1 for sub in subs])  # and each as a state
-        yield ts, subs, unitaries, states, check_normalization(p, unitaries, states)
+    """(trials, states, residuals) of Haar-random normalization probes in C^n,
+    RANDOM_CHUNK at a time, each residual scored in the standard basis.
+
+    P depends on the overlap vector w = (<v_i|psi>)_i alone, and for a
+    Haar-random state psi and any basis drawn independently of it, w is a
+    Haar-random unit vector of C^n.  So a (basis, state) pair is drawn in
+    the frame of its basis: the basis is the standard one and the state is
+    w.  The states of dimension n are one stream,
+    ``default_rng(SeedSequence([*key, n]))`` (``hilbert.random_states``),
+    so trial t is the stream's t-th state whatever trials and the chunk size
+    are.  Each residual has the bits of scoring its trial alone.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([*key, n]))
+    basis = standard_basis(n)
+    for start in range(0, trials, RANDOM_CHUNK):
+        ts = range(start, min(start + RANDOM_CHUNK, trials))
+        states = random_states(rng, n, len(ts))  # each validated as a state
+        yield ts, states, check_normalization(p, basis, states)
 
 
 def check_unitary_invariance(
@@ -331,12 +348,14 @@ def normalization_report(
     seed: int,
     tolerance: float = 1e-9,
 ) -> AxiomReport:
-    """Worst normalization residual over Haar-random (basis, state) probes,
-    trial t of dimension n seeded from (seed, n, t) (``random_probes``)."""
+    """Worst normalization residual over Haar-random probes, the first
+    trials of dimension n's stream keyed (seed, 2, n) (``random_probes``):
+    the falsifier's own random probes at an equal seed.  The worst case
+    gives the probe's basis, the standard one, and its state."""
     max_residual = 0.0
     worst = {"candidate": p.name}
     for n in sorted(set(dims)):
-        for ts, subs, unitaries, states, residuals in random_probes(p, (seed,), n, trials):
+        for ts, states, residuals in random_probes(p, (seed, 2), n, trials):
             # the first largest residual above the best so far, as a scan would keep
             above = np.flatnonzero(residuals > max_residual)
             if above.size:
@@ -346,8 +365,7 @@ def normalization_report(
                     "candidate": p.name,
                     "dim": n,
                     "trial": ts[i],
-                    "seed": subs[i],
-                    "basis": matrix_to_pairs(unitaries[i]),
+                    "basis": matrix_to_pairs(np.eye(n)),
                     "state": vector_to_pairs(states[i]),
                 }
     return AxiomReport(Axiom.NORMALIZATION, max_residual, worst, tolerance)

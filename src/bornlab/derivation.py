@@ -342,11 +342,22 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
         raise CertificateError("ledger seed must be >= 0")
     if len(theta_base) > MAX_THETAS:
         raise CertificateError(f"ledger theta_base holds more than {MAX_THETAS} values")
-    count = 1 + sum(math.gcd(k, n) == 1 for n in range(1, n_max + 1) for k in range(1, n + 1))
+    count = 1 + _reduced_fractions(n_max)
     if len(entries) != count:
         raise CertificateError(
             f"ledger holds {len(entries)} entries, not the {count} of n_max={n_max}")
     return n_max, seed, rotate_bases, theta_base, entries
+
+
+def _reduced_fractions(n_max: int) -> int:
+    """The number of reduced fractions K/N with 1 <= K <= N <= n_max: Euler's
+    totient summed over 1..n_max, from a sieve.  phi starts as N, and each
+    prime p takes phi(N)/p off every multiple N of it."""
+    phi = np.arange(n_max + 1)
+    for p in range(2, n_max + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+    return int(phi[1:].sum())
 
 
 def _derive(n_max: int, theta_samples=None, rotate_bases=False, seed=0) -> ConstraintLedger:

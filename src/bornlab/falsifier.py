@@ -6,7 +6,11 @@ Three phases, cheapest and most interpretable first:
    its exact overlaps (plus the P(0)/P(1) orthogonality probe), so any
    candidate that is wrong at a rational modulus is falsified without
    randomness;
-2. random probes — Haar-random (state, basis) normalization residuals;
+2. random probes — Haar-random (basis, state) normalization residuals,
+   each pair written in the frame of its basis: the standard basis and a
+   Haar-random state.  The candidate sees only the overlaps <v_i|psi>,
+   and those of a Haar state with any basis drawn independently of it
+   form a Haar-random unit vector, so the basis need not be drawn;
 3. optimizer — derivative-free hill climbing over the unitary group,
    perturbing U by the Cayley map of eps * A with A random skew-Hermitian,
    keeping perturbations that increase the normalization residual.
@@ -32,8 +36,8 @@ from .axioms import (
     Axiom,
     CandidateDistribution,
     check_normalization,
-    check_orthogonality_axiom,
     evaluate,
+    orthogonality_residuals,
     random_probes,
 )
 from .construction import Specs, certificate_probes, entry_overlaps
@@ -145,8 +149,14 @@ def replay_witness(w: Witness, p: Optional[CandidateDistribution] = None) -> flo
     if p is None:
         raise ParameterError("witness carries no candidate; pass one explicitly")
     if w.axiom is Axiom.ORTHOGONALITY:
-        return check_orthogonality_axiom(p, w.basis).max_residual
+        return _orthogonality_residual(p, w.basis)
     return check_normalization(p, w.basis, w.state)
+
+
+def _orthogonality_residual(p, basis: OrthonormalBasis) -> float:
+    """max_ij |p(<v_i|v_j>) - delta_ij|: ``check_orthogonality_axiom``'s
+    residual, without the worst case it reports."""
+    return float(orthogonality_residuals(p, basis)[2].max())
 
 
 def _ledger_witness(p, specs: Specs, dims, cfg) -> tuple[Optional[Witness], int]:
@@ -189,7 +199,7 @@ def _ledger_phase(p, cfg, specs) -> tuple[Optional[Witness], int]:
     # must hit, which are the only overlaps in the Gram matrix of the
     # standard basis at the smallest dimension
     basis = standard_basis(max(min(cfg.n_range), 2))
-    residual = check_orthogonality_axiom(p, basis).max_residual
+    residual = _orthogonality_residual(p, basis)
     if residual >= cfg.violation_threshold:
         return _witness(p, Axiom.ORTHOGONALITY, basis, basis.vector(0), residual,
                         (cfg.seed, 1), ConstructionTag.LEDGER_CERTIFICATE), 2
@@ -198,21 +208,20 @@ def _ledger_phase(p, cfg, specs) -> tuple[Optional[Witness], int]:
 
 
 def _random_phase(p, cfg) -> tuple[Optional[Witness], int]:
-    """Haar-random probes, trial t of dimension n seeded from (seed, 2, n, t)
-    (``axioms.random_probes``); the first violating trial is the witness."""
+    """Haar-random probes, trial t of dimension n the t-th state of the
+    stream keyed (seed, 2, n) in the standard basis (``axioms.random_probes``);
+    the first violating trial is the witness, with seed chain (seed, 2, n, t)."""
     probes = 0
     for n in sorted(set(cfg.n_range)):
-        for ts, subs, unitaries, states, residuals in random_probes(
-            p, (cfg.seed, 2), n, cfg.random_trials
-        ):
+        for ts, states, residuals in random_probes(p, (cfg.seed, 2), n, cfg.random_trials):
             hits = np.flatnonzero(residuals >= cfg.violation_threshold)
             if hits.size == 0:
                 probes += len(ts)
                 continue
             i = int(hits[0])
-            witness = _witness(p, Axiom.NORMALIZATION, OrthonormalBasis(unitaries[i]),
-                               StateVector(states[i]), float(residuals[i]),
-                               (cfg.seed, 2, n, ts[i], subs[i]), ConstructionTag.RANDOM_BASIS)
+            witness = _witness(p, Axiom.NORMALIZATION, standard_basis(n), StateVector(states[i]),
+                               float(residuals[i]), (cfg.seed, 2, n, ts[i]),
+                               ConstructionTag.RANDOM_BASIS)
             return witness, probes + i + 1
     return None, probes
 

@@ -5,9 +5,9 @@ Conventions used throughout the package:
 
 - the inner product is conjugate-linear in the FIRST argument
   (``inner_product(a, b) = sum_k conj(a_k) * b_k``);
-- all randomness flows through ``numpy.random.default_rng`` (PCG64) with
-  explicit integer seeds, so every sampled object is reproducible
-  bit-for-bit;
+- all randomness flows through ``numpy.random.default_rng`` (PCG64),
+  seeded with explicit integers or ``SeedSequence`` keys of them, so every
+  sampled object is reproducible bit-for-bit;
 - basis vectors are stored as the ROWS of an N x N matrix.
 """
 
@@ -243,32 +243,36 @@ def _gram_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj() @ m.T - np.eye(m.shape[0]))))
 
 
-def random_states(n: int, seeds) -> np.ndarray:
-    """Haar-uniform states on the unit sphere of C^n, one per seed, as a
-    read-only (len(seeds), n) stack of amplitudes, checked as StateVector
-    checks one state.  Row i is bit for bit the state that seeds[i] alone
-    gives."""
-    return _unit_states(_complex_array(_random_rows(n, seeds), 2))
+def random_states(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The next count Haar-uniform states on the unit sphere of C^n from rng,
+    as a read-only (count, n) stack of amplitudes, checked as StateVector
+    checks one state.
+
+    Each state takes the next 2n standard normals of rng's stream, n real
+    parts and then n imaginary parts, over its own 1-D norm (a stacked norm
+    sums in another order).  So the t-th state of a stream is the same bits
+    however the stream is cut into calls, and ``random_state(n, seed)`` is
+    the first state of ``default_rng(seed)``.
+    """
+    return _unit_states(_complex_array(_random_rows(rng, n, count), 2))
 
 
-def _random_rows(n: int, seeds) -> np.ndarray:
-    """The unchecked rows of :func:`random_states`: each seed's Gaussian
-    vector over its own 1-D norm (a stacked norm sums in another order)."""
+def _random_rows(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The unchecked rows of :func:`random_states`."""
     if n < 1:
         raise DimensionError("n must be >= 1")
-    states = np.empty((len(seeds), n), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        states[i] = z / np.linalg.norm(z)
+    normals = rng.standard_normal((count, 2, n))
+    states = normals[:, 0] + 1j * normals[:, 1]
+    for row in states:
+        row /= np.linalg.norm(row)
     return states
 
 
 def random_state(n: int, seed: int) -> StateVector:
     """Haar-uniform state on the unit sphere of C^n, deterministic per seed:
-    the stack-of-one case of :func:`random_states`, checked once, by
-    ``StateVector``."""
-    return StateVector(_random_rows(n, [seed])[0])
+    the first state of :func:`random_states` on ``default_rng(seed)``,
+    checked once, by ``StateVector``."""
+    return StateVector(_random_rows(np.random.default_rng(seed), n, 1)[0])
 
 
 def standard_basis(n: int) -> OrthonormalBasis:

@@ -21,8 +21,9 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab.axioms import evaluate, normalization_report, pair_form
-from bornlab.hilbert import OrthonormalBasis, haar_unitaries
+from bornlab import hilbert
+from bornlab.axioms import evaluate, normalization_report, pair_form, random_probes
+from bornlab.hilbert import OrthonormalBasis, StateVector, haar_unitaries
 
 import reference
 
@@ -108,6 +109,64 @@ class TestNormalization:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             check_normalization(born_candidate(), haar_unitaries(3, [1, 2]), np.ones((2, 4)))
+
+
+def probe_overlaps(n: int, draws: int, seed: int) -> np.ndarray:
+    """The overlap vectors of the first draws random probes of C^n: the
+    states themselves, since each is scored in the standard basis."""
+    chunks = random_probes(candidate_from_expression("r^2"), (seed, 2), n, draws)
+    return np.vstack([states for _, states, _ in chunks])
+
+
+def haar_pair_overlaps(n: int, draws: int, seed: int) -> np.ndarray:
+    """<v_i|psi> of draws Haar pairs (U, psi), U's rows the basis, each from its own seeds."""
+    seeds = np.random.SeedSequence(seed).generate_state(2 * draws, np.uint64).tolist()
+    return np.array([reference.haar(n, seeds[2 * t]).conj() @
+                     random_state(n, seeds[2 * t + 1]).amplitudes for t in range(draws)])
+
+
+class TestRandomProbeLaw:
+    """A random probe is a Haar state in the standard basis: its overlap
+    vector has the law of a Haar pair's, basis and state drawn apart."""
+
+    DRAWS = 3000
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_first_overlap_against_haar_pairs(self, n):
+        from scipy import stats
+
+        w = probe_overlaps(n, self.DRAWS, seed=11)[:, 0]
+        ref = haar_pair_overlaps(n, self.DRAWS, seed=12)[:, 0]
+        assert stats.ks_2samp(abs(w) ** 2, abs(ref) ** 2).pvalue > 0.01
+        assert stats.ks_2samp(np.angle(w), np.angle(ref)).pvalue > 0.01
+        # |w_1|^2 of a Haar unit vector of C^n is Beta(1, n - 1)
+        assert stats.kstest(abs(w) ** 2, stats.beta(1, n - 1).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_mean_weight_is_one_over_n(self, n):
+        weights = abs(probe_overlaps(n, self.DRAWS, seed=13)) ** 2
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+        # Var |w_i|^2 = (n - 1) / (n^2 (n + 1)); each mean within 5 standard errors
+        error = math.sqrt((n - 1) / (n * n * (n + 1)) / self.DRAWS)
+        assert np.abs(weights.mean(axis=0) - 1.0 / n).max() <= 5 * error + 1e-15
+
+    @pytest.mark.parametrize("value, error", [
+        (0.5, r"state is not normalized: <v\|v> = 0\.75"),
+        (math.nan, "amplitudes must be finite"),
+    ])
+    def test_a_bad_row_is_refused(self, monkeypatch, value, error):
+        with pytest.raises(ValueError, match=error):
+            StateVector(np.full(3, value))
+        rows = hilbert._random_rows
+
+        def draw(rng, n, count):
+            out = rows(rng, n, count)
+            out[-1] = value
+            return out
+
+        monkeypatch.setattr(hilbert, "_random_rows", draw)
+        with pytest.raises(ValueError, match=error):
+            next(random_probes(born_candidate(), (0, 2), 3, 5))
 
 
 class TestOrthogonality:

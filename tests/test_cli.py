@@ -23,6 +23,7 @@ from bornlab import (
     cli,
     construction,
     derivation,
+    dsl,
     falsify,
 )
 from bornlab.cli import MAX_LEDGER_BYTES, main
@@ -818,6 +819,23 @@ class TestFalsify:
         assert code == 0
         assert payload["result"]["witness"]["residual"] == "inf"
         schema_validator("falsify.schema.json").validate(payload)
+
+    def test_orthogonality_witness_evaluates_no_reason(self, tmp_path, monkeypatch):
+        # the falsifier reads the orthogonality residual alone: no overlap is
+        # evaluated again for the reason of a worst case that no output carries
+        calls = []
+        eval_expr = dsl.eval_expr
+        monkeypatch.setattr(dsl, "eval_expr", lambda *args: calls.append(args) or eval_expr(*args))
+        code, payload = run(tmp_path, "falsify", "-p", "ln(r)", "--n-range", "2")
+        assert (code, calls) == (0, [])
+        e1, e2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        assert payload["result"] == {
+            "falsified": True,
+            "probes": {"ledger": 2, "optimizer": 0, "random": 0},
+            "witness": {"axiom": "orthogonality", "basis": [e1, e2], "candidate": "ln(r)",
+                        "construction_tag": "LedgerCertificate", "dimension": 2,
+                        "residual": "inf", "seed_chain": [0, 1], "state": e1},
+        }
 
 
     @pytest.mark.parametrize("candidate", ["r^2", "r^2*(1 + 0.1*sin(phi))"])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ from bornlab.derivation import (
     DEFAULT_THETAS,
     DEFECT_TOLERANCE,
     OVERLAP_TOLERANCE,
+    _reduced_fractions,
     certify_specs,
     ledger_specs,
     read_specs,
@@ -155,6 +157,20 @@ class TestBuildLedger:
 
     def test_farey_size_n_max_64(self, ledger64):
         assert len(ledger64.entries) == 1 + totient_sum(64)
+
+    def test_header_count_is_the_totient_sum(self):
+        # totient_sum's gcd count, accumulated over N, and checked against it
+        counts = list(itertools.accumulate(
+            sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) for n in range(1, 513)))
+        assert [counts[n - 1] for n in (1, 2, 7, 64, 512)] == [
+            totient_sum(n) for n in (1, 2, 7, 64, 512)]
+        assert [_reduced_fractions(n) for n in range(1, 513)] == counts
+
+    def test_header_count_message(self):
+        payload = build_ledger(4).to_json()
+        payload["entries"] = payload["entries"][:-1]
+        with pytest.raises(CertificateError, match=r"^ledger holds 6 entries, not the 7 of n_max=4$"):
+            read_specs(payload)
 
     def test_all_verified(self, ledger10):
         assert all(e["verified"] for e in ledger10.entries)

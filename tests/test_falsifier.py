@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bornlab import (
     replay_witness,
     shrink_witness,
 )
-from bornlab import construction
+from bornlab import axioms, construction
 from bornlab.cli import main
 from bornlab.falsifier import MAX_STEP_SCALE, _ledger_phase, _ledger_residuals, expm, hill_climb
 
@@ -328,6 +329,53 @@ LEDGER_CANDIDATES = {
     "ledger-locked": make_ledger_locked_candidate(8),
     "wrong-above-5": make_wrong_above_denominator(5),
 }
+
+
+BUMP = "r^2 + 0.5*exp(0-1000*(r-0.3)^2)"  # passes the ledger at N = 2..3, not the random phase
+
+
+class TestRandomPhase:
+    """Trial t of dimension N is the t-th Haar state of the stream keyed
+    (seed, 2, N), scored in the standard basis."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_bump_is_caught_by_a_random_probe(self, ledger8, seed):
+        cfg = quick_cfg(n_range=(2, 3), random_trials=200, optimizer_steps=0, seed=seed)
+        result = falsify(candidate_from_expression(BUMP), cfg, ledger8)
+        w = result.witness
+        assert result.probes["ledger"] == 17
+        assert w.construction_tag is ConstructionTag.RANDOM_BASIS
+        assert w.basis.matrix.tobytes() == np.eye(w.dimension, dtype=complex).tobytes()
+        assert w.seed_chain[:3] == (seed, 2, w.dimension) and len(w.seed_chain) == 4
+        assert replay_witness(w) == w.residual
+        want, probes = reference.random_phase(candidate_from_expression(BUMP), cfg)
+        assert (w.to_json(), result.probes["random"]) == (want, probes)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_trial_depends_on_seed_dimension_and_index_alone(self, ledger8, monkeypatch,
+                                                              seed, chunk):
+        monkeypatch.setattr(axioms, "RANDOM_CHUNK", chunk)
+        p = candidate_from_expression(BUMP)
+        cfg = quick_cfg(n_range=(2, 3), random_trials=200, optimizer_steps=0, seed=seed)
+        want, probes = reference.random_phase(p, cfg)
+        t = want["seed_chain"][3]
+        for trials in (t + 1, 200):
+            result = falsify(p, replace(cfg, random_trials=trials), ledger8)
+            assert (result.witness.to_json(), result.probes["random"]) == (want, probes)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    def test_stream_is_cut_into_chunks_in_order(self, monkeypatch, chunk):
+        p = candidate_from_expression("r^2")
+        whole = [(list(ts), states, residuals) for ts, states, residuals
+                 in axioms.random_probes(p, (3, 2), 5, 45)]
+        monkeypatch.setattr(axioms, "RANDOM_CHUNK", chunk)
+        cut = list(axioms.random_probes(p, (3, 2), 5, 45))
+        assert [t for ts, _, _ in cut for t in ts] == list(range(45))
+        assert all(len(ts) <= chunk for ts, _, _ in cut)
+        for part in (1, 2):
+            assert (np.concatenate([c[part] for c in cut]).tobytes()
+                    == np.concatenate([w[part] for w in whole]).tobytes())
 
 
 class TestLedgerPhaseMatchesReference:

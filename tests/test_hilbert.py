@@ -226,14 +226,22 @@ class TestRandomState:
         with pytest.raises(DimensionError):
             random_state(0, 1)
         with pytest.raises(DimensionError):
-            hilbert.random_states(0, [1])
+            hilbert.random_states(np.random.default_rng(1), 0, 1)
 
-    def test_stack_rows_are_each_seed_alone(self):
-        seeds = [3, 11, 2**63 - 1]
-        stack = hilbert.random_states(6, seeds)
-        assert stack.shape == (3, 6) and not stack.flags.writeable
-        for row, seed in zip(stack, seeds):
-            assert row.tobytes() == random_state(6, seed).amplitudes.tobytes()
+    def test_stack_rows_are_one_stream(self):
+        stack = hilbert.random_states(np.random.default_rng(3), 6, 5)
+        assert stack.shape == (5, 6) and not stack.flags.writeable
+        # the same states however the stream is cut into calls
+        rng = np.random.default_rng(3)
+        cut = np.vstack([hilbert.random_states(rng, 6, k) for k in (2, 1, 2)])
+        assert cut.tobytes() == stack.tobytes()
+        # and one state at a time, n real then n imaginary parts each
+        rng = np.random.default_rng(3)
+        for row in stack:
+            assert row.tobytes() == reference.haar_state(rng, 6).amplitudes.tobytes()
+        for seed in [3, 11, 2**63 - 1]:
+            first = hilbert.random_states(np.random.default_rng(seed), 6, 1)[0]
+            assert first.tobytes() == random_state(6, seed).amplitudes.tobytes()
 
     @pytest.mark.parametrize("value, error", [
         (0.5, r"state is not normalized: <v\|v> = 0\.75"),
@@ -242,7 +250,7 @@ class TestRandomState:
     def test_stack_checked_as_states(self, monkeypatch, value, error):
         # each row is checked as StateVector checks one state
         rows = hilbert._random_rows
-        monkeypatch.setattr(hilbert, "_random_rows",
-                            lambda n, seeds: np.vstack([rows(n, seeds[:1]), np.full(n, value)]))
+        monkeypatch.setattr(hilbert, "_random_rows", lambda rng, n, count: np.vstack(
+            [rows(rng, n, 1), np.full(n, value)]))
         with pytest.raises(ValueError, match=error):
-            hilbert.random_states(3, [1, 2])
+            hilbert.random_states(np.random.default_rng(1), 3, 2)
