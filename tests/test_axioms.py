@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bornlab import (
     Axiom,
@@ -133,8 +134,6 @@ class TestRandomProbeLaw:
 
     @pytest.mark.parametrize("n", [2, 5, 32])
     def test_first_overlap_against_haar_pairs(self, n):
-        from scipy import stats
-
         w = probe_overlaps(n, self.DRAWS, seed=11)[:, 0]
         ref = haar_pair_overlaps(n, self.DRAWS, seed=12)[:, 0]
         assert stats.ks_2samp(abs(w) ** 2, abs(ref) ** 2).pvalue > 0.01

@@ -367,8 +367,7 @@ class TestRandomPhase:
     @pytest.mark.parametrize("chunk", [1, 7, 20])
     def test_stream_is_cut_into_chunks_in_order(self, monkeypatch, chunk):
         p = candidate_from_expression("r^2")
-        whole = [(list(ts), states, residuals) for ts, states, residuals
-                 in axioms.random_probes(p, (3, 2), 5, 45)]
+        whole = list(axioms.random_probes(p, (3, 2), 5, 45))
         monkeypatch.setattr(axioms, "RANDOM_CHUNK", chunk)
         cut = list(axioms.random_probes(p, (3, 2), 5, 45))
         assert [t for ts, _, _ in cut for t in ts] == list(range(45))
