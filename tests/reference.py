@@ -81,22 +81,25 @@ def cayley(x: np.ndarray) -> np.ndarray:
 
 
 def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
-    """The climber one step at a time: draw, take one Cayley step, score, keep if better."""
+    """The climber one step at a time over unit states in the standard basis:
+    draw n real and n imaginary normals, move, renormalise, score, keep if better."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, n]))
-    state = random_state(n, int(rng.integers(2**63)))
-    u = haar(n, int(rng.integers(2**63)))
-    best = normalization(p, u, state.amplitudes)
+    w = random_state(n, int(rng.integers(2**63))).amplitudes
+    eye = np.eye(n, dtype=np.complex128)
+    best = normalization(p, eye, w)
     trace = [best]
     scale = step_scale
     rejections = 0
     for _ in range(steps):
         if scale < 1e-6:
             break
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        candidate_u = u @ cayley(scale * ((a - a.conj().T) / 2.0))
-        residual = normalization(p, candidate_u, state.amplitudes)
+        real = rng.standard_normal(n)
+        imag = rng.standard_normal(n)
+        z = w + scale * (real + 1j * imag)
+        candidate = z / np.sqrt(np.sum(z.real**2 + z.imag**2))
+        residual = normalization(p, eye, candidate)
         if residual > best:
-            u, best = candidate_u, residual
+            w, best = candidate, residual
             rejections = 0
         else:
             rejections += 1
@@ -104,7 +107,7 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
                 scale /= 2.0
                 rejections = 0
         trace.append(best)
-    return u, state, best, trace
+    return eye, StateVector(w), best, trace
 
 
 def spec_rows(specs) -> list:
@@ -213,10 +216,10 @@ def optimizer_phase(p, cfg):
     """(witness JSON or None, probes) of the optimizer phase, one step at a time."""
     probes = 0
     for n in sorted(set(cfg.n_range)):
-        u, state, best, trace = hill_climb(p, n, cfg.optimizer_steps, cfg.step_scale, cfg.seed)
+        eye, state, best, trace = hill_climb(p, n, cfg.optimizer_steps, cfg.step_scale, cfg.seed)
         probes += len(trace)
         if best >= cfg.violation_threshold:
-            return _witness(p, n, state, u, best, (cfg.seed, 3, n), "OptimizedBasis"), probes
+            return _witness(p, n, state, eye, best, (cfg.seed, 3, n), "OptimizedBasis"), probes
     return None, probes
 
 

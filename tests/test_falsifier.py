@@ -19,7 +19,7 @@ from bornlab import (
     replay_witness,
     shrink_witness,
 )
-from bornlab import axioms, construction
+from bornlab import axioms, construction, hilbert
 from bornlab.cli import main
 from bornlab.falsifier import MAX_STEP_SCALE, _ledger_phase, _ledger_residuals, expm, hill_climb
 
@@ -177,16 +177,60 @@ class TestOptimizer:
     def test_clean_climb_stops_on_rejections(self, n, seed):
         # on the Born rule nothing beats rounding, so the step scale halves
         # every STEP_WINDOW rejections and a climb ends well before its cap of
-        # 1,001 probes (at most 534 here).  A step whose unitarity drift reads
-        # as residual gain climbs on: the Cayley form (I - X/2)^-1 (I + X/2)
-        # passes 700 on 5 of these 18 climbs (2 reach the cap), an eigh
-        # exponential reaches the cap on all 18.
+        # 1,001 probes (at most 381 here).  A step whose rounding builds up and
+        # reads as residual gain climbs on: over the unitary group, the Cayley
+        # form (I - X/2)^-1 (I + X/2) passed 700 on 5 of these 18 climbs (2
+        # reached the cap), and an eigh exponential reached the cap on all 18.
         _, _, _, trace = hill_climb(candidate_from_expression("r^2"), n, 1000, 0.1, seed)
         assert len(trace) < 700
 
+    def test_clean_climb_stays_at_the_rounding_floor(self):
+        # every candidate is renormalised, so the best residual of the Born
+        # rule is rounding in one sum: at most 8.9e-16 over these 248 climbs,
+        # where the Cayley steps over the unitary group reached 8.0e-15
+        p = candidate_from_expression("r^2")
+        floor = max(hill_climb(p, n, 1000, 0.1, seed)[2]
+                    for n in range(2, 33) for seed in range(1, 9))
+        assert floor <= 2e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["ledger-locked", "bump"])
+    def test_witness_is_a_state_in_the_standard_basis(self, ledger8, name, seed):
+        # the ledger-locked candidate's climb never accepts; the bump's climbs
+        # to its peak, so its witness state is a renormalised candidate
+        p = make_ledger_locked_candidate(8) if name == "ledger-locked" else (
+            candidate_from_expression(BUMP))
+        cfg = quick_cfg(n_range=(2, 3), random_trials=0, optimizer_steps=500, seed=seed)
+        result = falsify(p, cfg, ledger8)
+        w = result.witness
+        assert w.construction_tag is ConstructionTag.OPTIMIZED_BASIS
+        assert w.seed_chain == (seed, 3, w.dimension)
+        assert w.basis.matrix.tobytes() == np.eye(w.dimension, dtype=complex).tobytes()
+        assert replay_witness(w) == w.residual
+
+    # median best residual of the climber over the unitary group (Cayley
+    # steps) at 200 steps, scale 0.1 and seeds 0-4; the walk over states
+    # reached 0.94-1.0 of each
+    CAYLEY_MEDIANS = {
+        ("r^2.01", 3): 5.478e-3, ("r^2.01", 8): 1.0342e-2, ("r^2.01", 32): 1.7028e-2,
+        ("r^2*(1 + 0.001*sin(phi))", 3): 9.99998e-4,
+        ("r^2*(1 + 0.001*sin(phi))", 8): 9.9865e-4,
+        ("r^2*(1 + 0.001*sin(phi))", 32): 9.3734e-4,
+        ("r^2 + 0.001*sin(10*r)", 3): 2.3017e-3, ("r^2 + 0.001*sin(10*r)", 8): 4.6268e-3,
+        ("r^2 + 0.001*sin(10*r)", 32): 3.0464e-2,
+        ("r^2+0.01*r^3*(1-r)", 3): 2.4402e-3, ("r^2+0.01*r^3*(1-r)", 8): 2.4669e-3,
+        ("r^2+0.01*r^3*(1-r)", 32): 2.1618e-3,
+    }
+
+    @pytest.mark.parametrize("expr, n", sorted(CAYLEY_MEDIANS))
+    def test_climbs_as_high_as_the_unitary_climber(self, expr, n):
+        p = candidate_from_expression(expr)
+        bests = [hill_climb(p, n, 200, 0.1, seed)[2] for seed in range(5)]
+        assert np.median(bests) >= 0.8 * self.CAYLEY_MEDIANS[expr, n]
+
 
 class TestCayleyStep:
-    """``expm``, the optimizer's unitary step, on stacks of skew-Hermitian X."""
+    """``expm``, the Cayley map that perfbench traces, on stacks of skew-Hermitian X."""
 
     @pytest.mark.parametrize("n", [1, 2, 32])
     @pytest.mark.parametrize("scale", [1e-6, 0.1, MAX_STEP_SCALE])
@@ -422,6 +466,19 @@ def test_clean_ledger_phase_builds_no_basis(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_clean_random_and_optimizer_phases_build_no_basis(monkeypatch, ledger8):
+    # both phases score against the raw identity; a standard basis, whose
+    # check is an n^3 Gram product, is built only for a witness
+    built = []
+    real = hilbert.OrthonormalBasis.__init__
+    monkeypatch.setattr(hilbert.OrthonormalBasis, "__init__",
+                        lambda self, matrix: built.append(len(matrix)) or real(self, matrix))
+    cfg = quick_cfg(n_range=(3, 5, 8), random_trials=45, optimizer_steps=100)
+    result = falsify(born_candidate(), cfg, ledger8)
+    assert result.witness is None and result.probes["optimizer"] > 3
+    assert built == [3]  # the ledger phase's P(0), P(1) probe at the smallest N
+
+
 class TestConfigValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ParameterError):
@@ -431,8 +488,8 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             FalsifierConfig(n_range=())
 
-    # past MAX_STEP_SCALE a step is no longer local and its unitarity defect
-    # grows (n = 32: 1.7e-14 at scale 10, 7.5e-13 at 1000), so 1e10 is refused
+    # past MAX_STEP_SCALE a step is no longer local: the renormalised
+    # w + scale * g lies near the fresh random state g / |g|, so 1e10 is refused
     @pytest.mark.parametrize("field,value", [
         pytest.param(field, value, id=f"{value}-{field}")
         for field in ("step_scale", "violation_threshold")
