@@ -54,7 +54,6 @@ from .hilbert import (
     OrthonormalBasis,
     StateVector,
     haar_unitary,
-    inner_product,
     orthonormality_defect,
     random_state,
     standard_basis,

@@ -2,8 +2,10 @@
 
 A candidate is a real-valued function of a single complex overlap z with
 |z| <= 1.  Taking only the overlap makes unitary invariance and
-N-independence structural; the checks here return residuals, never
-booleans, and pass/fail is applied at report time against configurable
+N-independence structural, so their checks measure only how far the
+rounding of an overlap moves P.  Every check scores its overlaps through
+:func:`evaluate`, a whole array at a time, and returns residuals, never
+booleans; pass/fail is applied at report time against configurable
 tolerances.  Candidate evaluation failures (non-finite or non-real
 output, EvalError) are folded into the residual as +inf rather than
 aborting a sweep.
@@ -28,9 +30,7 @@ from .hilbert import (
     complex_to_pair,
     haar_unitaries,
     haar_unitary,
-    inner_product,
     matrix_to_pairs,
-    random_state,
     random_states,
     vector_to_pairs,
 )
@@ -226,18 +226,6 @@ def check_orthogonality_axiom(
     return AxiomReport(Axiom.ORTHOGONALITY, float(residuals[i, j]), worst, tolerance)
 
 
-def pair_form(p: CandidateDistribution) -> Callable[[StateVector, StateVector], float]:
-    """Lift an overlap-only candidate to a function of a state pair."""
-    return lambda v, w: p(inner_product(v, w))
-
-
-def _seeded_chunks(key: tuple, trials: int):
-    """(trials, seeds) RANDOM_CHUNK at a time, trial t seeded from (*key, t) alone."""
-    for start in range(0, trials, RANDOM_CHUNK):
-        ts = range(start, min(start + RANDOM_CHUNK, trials))
-        yield ts, [int(np.random.SeedSequence([*key, t]).generate_state(1)[0]) for t in ts]
-
-
 def random_probes(p: CandidateDistribution, key: tuple, n: int, trials: int):
     """(trials, states, residuals) of Haar-random normalization probes in C^n,
     RANDOM_CHUNK at a time, each residual scored in the standard basis.
@@ -261,37 +249,44 @@ def random_probes(p: CandidateDistribution, key: tuple, n: int, trials: int):
 
 
 def check_unitary_invariance(
-    p_pairform: Callable[[StateVector, StateVector], float],
+    p: CandidateDistribution,
     trials: int,
     seed: int,
     dim: int = 4,
     tolerance: float = 1e-12,
-    name: str = "",
 ) -> AxiomReport:
-    """Residual = max over sampled (v, w, U) of |P(Uv, Uw) - P(v, w)|.
+    """Residual = max over sampled (v, w, U) of |P(<Uv|Uw>) - P(<v|w>)|.
 
-    For overlap-only candidates this is tiny by construction; pair-form
-    candidates that peek at amplitudes directly are caught here.  Trial t
-    is seeded from (seed, t), and its unitary drawn in RANDOM_CHUNK stacks.
+    A candidate takes the overlap alone, so U cancels in exact arithmetic:
+    what this measures is how far the rounding of the overlap under a Haar
+    rotation moves P, and a P that is non-finite in either frame scores
+    inf.  Trial t takes states 2t and 2t + 1 of the stream keyed
+    (seed, 4, dim) (``hilbert.random_states``) and unitary t of the stream
+    keyed (seed, 5, dim) (``hilbert.haar_unitaries``), RANDOM_CHUNK trials
+    at a time, so its bits do not depend on the chunk size; both frames of
+    a chunk are scored by one ``evaluate`` call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    state_rng = np.random.default_rng(np.random.SeedSequence([seed, 4, dim]))
+    unitary_rng = np.random.default_rng(np.random.SeedSequence([seed, 5, dim]))
     max_residual = 0.0
-    worst = {"candidate": name}
-    for ts, subs in _seeded_chunks((seed,), trials):
-        unitaries = haar_unitaries(dim, [sub + 2 for sub in subs])
-        for t, sub, u in zip(ts, subs, unitaries):
-            v = random_state(dim, sub)
-            w = random_state(dim, sub + 1)
-            try:
-                before = p_pairform(v, w)
-                after = p_pairform(StateVector(u @ v.amplitudes), StateVector(u @ w.amplitudes))
-                residual = abs(after - before)
-            except EvalError:
-                residual = math.inf
-            if residual > max_residual:
-                max_residual = residual
-                worst = {"candidate": name, "trial": t, "seed": sub, "dim": dim}
+    worst = {"candidate": p.name, "overlap_only": True}
+    for start in range(0, trials, RANDOM_CHUNK):
+        count = min(RANDOM_CHUNK, trials - start)
+        states = random_states(state_rng, dim, 2 * count)
+        v, w = states[0::2], states[1::2]
+        u = haar_unitaries(unitary_rng, dim, count)
+        uv, uw = (u @ v[..., None])[..., 0], (u @ w[..., None])[..., 0]
+        # per row a 1-d product and sum, the bits of its trial alone (an einsum's are not)
+        overlaps = np.stack([(v.conj() * w).sum(axis=-1), (uv.conj() * uw).sum(axis=-1)])
+        before, after = evaluate(p, overlaps)
+        finite = np.isfinite(before) & np.isfinite(after)
+        residuals = np.abs(np.subtract(after, before, out=np.full(count, np.inf), where=finite))
+        i = int(np.argmax(residuals))
+        if residuals[i] > max_residual:
+            max_residual = float(residuals[i])
+            worst = {"candidate": p.name, "trial": start + i, "dim": dim, "overlap_only": True}
     return AxiomReport(Axiom.UNITARY_INVARIANCE, max_residual, worst, tolerance)
 
 
@@ -396,10 +391,6 @@ def run_axiom_suite(
         if ortho_worst is None or report.max_residual > ortho_worst.max_residual:
             ortho_worst = report
     reports.append(ortho_worst)
-    reports.append(
-        check_unitary_invariance(
-            pair_form(p), trials, seed, dim=max(dims), tolerance=tolerance, name=p.name
-        )
-    )
+    reports.append(check_unitary_invariance(p, trials, seed, dim=max(dims), tolerance=tolerance))
     reports.append(check_n_independence(p, dims, seed, tolerance))
     return reports

@@ -243,9 +243,10 @@ def hill_climb(p, n: int, steps: int, step_scale: float, seed: int):
     ``random_state`` seeded from the first integer of the stream keyed
     (seed, 3, n).  Each step moves w to (w + scale * g) / |w + scale * g|,
     g standard complex normals, and keeps the move if it raises the
-    residual; as every candidate is renormalised, no rounding builds up.  The step scale halves after STEP_WINDOW
-    consecutive rejections and the search stops once it drops below 1e-6;
-    the recorded best residual is non-decreasing by construction.
+    residual; as every candidate is renormalised, no rounding builds up.
+    The step scale halves after STEP_WINDOW consecutive rejections and the
+    search stops once it drops below 1e-6; the recorded best residual is
+    non-decreasing by construction.
 
     So after r rejections the next STEP_WINDOW - r steps share one scale
     whatever is accepted.  Those steps form a window: their normals are one

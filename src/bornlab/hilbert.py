@@ -1,11 +1,11 @@
 """Finite-dimensional complex Hilbert space primitives.
 
-States, orthonormal bases, inner products, Haar sampling: of states,
+States, orthonormal bases and Haar sampling: of states, of unitaries,
 and of bases, each the standard basis moved by a Haar unitary U.
 Conventions used throughout the package:
 
-- the inner product is conjugate-linear in the FIRST argument
-  (``inner_product(a, b) = sum_k conj(a_k) * b_k``);
+- the inner product is conjugate-linear in the FIRST argument,
+  <a|b> = sum_k conj(a_k) * b_k;
 - all randomness flows through ``numpy.random.default_rng`` (PCG64),
   seeded with explicit integers or ``SeedSequence`` keys of them, so every
   sampled object is reproducible bit-for-bit;
@@ -126,24 +126,19 @@ class OrthonormalBasis:
         return matrix_to_pairs(self.matrix)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def haar_unitaries(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The next count Haar-uniform unitaries from rng, as a read-only
+    (count, n, n) stack.
 
-
-def haar_unitaries(n: int, seeds) -> np.ndarray:
-    """Haar-uniform unitaries, one per seed, as a read-only (len(seeds), n, n) stack.
-
-    Each seed draws a matrix of iid standard complex Gaussians from its own
-    generator.  The stack is QR-factorized at once and the phases of diag(R)
-    are fixed to make each decomposition unique, which makes each Q factor
-    exactly Haar-distributed; every Q is checked to be finite and unitary,
-    the Gram defect of its columns at most ORTHO_TOLERANCE.  Entry i is bit
-    for bit the unitary that seeds[i] alone gives.
+    Each unitary takes the next 2n^2 standard normals of rng's stream, an
+    n x n matrix of real parts and then one of imaginary parts.  The stack
+    is QR-factorized at once and the phases of diag(R) are fixed to make
+    each decomposition unique, which makes each Q factor exactly
+    Haar-distributed; every Q is checked to be finite and unitary, the Gram
+    defect of its columns at most ORTHO_TOLERANCE.  So the t-th unitary of
+    a stream is the same bits however the stream is cut into calls.
     """
-    q = _haar_q(n, seeds)
+    q = _haar_q(rng, n, count)
     if not np.isfinite(q).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     defect = _gram_defect(q.swapaxes(-1, -2))
@@ -153,13 +148,11 @@ def haar_unitaries(n: int, seeds) -> np.ndarray:
     return q
 
 
-def _haar_q(n: int, seeds) -> np.ndarray:
+def _haar_q(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """The unchecked Q factors of :func:`haar_unitaries`."""
     if n < 1:
         raise DimensionError("n must be >= 1")
-    normals = np.empty((len(seeds), 2, n, n))
-    for i, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=normals[i])
+    normals = rng.standard_normal((count, 2, n, n))
     # (re + 1j * im) / sqrt(2), updated in place to keep one stack alive
     z = 1j * normals[:, 1]
     z += normals[:, 0]
@@ -174,25 +167,22 @@ def _haar_q(n: int, seeds) -> np.ndarray:
 
 def haar_unitary(n: int, seed: int) -> OrthonormalBasis:
     """The Haar-random basis U e_1 .. U e_n, deterministic per seed, for U
-    the stack-of-one case of :func:`haar_unitaries`: the rows of U^T, held
-    C-contiguous and Gram-checked once, by ``OrthonormalBasis``.  Its defect
-    is max_ij |(U^H U - I)_ij|."""
-    return OrthonormalBasis(_haar_q(n, [seed])[0].T.copy())
+    the first unitary of :func:`haar_unitaries` on ``default_rng(seed)``:
+    the rows of U^T, held C-contiguous and Gram-checked once, by
+    ``OrthonormalBasis``.  Its defect is max_ij |(U^H U - I)_ij|."""
+    return OrthonormalBasis(_haar_q(np.random.default_rng(seed), n, 1)[0].T.copy())
 
 
 def orthonormality_defect(candidate) -> float:
     """max_ij |<v_i|v_j> - delta_ij| for a square collection of vectors.
 
-    Diagnostic: accepts an OrthonormalBasis, a list of StateVectors, or a
-    raw matrix with vectors as rows, orthonormal or not.  A basis reports
-    the defect its constructor measured.
+    Diagnostic: accepts an OrthonormalBasis or a raw matrix with vectors
+    as rows, orthonormal or not.  A basis reports the defect its
+    constructor measured.
     """
     if isinstance(candidate, OrthonormalBasis):
         return candidate.defect
-    if isinstance(candidate, (list, tuple)):
-        m = np.vstack([v.amplitudes if isinstance(v, StateVector) else v for v in candidate])
-    else:
-        m = np.asarray(candidate, dtype=np.complex128)
+    m = np.asarray(candidate, dtype=np.complex128)
     n, k = m.shape
     if n != k:
         raise DimensionError(f"need N vectors of dimension N, got {n} of dim {k}")

@@ -59,8 +59,9 @@ from bornlab.construction import (
 )
 
 
-def haar(n: int, seed: int) -> np.ndarray:
-    """One Haar unitary: two n x n normal draws, one QR, diag(R) phases fixed."""
+def haar(n: int, seed) -> np.ndarray:
+    """One Haar unitary: two n x n normal draws, one QR, diag(R) phases fixed.
+    seed is an integer, or a Generator whose stream the draws continue."""
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -294,25 +295,26 @@ def normalization_report(p, dims, trials, seed, tolerance=1e-9) -> AxiomReport:
     return AxiomReport(Axiom.NORMALIZATION, max_residual, worst, tolerance)
 
 
-def check_unitary_invariance(p_pairform, trials, seed, dim=4, tolerance=1e-12,
-                             name="") -> AxiomReport:
-    """``axioms.check_unitary_invariance`` one Haar draw per trial."""
+def check_unitary_invariance(p, trials, seed, dim=4, tolerance=1e-12) -> AxiomReport:
+    """``axioms.check_unitary_invariance`` one trial at a time: two states
+    from the stream of (seed, 4, dim) and one Haar unitary from that of
+    (seed, 5, dim), each overlap a 1-d product and sum, the two frames
+    scored together and alone."""
+    states = np.random.default_rng(np.random.SeedSequence([seed, 4, dim]))
+    unitaries = np.random.default_rng(np.random.SeedSequence([seed, 5, dim]))
     max_residual = 0.0
-    worst = {"candidate": name}
+    worst = {"candidate": p.name, "overlap_only": True}
     for t in range(trials):
-        sub = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-        v = random_state(dim, sub)
-        w = random_state(dim, sub + 1)
-        u = haar(dim, sub + 2)
-        try:
-            before = p_pairform(v, w)
-            after = p_pairform(StateVector(u @ v.amplitudes), StateVector(u @ w.amplitudes))
-            residual = abs(after - before)
-        except EvalError:
-            residual = math.inf
+        v = haar_state(states, dim).amplitudes
+        w = haar_state(states, dim).amplitudes
+        u = haar(dim, unitaries)
+        uv, uw = u @ v, u @ w
+        before, after = evaluate(p, [(v.conj() * w).sum(), (uv.conj() * uw).sum()]).tolist()
+        finite = math.isfinite(before) and math.isfinite(after)
+        residual = abs(after - before) if finite else math.inf
         if residual > max_residual:
             max_residual = residual
-            worst = {"candidate": name, "trial": t, "seed": sub, "dim": dim}
+            worst = {"candidate": p.name, "trial": t, "dim": dim, "overlap_only": True}
     return AxiomReport(Axiom.UNITARY_INVARIANCE, max_residual, worst, tolerance)
 
 

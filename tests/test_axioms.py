@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,15 +23,14 @@ from bornlab import (
     standard_basis,
     symmetric_state,
 )
-from bornlab import hilbert
+from bornlab import axioms, hilbert
 from bornlab.axioms import (
     evaluate,
     normalization_report,
     normalization_residuals,
-    pair_form,
     random_probes,
 )
-from bornlab.hilbert import StateVector
+from bornlab.hilbert import OrthonormalBasis, StateVector
 
 import reference
 
@@ -94,6 +94,13 @@ class TestNormalization:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             check_normalization(born_candidate(), standard_basis(2), random_state(3, 0))
+
+    def test_overlaps_are_conjugate_linear_in_the_basis(self):
+        # <v|psi> = sum_k conj(v_k) psi_k: P = Im z reads -1 at v = (i, 0), psi = e_1
+        imag = cand("Im z", lambda z: z.imag)
+        tilted = OrthonormalBasis(np.diag([1j, 1.0]))
+        assert check_normalization(imag, tilted, StateVector([1.0, 0.0])) == 2.0
+        assert check_normalization(imag, standard_basis(2), StateVector([1j, 0.0])) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
     @pytest.mark.parametrize("p", [
@@ -189,19 +196,48 @@ class TestOrthogonality:
         assert report.max_residual <= 1e-10
 
 
+NON_FINITE = [
+    cand("nan", lambda z: math.nan),
+    cand("inf", lambda z: math.inf),
+    candidate_from_expression("r*1e308*1e308"),  # overflows, which no guard flags
+]
+
+
 class TestUnitaryInvariance:
     def test_overlap_form_is_invariant(self):
-        report = check_unitary_invariance(pair_form(born_candidate()), 50, 1, dim=4)
+        report = check_unitary_invariance(born_candidate(), 50, 1, dim=4)
         assert report.max_residual <= 1e-12
-
-    def test_basis_dependent_pair_form_fails(self):
-        peeking = lambda v, w: abs(w.amplitudes[0]) ** 2
-        report = check_unitary_invariance(peeking, 50, 1, dim=4, name="amp1")
-        assert report.max_residual > 0.1
 
     def test_bad_trials(self):
         with pytest.raises(ValueError):
-            check_unitary_invariance(pair_form(born_candidate()), 0, 1)
+            check_unitary_invariance(born_candidate(), 0, 1)
+
+    @pytest.mark.parametrize("p", NON_FINITE, ids=["nan", "inf", "overflow"])
+    def test_non_finite_candidate_fails(self, p):
+        report = check_unitary_invariance(p, 21, 1, dim=4)
+        assert report.max_residual == math.inf and not report.passed
+        assert report.worst_case == {"candidate": p.name, "trial": 0, "dim": 4,
+                                     "overlap_only": True}
+        # as every other axiom of the suite fails it
+        suite = run_axiom_suite(p, dims=[2, 3], trials=5, seed=1)
+        assert [r.max_residual for r in suite] == [math.inf] * 5
+
+
+def test_every_residual_goes_through_evaluate(monkeypatch):
+    # a finite Python candidate is called on the scalar path nowhere else
+    calls, scored = [], []
+    real = axioms.evaluate
+
+    def counted(p, zs):
+        values = real(p, zs)
+        scored.append(values.size)
+        return values
+
+    monkeypatch.setattr(axioms, "evaluate", counted)
+    p = cand("python r^2", lambda z: calls.append(z) or abs(z) ** 2)
+    reports = run_axiom_suite(p, dims=[2, 3], trials=25, seed=4)
+    assert all(r.passed for r in reports)
+    assert len(calls) == sum(scored) > 0
 
 
 class TestNIndependence:
@@ -244,20 +280,21 @@ class TestStackedSuiteMatchesReference:
             assert not report.passed and report.worst_case["trial"] < trials
 
     @pytest.mark.parametrize("trials", TRIALS)
-    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("dim", [1, 4, 64])
     @pytest.mark.parametrize("p", [
-        pair_form(candidate_from_expression("r^2")),
-        lambda v, w: abs(w.amplitudes[0]) ** 2,  # peeks at an amplitude
-    ], ids=["dsl", "python-failing"])
+        candidate_from_expression("r^2"),
+        born_candidate(),
+        # P moves by about 1e-7 when the overlap's last bits move
+        candidate_from_expression("r^2 + 0.001*sin(1000000000000*r)"),
+        cand("python r^2 + 0.001*sin(1e12*r)",
+             lambda z: abs(z) ** 2 + 0.001 * math.sin(1e12 * abs(z))),
+    ], ids=["dsl", "python", "dsl-failing", "python-failing"])
     def test_unitary_invariance(self, p, dim, trials):
-        report = check_unitary_invariance(p, trials, 3, dim=dim, name="p")
-        expected = reference.check_unitary_invariance(p, trials, 3, dim=dim, name="p")
-        assert report.to_json() == expected.to_json()
-
-    def test_unitary_invariance_calls_pair_form_once_per_pair(self):
-        calls = []
-        check_unitary_invariance(lambda v, w: calls.append(v) or 0.0, 21, 0, dim=3)
-        assert len(calls) == 2 * 21
+        report = check_unitary_invariance(p, trials, 3, dim=dim)
+        expected = reference.check_unitary_invariance(p, trials, 3, dim=dim)
+        assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+        if "sin" in p.name:
+            assert not report.passed and report.max_residual < 1e-6
 
     @pytest.mark.parametrize("dims, seed", [
         ({1, 2, 4, 6}, 0), ({3, 5, 8, 16}, 4), ({1}, 1), ({2, 3, 4, 6, 8, 12}, 9),

@@ -10,7 +10,6 @@ from bornlab import (
     OrthonormalBasis,
     StateVector,
     haar_unitary,
-    inner_product,
     orthonormality_defect,
     random_state,
     standard_basis,
@@ -26,28 +25,6 @@ def e(i, n):
     v = np.zeros(n, dtype=complex)
     v[i] = 1.0
     return StateVector(v)
-
-
-class TestInnerProduct:
-    def test_identity_case(self):
-        assert inner_product(e(0, 2), e(0, 2)) == 1 + 0j
-
-    def test_orthogonality(self):
-        assert inner_product(e(0, 2), e(1, 2)) == 0j
-
-    def test_direct_expansion(self):
-        plus = StateVector(np.array([1, 1]) / math.sqrt(2))
-        assert inner_product(plus, e(0, 2)) == pytest.approx(1 / math.sqrt(2))
-
-    def test_conjugate_linear_in_first_argument(self):
-        a = StateVector(np.array([1j, 0.0]))
-        b = e(0, 2)
-        assert inner_product(a, b) == pytest.approx(-1j)
-        assert inner_product(b, a) == pytest.approx(1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner_product(e(0, 2), e(0, 3))
 
 
 class TestStateVector:
@@ -98,27 +75,36 @@ class TestHaarUnitary:
 class TestHaarStack:
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
     def test_each_entry_is_the_single_seed_draw_bit_for_bit(self, n):
-        seeds = [3, 0, 2**63 - 1, 12345, 7]
-        stack = haar_unitaries(n, seeds)
-        assert stack.shape == (len(seeds), n, n)
-        for seed, u in zip(seeds, stack):
-            assert u.tobytes() == reference.haar(n, seed).tobytes()
-            assert haar_unitary(n, seed).matrix.T.tobytes() == u.tobytes()
+        # entry i is the i-th unitary drawn alone from the stream, and the
+        # first of default_rng(seed)'s stream is haar_unitary(n, seed)
+        stack = haar_unitaries(np.random.default_rng(3), n, 5)
+        assert stack.shape == (5, n, n)
+        rng = np.random.default_rng(3)
+        for u in stack:
+            assert u.tobytes() == reference.haar(n, rng).tobytes()
+        # the same unitaries however the stream is cut into calls
+        rng = np.random.default_rng(3)
+        cut = np.concatenate([haar_unitaries(rng, n, k) for k in (2, 1, 2)])
+        assert cut.tobytes() == stack.tobytes()
+        for seed in [3, 0, 2**63 - 1, 12345, 7]:
+            first = haar_unitaries(np.random.default_rng(seed), n, 1)[0]
+            assert haar_unitary(n, seed).matrix.tobytes() == first.T.tobytes()
 
     def test_stack_is_read_only(self):
         with pytest.raises(ValueError):
-            haar_unitaries(3, [1, 2])[0, 0, 0] = 0.0
+            haar_unitaries(np.random.default_rng(1), 3, 2)[0, 0, 0] = 0.0
 
     def test_check_names_the_worst_matrix_of_a_stack(self, monkeypatch):
         stack = np.stack([np.eye(3, dtype=complex)] * 4)
-        monkeypatch.setattr(hilbert, "_haar_q", lambda n, seeds: stack.copy())
-        haar_unitaries(3, range(4))
+        monkeypatch.setattr(hilbert, "_haar_q", lambda rng, n, count: stack.copy())
+        rng = np.random.default_rng(0)
+        haar_unitaries(rng, 3, 4)
         stack[2, 0, 1] = 1e-6
         with pytest.raises(ValueError, match=r"matrix is not unitary: defect 1\.000e-06"):
-            haar_unitaries(3, range(4))
+            haar_unitaries(rng, 3, 4)
         stack[2, 0, 1] = np.nan
         with pytest.raises(ValueError, match=r"amplitudes must be finite \(no NaN/Inf\)"):
-            haar_unitaries(3, range(4))
+            haar_unitaries(rng, 3, 4)
 
 
 class TestApplyUnitary:
@@ -136,8 +122,8 @@ class TestApplyUnitary:
             v = random_state(6, seed)
             w = random_state(6, seed + 1000)
             u = haar_unitary(6, seed + 2000).matrix.T
-            before = inner_product(v, w)
-            after = inner_product(StateVector(u @ v.amplitudes), StateVector(u @ w.amplitudes))
+            before = np.vdot(v.amplitudes, w.amplitudes)
+            after = np.vdot(u @ v.amplitudes, u @ w.amplitudes)
             assert abs(after - before) <= 1e-12
 
     def test_preserves_norm(self):
@@ -164,7 +150,7 @@ def test_haar_unitary_checks_unitarity_once(monkeypatch):
     u = haar_unitary(8, 3)
     assert calls == [(8, 8)]  # OrthonormalBasis's check, whose defect the kernel reads
     assert u.defect == real(u.matrix)
-    haar_unitaries(8, [3, 4])
+    haar_unitaries(np.random.default_rng(3), 8, 2)
     assert calls == [(8, 8), (2, 8, 8)]  # one check of the whole stack
     # a rotated base of certificates is its Haar draw, checked once; then
     # each entry's partial-DFT basis is checked
@@ -179,8 +165,8 @@ def test_haar_invariance_property(n, seed):
     v = random_state(n, seed)
     w = random_state(n, seed ^ 0xA5A5)
     u = haar_unitary(n, seed ^ 0x5A5A).matrix.T
-    before = inner_product(v, w)
-    after = inner_product(StateVector(u @ v.amplitudes), StateVector(u @ w.amplitudes))
+    before = np.vdot(v.amplitudes, w.amplitudes)
+    after = np.vdot(u @ v.amplitudes, u @ w.amplitudes)
     assert abs(after - before) <= 1e-12
 
 
@@ -189,8 +175,8 @@ class TestOrthonormalityDefect:
         assert orthonormality_defect(standard_basis(4)) <= 1e-15
 
     def test_repeated_vector(self):
-        v = e(0, 2)
-        assert orthonormality_defect([v, v]) == pytest.approx(1.0)
+        v = e(0, 2).amplitudes
+        assert orthonormality_defect(np.vstack([v, v])) == pytest.approx(1.0)
 
     def test_partial_dft_basis_against_direct_gram(self):
         # oracle: Gram matrix accumulated entry by entry with plain sums
@@ -207,7 +193,7 @@ class TestOrthonormalityDefect:
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            orthonormality_defect([e(0, 3), e(1, 3)])
+            orthonormality_defect(np.vstack([e(0, 3).amplitudes, e(1, 3).amplitudes]))
 
 
 class TestRandomState:
@@ -222,7 +208,7 @@ class TestRandomState:
     def test_distinct_seeds_differ(self):
         a = random_state(8, 1)
         b = random_state(8, 2)
-        assert abs(inner_product(a, b)) < 1.0
+        assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1.0
 
     def test_determinism(self):
         assert random_state(16, 3) == random_state(16, 3)
