@@ -22,7 +22,7 @@ report alone.  Exit codes:
         values, --grid above 2^20, --trials or --optimizer-steps above
         10^6, --samples above 10^12, more than 512 --probs fractions),
         or an output path or stdout that cannot be written
-    66  input file unreadable, or larger than 89 MiB
+    66  input file unreadable, or larger than 11 MiB
 
 The environment variable BORN_SEED overrides the default seed.  Output
 is strict JSON: a non-finite number is written as the string "inf",
@@ -76,9 +76,10 @@ MAX_STEPS = 10**6  # falsify --trials, --optimizer-steps
 MAX_SAMPLES = 10**12  # simulate --samples
 MAX_FULL_CERTIFICATES_N = 16  # derive --n-max with --full-certificates: N x N bases inline
 # a ledger file (certify, compare), refused before it is read: the largest
-# derive report, at --n-max 512 with --rotate-bases and 16 --theta values
-# of the longest float repr (24 characters), is 79.8 MB at seed 0
-MAX_LEDGER_BYTES = 89 * 2**20
+# derive report, at --n-max 16 with --full-certificates, --rotate-bases and
+# 16 --theta values of the longest float repr (24 characters), is 9.64 MB
+# at seeds 0 to 7; at --n-max 512 with --rotate-bases and those thetas, 7.0 MB
+MAX_LEDGER_BYTES = 11 * 2**20
 # floor of falsify --threshold and compare --tolerance: residuals of the
 # Born rule itself reach about 3e-15 from float rounding at N = 512 (optimizer)
 MIN_TOLERANCE = 1e-12

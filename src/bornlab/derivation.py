@@ -10,15 +10,15 @@ the modulus: exactly, by an identity of the K-th roots of unity that
 covers every theta, and as a float cross-check at sampled thetas.
 Asserted values are exact integer fractions.  A ledger is its specs
 (``construction.Specs``) in (N, K) order with its certificates in columns
-beside them, written one entry at a time in Farey order; its specs are
-the probes of the falsifier and the continuity probe.
+beside them, written one entry at a time in Farey order as K, N and the
+value, under one digest of the probes that its header derives; its specs
+are the probes of the falsifier and the continuity probe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,28 +42,38 @@ from .hilbert import haar_unitary, orthonormality_defect, standard_basis, vector
 DEFECT_TOLERANCE = 1e-10
 OVERLAP_TOLERANCE = 1e-11
 DEFAULT_THETAS = (0.0, 1.0, math.pi, 5.5)
-MAX_THETAS = 16  # bound on theta_samples; each entry adds one seeded theta
+MAX_THETAS = 16  # bound on theta_base; each entry adds one seeded theta
 MAX_DIMENSION = 512  # bound on n_max, derived or stored
 # Version 3 added the exact certificate and hashes no float certificate number,
 # so a digest depends on no BLAS, thread count or CPU; version 4 draws each N's
-# extra thetas from one stream (``ledger_specs``).  Re-derive older ledgers.
-FORMAT_VERSION = 4
+# extra thetas from one stream (``ledger_specs``); version 5 stores K, N and
+# the value of each entry under one digest of its probes (``probe_digest``).
+# Re-derive older ledgers.
+FORMAT_VERSION = 5
 UNIT_ROUNDOFF = 2.0**-53
+DIGEST_ENTRIES = 4096  # entries that probe_digest hashes a pass
 
 
-def _digest(spec: dict, exact, verdicts: list[bool]) -> str:
-    """SHA-256 of a canonical byte string: (K, N, base_kind, base_seed),
-    the exact certificate (primes, passed), the float64 bits of the theta
-    samples of the stored ``spec`` and the kind and pass/fail verdict of each
-    float certificate.  No float certificate number enters it, so it is the
-    same on every BLAS, thread count and CPU."""
-    k, n, thetas = spec["K"], spec["N"], spec["theta_samples"]
-    primes, passed = exact
-    head = "%d %d %s %s %s %d %d|" % (k, n, spec["base_kind"], spec["base_seed"],
-                                      ",".join(map(str, primes)), passed, len(thetas))
-    tail = "|" + " ".join(map((_kind(k, n) + ":%d").__mod__, verdicts))
-    packed = struct.pack(f"<{len(thetas)}d", *thetas)
-    return hashlib.sha256(head.encode() + packed + tail.encode()).hexdigest()
+def probe_digest(specs: Specs) -> str:
+    """SHA-256 of the probe stream of the specs, in order: for each entry its
+    K, N, base seed (-1 for the standard basis) and theta count, then the
+    float64 bits of its thetas, each word 8 bytes little-endian.  No float
+    certificate number enters it, so it is the same on every BLAS, thread
+    count and CPU.  It hashes ``DIGEST_ENTRIES`` entries a pass: the words of
+    every entry at once, and their masks, took 13 MB at n_max 512, and once
+    freed they raised glibc's mmap threshold, so ``compare``'s later
+    continuity probe peaked 1.6 MB higher than format 4's."""
+    digest = hashlib.sha256()
+    for lo in range(0, len(specs), DIGEST_ENTRIES):
+        ks, ns, seeds = (c[lo:lo + DIGEST_ENTRIES] for c in (specs.ks, specs.ns, specs.seeds))
+        at = specs.offsets[lo:lo + len(ks) + 1]
+        words = np.empty(4 * len(ks) + at[-1] - at[0], "<i8")
+        head = np.zeros(len(words), bool)
+        head[(4 * np.arange(len(ks)) + at[:-1] - at[0])[:, None] + np.arange(4)] = True
+        words[head] = np.stack([ks, ns, seeds, np.diff(at)], 1).ravel()
+        words[~head] = np.ascontiguousarray(specs.thetas[at[0]:at[-1]], np.float64).view(np.int64)
+        digest.update(words)
+    return digest.hexdigest()
 
 
 def rotation_rounding(k, n):
@@ -101,33 +111,37 @@ class _Columns(Specs):
         return ok[self.owners()] & (self.errors <= OVERLAP_TOLERANCE)
 
     def entry_json(self, order, full_certificates: bool = False) -> Iterator[dict]:
-        """Each entry in ``order`` as a ledger stores it, one at a time: its
-        ``_spec_json``, digest, verdict and proof trace.  With full_certificates
-        it also carries the certificates its digest covers: the exact one
-        (primes, verdict), and the float one at each theta (``_certificates``).
+        """Each entry in ``order`` as a ledger stores it, one at a time: K, N
+        and its value (``_stored_json``).  With full_certificates it also
+        carries its proof trace and certificates: the exact one (primes,
+        verdict), and the float one at each theta (``_certificates``).
         ``order`` is read two or three times."""
+        entries = _stored_json(self.ks, self.ns, self.values, order)
+        return self._full_certificates(order, entries) if full_certificates else entries
+
+    def _full_certificates(self, order, entries: Iterator[dict]) -> Iterator[dict]:
         exact, offsets = self.exact.tolist(), self.offsets.tolist()
         verdicts = self.verdicts().tolist()
         # one pass for every entry's construction, so each base is built once
-        probes = certificate_probes(self, order) if full_certificates else None
-        for i, entry in zip(order, _spec_json(self, order, self.values.tolist())):
-            k, n, ok = entry["K"], entry["N"], verdicts[offsets[i]:offsets[i + 1]]
-            entry.update(certificate_digest=_digest(entry, (_primes(k, n), exact[i]), ok),
-                         verified=bool(exact[i] and ok and all(ok)), proof_trace=list(_trace(k, n)))
-            if full_certificates:
-                entry["exact_certificate"] = {"primes": list(_primes(k, n)), "passed": exact[i]}
-                entry["certificates"] = self._certificates(i, entry, ok, probes)
+        probes = certificate_probes(self, order)
+        for i, entry in zip(order, entries):
+            k, n = entry["K"], entry["N"]
+            entry.update(proof_trace=list(_trace(k, n)),
+                         exact_certificate={"primes": list(_primes(k, n)), "passed": exact[i]},
+                         certificates=self._certificates(
+                             i, verdicts[offsets[i]:offsets[i + 1]], probes))
             yield entry
 
-    def _certificates(self, i: int, spec: dict, verdicts: list[bool], probes) -> list[dict]:
+    def _certificates(self, i: int, verdicts: list[bool], probes) -> list[dict]:
         """Entry i's float certificate at each theta, theta reduced mod 2 pi,
         with the basis, state and overlaps it was computed from, the next of
         ``probes`` (``certificate_probes``); P(0)'s have none, and take none."""
-        k, n, thetas = spec["K"], spec["N"], spec["theta_samples"]
-        defect, errors = self.defects[i].item(), self.errors[self.offsets[i]:self.offsets[i + 1]]
+        k, n = self.ks[i].item(), self.ns[i].item()
+        span = slice(self.offsets[i], self.offsets[i + 1])
+        defect, thetas = self.defects[i].item(), self.thetas[span].tolist()
         certs = [{"kind": _kind(k, n), "theta": t % TWO_PI, "defect": defect,
                   "overlap_error": e, "passed": ok}
-                 for t, e, ok in zip(thetas, errors.tolist(), verdicts)]
+                 for t, e, ok in zip(thetas, self.errors[span].tolist(), verdicts)]
         if k:
             _, basis, states = next(probes)
             rows = basis.to_json()  # one basis for every theta
@@ -213,20 +227,14 @@ def _trace(k: int, n: int) -> tuple[str, ...]:
             *([dft] if k > 1 else []), f"hence P(e^(i*theta)*sqrt({k}/{n})) = {k}/{n}")
 
 
-# entry fields a ledger may leave out, with the values read in their place
-_OPTIONAL_FIELDS = {"base_kind": "standard", "base_seed": None}
-
-
-def _spec_json(specs: Specs, order, values: list) -> Iterator[dict]:
-    """The stored fields that no certificate enters of each entry in
-    ``order``, one at a time: its spec and its (numerator, denominator) values[i]."""
-    ks, ns, seeds, offsets = (a.tolist() for a in (specs.ks, specs.ns, specs.seeds, specs.offsets))
+def _stored_json(ks: np.ndarray, ns: np.ndarray, values: np.ndarray, order) -> Iterator[dict]:
+    """The stored form of each entry in ``order``, one at a time: its K, N
+    and its value values[i], a (numerator, denominator) pair."""
+    ks, ns, (nums, dens) = ks.tolist(), ns.tolist(), values.T.tolist()  # flat lists
     for i in order:
-        (num, den), sub = values[i], seeds[i]  # seed -1: the standard basis
+        num, den = nums[i], dens[i]
         yield {"K": ks[i], "N": ns[i], "value": {"fraction": "%d/%d" % (num, den),
-                                                 "decimal": repr(num / den)},
-               "theta_samples": specs.thetas[offsets[i]:offsets[i + 1]].tolist(),
-               "base_kind": "standard" if sub < 0 else "haar", "base_seed": None if sub < 0 else sub}
+                                                 "decimal": repr(num / den)}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +263,16 @@ class ConstraintLedger(_Columns):
             entries = list(self.json_entries(full_certificates))
         return {"format_version": FORMAT_VERSION, "n_max": self.n_max, "seed": self.seed,
                 "rotate_bases": self.rotate_bases, "theta_base": list(self.theta_base),
-                "entries": entries}
+                "digest": probe_digest(self), "entries": entries}
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
-        """Derive the ledger that the header (``_header``) describes and check
-        each stored entry, on every key derive writes (``_check_stored``) but
-        the extra ones of ``--full-certificates``; raise CertificateError on any fault."""
-        n_max, seed, rotate_bases, theta_base, stored = _header(payload)
+        """Derive the ledger that the header (``_header``) describes, every
+        certificate included, and check its digest and each stored entry
+        (``_check_stored``); raise CertificateError on any fault."""
+        n_max, seed, rotate_bases, theta_base, digest, stored = _header(payload)
         ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        _check_stored(stored, ledger.ks / ledger.ns, ledger.entry_json)
+        _check_stored(stored, digest, ledger, ledger.values)
         return ledger
 
 
@@ -273,30 +281,33 @@ def read_specs(payload) -> tuple[tuple[float, ...], Specs]:
     (``_header``, ``ledger_specs``) in (N, K) order, P(0)'s first; raise
     CertificateError on any fault.
 
-    Each stored entry is checked against its spec on the fields that no
-    certificate enters: K, N, value, theta_samples, base_kind and
-    base_seed (``_check_stored``).  No certificate is derived, so a stored
-    digest, verdict or proof trace is not read; ``from_json`` checks those.
+    The digest and each stored entry are checked as ``from_json`` checks
+    them (``_check_stored``), but no certificate is derived.
     """
-    n_max, seed, rotate_bases, theta_base, stored = _header(payload)
+    n_max, seed, rotate_bases, theta_base, digest, stored = _header(payload)
     thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
-    values = np.stack([specs.ks, specs.ns], axis=1).tolist()  # each K/N is reduced
-    _check_stored(stored, specs.ks / specs.ns, lambda order: _spec_json(specs, order, values))
+    values = np.stack([specs.ks, specs.ns], axis=1)  # each K/N is reduced
+    _check_stored(stored, digest, specs, values)
     return thetas, specs
 
 
-def _check_stored(stored: Sequence, keys, derive) -> None:
-    """Check the stored entries, in Farey order, against the derived JSON
-    entries of float K/N ``keys``, in (N, K) order, that derive(indices)
-    gives: every key, of the same JSON type; raise CertificateError at the
-    first mismatch in (N, K) order.  ``_OPTIONAL_FIELDS`` may be left out.
-    The stored entries are read once each, in turn, so a reader that
-    decodes each then holds one at a time and reads its file forward."""
-    order = _farey_order(keys)
+def _check_stored(stored: Sequence, digest: str, specs: Specs, values: np.ndarray) -> None:
+    """Check a ledger's stored digest against the ``probe_digest`` of the
+    specs its header derives, then its stored entries, in Farey order,
+    against the ``_stored_json`` of the specs and their (numerator,
+    denominator) ``values``, in (N, K) order: every key, of the same JSON
+    type.  Raise CertificateError on a digest mismatch, or at the first
+    entry mismatch in (N, K) order.  The stored entries are read once each,
+    in turn, so a reader that decodes each then holds one at a time and
+    reads its file forward."""
+    if digest != probe_digest(specs):
+        raise CertificateError("digest mismatch: the header derives other probes than "
+                               "the ledger was written with")
+    order = _farey_order(specs.ks / specs.ns)
     first = len(order), ""  # the (N, K) index and fault of the first mismatch
-    for at, entry, raw in zip(order, derive(order), stored):
+    for at, entry, raw in zip(order, _stored_json(specs.ks, specs.ns, values, order), stored):
         for key, want in entry.items():
-            value = raw.get(key, _OPTIONAL_FIELDS.get(key)) if isinstance(raw, dict) else None
+            value = raw.get(key) if isinstance(raw, dict) else None
             # of the same type too: 1 == True, but 1 is no JSON boolean
             if value != want or type(value) is not type(want):
                 if at < first[0]:
@@ -313,8 +324,8 @@ def _farey_order(keys) -> list[int]:
     return np.argsort(np.asarray(keys, dtype=np.float64), kind="stable").tolist()
 
 
-def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
-    """(n_max, seed, rotate_bases, theta_base, entries) of a serialized
+def _header(payload) -> tuple[int, int, bool, tuple[float, ...], str, Sequence]:
+    """(n_max, seed, rotate_bases, theta_base, digest, entries) of a serialized
     ledger; raise CertificateError on any fault, before any entry is read.
 
     Checks the format version and field types, bounds n_max by
@@ -333,6 +344,7 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
     if not all(type(t) in (int, float) and _finite(t) for t in theta_base):
         raise CertificateError("ledger: theta_base must hold finite numbers only")
     theta_base = tuple(map(float, theta_base))
+    digest = _field(payload, "digest", str, "ledger")
     entries = payload.get("entries")  # a list, or the lazily decoded entries of cli's reader
     if isinstance(entries, str) or not isinstance(entries, Sequence):
         raise CertificateError("ledger: entries is missing or not of type list")
@@ -346,7 +358,7 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], Sequence]:
     if len(entries) != count:
         raise CertificateError(
             f"ledger holds {len(entries)} entries, not the {count} of n_max={n_max}")
-    return n_max, seed, rotate_bases, theta_base, entries
+    return n_max, seed, rotate_bases, theta_base, digest, entries
 
 
 def _reduced_fractions(n_max: int) -> int:

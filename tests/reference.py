@@ -9,7 +9,11 @@ closed form.  The guard tests require the
 package's stacked and closed-form paths to give the same results, bit
 for bit.  ``spec_rows`` reads a ledger's spec columns back one entry at
 a time, ``entry_overlaps`` forms each closed-form overlap on its own and
-``worst_rational`` scans them row by row.  ``full_certificate``
+``worst_rational`` scans them row by row.  ``ledger_rows`` enumerates a
+ledger's probes from its header one N at a time, as README "Determinism
+and RNG contract" states them, and ``probe_digest`` hashes them entry by
+entry with ``hashlib`` and ``struct``, in the byte layout README "Ledger
+format" documents.  ``full_certificate``
 builds one ledger entry's N x N construction, against which the
 certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
@@ -24,7 +28,9 @@ compiled tree's undefined overlaps, values and reasons are checked.
 """
 
 import cmath
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +122,32 @@ def spec_rows(specs) -> list:
     return [(k, n, tuple(specs.thetas[a:b].tolist()), seed)
             for k, n, seed, (a, b) in zip(specs.ks.tolist(), specs.ns.tolist(),
                                           specs.seeds.tolist(), bounds)]
+
+
+def ledger_rows(n_max: int, theta_base, rotate_bases: bool, seed: int) -> list:
+    """(K, N, thetas, seed) of each probe of a ledger header, in (N, K)
+    order: P(0) as (0, 1) at theta 0 in the standard basis, then each
+    reduced K/N at the base thetas plus the next uniform of N's stream,
+    in the Haar base seeded from [seed, N] or the standard basis (-1)."""
+    rows = [(0, 1, (0.0,), -1)]
+    for n in range(1, n_max + 1):
+        key = np.random.SeedSequence([seed, n])
+        base = int(key.generate_state(1)[0]) if rotate_bases else -1
+        ks = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        extras = np.random.default_rng(key.spawn(1)[0]).uniform(0.0, TWO_PI, len(ks)).tolist()
+        rows += [(k, n, (*map(float, theta_base), extra), base) for k, extra in zip(ks, extras)]
+    return rows
+
+
+def probe_digest(rows) -> str:
+    """SHA-256 of the (K, N, thetas, seed) rows, one entry at a time: K, N,
+    the seed and the theta count as little-endian int64, then each theta's
+    float64 bits, little-endian."""
+    digest = hashlib.sha256()
+    for k, n, thetas, seed in rows:
+        digest.update(struct.pack("<4q", k, n, seed, len(thetas)))
+        digest.update(struct.pack(f"<{len(thetas)}d", *thetas))
+    return digest.hexdigest()
 
 
 def entry_overlaps(rows):

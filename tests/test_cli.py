@@ -26,9 +26,10 @@ from bornlab import (
     dsl,
     falsify,
 )
-from bornlab.cli import MAX_LEDGER_BYTES, main
+from bornlab.cli import MAX_LEDGER_BYTES, MAX_THETAS, main
 from bornlab.derivation import ledger_specs
 
+import reference
 from conftest import schema_validator
 
 
@@ -88,6 +89,26 @@ class TestDerive:
     def test_full_certificates_schema(self, tmp_path):
         _, payload = run(tmp_path, "derive", "--n-max", "3", "--full-certificates")
         schema_validator("ledger.schema.json").validate(payload)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["standard", "rotated"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n_max", [1, 7, 64])
+    def test_digest_matches_the_stdlib_reference(self, tmp_path, n_max, seed, rotate):
+        # the byte layout of README "Ledger format", hashed one entry at a
+        # time, over probes enumerated from the header as README's RNG
+        # contract states them
+        argv = ["derive", "--n-max", str(n_max), "--seed", str(seed)] + ["--rotate-bases"] * rotate
+        thetas = [0.0, 1.0, math.pi, 5.5]
+        code, payload = run(tmp_path, *argv)
+        assert code == 0
+        rows = reference.ledger_rows(n_max, thetas, rotate, seed)
+        assert payload["result"]["ledger"]["digest"] == reference.probe_digest(rows)
+        if (n_max, seed, rotate) == (7, 3, True):  # 16 --theta values of 17 characters and more
+            thetas = [-1.2345678901234567e-300 * (i + 1) for i in range(MAX_THETAS)]
+            code, payload = run(tmp_path, *argv, *[f"--theta={t!r}" for t in thetas])
+            assert code == 0
+            rows = reference.ledger_rows(n_max, thetas, rotate, seed)
+            assert payload["result"]["ledger"]["digest"] == reference.probe_digest(rows)
 
     @pytest.mark.parametrize("theta", ["-1e-20", "-2.5e0", "-.5", "-3"])
     def test_negative_theta_as_its_own_argument(self, tmp_path, theta):
@@ -197,7 +218,7 @@ class TestCertify:
         run(tmp_path, "derive", "--n-max", "4", name="ledger.json")
         path = tmp_path / "ledger.json"
         doc = json.loads(path.read_text())
-        doc["result"]["ledger"]["entries"][2]["certificate_digest"] = "f" * 64
+        doc["result"]["ledger"]["digest"] = "f" * 64
         path.write_text(json.dumps(doc))
         code, payload = run(tmp_path, "certify", str(path))
         assert code == 2
@@ -250,6 +271,12 @@ def _set(index, key, value):
     return mutate
 
 
+def _set_header(**fields):
+    def mutate(ledger):
+        ledger.update(fields)
+    return mutate
+
+
 def _unreduce(ledger):
     entry = next(e for e in ledger["entries"] if (e["K"], e["N"]) == (1, 2))
     entry.update(K=2, N=4, value={"fraction": "2/4", "decimal": "0.5"})
@@ -264,27 +291,32 @@ MALFORMED_LEDGERS = {
     "format-version-1": lambda ledger: ledger.update(format_version=1),
     "format-version-2": lambda ledger: ledger.update(format_version=2),
     "format-version-3": lambda ledger: ledger.update(format_version=3),
-    "format-version-string": lambda ledger: ledger.update(format_version="4"),
-    "entry-missing-theta": _drop("theta_samples"),
+    "format-version-4": lambda ledger: ledger.update(format_version=4),
+    "format-version-string": lambda ledger: ledger.update(format_version="5"),
+    "entry-missing-N": _drop("N"),
     "entry-missing-value": _drop("value"),
     "entry-missing-K": _drop("K"),
     "entry-not-an-object": lambda ledger: ledger["entries"].__setitem__(2, [1, 2]),
     "float-K": _set(2, "K", 1.5),
     "string-N": _set(2, "N", "3"),
-    "non-finite-theta": _set(2, "theta_samples", [1e400]),
-    "huge-integer-theta": _set(2, "theta_samples", [10**400]),
-    "string-theta": _set(2, "theta_samples", ["1.0"]),
-    "negative-base-seed": lambda ledger: [
-        e.update(base_kind="haar", base_seed=-1) for e in ledger["entries"]
-    ],
-    "no-theta": _set(2, "theta_samples", []),
-    "unknown-base-kind": _set(2, "base_kind", "sobol"),
+    "negative-K": _set(2, "K", -1),
+    # the thetas of every entry are the header's theta_base and seeded ones
+    "non-finite-theta": _set_header(theta_base=[1e400]),
+    "huge-integer-theta": _set_header(theta_base=[10**400]),
+    "string-theta": _set_header(theta_base=["1.0"]),
+    "no-theta": _set_header(theta_base=[]),  # valid, but not the probes of the digest
+    # the base kind of every entry is the header's rotate_bases, its seed the header's
+    "negative-base-seed": _set_header(rotate_bases=True, seed=-1),
+    "unknown-base-kind": _set_header(rotate_bases="sobol"),
+    "no-digest": lambda ledger: ledger.pop("digest"),
+    "digest-not-a-string": _set_header(digest=int("f" * 64, 16)),
+    "tampered-digest": _set_header(digest="f" * 64),
     "truncated-to-3": lambda ledger: ledger.update(entries=ledger["entries"][:3]),
     "duplicate-entry": lambda ledger: ledger["entries"].append(ledger["entries"][2]),
     "unreduced-entry": _unreduce,
     "n-max-raised": lambda ledger: ledger.update(n_max=5),
     "n-max-zero": lambda ledger: ledger.update(n_max=0, entries=ledger["entries"][:1]),
-    "too-many-thetas": _set(2, "theta_samples", [0.5] * 18),
+    "too-many-thetas": _set_header(theta_base=[0.5] * 18),
     "too-many-base-thetas": lambda ledger: ledger.update(theta_base=[0.5] * 17),
     "negative-seed": lambda ledger: ledger.update(seed=-1),
     "n-max-above-bound": lambda ledger: ledger.update(n_max=513),
@@ -310,29 +342,26 @@ def oversized_ledger(root) -> str:
     return path
 
 
-# Each changes one stored field of entry 2 (K/N = 1/3) that certify compares
-# with the entry it re-derives.  compare checks the fields that no
-# certificate enters, SPEC_FIELDS, and accepts the others.
+# Each changes one stored field of entry 2 (K/N = 1/3); certify and compare
+# both compare it with the entry the header derives.
 TAMPERED_FIELDS = {
     "value": ("value", {"fraction": "1/3", "decimal": "0.9"}),
-    # the entry is re-derived at the stored thetas, as floats; another list
-    # of floats moves the digest, and this integer does not survive float()
-    "theta_samples": ("theta_samples", [2**53 + 1]),
-    "certificate_digest": ("certificate_digest", "f" * 64),
-    "verified": ("verified", False),
-    "verified-integer": ("verified", 1),  # equal to True in Python, not in JSON
-    "proof_trace": ("proof_trace", ["hence P(e^(i*theta)*sqrt(1/3)) = 1/3"]),
+    "value-unreduced": ("value", {"fraction": "2/6", "decimal": repr(1 / 3)}),
+    "K": ("K", 2),
+    "K-boolean": ("K", True),  # equal to 1 in Python, not in JSON
+    "N": ("N", 4),
+    "N-float": ("N", 3.0),  # equal to 3 in Python, not in JSON
 }
-SPEC_FIELDS = ("value", "theta_samples")
 
+DIGEST_MISMATCH = "digest mismatch: the header derives other probes than the ledger was written with"
 
-# Each changes one header field so that it no longer describes the stored
-# entries; certify and compare take the entries from the header and name the
-# first entry field that differs, at K/N = 1/1.
+# Each changes one header field so that it no longer describes the probes the
+# ledger was derived with; the stored entries still match, but the digest
+# of the probes the header derives does not.
 TAMPERED_HEADERS = {
-    "theta_base": ("theta_base", [0.123], "theta_samples"),
-    "rotate_bases": ("rotate_bases", True, "base_kind"),
-    "seed": ("seed", 99, "theta_samples"),  # moves each entry's seeded theta
+    "theta_base": ("theta_base", [0.123]),
+    "rotate_bases": ("rotate_bases", True),
+    "seed": ("seed", 99),  # moves each entry's seeded theta
 }
 
 
@@ -447,12 +476,15 @@ class TestMalformedLedger:
         assert "re-run derive" in payload["result"]["error"]
 
     def test_version_2_asks_for_rederive(self, tmp_path, capsys, ledger_doc):
-        # a version 2 ledger's digests hash float bits that version 3 no longer keeps
-        ledger_doc["result"]["ledger"]["format_version"] = 2
-        for argv in (["certify"], ["compare", "-p", "r^2"]):
-            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
-            assert code == 2
-            assert "format_version is 2, not 4; re-run derive" in payload["result"]["error"]
+        # a version 2 ledger's digests hash float bits that version 3 no longer
+        # keeps, and a version 4 ledger's entries the fields version 5 drops
+        for version in (2, 4):
+            ledger_doc["result"]["ledger"]["format_version"] = version
+            for argv in (["certify"], ["compare", "-p", "r^2"]):
+                code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+                assert code == 2
+                assert (f"format_version is {version}, not 5; re-run derive"
+                        in payload["result"]["error"])
 
     @pytest.mark.parametrize(
         "doc", [{}, {"entries": 5}, [], 5, {"result": 5}, {"result": {"ledger": []}}]
@@ -460,18 +492,13 @@ class TestMalformedLedger:
     def test_non_object_payloads(self, tmp_path, capsys, doc):
         assert run_on_file(tmp_path, capsys, doc, "certify")[0] == 2
 
-    def test_tampered_digest_fails_certify_not_compare(self, tmp_path, capsys, ledger_doc):
-        # compare reads the exact values only, so a digest it never checks
-        # cannot fail it; certify re-derives and must
-        ledger_doc["result"]["ledger"]["entries"][2]["certificate_digest"] = "f" * 64
-        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
-        assert code == 2
-        assert "digest mismatch" in payload["result"]["error"]
-        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
-        assert code == 0
-        assert payload["result"]["passed"] is True
-        assert payload["result"]["max_rational_residual"] <= 1e-12
-        schema_validator("compare.schema.json").validate(payload)
+    def test_tampered_digest_fails_certify_and_compare(self, tmp_path, capsys, ledger_doc):
+        # the digest is of the probes, which compare derives as certify does
+        ledger_doc["result"]["ledger"]["digest"] = "f" * 64
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert (code, payload["result"]["error"]) == (2, DIGEST_MISMATCH)
+            schema_validator(f"{argv[0]}.schema.json").validate(payload)
 
     @pytest.mark.parametrize("case", sorted(TAMPERED_FIELDS))
     def test_every_stored_field_is_certified(self, tmp_path, capsys, ledger_doc, case):
@@ -479,37 +506,33 @@ class TestMalformedLedger:
         entry = ledger_doc["result"]["ledger"]["entries"][2]
         assert (entry["K"], entry["N"]) == (1, 3) and json.dumps(entry[key]) != json.dumps(value)
         entry[key] = value
-        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "certify")
-        assert code == 2
-        assert payload["result"]["error"] == f"{key} mismatch at K=1, N=3"
-        # compare checks the same way the fields no certificate enters, and no other
-        code, payload = run_on_file(tmp_path, capsys, ledger_doc, "compare", "-p", "r^2")
-        want = (2, f"{key} mismatch at K=1, N=3") if key in SPEC_FIELDS else (0, None)
-        assert (code, payload["result"].get("error")) == want
-        schema_validator("compare.schema.json").validate(payload)
+        for argv in (["certify"], ["compare", "-p", "r^2"]):
+            code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
+            assert (code, payload["result"]["error"]) == (2, f"{key} mismatch at K=1, N=3")
+            schema_validator(f"{argv[0]}.schema.json").validate(payload)
         del entry[key]
         assert run_on_file(tmp_path, capsys, ledger_doc, "certify")[0] == 2
 
     @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
     def test_header_is_certified(self, tmp_path, capsys, ledger_doc, case):
-        key, value, field = TAMPERED_HEADERS[case]
+        key, value = TAMPERED_HEADERS[case]
         ledger = ledger_doc["result"]["ledger"]
         assert ledger[key] != value
         ledger[key] = value
         for argv in (["certify"], ["compare", "-p", "r^2"]):
             code, payload = run_on_file(tmp_path, capsys, ledger_doc, *argv)
             assert code == 2
-            assert payload["result"]["error"] == f"{field} mismatch at K=1, N=1"
+            assert payload["result"]["error"] == DIGEST_MISMATCH
             schema_validator(f"{argv[0]}.schema.json").validate(payload)
 
     def test_optional_and_full_certificate_fields_certify(self, tmp_path, capsys):
-        # base_kind and base_seed may be left out, and the extra fields of
-        # --full-certificates are not compared
+        # keys that derive does not write, such as the extra fields of
+        # --full-certificates and those format 4 stored, are not compared
         code, doc = run(tmp_path, "derive", "--n-max", "4", "--full-certificates",
                         name="full.json")
         assert code == 0 and "exact_certificate" in doc["result"]["ledger"]["entries"][2]
         for entry in doc["result"]["ledger"]["entries"]:
-            del entry["base_kind"], entry["base_seed"]
+            entry.update(theta_samples=[], base_kind="sobol", verified=False)
         code, payload = run_on_file(tmp_path, capsys, doc, "certify")
         assert code == 0 and payload["result"]["verified"] is True
         code, payload = run_on_file(tmp_path, capsys, doc, "compare", "-p", "r^2")
@@ -549,10 +572,10 @@ def _duplicate_entries(before: str, value: str):
 
 
 def _cut_after_tamper(doc):
-    """The report with a tampered digest at entry 2, cut off inside the last entry."""
-    doc["result"]["ledger"]["entries"][2]["certificate_digest"] = "f" * 64
+    """The report with a tampered value at entry 2, cut off inside the last entry."""
+    doc["result"]["ledger"]["entries"][2]["value"]["fraction"] = "2/5"
     text = json.dumps(doc)
-    return text[:text.rindex('"certificate_digest"', 0, text.index('"format_version"'))]
+    return text[:text.rindex('"value"', 0, text.index('"format_version"'))]
 
 
 # Each turns a fresh n_max = 4 report into the text of a file, with the exit
@@ -617,8 +640,8 @@ class TestLedgerReader:
         # then its text while the entries are checked; in windows of 4 kB the
         # peak of the read, and what it leaves held, stay below half the
         # file, also when whitespace before and after the report outruns them
-        run(tmp_path, "derive", "--n-max", "64", name="l64.json")
-        path = str(tmp_path / "l64.json")
+        run(tmp_path, "derive", "--n-max", "160", name="l160.json")
+        path = str(tmp_path / "l160.json")
         with open(path, "r+") as handle:
             text = handle.read()
             handle.seek(0)
@@ -702,17 +725,15 @@ class TestLedgerReader:
         path = tmp_path / "marked.json"
         path.write_text(report.replace('"K": ', '"stored_marker": true, "K": '))
         count = report.count('"K": ')
-        alive, check = [], derivation._check_stored
+        alive, derive = [], derivation._stored_json
 
-        def watched(stored, keys, derive):
-            def entries(order):
-                for entry in derive(order):
-                    alive.append(sum(type(o) is dict and "stored_marker" in o
-                                     for o in gc.get_objects()))
-                    yield entry
-            return check(stored, keys, entries)
+        def watched(*args):
+            for entry in derive(*args):
+                alive.append(sum(type(o) is dict and "stored_marker" in o
+                                 for o in gc.get_objects()))
+                yield entry
 
-        monkeypatch.setattr(derivation, "_check_stored", watched)
+        monkeypatch.setattr(derivation, "_stored_json", watched)
         assert main(["certify", str(path), "-o", str(tmp_path / "c.json")]) == 0
         assert main(["compare", "-p", "r^2", str(path), "-o", str(tmp_path / "k.json")]) == 0
         assert len(alive) == 2 * count
@@ -986,8 +1007,8 @@ class TestUsageErrors:
         code, payload = run(tmp_path, "derive", "--n-max", "3",
                             *[a for t in thetas for a in ("--theta", t)], name="thetas.json")
         assert code == 0
-        assert {len(e["theta_samples"]) for e in payload["result"]["ledger"]["entries"][1:]} == {
-            MAX_THETAS + 1}
+        _, specs = derivation.read_specs(payload["result"]["ledger"])
+        assert set((specs.offsets[2:] - specs.offsets[1:-1]).tolist()) == {MAX_THETAS + 1}
         schema_validator("ledger.schema.json").validate(payload)
         assert main(["certify", str(tmp_path / "thetas.json"), "-o", str(tmp_path / "c.json")]) == 0
         code, payload = run(tmp_path, "falsify", "-p", "r^2", "--n-range", "2..3", "--trials", "2",
@@ -1341,14 +1362,14 @@ def _cli_argv(draw, ledgers):
 
 @pytest.fixture(scope="module")
 def fuzz_ledgers(tmp_path_factory):
-    """Ledger paths: a valid one, each malformed case, a tampered digest,
+    """Ledger paths: a valid one, each malformed case, a tampered value,
     non-JSON text, each unreadable file, an oversized file, a non-object and
     a missing file."""
     root = tmp_path_factory.mktemp("fuzz")
     run(root, "derive", "--n-max", "3", name="valid.json")
     doc = json.loads((root / "valid.json").read_text())
     cases = dict(MALFORMED_LEDGERS, **{
-        "tampered-digest": _set(2, "certificate_digest", "f" * 64),
+        "tampered-value": _set(2, "value", {"fraction": "1/3", "decimal": "0.9"}),
     })
     paths = [str(root / "valid.json"), str(root / "missing.json")]
     for name, mutate in cases.items():

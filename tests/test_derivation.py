@@ -51,6 +51,17 @@ def derive(k: int, n: int, theta: float) -> dict:
     return next(certify_specs(make_specs([(k, n, (theta,), -1)])).entry_json([0], True))
 
 
+def verified(entry: dict) -> bool:
+    """Whether every certificate of a ``--full-certificates`` entry passed,
+    exact and float."""
+    return entry["exact_certificate"]["passed"] and all(c["passed"] for c in entry["certificates"])
+
+
+def at(ledger, k: int, n: int) -> int:
+    """The (N, K) index of the entry K/N of the ledger."""
+    return int(np.flatnonzero((ledger.ks == k) & (ledger.ns == n))[0])
+
+
 def value(entry: dict) -> Fraction:
     """The value an entry asserts."""
     return Fraction(entry["value"]["fraction"])
@@ -73,10 +84,12 @@ def totient_sum(n_max: int) -> int:
 
 class TestDeriveP0:
     def test_value(self):
-        c = build_ledger(1).entries[0]
+        ledger = build_ledger(1)
+        c = ledger.entries[0]
         assert value(c) == Fraction(0)
         assert (c["K"], c["N"]) == (0, 1)
-        assert c["verified"]
+        assert verify_ledger(ledger) == []
+        assert verified(next(ledger.entry_json([0], True)))
 
     def test_ledger_lookup(self, ledger10):
         assert value(lookup(ledger10, Fraction(0))) == Fraction(0)
@@ -87,7 +100,7 @@ class TestDeriveUniform:
         c = derive(1, 4, 0.0)
         assert value(c) == Fraction(1, 4)
         assert Fraction(c["K"], c["N"]) == Fraction(1, 4)
-        assert c["verified"]
+        assert verified(c)
 
     def test_n1(self):
         c = derive(1, 1, 2.0)
@@ -105,7 +118,7 @@ class TestDeriveRational:
     def test_two_thirds(self):
         c = derive(2, 3, 0.5)
         assert value(c) == Fraction(2, 3)
-        assert c["verified"]
+        assert verified(c)
         assert c["certificates"][0]["kind"] == "partial_dft"
 
     def test_k_equals_n(self):
@@ -134,7 +147,7 @@ class TestDeriveRational:
     def test_theta_independence(self, theta):
         c = derive(3, 5, theta)
         assert value(c) == Fraction(3, 5)
-        assert c["verified"]
+        assert verified(c)
 
 
 class TestBuildLedger:
@@ -173,20 +186,22 @@ class TestBuildLedger:
             read_specs(payload)
 
     def test_all_verified(self, ledger10):
-        assert all(e["verified"] for e in ledger10.entries)
+        assert ledger10.exact.all() and ledger10.verdicts().all()
+        assert all(verified(e) for e in ledger10.json_entries(True))
         assert verify_ledger(ledger10) == []
 
     def test_constraint_without_certificates_fails_verify_ledger(self, ledger10):
         # nothing was checked, so nothing may read as verified: a NaN number
         # is one that was never computed
         bare = replace(ledger10, errors=np.full_like(ledger10.errors, np.nan))
-        assert not any(e["verified"] for e in bare.entries)
+        assert not bare.verdicts().any()
+        assert not any(verified(e) for e in bare.json_entries(True))
         failures = verify_ledger(bare)
-        assert len(failures) == sum(len(e["theta_samples"]) for e in bare.entries)
+        assert len(failures) == len(bare.thetas)
 
     def test_theta_samples_include_extra(self, ledger10):
-        c = lookup(ledger10, Fraction(1, 2))
-        assert len(c["theta_samples"]) == len(DEFAULT_THETAS) + 1
+        i = at(ledger10, 1, 2)
+        assert ledger10.offsets[i + 1] - ledger10.offsets[i] == len(DEFAULT_THETAS) + 1
 
     def test_monotone_refinement(self):
         assert fractions(build_ledger(4)) <= fractions(build_ledger(8))
@@ -194,7 +209,7 @@ class TestBuildLedger:
     def test_rotated_bases(self):
         ledger = build_ledger(5, rotate_bases=True, seed=7)
         assert verify_ledger(ledger) == []
-        assert lookup(ledger, Fraction(2, 5))["base_kind"] == "haar"
+        assert ledger.seeds[at(ledger, 2, 5)] >= 0  # a Haar base
 
     def test_entries_in_n_k_order(self, ledger10):
         # P(0) first, then each N's reduced K, as ledger_specs enumerates them
@@ -328,11 +343,12 @@ class TestExactCertificate:
         monkeypatch.setattr(derivation, "roots_of_unity_vanish", lambda k: k != 6)
         c = derive(6, 7, 0.5)
         assert all(cert["passed"] for cert in c["certificates"])  # the floats cannot tell
-        assert not c["exact_certificate"]["passed"] and not c["verified"]
+        assert not c["exact_certificate"]["passed"] and not verified(c)
         with pytest.raises(CertificateError, match="exact certificate failed at K=6, N=7"):
             build_ledger(7)
         ledger = derivation._derive(7)
-        thetas = lookup(ledger, Fraction(6, 7))["theta_samples"]
+        i = at(ledger, 6, 7)
+        thetas = ledger.thetas[ledger.offsets[i]:ledger.offsets[i + 1]].tolist()
         assert verify_ledger(ledger) == [(6, 7, t) for t in thetas]
 
 
@@ -345,8 +361,8 @@ class TestFloatCertificate:
         with pytest.raises(CertificateError, match=failed):
             build_ledger(3)
         ledger = derivation._derive(3)
-        assert not any(e["verified"] for e in ledger.entries)
-        assert len(verify_ledger(ledger)) == sum(len(e["theta_samples"]) for e in ledger.entries)
+        assert not ledger.verdicts().any()
+        assert len(verify_ledger(ledger)) == len(ledger.thetas)
 
 
     @pytest.mark.parametrize("column, tolerance", [
@@ -388,7 +404,7 @@ class TestHaarBound:
         keep = np.zeros(len(specs), bool)
         keep[[1, -1]] = True  # after P(0), the first and the last K of N = 512
         columns = certify_specs(specs.select(keep))
-        assert all(e["verified"] for e in columns.entry_json(range(2)))
+        assert columns.exact.all() and columns.verdicts().all()
         assert (columns.defects <= DEFECT_TOLERANCE).all()
         assert (columns.errors <= OVERLAP_TOLERANCE).all()
 
@@ -404,27 +420,37 @@ class TestHaarBound:
 
 
 class TestDigest:
-    def test_hashes_verdicts_not_float_numbers(self):
-        exact = ((2,), True)
-        spec = {"K": 2, "N": 5, "theta_samples": [0.3], "base_kind": "standard", "base_seed": None}
-        c = certify_specs(make_specs([(2, 5, (0.3,), -1)]))
-
-        def digest(columns):
-            return next(columns.entry_json([0]))["certificate_digest"]
-
+    def test_hashes_probes_not_float_numbers(self):
+        # the digest of a ledger is its probes' alone: K, N, base seed, theta
+        # count and theta bits of each entry, in order; no certificate number
+        # or verdict enters it, so no BLAS build or thread count moves it
+        rows = [(0, 1, (0.0,), -1), (2, 5, (0.3, 1.0), -1), (1, 3, (0.3, 2.0), 4)]
+        c = certify_specs(make_specs(rows))
+        digest = derivation.probe_digest(c)
         moved = replace(c, defects=2 * c.defects, errors=c.errors + 1e-15)
-        assert digest(moved) == digest(c) == derivation._digest(spec, exact, [True])
-        failed = replace(c, errors=np.array([2 * OVERLAP_TOLERANCE]))
-        assert [cert["passed"] for cert in next(failed.entry_json([0], True))["certificates"]] == [
-            False]
+        failed = replace(c, errors=np.full_like(c.errors, 2 * OVERLAP_TOLERANCE))
+        assert not failed.verdicts().any()
+        assert derivation.probe_digest(moved) == derivation.probe_digest(failed) == digest
+        assert digest == reference.probe_digest(rows)
         for changed in (
-            digest(failed),
-            derivation._digest(spec, ((2,), False), [True]),
-            derivation._digest(dict(spec, theta_samples=[math.nextafter(0.3, 1.0)]), exact,
-                               [True]),
-            derivation._digest(dict(spec, base_kind="haar", base_seed=0), exact, [True]),
+            [rows[0], (3, 5, (0.3, 1.0), -1), rows[2]],
+            [rows[0], (2, 6, (0.3, 1.0), -1), rows[2]],
+            [rows[0], (2, 5, (0.3, 1.0), 0), rows[2]],
+            [rows[0], (2, 5, (math.nextafter(0.3, 1.0), 1.0), -1), rows[2]],
+            [rows[0], (2, 5, (0.3,), -1), (1, 3, (1.0, 0.3, 2.0), 4)],  # a theta moved over
+            rows[:2],
         ):
-            assert changed != digest(c)
+            assert derivation.probe_digest(make_specs(changed)) != digest, changed
+
+    @pytest.mark.parametrize("entries", [1, 2, 4096])
+    def test_ragged_probes_match_the_reference(self, monkeypatch, entries):
+        # each entry's words where its own row count puts them, in passes of
+        # any number of entries
+        monkeypatch.setattr(derivation, "DIGEST_ENTRIES", entries)
+        rows = [(1, 2, (0.0,), -1), (1, 3, (0.5, 1.5, 7.0), -1), (2, 3, (), -1),
+                (2, 7, (0.3,), 11), (1, 1, (0.2, -0.4), -1)]
+        assert derivation.probe_digest(make_specs(rows)) == reference.probe_digest(rows)
+        assert derivation.probe_digest(make_specs([])) == reference.probe_digest([])
 
 
 class TestCompareToBorn:
@@ -439,14 +465,15 @@ class TestCompareToBorn:
 class TestSerialization:
     def test_round_trip_preserves_verification(self, ledger10):
         rebuilt = ConstraintLedger.from_json(ledger10.to_json())
-        assert rebuilt.entries == ledger10.entries  # K, N, value, digest, verdict of each
+        assert rebuilt.entries == ledger10.entries  # K, N and value of each
         assert verify_ledger(rebuilt) == []
 
     def test_digest_tamper_detected(self, ledger10):
         payload = ledger10.to_json()
-        payload["entries"][3]["certificate_digest"] = "0" * 64
-        with pytest.raises(CertificateError):
-            ConstraintLedger.from_json(payload)
+        payload["digest"] = "0" * 64
+        for read in (ConstraintLedger.from_json, read_specs):
+            with pytest.raises(CertificateError, match="^digest mismatch: "):
+                read(payload)
 
     def test_certify_derives_from_the_header_alone(self, monkeypatch):
         # one derive path for build_ledger and from_json: neither reads the
@@ -465,11 +492,12 @@ class TestSerialization:
     def test_every_key_derive_writes_is_compared(self, ledger10, monkeypatch):
         # no hand-kept field list: a key that derive would add must be stored too
         payload = ledger10.to_json()
-        real = derivation._spec_json
-        monkeypatch.setattr(derivation, "_spec_json", lambda *args: (
+        real = derivation._stored_json
+        monkeypatch.setattr(derivation, "_stored_json", lambda *args: (
             dict(entry, extra=entry["N"]) for entry in real(*args)))
-        with pytest.raises(CertificateError, match="^extra mismatch at K=0, N=1$"):
-            ConstraintLedger.from_json(payload)
+        for read in (ConstraintLedger.from_json, read_specs):
+            with pytest.raises(CertificateError, match="^extra mismatch at K=0, N=1$"):
+                read(payload)
 
     def test_value_tamper_detected(self, ledger10):
         payload = ledger10.to_json()
@@ -484,26 +512,26 @@ class TestSerialization:
         payload = ledger10.to_json()
         for entry in payload["entries"]:
             if entry["K"] == 1 and entry["N"] in (2, 3):
-                entry["theta_samples"] = []
+                entry["value"] = None
         for read in (ConstraintLedger.from_json, read_specs):
-            with pytest.raises(CertificateError, match="^theta_samples mismatch at K=1, N=2$"):
+            with pytest.raises(CertificateError, match="^value mismatch at K=1, N=2$"):
                 read(payload)
 
     @pytest.mark.parametrize(
         "make,digest",
         [
             (lambda: build_ledger(64),
-             "154f44067ed274709390356b2990184a3d0d4d93e06f43173a6f1b1f0634deb2"),
+             "7441ed4b817f3969859249f19f3513b28971a9e94c402113ecd93cc7886bf4ae"),
             (lambda: build_ledger(16, rotate_bases=True, seed=3),
-             "be6a76bd051e6be6aa692da36ca1947f9d4dcb5e4bc1dfdcf3025bc81beae1c1"),
+             "5706f44c8cdb6fe2eda7d5d94ddb5c55a465b80c6f0959a508f7575c30d15d50"),
         ],
         ids=["standard-n64", "rotated-n16-seed3"],
     )
     def test_ledger_bits_pinned(self, make, digest):
         # A change to either pin must bump derivation.FORMAT_VERSION: ledgers
         # written before it would no longer certify.  The payload holds no
-        # float certificate number, only exact values, theta samples and
-        # digests of verdicts, so no BLAS build or thread count moves it.
+        # float certificate number, only its header, exact values and the
+        # digest of its probes, so no BLAS build or thread count moves it.
         blob = json.dumps(make().to_json(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -513,7 +541,7 @@ class TestSerialization:
         payload = build_ledger(6, rotate_bases=True, seed=2).to_json(full_certificates=True)
         blob = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "8f571b9a9b1c3aff0e19f90bddc6ffa755d1f1e7d7130338d2ca6bb1b713d2ca"
+            "f111d97a367b385527e5006c4f4838974bf629e56695a249ed401403d28f6970"
         )
 
     def test_full_certificates_embed_bases(self, ledger8):
@@ -525,7 +553,9 @@ class TestSerialization:
         assert len(cert["overlaps"]) == 2
         entry = next(e for e in payload["entries"] if e["K"] == 6 and e["N"] == 7)
         assert entry["exact_certificate"] == {"primes": [2, 3], "passed": True}
-        assert "exact_certificate" not in ledger8.to_json()["entries"][1]
+        assert [c["theta"] for c in entry["certificates"]] == [
+            t % (2 * math.pi) for t in ledger8.thetas[ledger8.offsets[at(ledger8, 6, 7)]:][:5]]
+        assert set(ledger8.to_json()["entries"][1]) == {"K", "N", "value"}
 
     def test_entries_in_farey_order(self, ledger10):
         values = [
@@ -553,7 +583,8 @@ class TestReadSpecs:
         monkeypatch.setattr(derivation, "certify_specs", refuse)
         payload = ledger10.to_json()
         for entry in payload["entries"]:
-            entry.update(certificate_digest="0" * 64, verified=False, proof_trace=[])
+            entry.update(exact_certificate={"primes": [], "passed": False}, certificates=[],
+                         proof_trace=[])
         thetas, specs = read_specs(payload)
         assert thetas == ledger10.theta_base
         assert_same_specs(specs, ledger10)
@@ -579,8 +610,8 @@ class TestKernel:
                  for spec in self.SPECS]
         assert [c["certificates"] for c in batch] == [c["certificates"] for c in alone]
         assert batch == alone
-        assert [(c["K"], c["N"], tuple(c["theta_samples"])) for c in batch] == [
-            (k, n, thetas) for k, n, thetas, _ in self.SPECS
+        assert [(c["K"], c["N"], [cert["theta"] for cert in c["certificates"]]) for c in batch] == [
+            (k, n, [t % (2 * math.pi) for t in thetas]) for k, n, thetas, _ in self.SPECS
         ]
 
 
@@ -668,6 +699,6 @@ class TestContinuityExtension:
 
 
 def test_proof_traces_present(ledger8):
-    c = lookup(ledger8, Fraction(3, 7))
+    c = lookup(ledger8, Fraction(3, 7), full_certificates=True)
     assert any("3/7" in step for step in c["proof_trace"])
     assert len(c["proof_trace"]) >= 3

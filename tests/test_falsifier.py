@@ -30,7 +30,7 @@ from bornlab.falsifier import (
 )
 
 import reference
-from conftest import lookup, make_ledger_locked_candidate, make_specs, make_wrong_above_denominator
+from conftest import make_ledger_locked_candidate, make_specs, make_wrong_above_denominator
 from reference import certificate, spec_rows
 
 
@@ -86,9 +86,9 @@ class TestRotatedLedger:
         w = falsify(candidate_from_expression("r"), quick_cfg(), ledger).witness
         assert w.construction_tag is ConstructionTag.LEDGER_CERTIFICATE
         assert (w.dimension, w.seed_chain) == (2, (0, 1, 2, 1))
-        c = lookup(ledger, 0.5)
-        assert c["base_kind"] == "haar"
-        basis, state = certificate(1, 2, c["theta_samples"][0], c["base_seed"])
+        i = int(np.flatnonzero((ledger.ks == 1) & (ledger.ns == 2))[0])
+        assert ledger.seeds[i] >= 0  # a Haar base
+        basis, state = certificate(1, 2, ledger.thetas[ledger.offsets[i]], ledger.seeds[i])
         assert w.state == state
         assert w.basis == basis
         standard, _ = certificate(1, 2, 0.0, -1)
@@ -101,8 +101,9 @@ class TestRotatedLedger:
         w = falsify(candidate_from_expression("r"), cfg, ledger).witness
         shrunk = shrink(w, ledger, cfg)
         assert shrunk.dimension == 2
-        c = lookup(ledger, 0.5)
-        assert shrunk.basis == certificate(1, 2, c["theta_samples"][0], c["base_seed"])[0]
+        i = int(np.flatnonzero((ledger.ks == 1) & (ledger.ns == 2))[0])
+        assert shrunk.basis == certificate(1, 2, ledger.thetas[ledger.offsets[i]],
+                                           ledger.seeds[i])[0]
         assert abs(replay_witness(shrunk) - shrunk.residual) <= 1e-12
 
 
