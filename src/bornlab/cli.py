@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import contextlib
 import itertools
 import json
 import math
 import os
 import re
-import stat
 import sys
 import time
 from array import array
@@ -88,7 +86,7 @@ _ENTRIES = "\0entries"
 # what json.load reads with: NaN and Infinity accepted, strings strict
 _DECODER = json.JSONDecoder()
 _SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace, json.decoder.WHITESPACE
-_WINDOW = 1 << 16  # bytes of a ledger file decoded, or read back, at a time
+_PIECE = 1 << 16  # bytes of a ledger file read at a time
 
 
 class _UsageError(Exception):
@@ -236,45 +234,18 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
-class _Unreadable(Exception):
-    """A stored entry of a ledger file that no longer reads as it was indexed."""
-
-
 class _StoredEntries(Sequence):
-    """The entries array of a ledger file: the byte span of each entry,
-    read(offset, size) giving the file's bytes.  Entry i is read and decoded
-    when it is read, and not kept; in turn, the file is read forward
-    _WINDOW bytes at a time.  A fault raises _Unreadable."""
+    """The entries array of a ledger file's text: where each entry starts.
+    Entry i is decoded from the text when it is read, and not kept."""
 
-    def __init__(self, read, spans: array):
-        self.read, self.spans = read, spans
+    def __init__(self, text: str, starts: array):
+        self.text, self.starts = text, starts
 
     def __len__(self) -> int:
-        return len(self.spans) // 2
+        return len(self.starts)
 
     def __getitem__(self, i):
-        return next(self._entries((self.spans[2 * i], self.spans[2 * i + 1]), 0))
-
-    def __iter__(self):
-        return self._entries(self.spans, _WINDOW)
-
-    def _entries(self, spans, window: int):
-        """The entry of each (start, end) pair of spans, read in at least
-        window bytes at a time."""
-        data, base = b"", 0  # the bytes read last, from offset base
-        try:
-            for start, end in zip(spans[::2], spans[1::2]):
-                if end - base > len(data):
-                    data, base = self.read(start, max(window, end - start)), start
-                text = data[start - base:end - base].decode("utf-8")
-                value, at = _DECODER.scan_once(text, 0)
-                if at != len(text):
-                    raise ValueError(text)
-                yield value
-        except OSError as exc:
-            raise _Unreadable(exc) from None
-        except (ValueError, StopIteration):
-            raise _Unreadable("the file changed while it was read") from None
+        return _DECODER.scan_once(self.text, self.starts[i])[0]
 
 
 def _scan(text: str, at: int):
@@ -285,187 +256,113 @@ def _scan(text: str, at: int):
         raise json.JSONDecodeError("Expecting value", text, stop.value) from None
 
 
-class _Text:
-    """The text of the first ``size`` bytes that read(offset, size) gives,
-    decoded from UTF-8 a window of ``window`` bytes at a time.  Positions
-    count characters from the start.  The text before the last ``drop`` goes
-    when the next window is read, and a value longer than the window doubles
-    it.  An error is json.loads' own only if the window holds the whole text."""
-
-    def __init__(self, read, size: int, window: int):
-        self.read, self.size, self.window = read, size, window
-        self.text, self.start = "", 0  # the window, from the character at start
-        self.kept = self.byte = 0  # the first character kept, and its byte offset
-        self.next, self.done = 0, False  # the offset of the next byte to read
-        self.decode = codecs.getincrementaldecoder("utf-8")().decode
-        self.grow()
-
-    def grow(self) -> None:
-        """Read the next window, or reach the end of the text."""
-        kept = self.text[self.kept - self.start:]
-        data = self.read(self.next, min(max(self.window, len(kept)), self.size - self.next))
-        self.next += len(data)
-        self.done = not data or self.next >= self.size
-        self.text, self.start = kept + self.decode(data, self.done), self.kept
-
-    def drop(self, pos: int) -> int:
-        """The byte offset of the character at pos, no earlier one of which
-        is read again."""
-        if self.text.isascii():
-            self.byte += pos - self.kept
-        else:
-            self.byte += len(self.text[self.kept - self.start:pos - self.start].encode())
-        self.kept = pos
-        return self.byte
-
-    def char(self, pos: int) -> str:
-        """The character at pos, or "" past the end."""
-        while pos - self.start >= len(self.text) and not self.done:
-            self.grow()
-        return self.text[pos - self.start:pos - self.start + 1]
-
-    def skip(self, pos: int) -> tuple[int, str]:
-        """The first position at or after pos that holds no JSON whitespace,
-        and its character ("" past the end)."""
-        while True:
-            end = _SPACE.match(self.text, pos - self.start).end()
-            if end < len(self.text) or self.done:
-                return self.start + end, self.text[end:end + 1]
-            pos = self.start + end
-            self.drop(pos)  # whitespace is not kept, however long it runs
-            self.grow()
-
-    def scan(self, pos: int, scan=_scan):
-        """scan(text, pos) of the whole text: (value, end)."""
-        while True:
-            try:
-                value, end = scan(self.text, pos - self.start)
-                # a number cut at the window's end reads as a shorter one, and
-                # leaves at most two characters unread ("1e-")
-                if end + 3 <= len(self.text) or self.done:
-                    return value, self.start + end
-            except ValueError:
-                if self.done:
-                    raise
-            self.grow()
-
-    def error(self, message: str, pos: int) -> json.JSONDecodeError:
-        return json.JSONDecodeError(message, self.text, pos - self.start)
+def _skip(text: str, at: int) -> int:
+    """The first position at or after at that holds no JSON whitespace."""
+    return _SPACE.match(text, at).end()
 
 
-def _walk(src: _Text, at: int, descend=("result", "ledger")):
-    """(value, end) of the JSON value at position at, as ``src.scan`` gives
-    it, but an object's members are read one at a time: an "entries" array
-    is indexed (``_index``), and the value of a key in ``descend`` is walked
-    in turn, with the keys after it.  The errors are json.loads' own."""
-    if src.char(at) != "{":
-        return src.scan(at)
-    members, (end, char) = {}, src.skip(at + 1)
-    if char == "}":
+def _walk(text: str, at: int, descend=("result", "ledger")):
+    """(value, end) of the JSON value at text[at], as ``_scan`` gives it, but
+    an object's members are read one at a time: an "entries" array is
+    indexed (``_index``), and the value of a key in ``descend`` is walked in
+    turn, with the keys after it.  The errors are json.loads' own."""
+    if text[at:at + 1] != "{":
+        return _scan(text, at)
+    members, end = {}, _skip(text, at + 1)
+    if text[end:end + 1] == "}":
         return members, end + 1
     while True:
-        src.drop(end)
-        if char != '"':
-            raise src.error("Expecting property name enclosed in double quotes", end)
-        key, end = src.scan(end + 1, json.decoder.scanstring)
-        end, char = src.skip(end)
-        if char != ":":
-            raise src.error("Expecting ':' delimiter", end)
-        end, char = src.skip(end + 1)
-        if key == "entries" and char == "[":
-            members[key], end = _index(src, end)
+        if text[end:end + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, end)
+        key, end = json.decoder.scanstring(text, end + 1)
+        end = _skip(text, end)
+        if text[end:end + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+        end = _skip(text, end + 1)
+        if key == "entries" and text[end:end + 1] == "[":
+            members[key], end = _index(text, end)
         elif key in descend:
-            members[key], end = _walk(src, end, descend[descend.index(key) + 1:])
+            members[key], end = _walk(text, end, descend[descend.index(key) + 1:])
         else:
-            members[key], end = src.scan(end)  # a later duplicate key wins, as in json
-        end, char = src.skip(end)
-        if char == "}":
+            members[key], end = _scan(text, end)  # a later duplicate key wins, as in json
+        end = _skip(text, end)
+        if text[end:end + 1] == "}":
             return members, end + 1
-        if char != ",":
-            raise src.error("Expecting ',' delimiter", end)
-        end, char = src.skip(end + 1)
+        if text[end:end + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _skip(text, end + 1)
 
 
-def _index(src: _Text, at: int):
-    """(_StoredEntries, end) of the array at position at: each element is
-    decoded once, to find its byte span, and dropped."""
-    spans, (end, char) = array("q"), src.skip(at + 1)
-    if char != "]":
+def _index(text: str, at: int):
+    """(_StoredEntries, end) of the array at text[at]: each element is
+    decoded once, to find where it ends, and dropped."""
+    starts, end = array("q"), _skip(text, at + 1)
+    if text[end:end + 1] != "]":
         while True:
-            start = src.drop(end)
-            end = src.scan(end)[1]
-            spans.extend((start, src.drop(end)))
-            end, char = src.skip(end)
-            if char == "]":
+            starts.append(end)
+            end = _skip(text, _scan(text, end)[1])
+            if text[end:end + 1] == "]":
                 break
-            if char != ",":
-                raise src.error("Expecting ',' delimiter", end)
-            end = src.skip(end + 1)[0]
-    return _StoredEntries(src.read, spans), end + 1
+            if text[end:end + 1] != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+            end = _skip(text, end + 1)
+    return _StoredEntries(text, starts), end + 1
 
 
-def _parse(read, size: int):
-    """json.loads of the first size bytes that read(offset, size) gives, with
-    each "entries" array of the objects ``_walk`` reads as ``_StoredEntries``:
-    the whole text is parsed, and any syntax error raised, before an entry
-    is checked.  The text is read in windows of _WINDOW bytes; if that pass
-    fails, it is parsed again in one window, for json.loads' error."""
-    try:
-        return _walk_text(_Text(read, size, _WINDOW))
-    except (ValueError, RecursionError):
-        pass
-    return _walk_text(_Text(read, size, size))
-
-
-def _walk_text(src: _Text):
-    """The JSON value that is the whole text, as ``_walk`` reads it."""
-    if src.char(0) == "\ufeff":
-        raise src.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    payload, end = _walk(src, src.skip(0)[0])
-    end, char = src.skip(end)
-    if char:
-        raise src.error("Extra data", end)
+def _parse(text: str):
+    """json.loads of text, with each "entries" array of the objects ``_walk``
+    reads as ``_StoredEntries``: the whole text is parsed, and any syntax
+    error raised, before an entry is checked.  The text is held, but no tree
+    of it: json.loads holds about six times the text."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    payload, end = _walk(text, _skip(text, 0))
+    end = _skip(text, end)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
     return payload
 
 
-def _reader(handle):
-    """(read, size) of the file open as handle, if it holds at most
-    MAX_LEDGER_BYTES: read(offset, size) gives its bytes.  A regular file is
-    read where it lies, and refused by its size before it is read; a pipe,
-    which cannot be read again, is read once and held, and refused once it
-    has given one byte more."""
-    info = os.fstat(handle.fileno())
-    if info.st_size > MAX_LEDGER_BYTES:
-        raise ValueError(f"{info.st_size} bytes, past the bound of {MAX_LEDGER_BYTES}")
-    if stat.S_ISREG(info.st_mode):
-        fd = handle.fileno()
-        return (lambda at, size: os.pread(fd, size, at)), info.st_size
-    data = handle.read(MAX_LEDGER_BYTES + 1)
-    if len(data) > MAX_LEDGER_BYTES:
+def _read_text(handle) -> str:
+    """The text of the file open as handle, if it holds at most
+    MAX_LEDGER_BYTES of UTF-8.  A file whose size is past the bound is
+    refused before it is read; a pipe, whose size reads 0, once it has given
+    one byte more.  It is read _PIECE bytes at a time: one read of the whole
+    file allocates, and frees, one buffer of its size, which raises glibc's
+    mmap threshold, so that the arrays allocated after it stay in the heap
+    (compare at --n-max 512 then peaked about 0.6 MB higher)."""
+    size = os.fstat(handle.fileno()).st_size
+    if size > MAX_LEDGER_BYTES:
+        raise ValueError(f"{size} bytes, past the bound of {MAX_LEDGER_BYTES}")
+    pieces, left = [], MAX_LEDGER_BYTES + 1
+    while left and (piece := handle.read(min(_PIECE, left))):
+        pieces.append(piece)
+        left -= len(piece)
+    if not left:
         raise ValueError(f"more than {MAX_LEDGER_BYTES} bytes, past the bound of "
                          f"{MAX_LEDGER_BYTES}")
-    return (lambda at, size: data[at:at + size]), len(data)
+    try:
+        return "".join(codecs.iterdecode(pieces, "utf-8"))
+    except UnicodeDecodeError:  # raised again, at its offset in the file
+        return b"".join(pieces).decode("utf-8")
 
 
-@contextlib.contextmanager
 def _read_ledger(path: str):
-    """The ledger payload of a derive report (or of a bare ledger) on disk,
-    parsed by ``_parse``, while the file is open for its stored entries."""
-    with contextlib.ExitStack() as stack:
-        try:
-            payload = _parse(*_reader(stack.enter_context(open(path, "rb"))))
-        # ValueError covers a file past the bound, bad JSON, bad UTF-8 and
-        # integers past Python's digit limit; RecursionError, nesting deeper
-        # than the decoder's
-        except (OSError, ValueError, RecursionError) as exc:
-            raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
-        for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
-            if isinstance(payload, dict):
-                payload = payload.get(key, payload)
-        try:
-            yield payload
-        except _Unreadable as exc:  # a stored entry, read as it is checked
-            raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
+    """The ledger payload of a derive report (or of a bare ledger) on disk:
+    its text, read once (``_read_text``), parsed by ``_parse``."""
+    try:
+        with open(path, "rb") as handle:
+            payload = _parse(_read_text(handle))
+    # ValueError covers a file past the bound, bad JSON, bad UTF-8 and
+    # integers past Python's digit limit; RecursionError, nesting deeper
+    # than the decoder's
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FileNotFoundError(f"cannot read ledger {path!r}: {exc}")
+    for key in ("result", "ledger"):  # a whole derive report, or the bare ledger
+        if isinstance(payload, dict):
+            payload = payload.get(key, payload)
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,8 +445,7 @@ def _cmd_derive(args) -> int:
 def _cmd_certify(args) -> int:
     config = {"ledger": args.ledger}
     try:
-        with _read_ledger(args.ledger) as payload:
-            ledger = ConstraintLedger.from_json(payload)
+        ledger = ConstraintLedger.from_json(_read_ledger(args.ledger))
     except CertificateError as exc:
         _emit("certify", config, {"verified": False, "error": str(exc)}, args.output)
         return EXIT_VERIFICATION
@@ -646,8 +542,7 @@ def _cmd_compare(args) -> int:
     }
     try:
         # the probes read no certificate, so none is re-derived
-        with _read_ledger(args.ledger) as payload:
-            theta_base, specs = read_specs(payload)
+        theta_base, specs = read_specs(_read_ledger(args.ledger))
     except CertificateError as exc:
         _emit("compare", config, {"passed": False, "error": str(exc)}, args.output)
         return EXIT_VERIFICATION

@@ -267,13 +267,16 @@ class ConstraintLedger(_Columns):
 
     @classmethod
     def from_json(cls, payload) -> "ConstraintLedger":
-        """Derive the ledger that the header (``_header``) describes, every
-        certificate included, and check its digest and each stored entry
-        (``_check_stored``); raise CertificateError on any fault."""
-        n_max, seed, rotate_bases, theta_base, digest, stored = _header(payload)
-        ledger = _derive(n_max, theta_base, rotate_bases, seed)
-        _check_stored(stored, digest, ledger, ledger.values)
-        return ledger
+        """Derive the ledger that the header describes, every certificate
+        included, once its digest and stored entries are checked (``_read``);
+        raise CertificateError on any fault."""
+        n_max, seed, rotate_bases, thetas, specs = _read(payload)
+        # a reader's entries are decoded from the file's text, which goes with
+        # the payload if the caller keeps no name for it: not held while the
+        # certificates are derived (held, certify at --n-max 512 peaked 6.7 MB higher)
+        del payload
+        return cls(**vars(certify_specs(specs)), n_max=n_max, seed=seed,
+                   rotate_bases=rotate_bases, theta_base=thetas)
 
 
 def read_specs(payload) -> tuple[tuple[float, ...], Specs]:
@@ -282,29 +285,35 @@ def read_specs(payload) -> tuple[tuple[float, ...], Specs]:
     CertificateError on any fault.
 
     The digest and each stored entry are checked as ``from_json`` checks
-    them (``_check_stored``), but no certificate is derived.
+    them (``_read``), but no certificate is derived.
     """
+    return _read(payload)[3:]
+
+
+def _read(payload) -> tuple[int, int, bool, tuple[float, ...], Specs]:
+    """(n_max, seed, rotate_bases, theta base, specs) of a serialized ledger,
+    from its header (``_header``, ``ledger_specs``), once its digest and
+    stored entries are checked against the specs (``_check_stored``)."""
     n_max, seed, rotate_bases, theta_base, digest, stored = _header(payload)
     thetas, specs = ledger_specs(n_max, theta_base, rotate_bases, seed)
-    values = np.stack([specs.ks, specs.ns], axis=1)  # each K/N is reduced
-    _check_stored(stored, digest, specs, values)
-    return thetas, specs
+    _check_stored(stored, digest, specs)
+    return n_max, seed, rotate_bases, thetas, specs
 
 
-def _check_stored(stored: Sequence, digest: str, specs: Specs, values: np.ndarray) -> None:
+def _check_stored(stored: Sequence, digest: str, specs: Specs) -> None:
     """Check a ledger's stored digest against the ``probe_digest`` of the
     specs its header derives, then its stored entries, in Farey order,
-    against the ``_stored_json`` of the specs and their (numerator,
-    denominator) ``values``, in (N, K) order: every key, of the same JSON
-    type.  Raise CertificateError on a digest mismatch, or at the first
-    entry mismatch in (N, K) order.  The stored entries are read once each,
-    in turn, so a reader that decodes each then holds one at a time and
-    reads its file forward."""
+    against the ``_stored_json`` of the specs, each K/N reduced, in (N, K)
+    order: every key, of the same JSON type.  Raise CertificateError on a
+    digest mismatch, or at the first entry mismatch in (N, K) order.  The
+    stored entries are read once each, in turn, so a reader that decodes
+    each then holds one at a time."""
     if digest != probe_digest(specs):
         raise CertificateError("digest mismatch: the header derives other probes than "
                                "the ledger was written with")
     order = _farey_order(specs.ks / specs.ns)
     first = len(order), ""  # the (N, K) index and fault of the first mismatch
+    values = np.stack([specs.ks, specs.ns], axis=1)
     for at, entry, raw in zip(order, _stored_json(specs.ks, specs.ns, values, order), stored):
         for key, want in entry.items():
             value = raw.get(key) if isinstance(raw, dict) else None
@@ -345,7 +354,7 @@ def _header(payload) -> tuple[int, int, bool, tuple[float, ...], str, Sequence]:
         raise CertificateError("ledger: theta_base must hold finite numbers only")
     theta_base = tuple(map(float, theta_base))
     digest = _field(payload, "digest", str, "ledger")
-    entries = payload.get("entries")  # a list, or the lazily decoded entries of cli's reader
+    entries = payload.get("entries")  # a list, or cli's entries, each decoded as it is read
     if isinstance(entries, str) or not isinstance(entries, Sequence):
         raise CertificateError("ledger: entries is missing or not of type list")
     if not 1 <= n_max <= MAX_DIMENSION:
