@@ -273,8 +273,7 @@ class ConstraintLedger(_Columns):
         n_max, seed, rotate_bases, thetas, specs = _read(payload)
         # a reader's entries are decoded from the file's text, which goes with
         # the payload if the caller keeps no name for it, before the
-        # certificates are derived (held, certify at --n-max 512 peaked 6.7
-        # MB higher)
+        # certificates are derived (held, certify at 512 peaked 6.7 MB higher)
         del payload
         return cls(**vars(certify_specs(specs)), n_max=n_max, seed=seed,
                    rotate_bases=rotate_bases, theta_base=thetas)
