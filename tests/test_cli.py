@@ -719,6 +719,24 @@ class TestLedgerReader:
         assert len(alive) == 2 * count
         assert max(alive) == 1  # the entry compared last
 
+    @pytest.mark.parametrize("which", [0, 3])
+    def test_every_first_window_edge(self, tmp_path, monkeypatch, which):
+        # the edge of the first piece read at each byte in turn: inside runs of
+        # whitespace and "\r\n", inside numbers such as "1.|0" or "1e|-05", and
+        # inside characters of two, three and four bytes: the read and the
+        # parse give json.loads' value
+        text = ('{"note": "é€\U0001d53b", "spread": 1.0e-05, "scale": -2.5E+3, '
+                + _READER_TEXTS[which][1:]).replace(", ", ",\r\n\t ")
+        data = text.encode()
+        want = _outcome(json.loads, text)
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with open(path, "rb") as handle:
+            for piece in range(1, len(data) + 1):
+                monkeypatch.setattr(cli, "_PIECE", piece)
+                handle.seek(0)
+                assert _outcome(lambda _: cli._parse(cli._read_text(handle)), None) == want, piece
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_parse_agrees_with_json_loads(self, data):
