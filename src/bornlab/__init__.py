@@ -61,6 +61,5 @@ from .hilbert import (
 from .montecarlo import (
     SimulationReport,
     frequentist_report,
-    sample_outcomes,
     simulate_fractions,
 )

@@ -3,7 +3,10 @@
 A candidate is a real-valued function of a single complex overlap z with
 |z| <= 1.  Taking only the overlap makes unitary invariance and
 N-independence structural, so their checks measure only how far the
-rounding of an overlap moves P.  Every check scores its overlaps through
+rounding of an overlap moves P; unitary invariance moves its states by a
+permutation times phases, and orthogonality scores the DFT block the
+ledger certifies, so the suite draws no Haar unitary and factors no
+matrix.  Every check scores its overlaps through
 :func:`evaluate`, a whole array at a time, and returns residuals, never
 booleans; pass/fail is applied at report time against configurable
 tolerances.  Candidate evaluation failures (non-finite or non-real
@@ -22,14 +25,12 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import dsl
-from .construction import entry_overlaps
+from .construction import TWO_PI, dft_block, entry_overlaps
 from .errors import DimensionError, DomainError, EvalError
 from .hilbert import (
     OrthonormalBasis,
     StateVector,
     complex_to_pair,
-    haar_unitaries,
-    haar_unitary,
     matrix_to_pairs,
     random_states,
     vector_to_pairs,
@@ -73,7 +74,8 @@ def _domain_error(modulus: float) -> DomainError:
 
 
 def born_candidate() -> CandidateDistribution:
-    return CandidateDistribution("r^2", lambda z: abs(z) ** 2)
+    """The Born rule |z|^2, as the compiled DSL candidate ``r^2``."""
+    return candidate_from_expression("r^2")
 
 
 def candidate_from_expression(source: str, name: Optional[str] = None) -> CandidateDistribution:
@@ -258,13 +260,15 @@ def check_unitary_invariance(
     """Residual = max over sampled (v, w, U) of |P(<Uv|Uw>) - P(<v|w>)|.
 
     A candidate takes the overlap alone, so U cancels in exact arithmetic:
-    what this measures is how far the rounding of the overlap under a Haar
-    rotation moves P, and a P that is non-finite in either frame scores
-    inf.  Trial t takes states 2t and 2t + 1 of the stream keyed
-    (seed, 4, dim) (``hilbert.random_states``) and unitary t of the stream
-    keyed (seed, 5, dim) (``hilbert.haar_unitaries``), RANDOM_CHUNK trials
-    at a time, so its bits do not depend on the chunk size; both frames of
-    a chunk are scored by one ``evaluate`` call.
+    what this measures is how far the rounding of the overlap under U moves
+    P, and a P that is non-finite in either frame scores inf.  U is
+    monomial, a permutation times phases, (Uv)_k = e^{i alpha_k} v_sigma(k),
+    applied with no matrix product.  Trial t takes states 2t and 2t + 1 of
+    the stream keyed (seed, 4, dim) (``hilbert.random_states``) and the next
+    2 dim uniforms of the stream keyed (seed, 5, dim): dim sort keys, whose
+    stable argsort is sigma, then dim angles, alpha = 2 pi u.  RANDOM_CHUNK
+    trials are drawn at a time, so a trial's bits do not depend on the
+    chunk size; both frames of a chunk are scored by one ``evaluate`` call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -276,8 +280,11 @@ def check_unitary_invariance(
         count = min(RANDOM_CHUNK, trials - start)
         states = random_states(state_rng, dim, 2 * count)
         v, w = states[0::2], states[1::2]
-        u = haar_unitaries(unitary_rng, dim, count)
-        uv, uw = (u @ v[..., None])[..., 0], (u @ w[..., None])[..., 0]
+        uniforms = unitary_rng.random((count, 2, dim))
+        sigma = np.argsort(uniforms[:, 0], axis=-1, kind="stable")
+        phases = np.exp(1j * (TWO_PI * uniforms[:, 1]))
+        uv = phases * np.take_along_axis(v, sigma, axis=-1)
+        uw = phases * np.take_along_axis(w, sigma, axis=-1)
         # per row a 1-d product and sum, the bits of its trial alone (an einsum's are not)
         overlaps = np.stack([(v.conj() * w).sum(axis=-1), (uv.conj() * uw).sum(axis=-1)])
         before, after = evaluate(p, overlaps)
@@ -374,7 +381,9 @@ def run_axiom_suite(
     seed: int,
     tolerance: float = 1e-9,
 ) -> list[AxiomReport]:
-    """All five axiom checks; returns one report per axiom."""
+    """All five axiom checks; returns one report per axiom.  Orthogonality
+    scores the DFT block of each dimension (``construction.dft_block``),
+    the basis the ledger certifies, and draws no seed."""
     dims = sorted(set(dims))
     rng = np.random.default_rng(seed)
     sample_overlaps = []
@@ -386,8 +395,7 @@ def run_axiom_suite(
     reports.append(normalization_report(p, dims, trials, seed, tolerance))
     ortho_worst = None
     for n in dims:
-        sub = int(np.random.SeedSequence([seed, 3, n]).generate_state(1)[0])
-        report = check_orthogonality_axiom(p, haar_unitary(n, sub), tolerance)
+        report = check_orthogonality_axiom(p, OrthonormalBasis(dft_block(n)), tolerance)
         if ortho_worst is None or report.max_residual > ortho_worst.max_residual:
             ortho_worst = report
     reports.append(ortho_worst)

@@ -1,7 +1,7 @@
 """Finite-dimensional complex Hilbert space primitives.
 
-States, orthonormal bases and Haar sampling: of states, of unitaries,
-and of bases, each the standard basis moved by a Haar unitary U.
+States, orthonormal bases and Haar sampling: streams of Haar states,
+and Haar bases, each the standard basis moved by one Haar unitary U.
 Conventions used throughout the package:
 
 - the inner product is conjugate-linear in the FIRST argument,
@@ -126,51 +126,29 @@ class OrthonormalBasis:
         return matrix_to_pairs(self.matrix)
 
 
-def haar_unitaries(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """The next count Haar-uniform unitaries from rng, as a read-only
-    (count, n, n) stack.
+def haar_unitary(n: int, seed: int) -> OrthonormalBasis:
+    """The Haar-random basis U e_1 .. U e_n, deterministic per seed: the rows
+    of U^T, held C-contiguous and Gram-checked once, by ``OrthonormalBasis``.
+    Its defect is max_ij |(U^H U - I)_ij|.
 
-    Each unitary takes the next 2n^2 standard normals of rng's stream, an
-    n x n matrix of real parts and then one of imaginary parts.  The stack
-    is QR-factorized at once and the phases of diag(R) are fixed to make
-    each decomposition unique, which makes each Q factor exactly
-    Haar-distributed; every Q is checked to be finite and unitary, the Gram
-    defect of its columns at most ORTHO_TOLERANCE.  So the t-th unitary of
-    a stream is the same bits however the stream is cut into calls.
+    U takes the first 2n^2 standard normals of ``default_rng(seed)``, an
+    n x n matrix of real parts and then one of imaginary parts.  It is their
+    QR factor Q with the phases of diag(R) fixed, which makes the
+    decomposition unique and Q exactly Haar-distributed.
     """
-    q = _haar_q(rng, n, count)
-    if not np.isfinite(q).all():
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    defect = _gram_defect(q.swapaxes(-1, -2))
-    if defect > ORTHO_TOLERANCE:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    q.setflags(write=False)
-    return q
-
-
-def _haar_q(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """The unchecked Q factors of :func:`haar_unitaries`."""
     if n < 1:
         raise DimensionError("n must be >= 1")
-    normals = rng.standard_normal((count, 2, n, n))
-    # (re + 1j * im) / sqrt(2), updated in place to keep one stack alive
-    z = 1j * normals[:, 1]
-    z += normals[:, 0]
+    normals = np.random.default_rng(seed).standard_normal((2, n, n))
+    # (re + 1j * im) / sqrt(2), updated in place to keep one matrix alive
+    z = 1j * normals[1]
+    z += normals[0]
     del normals
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     del z
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[..., None, :]
-    return q
-
-
-def haar_unitary(n: int, seed: int) -> OrthonormalBasis:
-    """The Haar-random basis U e_1 .. U e_n, deterministic per seed, for U
-    the first unitary of :func:`haar_unitaries` on ``default_rng(seed)``:
-    the rows of U^T, held C-contiguous and Gram-checked once, by
-    ``OrthonormalBasis``.  Its defect is max_ij |(U^H U - I)_ij|."""
-    return OrthonormalBasis(_haar_q(np.random.default_rng(seed), n, 1)[0].T.copy())
+    d = np.diagonal(r)
+    q *= d / np.abs(d)
+    return OrthonormalBasis(q.T.copy())
 
 
 def orthonormality_defect(candidate) -> float:

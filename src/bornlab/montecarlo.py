@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .hilbert import OrthonormalBasis, StateVector
+from .errors import ParameterError
+from .hilbert import StateVector
 
 MAX_Z = 4.0  # the |z| bound of a two-cell run; see z_threshold
 CHI2_PERCENTILE = 0.9999
@@ -83,16 +83,6 @@ def sample_counts_from_probabilities(
     cdf[-1] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return rng.multinomial(n_samples, np.diff(cdf, prepend=0.0))
-
-
-def sample_outcomes(
-    state: StateVector, basis: OrthonormalBasis, n_samples: int, seed: int
-) -> np.ndarray:
-    """Counts of projective-measurement outcomes with Born weights."""
-    if state.dim != basis.dim:
-        raise DimensionError(f"dimension mismatch: {state.dim} vs {basis.dim}")
-    probabilities = np.abs(basis.matrix.conj() @ state.amplitudes) ** 2
-    return sample_counts_from_probabilities(probabilities, n_samples, seed)
 
 
 def _pool_cells(exp: list[float], obs: tuple[int, ...]):

@@ -31,6 +31,11 @@ def ledger64():
     return build_ledger(64)
 
 
+# the Born rule as a plain Python candidate, evaluated one overlap at a
+# time, where born_candidate() is the compiled DSL r^2
+PYTHON_BORN = CandidateDistribution("r^2", lambda z: abs(z) ** 2)
+
+
 def make_ledger_locked_candidate(n_max: int, off_value: float = 0.9) -> CandidateDistribution:
     """Fixture candidate: agrees with |z|^2 exactly at every modulus
     sqrt(K/N) with N <= n_max, returns off_value everywhere else.

@@ -18,11 +18,14 @@ builds one ledger entry's N x N construction, against which the
 certificate kernel's per-K numbers and Haar bounds are checked.
 ``geometric_series_overlap`` is the independent route to the
 partial-DFT basis's inner products, and ``rotate_basis`` the product
-form of a Haar-rotated base.  ``simulate_fractions`` reads its Born
-weights back through a Gram-checked d x d standard basis, and
-``lookup_counts`` draws every outcome and looks each up in the cumulative
-sum, against which the sampler's multinomial counts are checked in
-distribution.  ``eval_expr`` interprets a candidate's syntax tree with
+form of a Haar-rotated base.  ``monomial`` draws the suite's
+unitary-invariance unitary one trial at a time.  ``sample_outcomes``
+samples a projective measurement of a state in any basis, which the
+package does only for a state's own weights; ``simulate_fractions``
+reads its Born weights back through a Gram-checked d x d standard
+basis, and ``lookup_counts`` draws every outcome and looks each up in
+the cumulative sum, against which the sampler's multinomial counts are
+checked in distribution.  ``eval_expr`` interprets a candidate's syntax tree with
 Python floats and ``math``, one overlap at a time, against which the
 compiled tree's undefined overlaps, values and reasons are checked.
 """
@@ -44,7 +47,6 @@ from bornlab import (
     frequentist_report,
     orthonormality_defect,
     random_state,
-    sample_outcomes,
     standard_basis,
 )
 from bornlab.axioms import (
@@ -55,6 +57,7 @@ from bornlab.axioms import (
 )
 from bornlab.dsl import CONSTANTS, Bin, Call, Const, Lit, Neg, Var
 from bornlab.hilbert import matrix_to_pairs
+from bornlab.montecarlo import sample_counts_from_probabilities
 from bornlab.construction import (
     TWO_PI,
     Specs,
@@ -66,8 +69,7 @@ from bornlab.construction import (
 
 
 def haar(n: int, seed) -> np.ndarray:
-    """One Haar unitary: two n x n normal draws, one QR, diag(R) phases fixed.
-    seed is an integer, or a Generator whose stream the draws continue."""
+    """One Haar unitary: two n x n normal draws, one QR, diag(R) phases fixed."""
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -327,11 +329,20 @@ def normalization_report(p, dims, trials, seed, tolerance=1e-9) -> AxiomReport:
     return AxiomReport(Axiom.NORMALIZATION, max_residual, worst, tolerance)
 
 
+def monomial(rng, dim: int):
+    """(sigma, phases) of the next monomial unitary of rng's stream, (Uv)_k =
+    phases_k v_sigma(k): dim sort keys, whose stable argsort is sigma, then
+    dim angles alpha, phases e^{i 2 pi alpha}."""
+    keys = rng.random(dim)
+    angles = rng.random(dim)
+    return np.argsort(keys, kind="stable"), np.exp(1j * (TWO_PI * angles))
+
+
 def check_unitary_invariance(p, trials, seed, dim=4, tolerance=1e-12) -> AxiomReport:
     """``axioms.check_unitary_invariance`` one trial at a time: two states
-    from the stream of (seed, 4, dim) and one Haar unitary from that of
-    (seed, 5, dim), each overlap a 1-d product and sum, the two frames
-    scored together and alone."""
+    from the stream of (seed, 4, dim) and one monomial unitary from that of
+    (seed, 5, dim), applied by indexing, each overlap a 1-d product and sum,
+    the two frames scored together and alone."""
     states = np.random.default_rng(np.random.SeedSequence([seed, 4, dim]))
     unitaries = np.random.default_rng(np.random.SeedSequence([seed, 5, dim]))
     max_residual = 0.0
@@ -339,8 +350,8 @@ def check_unitary_invariance(p, trials, seed, dim=4, tolerance=1e-12) -> AxiomRe
     for t in range(trials):
         v = haar_state(states, dim).amplitudes
         w = haar_state(states, dim).amplitudes
-        u = haar(dim, unitaries)
-        uv, uw = u @ v, u @ w
+        sigma, phases = monomial(unitaries, dim)
+        uv, uw = phases * v[sigma], phases * w[sigma]
         before, after = evaluate(p, [(v.conj() * w).sum(), (uv.conj() * uw).sum()]).tolist()
         finite = math.isfinite(before) and math.isfinite(after)
         residual = abs(after - before) if finite else math.inf
@@ -383,6 +394,16 @@ def check_n_independence(p, dims, seed, tolerance=1e-9) -> AxiomReport:
                 "theta": theta,
             }
     return AxiomReport(Axiom.N_INDEPENDENCE, max_residual, worst, tolerance)
+
+
+def sample_outcomes(state, basis, n_samples, seed):
+    """Counts of projective-measurement outcomes of the state in the basis,
+    with Born weights |<v_i|psi>|^2: the package's sampler over the
+    overlaps with every basis vector."""
+    if state.dim != basis.dim:
+        raise DimensionError(f"dimension mismatch: {state.dim} vs {basis.dim}")
+    probabilities = np.abs(basis.matrix.conj() @ state.amplitudes) ** 2
+    return sample_counts_from_probabilities(probabilities, n_samples, seed)
 
 
 def simulate_fractions(probabilities, n_samples, seed):

@@ -21,7 +21,6 @@ from bornlab import (
     falsify,
     replay_witness,
     run_axiom_suite,
-    sample_outcomes,
     simulate_fractions,
     standard_basis,
     symmetric_state,
@@ -36,6 +35,7 @@ from bornlab.construction import overlap_contract_error
 from bornlab.derivation import ConstraintLedger
 
 from conftest import make_ledger_locked_candidate
+from reference import sample_outcomes
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -30,9 +30,11 @@ from bornlab.axioms import (
     normalization_residuals,
     random_probes,
 )
+from bornlab.construction import dft_block
 from bornlab.hilbert import OrthonormalBasis, StateVector
 
 import reference
+from conftest import PYTHON_BORN
 
 
 def cand(name, fn):
@@ -222,6 +224,17 @@ class TestUnitaryInvariance:
         suite = run_axiom_suite(p, dims=[2, 3], trials=5, seed=1)
         assert [r.max_residual for r in suite] == [math.inf] * 5
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_unitary_is_a_permutation_times_phases(self, dim):
+        # (Uv)_k = e^{i alpha_k} v_sigma(k) is the product with a unitary matrix
+        sigma, phases = reference.monomial(np.random.default_rng(dim), dim)
+        u = np.zeros((dim, dim), dtype=complex)
+        u[np.arange(dim), sigma] = phases
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-15
+        assert sorted(sigma.tolist()) == list(range(dim))
+        v = random_state(dim, 5).amplitudes
+        assert np.abs(u @ v - phases * v[sigma]).max() <= 1e-15
+
 
 def test_every_residual_goes_through_evaluate(monkeypatch):
     # a finite Python candidate is called on the scalar path nowhere else
@@ -261,7 +274,7 @@ SUITE_CANDIDATES = [
     candidate_from_expression("r^2"),
     candidate_from_expression("r^2*(1 + 0.1*sin(phi))"),
     cand("python r^2.5", lambda z: abs(z) ** 2.5),
-    born_candidate(),
+    PYTHON_BORN,
     candidate_from_expression("0.5"),  # every trial of a dimension ties
 ]
 SUITE_IDS = ["dsl", "dsl-failing", "python-failing", "python", "dsl-constant"]
@@ -283,7 +296,7 @@ class TestStackedSuiteMatchesReference:
     @pytest.mark.parametrize("dim", [1, 4, 64])
     @pytest.mark.parametrize("p", [
         candidate_from_expression("r^2"),
-        born_candidate(),
+        PYTHON_BORN,
         # P moves by about 1e-7 when the overlap's last bits move
         candidate_from_expression("r^2 + 0.001*sin(1000000000000*r)"),
         cand("python r^2 + 0.001*sin(1e12*r)",
@@ -317,7 +330,7 @@ class TestEvaluate:
     def test_scalar_and_compiled_paths(self):
         zs = np.array([[0.0, 0.5], [0.6 + 0.8j, -0.3j]])
         compiled = evaluate(candidate_from_expression("r^2"), zs)
-        scalar = evaluate(born_candidate(), zs)
+        scalar = evaluate(PYTHON_BORN, zs)
         assert compiled.shape == scalar.shape == (2, 2)
         assert np.allclose(compiled, scalar, rtol=0, atol=1e-15)
 
@@ -327,7 +340,7 @@ class TestEvaluate:
         assert evaluate(cand("nan", lambda z: float("nan")), [0.5])[0] == math.inf
         assert evaluate(cand("z", lambda z: z), [0.5j])[0] == math.inf
 
-    @pytest.mark.parametrize("p", [born_candidate(), candidate_from_expression("r^2")])
+    @pytest.mark.parametrize("p", [PYTHON_BORN, candidate_from_expression("r^2")])
     def test_outside_disk_raises(self, p):
         with pytest.raises(DomainError, match=r"\|z\| = 1\.5 is outside"):
             evaluate(p, [0.5, 1.5, 2.0])
@@ -349,10 +362,10 @@ class TestEvaluate:
 class TestDomain:
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):
-            born_candidate()(1.5)
+            PYTHON_BORN(1.5)
 
     def test_float_slack_tolerated(self):
-        assert born_candidate()(1.0 + 5e-10) == pytest.approx(1.0, abs=1e-8)
+        assert PYTHON_BORN(1.0 + 5e-10) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_full_suite_on_born():
@@ -366,6 +379,37 @@ def test_full_suite_on_born():
     ]
     assert all(r.passed for r in reports)
     assert max(r.max_residual for r in reports) <= 1e-9
+
+
+def test_suite_draws_no_haar_unitary(monkeypatch):
+    # criterion 3's config: invariance and orthogonality probes need no QR
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    reports = run_axiom_suite(born_candidate(), dims=[2, 3, 5, 8, 16, 64], trials=1000,
+                              seed=2024)
+    assert len(reports) == 5 and all(r.passed for r in reports)
+
+
+def test_orthogonality_probe_is_the_dft_block():
+    # the suite scores the DFT block of each dimension, which no seed moves
+    p = candidate_from_expression("r^0.1")
+    dims = [1, 2, 3, 5, 8]
+    blocks = [check_orthogonality_axiom(p, OrthonormalBasis(dft_block(n))) for n in dims]
+    expected = max(blocks, key=lambda r: r.max_residual).to_json()
+    for seed in [0, 7]:
+        report = run_axiom_suite(p, dims, trials=3, seed=seed)[2]
+        assert report.to_json() == expected and not report.passed
+
+
+def test_born_candidate_is_the_compiled_r2():
+    born = born_candidate()
+    assert born.name == "r^2" and born.array_fn is not None
+    compiled = run_axiom_suite(born, dims=[2, 3, 5], trials=200, seed=7)
+    plain = run_axiom_suite(PYTHON_BORN, dims=[2, 3, 5], trials=200, seed=7)
+    assert json.dumps([r.to_json() for r in compiled]) == json.dumps(
+        [r.to_json() for r in plain])
 
 
 def test_suite_determinism():

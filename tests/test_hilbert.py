@@ -16,7 +16,6 @@ from bornlab import (
 )
 from bornlab import build_ledger, construction, hilbert
 from bornlab.construction import partial_dft_basis
-from bornlab.hilbert import haar_unitaries
 
 import reference
 
@@ -75,36 +74,23 @@ class TestHaarUnitary:
 class TestHaarStack:
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
     def test_each_entry_is_the_single_seed_draw_bit_for_bit(self, n):
-        # entry i is the i-th unitary drawn alone from the stream, and the
-        # first of default_rng(seed)'s stream is haar_unitary(n, seed)
-        stack = haar_unitaries(np.random.default_rng(3), n, 5)
-        assert stack.shape == (5, n, n)
-        rng = np.random.default_rng(3)
-        for u in stack:
-            assert u.tobytes() == reference.haar(n, rng).tobytes()
-        # the same unitaries however the stream is cut into calls
-        rng = np.random.default_rng(3)
-        cut = np.concatenate([haar_unitaries(rng, n, k) for k in (2, 1, 2)])
-        assert cut.tobytes() == stack.tobytes()
+        # the basis of each seed holds, bit for bit, the transpose of the one
+        # unitary the reference draws from default_rng(seed), read-only
         for seed in [3, 0, 2**63 - 1, 12345, 7]:
-            first = haar_unitaries(np.random.default_rng(seed), n, 1)[0]
-            assert haar_unitary(n, seed).matrix.tobytes() == first.T.tobytes()
+            basis = haar_unitary(n, seed)
+            assert basis.matrix.tobytes() == reference.haar(n, seed).T.tobytes()
+            assert not basis.matrix.flags.writeable
 
-    def test_stack_is_read_only(self):
-        with pytest.raises(ValueError):
-            haar_unitaries(np.random.default_rng(1), 3, 2)[0, 0, 0] = 0.0
-
-    def test_check_names_the_worst_matrix_of_a_stack(self, monkeypatch):
-        stack = np.stack([np.eye(3, dtype=complex)] * 4)
-        monkeypatch.setattr(hilbert, "_haar_q", lambda rng, n, count: stack.copy())
-        rng = np.random.default_rng(0)
-        haar_unitaries(rng, 3, 4)
-        stack[2, 0, 1] = 1e-6
-        with pytest.raises(ValueError, match=r"matrix is not unitary: defect 1\.000e-06"):
-            haar_unitaries(rng, 3, 4)
-        stack[2, 0, 1] = np.nan
-        with pytest.raises(ValueError, match=r"amplitudes must be finite \(no NaN/Inf\)"):
-            haar_unitaries(rng, 3, 4)
+    @pytest.mark.parametrize("value, error", [
+        (1e-6, r"basis is not orthonormal: Gram defect 1\.000e-06"),
+        (np.nan, r"amplitudes must be finite \(no NaN/Inf\)"),
+    ])
+    def test_draw_is_gram_checked(self, monkeypatch, value, error):
+        q = np.eye(3, dtype=complex)
+        q[0, 1] = value
+        monkeypatch.setattr(np.linalg, "qr", lambda z: (q.copy(), np.eye(3, dtype=complex)))
+        with pytest.raises(ValueError, match=error):
+            haar_unitary(3, 0)
 
 
 class TestApplyUnitary:
@@ -150,8 +136,6 @@ def test_haar_unitary_checks_unitarity_once(monkeypatch):
     u = haar_unitary(8, 3)
     assert calls == [(8, 8)]  # OrthonormalBasis's check, whose defect the kernel reads
     assert u.defect == real(u.matrix)
-    haar_unitaries(np.random.default_rng(3), 8, 2)
-    assert calls == [(8, 8), (2, 8, 8)]  # one check of the whole stack
     # a rotated base of certificates is its Haar draw, checked once; then
     # each entry's partial-DFT basis is checked
     calls.clear()

